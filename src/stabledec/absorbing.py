@@ -44,12 +44,16 @@ def full_domination_graph(g: Game, limit: int = DEFAULT_LIMIT) -> DominationGrap
 def sink_components(G: DominationGraph) -> list[AbsorbingSet]:
     """Sink SCCs of the graph as absorbing sets, canonically ordered."""
     comps = G.sccs()
+    comp_of = G._comp_of
     has_out = [False] * len(comps)
-    for v in range(len(G)):
-        cv = G.comp_of(v)
-        for w, _ in G.adj[v]:
-            if G.comp_of(w) != cv:
+    for v, out in enumerate(G.adj):
+        cv = comp_of[v]
+        if has_out[cv]:
+            continue
+        for w, _ in out:
+            if comp_of[w] != cv:
                 has_out[cv] = True
+                break
     sets = []
     for ci, comp in enumerate(comps):
         if has_out[ci]:

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AgentIdOutOfRange,
@@ -20,10 +18,9 @@ from .errors import (
     MalformedInput,
 )
 
-# Masks must fit the signed 64-bit words used by the expansion kernels.
+# Coalition masks are unbounded Python ints, so the representation needs no
+# cap; this one only bounds the size of accepted input.
 MAX_AGENTS = 63
-
-RANK_SENTINEL = np.int32(np.iinfo(np.int32).max)
 
 
 def coalition(agents: Iterable[int]) -> int:
@@ -79,17 +76,21 @@ def compact_coalition(mask: int, n: int) -> str:
     return render_coalition(mask)
 
 
-class _Tables:
-    """Per-game numeric tables consumed by the expansion kernels."""
+class Expansion(NamedTuple):
+    """Per-game bitsets over the permissible set K that drive successor
+    expansion; bit ``j`` stands for ``permissible[j]``.
 
-    __slots__ = ("masks", "rank", "k_uids", "sing_uid", "uid_of")
+    ``better[p]``, for every part ``p`` an agent can hold (their singleton
+    or a K-coalition containing them), marks the coalitions that each member
+    of ``p`` either ranks strictly above ``p`` or does not belong to, so the
+    coalitions blocking a structure are the AND of ``better`` over its
+    parts. ``meets[j]`` marks the K-coalitions sharing an agent with
+    ``permissible[j]``.
+    """
 
-    def __init__(self, masks, rank, k_uids, sing_uid, uid_of):
-        self.masks = masks          # int64[m], mask per universe id, ascending
-        self.rank = rank            # int32[n, m], ranking position or sentinel
-        self.k_uids = k_uids        # int32[|K|], ids of permissible coalitions
-        self.sing_uid = sing_uid    # int32[n], id of each singleton
-        self.uid_of = uid_of        # dict mask -> universe id
+    bit: dict[int, int]
+    better: dict[int, int]
+    meets: tuple[int, ...]
 
 
 class Game:
@@ -105,7 +106,7 @@ class Game:
     member ranks strictly above their own singleton.
     """
 
-    __slots__ = ("n", "rankings", "permissible", "_kset", "_pos", "_tables")
+    __slots__ = ("n", "rankings", "permissible", "_kset", "_pos", "_expansion")
 
     def __init__(self, n: int, rankings) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -119,7 +120,7 @@ class Game:
         )
         self.permissible = self._permissible_set()
         self._kset = frozenset(self.permissible)
-        self._tables = None
+        self._expansion = None
 
     @staticmethod
     def _normalize(n, rankings):
@@ -181,22 +182,37 @@ class Game:
             raise AgentIdOutOfRange(f"agent id {i} is out of range")
         return self.rankings[i - 1]
 
-    def tables(self) -> _Tables:
-        if self._tables is None:
-            n = self.n
-            uni = sorted(set(self.permissible) | {1 << b for b in range(n)})
-            uid_of = {m: j for j, m in enumerate(uni)}
-            masks = np.array(uni, dtype=np.int64)
-            rank = np.full((n, len(uni)), RANK_SENTINEL, dtype=np.int32)
-            for i in range(n):
-                for pos, c in enumerate(self.rankings[i]):
-                    j = uid_of.get(c)
-                    if j is not None:
-                        rank[i, j] = pos
-            k_uids = np.array([uid_of[c] for c in self.permissible], dtype=np.int32)
-            sing_uid = np.array([uid_of[1 << b] for b in range(n)], dtype=np.int32)
-            self._tables = _Tables(masks, rank, k_uids, sing_uid, uid_of)
-        return self._tables
+    def expansion(self) -> Expansion:
+        if self._expansion is None:
+            ks = self.permissible
+            bit = {c: 1 << j for j, c in enumerate(ks)}
+            full = (1 << len(ks)) - 1
+            holding = [0] * (self.n + 1)
+            for c, b in bit.items():
+                for i in members(c):
+                    holding[i] |= b
+            better: dict[int, int] = {}
+            for i, ranking in enumerate(self.rankings, 1):
+                # best-first walk: every K-coalition containing i is listed
+                # above their singleton, so the walk ends there
+                outside = full & ~holding[i]
+                above = 0
+                for c in ranking:
+                    b = bit.get(c)
+                    if b is None and c != singleton(i):
+                        continue
+                    better[c] = better.get(c, full) & (above | outside)
+                    if b is None:
+                        break
+                    above |= b
+            meets = []
+            for c in ks:
+                m = 0
+                for i in members(c):
+                    m |= holding[i]
+                meets.append(m)
+            self._expansion = Expansion(bit, better, tuple(meets))
+        return self._expansion
 
     def to_dict(self) -> dict:
         return {

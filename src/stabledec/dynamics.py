@@ -2,18 +2,15 @@
 
 ``pi2`` dominates ``pi`` via ``c`` when ``c`` blocks ``pi``, agents abandoned
 by ``c``'s formation fall back to singletons, and untouched parts carry
-over. Graph growth is kernel-driven (see ``_kernels``); node identity is the
-canonical structure tuple.
+over. Graph growth expands each structure with integer bitsets over the
+permissible set (see ``Game.expansion``); node identity is the canonical
+structure tuple.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, NamedTuple
 
-import numpy as np
-
-from . import _kernels
 from .core import Game, compact_coalition, lowest_agent, members, render_coalition
 from .errors import LimitExceeded, NodeNotInGraph, NotBlocking
 from .structures import (
@@ -38,6 +35,12 @@ def dominate_via(g: Game, pi: tuple[int, ...], c: int) -> tuple[int, ...]:
     """
     if not blocks(g, c, pi):
         raise NotBlocking(f"{render_coalition(c)} does not block {render_structure(pi)}")
+    return _form(pi, c)
+
+
+def _form(pi: tuple[int, ...], c: int) -> tuple[int, ...]:
+    # c forms against pi: parts meeting c lose those agents to c and the
+    # rest of each such part falls back to singletons
     parts = [c]
     for p in pi:
         if p & c:
@@ -204,70 +207,57 @@ def transitively_dominates(G: DominationGraph, a, b, strict_self: bool = False) 
     return G.reaches(ib, ia)
 
 
-def _to_uid_array(tables, pi, n):
-    arr = np.empty(n, np.int32)
-    for p in pi:
-        u = tables.uid_of[p]
-        for i in members(p):
-            arr[i - 1] = u
-    return arr
-
-
-def _from_uid_row(tables, row):
-    # agents appear in id order, so a part's first occurrence is at its least
-    # member and collecting first occurrences yields the canonical tuple
-    parts = []
-    emitted = set()
-    for u in row:
-        if u not in emitted:
-            emitted.add(u)
-            parts.append(int(tables.masks[u]))
-    return tuple(parts)
-
-
 def grow_graph(g: Game, seeds: Iterable, limit: int = DEFAULT_LIMIT) -> DominationGraph:
     """Breadth-first closure of ``seeds`` under domination.
 
     Nodes are numbered by discovery order starting from the canonically
     sorted seeds; successor edges per node come in ascending via order.
     """
-    tables = g.tables()
-    n = g.n
+    ks = g.permissible
+    bit, better, meets = g.expansion()
     seed_structs = sorted(
         {structure_from_parts(g, pi) for pi in seeds}, key=structure_key
     )
     nodes: list[tuple[int, ...]] = []
     adj: list[list[tuple[int, int]]] = []
-    index: dict[tuple[int, ...], int] = {}
-    queue: deque[int] = deque()
+    # a structure is identified by the K-bitset of its non-single parts
+    keys: list[int] = []
+    index: dict[int, int] = {}
 
-    def add_node(pi) -> int:
+    def add_node(pi, key) -> int:
         if len(nodes) >= limit:
             raise LimitExceeded(f"domination graph exceeds {limit} nodes")
         v = len(nodes)
         nodes.append(pi)
         adj.append([])
-        index[pi] = v
-        queue.append(v)
+        keys.append(key)
+        index[key] = v
         return v
 
     for pi in seed_structs:
-        if pi not in index:
-            add_node(pi)
+        add_node(pi, sum(bit[p] for p in pi if p & (p - 1)))
     seed_ids = tuple(range(len(nodes)))
 
-    expand = _kernels.expand
-    while queue:
-        v = queue.popleft()
-        parts = _to_uid_array(tables, nodes[v], n)
-        vias, succ = expand(parts, tables.rank, tables.masks, tables.k_uids, tables.sing_uid)
+    v = 0
+    while v < len(nodes):
+        pi = nodes[v]
+        key = keys[v]
+        blocking = -1
+        for p in pi:
+            blocking &= better[p]
         out = adj[v]
-        for r in range(vias.shape[0]):
-            pi2 = _from_uid_row(tables, succ[r])
-            w = index.get(pi2)
+        # set bits low to high are the blocking coalitions in mask order
+        while blocking:
+            low = blocking & -blocking
+            blocking ^= low
+            j = low.bit_length() - 1
+            c = ks[j]
+            key2 = key & ~meets[j] | low
+            w = index.get(key2)
             if w is None:
-                w = add_node(pi2)
-            out.append((w, int(tables.masks[vias[r]])))
+                w = add_node(_form(pi, c), key2)
+            out.append((w, c))
+        v += 1
     return DominationGraph(nodes, adj, seed_ids)
 
 

@@ -15,8 +15,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import Game, intersects, render_coalition, unanimously_prefers
 from .dynamics import DominationGraph, dominate_via
 from .errors import (
@@ -314,24 +312,8 @@ def ring_components_of(g: Game, absorbing, G: DominationGraph) -> list[RingCompo
 
 
 def has_proper_ring(g: Game) -> bool:
-    """Whether any proper ring exists, decided by brute-force closure of
-    intersecting unanimous-improvement chains over the permissible set
-    (chain length capped at |K|, enough for any simple cycle)."""
-    ks = g.permissible
-    m = len(ks)
-    if m < 3:
-        return False
-    adj = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        for b in range(m):
-            if a != b and ks[a] & ks[b] and unanimously_prefers(g, ks[b], ks[a]):
-                adj[a, b] = True
-    reach = adj.copy()
-    for _ in range(m):
-        new = reach | (reach @ adj)
-        if (new == reach).all():
-            break
-        reach = new
-    # a coalition on a chain back to itself closes a cycle; 1- and 2-cycles
-    # are impossible under strict preferences, so any hit is a ring
-    return bool(np.diag(reach).any())
+    """Whether any proper ring exists: whether the unanimous-improvement
+    digraph over the permissible set has a cycle. 1- and 2-cycles are
+    impossible under strict preferences, so any SCC with two or more
+    coalitions holds a ring."""
+    return any(len(c) >= 2 for c in _pref_digraph_sccs(g, g.permissible))

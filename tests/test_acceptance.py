@@ -41,7 +41,6 @@ from stabledec import (
     render_structure,
     sink_components,
     successors,
-    use_backend,
 )
 from stabledec.decomposition import Party, POOL, SINGLE
 from conftest import C, make_structure
@@ -58,8 +57,7 @@ def structure_set(g, texts):
 
 @pytest.fixture(scope="module", autouse=True)
 def warmup():
-    # compile the jitted kernel before anything is timed
-    use_backend("numba")
+    # import and first-call costs are paid before anything is timed
     absorbing_sets(random_game(4, density=0.5, seed=0))
 
 

@@ -10,13 +10,17 @@ from stabledec import (
     enumerate_structures,
     grow_graph,
     is_stable,
+    marriage_to_game,
     random_game,
+    random_marriage_spec,
+    random_roommate_spec,
+    roommate_to_game,
     singleton_structure,
+    structure_from_parts,
     structure_key,
     successors,
     to_dot,
     transitively_dominates,
-    use_backend,
 )
 from conftest import C, make_structure
 
@@ -146,23 +150,50 @@ class TestTransitivelyDominates:
                 assert all(k != i for k, _ in graph.adj[j])
 
 
-class TestBackendsAgree:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_same_graph(self, seed):
-        g = random_game(6, density=0.4, seed=seed)
-        seeds = [singleton_structure(6)]
-        results = {}
-        for name in ("numpy", "numba"):
-            use_backend(name)
-            try:
-                graph = grow_graph(g, seeds)
-                results[name] = (
-                    tuple(graph.nodes),
-                    tuple(tuple(a) for a in graph.adj),
-                )
-            finally:
-                use_backend("numba")
-        assert results["numpy"] == results["numba"]
+def reference_graph(g, seeds):
+    """Breadth-first closure of ``seeds`` through ``successors()``, which
+    tests blocking with ``blocks`` and forms successors with
+    ``dominate_via``, independently of the bitset expansion."""
+    nodes = sorted({structure_from_parts(g, pi) for pi in seeds}, key=structure_key)
+    index = {pi: v for v, pi in enumerate(nodes)}
+    adj = []
+    for pi in nodes:  # grows while iterated: breadth-first order
+        out = []
+        for e in successors(g, pi):
+            if e.target not in index:
+                index[e.target] = len(nodes)
+                nodes.append(e.target)
+            out.append((index[e.target], e.via))
+        adj.append(out)
+    return nodes, adj
+
+
+EQUIVALENCE_GAMES = (
+    [("random", s, lambda s: random_game(6, density=0.45, seed=s + 60)) for s in range(4)]
+    + [("roommate", s, lambda s: roommate_to_game(random_roommate_spec(8, 0.6, seed=s)))
+       for s in range(3)]
+    + [("marriage", s, lambda s: marriage_to_game(random_marriage_spec(4, 4, 0.7, seed=s)))
+       for s in range(3)]
+)
+
+
+class TestExpansionMatchesSuccessors:
+    @pytest.mark.parametrize("seeding", ["full", "singletons"])
+    @pytest.mark.parametrize(
+        "front,seed,make", EQUIVALENCE_GAMES,
+        ids=[f"{front}-{seed}" for front, seed, _ in EQUIVALENCE_GAMES],
+    )
+    def test_same_graph(self, front, seed, make, seeding):
+        g = make(seed)
+        if seeding == "full":
+            seeds = list(enumerate_structures(g))
+        else:
+            seeds = [singleton_structure(g.n)]
+        graph = grow_graph(g, seeds)
+        nodes, adj = reference_graph(g, seeds)
+        assert graph.nodes == nodes
+        assert graph.adj == adj
+        assert graph.seeds == tuple(range(len(seeds)))
 
 
 class TestDot:
