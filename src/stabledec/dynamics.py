@@ -63,16 +63,73 @@ def successors(g: Game, pi: tuple[int, ...]) -> list[DominationEdge]:
     return out
 
 
+def _tarjan(adj) -> list[list[int]]:
+    """Strongly connected components of a digraph, iterative Tarjan lowlink.
+
+    ``adj[v]`` lists out-edges whose first item is the target index. Each
+    component lists its nodes in the order they leave the Tarjan stack;
+    components come out in reverse topological order.
+    """
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ptr = work[-1]
+            if ptr == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on[v] = True
+            descended = False
+            out = adj[v]
+            for k in range(ptr, len(out)):
+                w = out[k][0]
+                if index[w] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((w, 0))
+                    descended = True
+                    break
+                if on[w]:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+    return comps
+
+
 class DominationGraph:
     """Immutable domination digraph over a set of structures.
 
     ``adj[v]`` lists ``(target_id, via_mask)`` pairs in ascending via order.
-    Strongly connected components and condensation reachability are computed
-    once on demand and memoized; reachability queries never materialize a
-    node-by-node matrix.
+    Strongly connected components, condensation reachability and the ring
+    components of each absorbing set (``rings.ring_components_of``) are
+    computed once on demand and memoized; reachability queries never
+    materialize a node-by-node matrix.
     """
 
-    __slots__ = ("nodes", "adj", "seeds", "_index", "_comps", "_comp_of", "_reach")
+    __slots__ = (
+        "nodes", "adj", "seeds", "_index", "_comps", "_comp_of", "_reach", "_rings"
+    )
 
     def __init__(self, nodes, adj, seeds):
         self.nodes: list[tuple[int, ...]] = nodes
@@ -82,6 +139,8 @@ class DominationGraph:
         self._comps = None
         self._comp_of = None
         self._reach = None
+        # absorbing-set members -> its ring components, filled by rings.py
+        self._rings: dict = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -104,58 +163,16 @@ class DominationGraph:
                 yield DominationEdge(self.nodes[v], self.nodes[w], via)
 
     def sccs(self) -> list[list[int]]:
-        """Strongly connected components, iterative Tarjan lowlink.
-
-        Components come out in reverse topological order: every edge leaving
-        a component points at a lower component index.
+        """Strongly connected components, each sorted, in reverse topological
+        order: every edge leaving a component points at a lower component
+        index.
         """
         if self._comps is None:
-            n = len(self.nodes)
-            index = [-1] * n
-            low = [0] * n
-            on = [False] * n
-            stack: list[int] = []
-            comps: list[list[int]] = []
-            comp_of = [-1] * n
-            counter = 0
-            for root in range(n):
-                if index[root] != -1:
-                    continue
-                work = [(root, 0)]
-                while work:
-                    v, ptr = work[-1]
-                    if ptr == 0:
-                        index[v] = low[v] = counter
-                        counter += 1
-                        stack.append(v)
-                        on[v] = True
-                    descended = False
-                    out = self.adj[v]
-                    for k in range(ptr, len(out)):
-                        w = out[k][0]
-                        if index[w] == -1:
-                            work[-1] = (v, k + 1)
-                            work.append((w, 0))
-                            descended = True
-                            break
-                        if on[w]:
-                            low[v] = min(low[v], index[w])
-                    if descended:
-                        continue
-                    if low[v] == index[v]:
-                        comp = []
-                        while True:
-                            w = stack.pop()
-                            on[w] = False
-                            comp_of[w] = len(comps)
-                            comp.append(w)
-                            if w == v:
-                                break
-                        comps.append(sorted(comp))
-                    work.pop()
-                    if work:
-                        u = work[-1][0]
-                        low[u] = min(low[u], low[v])
+            comps = [sorted(comp) for comp in _tarjan(self.adj)]
+            comp_of = [-1] * len(self.nodes)
+            for ci, comp in enumerate(comps):
+                for v in comp:
+                    comp_of[v] = ci
             self._comps = comps
             self._comp_of = comp_of
         return self._comps

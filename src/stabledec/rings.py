@@ -6,17 +6,20 @@ collection of permissible coalitions that (i) pairwise transitively prefer
 each other within the collection and (ii) break every one of their own
 maximal sets from within. Ring components are recovered from a non-trivial
 absorbing set by extracting a ring from a cycle through every edge and
-merging rings that share a coalition.
+merging rings that share a coalition. Each cycle closes its edge ``u -> v``
+with a shortest path back from ``v``; one breadth-first search per member
+``v``, stopped once it has discovered every in-neighbour of ``v``, serves
+all edges into ``v``. The components are memoized on the domination graph
+per absorbing set.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Game, intersects, render_coalition, unanimously_prefers
-from .dynamics import DominationGraph, dominate_via
+from .dynamics import DominationGraph, _tarjan, dominate_via
 from .errors import (
     NotACycle,
     NotARingComponent,
@@ -136,57 +139,14 @@ def is_ring_component(g: Game, coalitions: Iterable[int]) -> bool:
 
 def _pref_digraph_sccs(g: Game, masks: Sequence[int]) -> list[list[int]]:
     """SCCs (lists of indices) of the unanimous-improvement digraph over
-    ``masks``; iterative Tarjan, components in reverse topological order."""
+    ``masks``, in reverse topological order."""
     m = len(masks)
-    adj: list[list[int]] = [[] for _ in range(m)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for a in range(m):
         for b in range(m):
             if a != b and masks[a] & masks[b] and unanimously_prefers(g, masks[b], masks[a]):
-                adj[a].append(b)
-    index = [-1] * m
-    low = [0] * m
-    on = [False] * m
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(m):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on[v] = True
-            descended = False
-            out = adj[v]
-            for k in range(ptr, len(out)):
-                w = out[k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    return comps
+                adj[a].append((b, masks[b]))
+    return _tarjan(adj)
 
 
 def classify_simple(g: Game, coalitions: Iterable[int]) -> bool:
@@ -236,51 +196,79 @@ def component(g: Game, coalitions: Iterable[int]) -> RingComponent:
     )
 
 
-def _cycle_vias_through(G: DominationGraph, u: int, v: int, via: int, inside: set[int]):
-    """Vias of a cycle through edge ``u -> v``: the edge itself plus a
-    shortest path ``v -> u`` found by BFS inside the component."""
-    parent: dict[int, tuple[int, int] | None] = {v: None}
-    order = deque([v])
-    while order and u not in parent:
-        x = order.popleft()
-        for w, wv in G.adj[x]:
-            if w in inside and w not in parent:
-                parent[w] = (x, wv)
-                order.append(w)
-    if u not in parent:
-        raise VerificationFailed("absorbing set is not strongly connected")
-    rev = []
-    cur = u
-    while parent[cur] is not None:
-        prev, wv = parent[cur]
-        rev.append(wv)
-        cur = prev
-    # vias aligned with the cycle (v, ..., u): first the edge into v, then
-    # the path steps in forward order
-    return [via] + rev[::-1]
+def _extract_rings(G: DominationGraph, absorbing) -> set[tuple[int, ...]]:
+    """Canonical rotations of the rings read off the absorbing set's cycles.
 
-
-def ring_components_of(g: Game, absorbing, G: DominationGraph) -> list[RingComponent]:
-    """All ring components carried by a non-trivial absorbing set.
-
-    For every edge inside the set a cycle through it is completed with a
-    shortest return path; rings are extracted from every start position of
-    that cycle, merged on shared coalitions, and the merged families are
-    re-verified before being returned.
+    Every edge ``u -> v`` inside the set closes a cycle with the shortest
+    path ``v -> u`` that breadth-first search from ``v`` finds; a ring is
+    extracted from every start position of that cycle. One search from each
+    member ``v`` serves all the edges into ``v``: it stops once every
+    in-neighbour is discovered, and since a node's search-tree parent is
+    fixed when it is first discovered, each path equals the one a search
+    from ``v`` stopping at that single in-neighbour would find.
     """
-    if absorbing.trivial:
-        raise TrivialAbsorbingSet("trivial absorbing sets carry no ring component")
     ids = [G.node_id(pi) for pi in absorbing.members]
-    inside = set(ids)
-    rings: set[tuple[int, ...]] = set()
+    adj = G.adj
+    # in-edges of each member, as parallel source and via lists
+    into_u: dict[int, list[int]] = {v: [] for v in ids}
+    into_via: dict[int, list[int]] = {v: [] for v in ids}
     for u in ids:
-        for v, via in G.adj[u]:
-            if v not in inside:
+        for v, via in adj[u]:
+            if v not in into_u:
                 raise VerificationFailed("absorbing set has an outgoing edge")
-            vias = _cycle_vias_through(G, u, v, via, inside)
+            into_u[v].append(u)
+            into_via[v].append(via)
+    # per-node search state, stamped with the search root instead of reset
+    n = len(G)
+    seen_by = [-1] * n
+    want = [-1] * n
+    prev = [0] * n
+    pvia = [0] * n
+    rings: set[tuple[int, ...]] = set()
+    tried: set[tuple[int, ...]] = set()
+    for v in ids:
+        left = 0
+        for u in into_u[v]:
+            if want[u] != v:
+                want[u] = v
+                left += 1
+        seen_by[v] = v
+        queue = [v]
+        head = 0
+        while left:
+            if head == len(queue):
+                raise VerificationFailed("absorbing set is not strongly connected")
+            x = queue[head]
+            head += 1
+            for w, wv in adj[x]:
+                if seen_by[w] != v:
+                    seen_by[w] = v
+                    prev[w] = x
+                    pvia[w] = wv
+                    queue.append(w)
+                    if want[w] == v:
+                        left -= 1
+        for u, via in zip(into_u[v], into_via[v]):
+            # vias aligned with the cycle (v, ..., u): first the edge into v,
+            # then the path steps in forward order
+            path = []
+            x = u
+            while x != v:
+                path.append(pvia[x])
+                x = prev[x]
+            path.append(via)
+            vias = tuple(reversed(path))
+            if vias in tried:
+                continue
+            tried.add(vias)
             for s in range(len(vias)):
                 rings.add(canonical_rotation(_ring_from_vias(vias, s)))
-    # merge rings sharing a coalition, to a fixed point
+    return rings
+
+
+def _merged_components(g: Game, rings: set[tuple[int, ...]]) -> list[RingComponent]:
+    """Rings merged on shared coalitions, to a fixed point, each merged
+    family re-verified as a ring component."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -309,6 +297,25 @@ def ring_components_of(g: Game, absorbing, G: DominationGraph) -> list[RingCompo
             )
         comps.append(component(g, masks))
     return comps
+
+
+def ring_components_of(g: Game, absorbing, G: DominationGraph) -> list[RingComponent]:
+    """All ring components carried by a non-trivial absorbing set.
+
+    For every edge inside the set a cycle through it is completed with a
+    shortest return path, found by one breadth-first search per member that
+    stops once all of the member's in-neighbours are discovered. Rings are
+    extracted from every start position of each cycle, merged on shared
+    coalitions, and the merged families are re-verified. The result is
+    memoized on ``G`` per absorbing set; each call returns a new list.
+    """
+    if absorbing.trivial:
+        raise TrivialAbsorbingSet("trivial absorbing sets carry no ring component")
+    comps = G._rings.get(absorbing.members)
+    if comps is None:
+        comps = _merged_components(g, _extract_rings(G, absorbing))
+        G._rings[absorbing.members] = comps
+    return list(comps)
 
 
 def has_proper_ring(g: Game) -> bool:
