@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .core import Game
 from .errors import VerificationFailed
 from .structures import DEFAULT_LIMIT, enumerate_structures, structure_key
-from .dynamics import DominationEdge, DominationGraph, grow_graph
+from .dynamics import DominationEdge, DominationGraph, _grow, grow_graph
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,25 @@ def full_domination_graph(g: Game, limit: int = DEFAULT_LIMIT) -> DominationGrap
 
     Structures stream in lazily; domination never leaves the structure
     space, so seeding growth with all of them yields the complete graph.
+    Enumeration already yields each valid structure once, canonical and in
+    ``structure_key`` order, so the seeds skip ``grow_graph``'s validation
+    and sort; nodes and edges come out the same.
     """
-    return grow_graph(g, enumerate_structures(g, limit=limit), limit=limit)
+    return _grow(g, enumerate_structures(g, limit=limit), limit)
 
 
 def sink_components(G: DominationGraph) -> list[AbsorbingSet]:
-    """Sink SCCs of the graph as absorbing sets, canonically ordered."""
+    """Sink SCCs of the graph as absorbing sets, canonically ordered.
+
+    Computed once per graph and memoized on it; each call returns a new
+    list.
+    """
+    if G._sinks is None:
+        G._sinks = _scan_sinks(G)
+    return list(G._sinks)
+
+
+def _scan_sinks(G: DominationGraph) -> list[AbsorbingSet]:
     comps = G.sccs()
     comp_of = G._comp_of
     has_out = [False] * len(comps)

@@ -121,14 +121,16 @@ class DominationGraph:
     """Immutable domination digraph over a set of structures.
 
     ``adj[v]`` lists ``(target_id, via_mask)`` pairs in ascending via order.
-    Strongly connected components, condensation reachability and the ring
-    components of each absorbing set (``rings.ring_components_of``) are
-    computed once on demand and memoized; reachability queries never
-    materialize a node-by-node matrix.
+    Strongly connected components, condensation reachability, the sink
+    components (``absorbing.sink_components``) and the ring components of
+    each absorbing set (``rings.ring_components_of``) are computed once on
+    demand and memoized; reachability queries never materialize a
+    node-by-node matrix.
     """
 
     __slots__ = (
-        "nodes", "adj", "seeds", "_index", "_comps", "_comp_of", "_reach", "_rings"
+        "nodes", "adj", "seeds", "_index", "_comps", "_comp_of", "_reach",
+        "_sinks", "_rings",
     )
 
     def __init__(self, nodes, adj, seeds):
@@ -139,6 +141,8 @@ class DominationGraph:
         self._comps = None
         self._comp_of = None
         self._reach = None
+        # the absorbing sets, filled by absorbing.py
+        self._sinks = None
         # absorbing-set members -> its ring components, filled by rings.py
         self._rings: dict = {}
 
@@ -227,14 +231,22 @@ def transitively_dominates(G: DominationGraph, a, b, strict_self: bool = False) 
 def grow_graph(g: Game, seeds: Iterable, limit: int = DEFAULT_LIMIT) -> DominationGraph:
     """Breadth-first closure of ``seeds`` under domination.
 
-    Nodes are numbered by discovery order starting from the canonically
-    sorted seeds; successor edges per node come in ascending via order.
+    Each seed is validated and canonicalized (``structure_from_parts``),
+    duplicates are dropped and the rest sorted by ``structure_key``. Nodes
+    are numbered by discovery order starting from those seeds; successor
+    edges per node come in ascending via order.
     """
-    ks = g.permissible
-    bit, better, meets = g.expansion()
     seed_structs = sorted(
         {structure_from_parts(g, pi) for pi in seeds}, key=structure_key
     )
+    return _grow(g, seed_structs, limit)
+
+
+def _grow(g: Game, seed_structs: Iterable, limit: int) -> DominationGraph:
+    """``grow_graph`` for seeds that are already valid, canonical, distinct
+    and sorted by ``structure_key``; they are taken as given."""
+    ks = g.permissible
+    bit, better, meets = g.expansion()
     nodes: list[tuple[int, ...]] = []
     adj: list[list[tuple[int, int]]] = []
     # a structure is identified by the K-bitset of its non-single parts

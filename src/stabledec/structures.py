@@ -130,17 +130,19 @@ def is_stable(g: Game, pi: tuple[int, ...]) -> bool:
 
 
 def enumerate_structures(g: Game, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[int, ...]]:
-    """Lazily yield every coalition structure of the game.
+    """Lazily yield every coalition structure of the game once, canonical
+    and in ``structure_key`` order.
 
-    Recursion assigns the least unassigned agent a part (its singleton or a
-    disjoint permissible coalition, in mask order), so no structure is
-    produced twice and no dedup set is needed. Raises ``LimitExceeded``
-    before yielding structure ``limit + 1``.
+    Recursion assigns the least unassigned agent a part: its singleton
+    first, then each disjoint permissible coalition in member order. So no
+    structure is produced twice, no dedup set is needed, and no sort
+    either: ``full_domination_graph`` relies on that order. Raises
+    ``LimitExceeded`` before yielding structure ``limit + 1``.
     """
     n = g.n
     full = (1 << n) - 1
     by_agent: list[list[int]] = [[] for _ in range(n + 1)]
-    for c in g.permissible:
+    for c in sorted(g.permissible, key=members):
         for i in members(c):
             by_agent[i].append(c)
     count = 0

@@ -14,6 +14,9 @@ from stabledec import (
     RoommateSpec,
     coalition,
     marriage_to_game,
+    random_game,
+    random_marriage_spec,
+    random_roommate_spec,
     roommate_to_game,
     structure_from_parts,
 )
@@ -137,3 +140,15 @@ CYCLE7 = ["12 34 5 67", "12 3 45 67", "1 23 45 67", "15 23 4 67", "15 2 34 67"]
 @pytest.fixture(scope="session")
 def cycle7(g7):
     return [make_structure(g7, text) for text in CYCLE7]
+
+
+# seeded games of every front end (n <= 8), as (front, seed, make) for
+# parametrize; make(seed) builds the game
+GENERATED_GAMES = (
+    [("random", s, lambda s: random_game(7, density=0.4, seed=s + 500)) for s in range(5)]
+    + [("roommate", s, lambda s: roommate_to_game(random_roommate_spec(8, 0.6, seed=s)))
+       for s in range(4)]
+    + [("marriage", s, lambda s: marriage_to_game(random_marriage_spec(4, 4, 0.7, seed=s)))
+       for s in range(4)]
+)
+GENERATED_IDS = [f"{front}-{seed}" for front, seed, _ in GENERATED_GAMES]

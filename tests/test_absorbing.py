@@ -1,12 +1,20 @@
 """Absorbing sets: sink components of the full domination graph."""
 
+import io
+import json
+import sys
+
 import pytest
 
 from stabledec import (
+    LimitExceeded,
+    MalformedInput,
     VerificationFailed,
     absorbing_sets,
     dominate_via,
+    enumerate_structures,
     full_domination_graph,
+    grow_graph,
     is_stable,
     random_game,
     reaches_absorbing,
@@ -14,7 +22,10 @@ from stabledec import (
     sink_components,
     structure_key,
 )
-from conftest import make_structure
+from stabledec import absorbing as absorbing_module
+from stabledec import dynamics as dynamics_module
+from stabledec.cli import main
+from conftest import GENERATED_GAMES, GENERATED_IDS, make_structure, parts
 
 
 class TestFullGraph:
@@ -22,6 +33,92 @@ class TestFullGraph:
         assert len(full_domination_graph(g7)) == 32
         assert len(full_domination_graph(g8)) == 25
         assert len(full_domination_graph(g6)) == 20
+
+    @pytest.mark.parametrize("fixture", ["g7", "mar33"])
+    def test_limit_boundary(self, fixture, request):
+        g = request.getfixturevalue(fixture)
+        n = sum(1 for _ in enumerate_structures(g))
+        assert len(full_domination_graph(g, limit=n)) == n
+        with pytest.raises(LimitExceeded) as err:
+            full_domination_graph(g, limit=n - 1)
+        assert str(err.value) == f"more than {n - 1} structures"
+
+
+class TestTrustedSeeds:
+    """The full graph seeds growth straight from enumeration; caller-supplied
+    seeds still go through ``grow_graph``'s validation."""
+
+    @staticmethod
+    def assert_same_as_validated(g):
+        graph = full_domination_graph(g)
+        want = grow_graph(g, list(enumerate_structures(g)))
+        assert graph.nodes == want.nodes
+        assert graph.adj == want.adj
+        assert graph.seeds == want.seeds
+
+    @pytest.mark.parametrize("front,seed,make", GENERATED_GAMES, ids=GENERATED_IDS)
+    def test_generated_games_match_validated_growth(self, front, seed, make):
+        self.assert_same_as_validated(make(seed))
+
+    @pytest.mark.parametrize("fixture", ["g6", "g7", "g8", "mar33"])
+    def test_reference_games_match_validated_growth(self, fixture, request):
+        self.assert_same_as_validated(request.getfixturevalue(fixture))
+
+    def test_full_graph_skips_validation_and_sort(self, g7, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("structure_from_parts", "structure_key"):
+            monkeypatch.setattr(
+                dynamics_module, name, counting(name, getattr(dynamics_module, name))
+            )
+        assert len(full_domination_graph(g7)) == 32
+        assert calls == []
+        grow_graph(g7, [singleton_structure(7)])
+        assert calls.count("structure_from_parts") == 1
+
+    @pytest.mark.parametrize(
+        "seed,message",
+        [
+            ("12 23 4 5 67", "overlap"),
+            ("12 34 5", "do not cover"),
+            ("13 2 45 67", "not a permissible coalition"),
+        ],
+        ids=["overlapping", "not-covering", "not-permissible"],
+    )
+    def test_grow_graph_still_validates(self, g7, seed, message):
+        with pytest.raises(MalformedInput, match=message):
+            grow_graph(g7, [singleton_structure(7), parts(seed)])
+
+
+class TestSinkMemo:
+    def test_repeat_call_returns_fresh_equal_list(self, g7):
+        graph = full_domination_graph(g7)
+        first = sink_components(graph)
+        second = sink_components(graph)
+        assert first == second
+        assert first is not second
+        first.clear()
+        assert sink_components(graph) == second
+
+    def test_analyze_scans_sinks_once(self, g7, monkeypatch, capsys):
+        calls = []
+        scan = absorbing_module._scan_sinks
+
+        def counting(G):
+            calls.append(G)
+            return scan(G)
+
+        monkeypatch.setattr(absorbing_module, "_scan_sinks", counting)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(g7.to_dict())))
+        assert main(["analyze", "-", "--all", "--json"]) == 0
+        assert len(calls) == 1
+        assert len(json.loads(capsys.readouterr().out)["absorbing_sets"]) == 4
 
 
 class TestAbsorbingSets:

@@ -7,6 +7,7 @@ import pytest
 from stabledec import (
     AgentIdOutOfRange,
     EmptyCollection,
+    Game,
     LimitExceeded,
     MalformedInput,
     blocks,
@@ -23,7 +24,7 @@ from stabledec import (
     structure_from_parts,
     structure_key,
 )
-from conftest import C, make_structure
+from conftest import GENERATED_GAMES, GENERATED_IDS, C, make_structure, parts
 
 
 def disjoint_families(coalitions):
@@ -260,3 +261,27 @@ class TestEnumerateStructures:
         g = random_game(5, density=0.5, seed=seed)
         got = sum(1 for _ in enumerate_structures(g))
         assert got == len(disjoint_families(g.permissible))
+
+
+class TestEnumerationOrder:
+    """Enumeration yields each structure once, already in ``structure_key``
+    order; the full domination graph relies on it to skip seed sorting."""
+
+    @pytest.mark.parametrize("front,seed,make", GENERATED_GAMES, ids=GENERATED_IDS)
+    def test_generated_games(self, front, seed, make):
+        g = make(seed)
+        got = list(enumerate_structures(g))
+        assert got == sorted(set(got), key=structure_key)
+
+    @pytest.mark.parametrize("fixture", ["g6", "g7", "g8", "mar33"])
+    def test_reference_games(self, fixture, request):
+        g = request.getfixturevalue(fixture)
+        got = list(enumerate_structures(g))
+        assert got == sorted(set(got), key=structure_key)
+
+    def test_member_order_differs_from_mask_order(self):
+        # {1,2,3} (mask 7) sorts before {1,3} (mask 5) by members
+        g = Game(3, {1: parts("13 123 12 1"), 2: parts("12 123 2"), 3: parts("13 123 3")})
+        assert list(enumerate_structures(g)) == [
+            make_structure(g, t) for t in ("1 2 3", "12 3", "123", "13 2")
+        ]
