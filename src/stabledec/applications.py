@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 from .core import Game, coalition
 from .errors import MalformedSpec, VerificationFailed
 from .structures import DEFAULT_LIMIT, structure_key
-from .absorbing import full_domination_graph, sink_components
+from .absorbing import Analysis, sink_components
 
 
 def _check_pref_table(n: int, preferences: Mapping) -> dict[int, list[int]]:
@@ -127,9 +127,12 @@ def converges_to_stability(
     which no stable structure is reachable. Decided by reverse reachability
     from the stable structures and cross-checked against triviality of the
     sink components; the two routes must agree.
+
+    Without ``graph`` the verdict comes from ``factored_convergence``, one
+    graph per factor; with it, from that graph.
     """
     if graph is None:
-        graph = full_domination_graph(g, limit=limit)
+        return factored_convergence(Analysis(g, limit))
     stable_ids = [v for v in range(len(graph)) if not graph.adj[v]]
     reached = [False] * len(graph)
     incoming: list[list[int]] = [[] for _ in range(len(graph))]
@@ -156,6 +159,26 @@ def converges_to_stability(
     if verdict:
         return True, None
     return False, min(stragglers, key=structure_key)
+
+
+def factored_convergence(an: Analysis) -> tuple[bool, tuple[int, ...] | None]:
+    """``converges_to_stability`` of the analysis's game, decided per factor.
+
+    The game converges exactly when every factor does, and each factor
+    keeps its own cross-check. The witness is the least, by
+    ``structure_key``, of the failing factors' witnesses: setting the
+    agents of other components single never moves a structure later in
+    that order, so the least structure that cannot reach a stable one has
+    non-single parts in one factor only, where it is that factor's least.
+    """
+    witnesses = []
+    for f in an.factors:
+        ok, witness = converges_to_stability(f.game, an.limit, graph=f.graph)
+        if not ok:
+            witnesses.append(witness)
+    if not witnesses:
+        return True, None
+    return False, min(witnesses, key=structure_key)
 
 
 def random_game(n: int, density: float = 0.35, seed: int | None = None) -> Game:

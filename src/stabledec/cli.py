@@ -22,19 +22,18 @@ from .core import Game, compact_coalition, game_from_dict, parse_game_dsl, rende
 from .errors import LimitExceeded, MalformedInput, MalformedParty, StabledecError
 from .structures import DEFAULT_LIMIT, render_structure
 from .dynamics import to_dot
-from .absorbing import full_domination_graph, sink_components
-from .rings import ring_components_of
+from .absorbing import Analysis, full_domination_graph
 from .decomposition import (
-    all_stable_decompositions,
     check_stable_decomposition,
     d_structures,
     decomposition_from_collections,
+    factored_decompositions,
     protection_certificates,
 )
 from .applications import (
     MarriageSpec,
     RoommateSpec,
-    converges_to_stability,
+    factored_convergence,
     marriage_to_game,
     random_game,
     random_marriage_spec,
@@ -121,15 +120,23 @@ def parse_decomposition(g: Game, text: str):
     return decomposition_from_collections(g, collections)
 
 
+def _write_dot(g: Game, args, sinks) -> None:
+    # the one section that needs the whole product graph
+    graph = full_domination_graph(g, limit=args.limit)
+    marked = [graph.node_id(pi) for a in sinks for pi in a.members]
+    Path(args.dot).write_text(to_dot(graph, marked))
+    print(f"wrote {args.dot}", file=sys.stderr)
+
+
 def _analyze_text(g: Game, args, out: list[str]) -> None:
     n = g.n
-    graph = full_domination_graph(g, limit=args.limit)
-    sinks = sink_components(graph)
+    an = Analysis(g, limit=args.limit)
+    sinks = an.absorbing_sets()
     stable = [a.members[0] for a in sinks if a.trivial]
     kk = ", ".join(compact_coalition(c, n) for c in g.permissible)
     out.append(f"agents: {n}")
     out.append(f"permissible coalitions ({len(g.permissible)}): {kk}")
-    out.append(f"structures: {len(graph)}")
+    out.append(f"structures: {an.structure_count}")
     out.append(f"stable structures: {len(stable)}")
     for pi in stable:
         out.append(f"  {_fmt_structure(pi, n)}")
@@ -147,7 +154,7 @@ def _analyze_text(g: Game, args, out: list[str]) -> None:
         for idx, a in enumerate(sinks, 1):
             if a.trivial:
                 continue
-            for rc in ring_components_of(g, a, graph):
+            for rc in an.ring_components(idx - 1):
                 mark = "simple" if rc.simple else "not simple"
                 coals = ",".join(compact_coalition(c, n) for c in rc.coalitions)
                 lines.append(f"  absorbing set #{idx}: {{{coals}}} ({mark})")
@@ -162,12 +169,12 @@ def _analyze_text(g: Game, args, out: list[str]) -> None:
         else:
             out.append("ring components: none")
     if args.decompositions:
-        decs = all_stable_decompositions(g, limit=args.limit, graph=graph)
+        decs = factored_decompositions(an)
         out.append(f"stable decompositions: {len(decs)}")
         for d in decs:
             out.append(f"  {d.render(n)}")
     if args.converge:
-        ok, witness = converges_to_stability(g, limit=args.limit, graph=graph)
+        ok, witness = factored_convergence(an)
         if ok:
             out.append("converges to stability: yes")
         else:
@@ -175,22 +182,18 @@ def _analyze_text(g: Game, args, out: list[str]) -> None:
                 f"converges to stability: no (witness {_fmt_structure(witness, n)})"
             )
     if args.dot:
-        marked = [
-            graph.node_id(pi) for a in sinks for pi in a.members
-        ]
-        Path(args.dot).write_text(to_dot(graph, marked))
-        print(f"wrote {args.dot}", file=sys.stderr)
+        _write_dot(g, args, sinks)
 
 
 def _analyze_json(g: Game, args) -> dict:
-    graph = full_domination_graph(g, limit=args.limit)
-    sinks = sink_components(graph)
+    an = Analysis(g, limit=args.limit)
+    sinks = an.absorbing_sets()
     stable = [a.members[0] for a in sinks if a.trivial]
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "agents": g.n,
         "permissible": [render_coalition(c) for c in g.permissible],
-        "structures": len(graph),
+        "structures": an.structure_count,
         "stable": [render_structure(pi) for pi in stable],
     }
     if args.absorbing:
@@ -207,7 +210,7 @@ def _analyze_json(g: Game, args) -> dict:
         for idx, a in enumerate(sinks):
             if a.trivial:
                 continue
-            for rc in ring_components_of(g, a, graph):
+            for rc in an.ring_components(idx):
                 entries.append(
                     {
                         "absorbing_set": idx,
@@ -223,7 +226,7 @@ def _analyze_json(g: Game, args) -> dict:
                 )
         report["ring_components"] = entries
     if args.decompositions:
-        decs = all_stable_decompositions(g, limit=args.limit, graph=graph)
+        decs = factored_decompositions(an)
         entries = []
         for d, a in zip(decs, sinks):
             entry = {
@@ -243,13 +246,11 @@ def _analyze_json(g: Game, args) -> dict:
             entries.append(entry)
         report["decompositions"] = entries
     if args.converge:
-        ok, witness = converges_to_stability(g, limit=args.limit, graph=graph)
+        ok, witness = factored_convergence(an)
         report["converges"] = ok
         report["witness"] = None if ok else render_structure(witness)
     if args.dot:
-        marked = [graph.node_id(pi) for a in sinks for pi in a.members]
-        Path(args.dot).write_text(to_dot(graph, marked))
-        print(f"wrote {args.dot}", file=sys.stderr)
+        _write_dot(g, args, sinks)
     return report
 
 

@@ -128,6 +128,9 @@ class Game:
             items = dict(rankings)
         else:
             items = {i + 1: rankings[i] for i in range(len(rankings))}
+        for agent in items:
+            if not (isinstance(agent, int) and 1 <= agent <= n):
+                raise AgentIdOutOfRange(f"ranking row for agent {agent!r} is out of range 1..{n}")
         full = (1 << n) - 1
         out = []
         for i in range(1, n + 1):

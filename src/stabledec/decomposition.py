@@ -35,7 +35,7 @@ from .errors import (
 )
 from .structures import DEFAULT_LIMIT, breaks, structure_from_parts, structure_key
 from .dynamics import grow_graph
-from .absorbing import AbsorbingSet, full_domination_graph, sink_components
+from .absorbing import AbsorbingSet, Analysis, sink_components
 from . import rings as _rings
 
 POOL = "singleton_pool"
@@ -259,16 +259,12 @@ def is_stable_decomposition(g: Game, D: StableDecomposition, limit: int = DEFAUL
     return not check_stable_decomposition(g, D, limit)
 
 
-def from_absorbing_set(
-    g: Game, absorbing: AbsorbingSet, G=None, limit: int = DEFAULT_LIMIT
-) -> StableDecomposition:
-    """The stable decomposition corresponding to an absorbing set.
+def _pool(n: int, mask: int) -> Party:
+    return Party(POOL, tuple(1 << b for b in range(n) if mask >> b & 1))
 
-    Trivial set: one single-coalition party per part plus a pool of the
-    single agents. Non-trivial set: the ring components with a coalition in
-    every member, plus single parties for coalitions present in every
-    member, plus a pool of the remaining agents. The result is re-verified.
-    """
+
+def _absorbing_parties(g: Game, absorbing: AbsorbingSet, G, limit: int) -> list[Party]:
+    # the parties of from_absorbing_set, not yet checked
     parties: list[Party] = []
     if absorbing.trivial:
         pi = absorbing.members[0]
@@ -278,8 +274,6 @@ def from_absorbing_set(
                 parties.append(Party(SINGLE, (part,)))
             else:
                 pool_mask |= part
-        if pool_mask:
-            parties.append(Party(POOL, tuple(1 << b for b in range(g.n) if pool_mask >> b & 1)))
     else:
         if G is None:
             G = grow_graph(g, absorbing.members, limit=limit)
@@ -296,8 +290,12 @@ def from_absorbing_set(
                 parties.append(Party(SINGLE, (c,)))
                 covered |= c
         pool_mask = (1 << g.n) - 1 & ~covered
-        if pool_mask:
-            parties.append(Party(POOL, tuple(1 << b for b in range(g.n) if pool_mask >> b & 1)))
+    if pool_mask:
+        parties.append(_pool(g.n, pool_mask))
+    return parties
+
+
+def _verified(g: Game, parties: list[Party], limit: int) -> StableDecomposition:
     D = decomposition(parties)
     problems = check_stable_decomposition(g, D, limit)
     if problems:
@@ -306,6 +304,53 @@ def from_absorbing_set(
             + "; ".join(v.describe(g.n) for v in problems)
         )
     return D
+
+
+def from_absorbing_set(
+    g: Game, absorbing: AbsorbingSet, G=None, limit: int = DEFAULT_LIMIT
+) -> StableDecomposition:
+    """The stable decomposition corresponding to an absorbing set.
+
+    Trivial set: one single-coalition party per part plus a pool of the
+    single agents. Non-trivial set: the ring components with a coalition in
+    every member, plus single parties for coalitions present in every
+    member, plus a pool of the remaining agents. The result is re-verified.
+    """
+    return _verified(g, _absorbing_parties(g, absorbing, G, limit), limit)
+
+
+def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
+    """The stable decomposition of each absorbing set of the analysis, in
+    the same order.
+
+    An absorbing set's decomposition is the union of the coalition parties
+    of its factor sets' decompositions, each built on its factor's game and
+    graph, plus one pool of the remaining agents; it is re-verified against
+    the whole game.
+    """
+    g = an.game
+    full = (1 << g.n) - 1
+    # (factor index, factor absorbing set) -> its coalition parties
+    memo: dict = {}
+    out = []
+    for idx in range(len(an.absorbing_sets())):
+        parties: list[Party] = []
+        covered = 0
+        for fi, (f, fa) in enumerate(zip(an.factors, an.factor_sets(idx))):
+            own = memo.get((fi, fa))
+            if own is None:
+                own = memo[(fi, fa)] = [
+                    p
+                    for p in _absorbing_parties(f.game, fa, f.graph, an.limit)
+                    if p.kind != POOL
+                ]
+            for p in own:
+                parties.append(p)
+                covered |= p.agents
+        if full & ~covered:
+            parties.append(_pool(g.n, full & ~covered))
+        out.append(_verified(g, parties, an.limit))
+    return out
 
 
 class DStructure(NamedTuple):
@@ -355,9 +400,13 @@ def generated_set(g: Game, pi_d, limit: int = DEFAULT_LIMIT) -> AbsorbingSet:
 def all_stable_decompositions(
     g: Game, limit: int = DEFAULT_LIMIT, graph=None
 ) -> list[StableDecomposition]:
-    """Every stable decomposition of the game, via its absorbing sets."""
+    """Every stable decomposition of the game, via its absorbing sets.
+
+    Without ``graph`` the absorbing sets come from ``Analysis``, one graph
+    per factor; with it, from that graph's sink components.
+    """
     if graph is None:
-        graph = full_domination_graph(g, limit=limit)
+        return factored_decompositions(Analysis(g, limit))
     return [from_absorbing_set(g, a, graph, limit) for a in sink_components(graph)]
 
 

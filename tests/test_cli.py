@@ -6,7 +6,16 @@ import sys
 
 import pytest
 
-from stabledec import Game, MalformedInput, MalformedParty, StabledecError
+from stabledec import (
+    Game,
+    MalformedInput,
+    MalformedParty,
+    StabledecError,
+    full_domination_graph,
+    parse_game_dsl,
+    sink_components,
+    to_dot,
+)
 from stabledec.cli import load_game, main, parse_decomposition
 from conftest import C
 
@@ -234,8 +243,64 @@ class TestAnalyze:
         assert main(["analyze", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["9: 9", "0: 1"])
+    def test_row_of_agent_outside_range_exit_code(self, tmp_path, line, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"agents: 3\n1: 12 | 1\n2: 12 | 2\n{line}\n")
+        assert main(["analyze", str(bad)]) == 2
+        assert "out of range 1..3" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["analyze", "/nonexistent/game.json"]) == 2
+
+
+# two pair-chasing triangles and an isolated agent: three factors of 4, 4
+# and 1 structures, 16 structures in all
+UNION_DSL = """\
+agents: 7
+1: 12 | 13 | 1
+2: 23 | 12 | 2
+3: 13 | 23 | 3
+4: 45 | 46 | 4
+5: 56 | 45 | 5
+6: 46 | 56 | 6
+"""
+
+
+class TestAnalyzeFactoredGame:
+    @pytest.fixture()
+    def union_file(self, tmp_path):
+        p = tmp_path / "union.txt"
+        p.write_text(UNION_DSL)
+        return str(p)
+
+    def test_limit_at_structure_count_succeeds(self, union_file, capsys):
+        assert main(["analyze", union_file, "--all", "--limit", "16"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "structures: 16" in out
+        assert "  #1 size 9:" in out
+        assert "  {{12,13,23},{45,46,56},{7}}" in out
+        assert main(["analyze", union_file, "--all", "--json", "--limit", "16"]) == 0
+        assert json.loads(capsys.readouterr().out)["structures"] == 16
+
+    def test_limit_below_structure_count_text(self, union_file, capsys):
+        assert main(["analyze", union_file, "--all", "--limit", "15"]) == 1
+        out = capsys.readouterr().out
+        assert out == "partial report: limit exceeded (more than 15 structures)\n"
+
+    def test_limit_below_structure_count_json(self, union_file, capsys):
+        assert main(["analyze", union_file, "--all", "--json", "--limit", "15"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"schema_version": 1, "limit_exceeded": "more than 15 structures"}
+
+    def test_dot_writes_the_full_graph(self, union_file, tmp_path, capsys):
+        target = tmp_path / "union.dot"
+        assert main(["analyze", union_file, "--dot", str(target)]) == 0
+        graph = full_domination_graph(parse_game_dsl(UNION_DSL))
+        assert len(graph) == 16
+        marked = [graph.node_id(pi) for a in sink_components(graph) for pi in a.members]
+        assert len(marked) == 9
+        assert target.read_text() == to_dot(graph, marked)
 
 
 class TestVerify:

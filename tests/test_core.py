@@ -106,6 +106,15 @@ class TestGameConstruction:
         with pytest.raises(AgentIdOutOfRange):
             Game(2, {1: [(1, 3), (1,)], 2: [(2,)]})
 
+    @pytest.mark.parametrize("agent", [0, 3, 9, -1, "1"])
+    def test_rejects_rows_of_agents_outside_range(self, agent):
+        with pytest.raises(AgentIdOutOfRange, match=r"out of range 1\.\.2"):
+            Game(2, {1: [(1,)], agent: [(1,)]})
+
+    def test_rejects_extra_rows_in_sequence_form(self):
+        with pytest.raises(AgentIdOutOfRange):
+            Game(2, [[(1,)], [(2,)], [(3,)]])
+
     def test_missing_rows_default_to_singleton_only(self):
         g = Game(3, {1: [(1, 2), (1,)], 2: [(1, 2), (2,)]})
         assert g.ranking_of(3) == (C("3"),)
@@ -265,6 +274,11 @@ class TestParsing:
             parse_game_dsl("agents: 2\n1: 12 | | 1")
         with pytest.raises(MalformedInput):
             parse_game_dsl("agents: 2\n1: 1x | 1")
+
+    @pytest.mark.parametrize("line", ["9: 9", "0: 1", "4: 4 | 14"])
+    def test_dsl_rejects_rows_of_agents_outside_range(self, line):
+        with pytest.raises(AgentIdOutOfRange, match=r"out of range 1\.\.3"):
+            parse_game_dsl(f"agents: 3\n1: 12 | 1\n2: 12 | 2\n{line}\n")
 
     def test_json_rejects_garbage(self):
         with pytest.raises(MalformedInput):
