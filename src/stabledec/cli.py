@@ -12,6 +12,7 @@ printed), 1 on exploration limit exceeded, 2 on malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -382,8 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it costs about ten times a parse
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except LimitExceeded as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AgentIdOutOfRange,

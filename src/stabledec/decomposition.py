@@ -13,9 +13,8 @@ Stable decompositions correspond one-to-one with absorbing sets:
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .core import (
     Game,
@@ -33,7 +32,9 @@ from .errors import (
     PartyIsSingletonPool,
     VerificationFailed,
 )
-from .structures import DEFAULT_LIMIT, breaks, structure_from_parts, structure_key
+from .structures import (
+    DEFAULT_LIMIT, breaks_maximal_set, maximal_sets, structure_from_parts, structure_key,
+)
 from .dynamics import grow_graph
 from .absorbing import AbsorbingSet, Analysis, sink_components
 from . import rings as _rings
@@ -87,9 +88,10 @@ def make_party(g: Game, coalitions: Iterable) -> Party:
                 f"{render_coalition(masks[0])} is not a permissible coalition"
             )
         return Party(SINGLE, masks)
-    if not _rings.is_ring_component(g, masks):
+    rc = _rings._ring_component(g, masks)
+    if rc is None:
         raise MalformedParty("multi-coalition parties must be ring components")
-    return Party(RING, masks, tuple(_rings.compact_collection(g, masks)))
+    return Party(RING, masks, rc.compact)
 
 
 @dataclass(frozen=True)
@@ -134,34 +136,49 @@ def prevents(g: Game, party: Party, c: int) -> bool:
         )
     if c in party.coalitions:
         return False
-
-    def dissents(cp: int) -> bool:
-        return any(prefers(g, i, cp, c) for i in members(cp & c))
-
-    if party.kind == SINGLE:
-        return dissents(party.coalitions[0])
-    return all(any(cp & c and dissents(cp) for cp in E) for E in party.compact)
+    return _witnesses(g, party, c) is not None
 
 
-def _prevented_by(g: Game, D: StableDecomposition, c: int) -> Party | None:
+def _witnesses(g: Game, party: Party, c: int) -> list[tuple[int, int]] | None:
+    """The first (coalition, agent preferring it to ``c``) of each compact set
+    of the party (of its coalition if single); ``None`` when a set has none."""
+    out = []
+    for E in party.compact if party.kind == RING else (party.coalitions,):
+        hit = next(((cp, i) for cp in E for i in members(cp & c) if prefers(g, i, cp, c)), None)
+        if hit is None:
+            return None
+        out.append(hit)
+    return out
+
+
+def _prevented_by(g: Game, D: StableDecomposition, c: int) -> tuple[Party | None, list]:
+    # the first party of D preventing c with its witnesses, or (None, [])
     for party in D.parties:
         if party.kind == POOL or c in party.coalitions or not party.agents & c:
             continue
-        if prevents(g, party, c):
-            return party
-    return None
+        witnesses = _witnesses(g, party, c)
+        if witnesses is not None:
+            return party, witnesses
+    return None, []
+
+
+def _breakers(g: Game, party: Party, D: StableDecomposition) -> list[tuple]:
+    """(breaker, *``_prevented_by``) for each breaker of the party, in
+    ``g.permissible`` order; the party's maximal sets are computed once."""
+    ks = [x for x in party.coalitions if x.bit_count() >= 2]
+    if not ks:
+        return []
+    msets = maximal_sets(ks)
+    return [
+        (c, *_prevented_by(g, D, c))
+        for c in g.permissible
+        if c not in party.coalitions and any(breaks_maximal_set(g, c, m) for m in msets)
+    ]
 
 
 def unprevented_breakers(g: Game, party: Party, D: StableDecomposition) -> list[int]:
     """Breakers of the party that no party of ``D`` prevents, ascending."""
-    out = []
-    own = set(party.coalitions)
-    for c in g.permissible:
-        if c in own:
-            continue
-        if breaks(g, c, party.coalitions) and _prevented_by(g, D, c) is None:
-            out.append(c)
-    return out
+    return [c for c, by, _ in _breakers(g, party, D) if by is None]
 
 
 def is_protected(g: Game, party: Party, D: StableDecomposition) -> bool:
@@ -217,8 +234,9 @@ def _protected_pool_subparty(
                     raise LimitExceeded(
                         f"more than {limit} candidate parties over the pool"
                     )
-                if _rings.is_ring_component(g, sub):
-                    party = Party(RING, tuple(sub), tuple(_rings.compact_collection(g, sub)))
+                rc = _rings._ring_component(g, sub)
+                if rc is not None:
+                    party = Party(RING, rc.coalitions, rc.compact)
                     if is_protected(g, party, D):
                         return party
     return None
@@ -415,25 +433,10 @@ def protection_certificates(g: Game, D: StableDecomposition) -> list[dict]:
     and the dissenting witnesses ((coalition, agent) pairs)."""
     out = []
     for party in D.parties:
-        if party.kind == POOL:
-            continue
-        entry = {"party": party, "breakers": []}
-        own = set(party.coalitions)
-        for c in g.permissible:
-            if c in own or not breaks(g, c, party.coalitions):
-                continue
-            by = _prevented_by(g, D, c)
-            witnesses = []
-            if by is not None:
-                groups = [by.coalitions] if by.kind == SINGLE else by.compact
-                for E in groups:
-                    for cp in E:
-                        hit = next(
-                            (i for i in members(cp & c) if prefers(g, i, cp, c)), None
-                        )
-                        if hit is not None:
-                            witnesses.append((cp, hit))
-                            break
-            entry["breakers"].append({"coalition": c, "prevented_by": by, "witnesses": witnesses})
-        out.append(entry)
+        if party.kind != POOL:
+            breakers = [
+                {"coalition": c, "prevented_by": by, "witnesses": witnesses}
+                for c, by, witnesses in _breakers(g, party, D)
+            ]
+            out.append({"party": party, "breakers": breakers})
     return out

@@ -117,26 +117,6 @@ def extract_ring(g: Game, cycle: Sequence[tuple[int, ...]], start: int) -> tuple
     return _ring_from_vias(vias, vias.index(start))
 
 
-def is_ring_component(g: Game, coalitions: Iterable[int]) -> bool:
-    """Whether the collection is a ring component: at least three
-    permissible coalitions, pairwise mutual transitive preference within the
-    collection, and every maximal set broken from within."""
-    B = sorted(set(coalitions))
-    if len(B) < 3 or any(c not in g._kset for c in B):
-        return False
-    # condition (i) as strong connectivity of the in-collection improvement
-    # digraph: an edge d -> e when e beats d on a shared agent
-    comps = _pref_digraph_sccs(g, B)
-    if len(comps) != 1:
-        return False
-    # condition (ii): each maximal set must be broken by an outside member
-    for mset in maximal_sets(B):
-        inside = set(mset)
-        if not any(breaks_maximal_set(g, r, mset) for r in B if r not in inside):
-            return False
-    return True
-
-
 def _pref_digraph_sccs(g: Game, masks: Sequence[int]) -> list[list[int]]:
     """SCCs (lists of indices) of the unanimous-improvement digraph over
     ``masks``, in reverse topological order."""
@@ -149,31 +129,6 @@ def _pref_digraph_sccs(g: Game, masks: Sequence[int]) -> list[list[int]]:
     return _tarjan(adj)
 
 
-def classify_simple(g: Game, coalitions: Iterable[int]) -> bool:
-    """Whether the ring component is simple: every in-component breaker of a
-    maximal set intersects exactly one coalition of that set."""
-    B = sorted(set(coalitions))
-    if not is_ring_component(g, B):
-        raise NotARingComponent("collection is not a ring component")
-    for mset in maximal_sets(B):
-        inside = set(mset)
-        for r in B:
-            if r in inside or not breaks_maximal_set(g, r, mset):
-                continue
-            if sum(1 for m in mset if m & r) != 1:
-                return False
-    return True
-
-
-def compact_collection(g: Game, coalitions: Iterable[int]) -> list[tuple[int, ...]]:
-    """The compact sets of a ring component: its maximal sets when simple,
-    otherwise one singleton family per coalition."""
-    B = sorted(set(coalitions))
-    if classify_simple(g, B):
-        return maximal_sets(B)
-    return [(r,) for r in B]
-
-
 @dataclass(frozen=True)
 class RingComponent:
     coalitions: tuple[int, ...]
@@ -182,18 +137,55 @@ class RingComponent:
     compact: tuple[tuple[int, ...], ...]
 
 
+def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
+    """The ring component analysis of the collection, ``None`` when it is
+    not one; simpleness and the compact sets are worked out only for a
+    collection that passes conditions (i) and (ii)."""
+    B = tuple(sorted(set(coalitions)))
+    if len(B) < 3 or any(c not in g._kset for c in B):
+        return None
+    # condition (i) as strong connectivity of the in-collection improvement
+    # digraph: an edge d -> e when e beats d on a shared agent
+    if len(_pref_digraph_sccs(g, B)) != 1:
+        return None
+    # condition (ii): each maximal set must be broken by an outside member
+    maximal = tuple(maximal_sets(B))
+    for mset in maximal:
+        if not any(breaks_maximal_set(g, r, mset) for r in B if r not in mset):
+            return None
+    # simple: every breaker of a maximal set meets exactly one of its coalitions
+    simple = all(
+        sum(1 for m in mset if m & r) == 1
+        for mset in maximal for r in B if r not in mset and breaks_maximal_set(g, r, mset)
+    )
+    return RingComponent(B, simple, maximal, maximal if simple else tuple((r,) for r in B))
+
+
+def is_ring_component(g: Game, coalitions: Iterable[int]) -> bool:
+    """Whether the collection is a ring component: at least three
+    permissible coalitions, pairwise mutual transitive preference within the
+    collection, and every maximal set broken from within."""
+    return _ring_component(g, coalitions) is not None
+
+
 def component(g: Game, coalitions: Iterable[int]) -> RingComponent:
     """Analyze a ring component; raises ``NotARingComponent`` otherwise."""
-    B = tuple(sorted(set(coalitions)))
-    if not is_ring_component(g, B):
+    rc = _ring_component(g, coalitions)
+    if rc is None:
         raise NotARingComponent("collection is not a ring component")
-    simple = classify_simple(g, B)
-    return RingComponent(
-        coalitions=B,
-        simple=simple,
-        maximal=tuple(maximal_sets(B)),
-        compact=tuple(compact_collection(g, B)),
-    )
+    return rc
+
+
+def classify_simple(g: Game, coalitions: Iterable[int]) -> bool:
+    """Whether the ring component is simple: every in-component breaker of a
+    maximal set intersects exactly one coalition of that set."""
+    return component(g, coalitions).simple
+
+
+def compact_collection(g: Game, coalitions: Iterable[int]) -> list[tuple[int, ...]]:
+    """The compact sets of a ring component: its maximal sets when simple,
+    otherwise one singleton family per coalition."""
+    return list(component(g, coalitions).compact)
 
 
 def _extract_rings(G: DominationGraph, absorbing) -> set[tuple[int, ...]]:
@@ -266,9 +258,10 @@ def _extract_rings(G: DominationGraph, absorbing) -> set[tuple[int, ...]]:
     return rings
 
 
-def _merged_components(g: Game, rings: set[tuple[int, ...]]) -> list[RingComponent]:
-    """Rings merged on shared coalitions, to a fixed point, each merged
-    family re-verified as a ring component."""
+def _merged_components(g: Game, rings: set[tuple[int, ...]], absorbing) -> list[RingComponent]:
+    """Rings merged on shared coalitions, to a fixed point, and kept when a
+    ring component. A family that misses a member of the absorbing set is no
+    party of its decomposition, so only a covering one must pass."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -290,12 +283,11 @@ def _merged_components(g: Game, rings: set[tuple[int, ...]]) -> list[RingCompone
         groups.setdefault(find(c), set()).add(c)
     comps = []
     for fam in sorted(groups.values(), key=lambda s: tuple(sorted(s))):
-        masks = tuple(sorted(fam))
-        if not is_ring_component(g, masks):
-            raise VerificationFailed(
-                "merged ring family fails the ring component test"
-            )
-        comps.append(component(g, masks))
+        rc = _ring_component(g, fam)
+        if rc is not None:
+            comps.append(rc)
+        elif all(fam.intersection(pi) for pi in absorbing.members):
+            raise VerificationFailed("merged ring family fails the ring component test")
     return comps
 
 
@@ -306,14 +298,14 @@ def ring_components_of(g: Game, absorbing, G: DominationGraph) -> list[RingCompo
     shortest return path, found by one breadth-first search per member that
     stops once all of the member's in-neighbours are discovered. Rings are
     extracted from every start position of each cycle, merged on shared
-    coalitions, and the merged families are re-verified. The result is
-    memoized on ``G`` per absorbing set; each call returns a new list.
+    coalitions, and the merged families are analyzed once each. The result
+    is memoized on ``G`` per absorbing set; each call returns a new list.
     """
     if absorbing.trivial:
         raise TrivialAbsorbingSet("trivial absorbing sets carry no ring component")
     comps = G._rings.get(absorbing.members)
     if comps is None:
-        comps = _merged_components(g, _extract_rings(G, absorbing))
+        comps = _merged_components(g, _extract_rings(G, absorbing), absorbing)
         G._rings[absorbing.members] = comps
     return list(comps)
 

@@ -16,7 +16,6 @@ from .core import (
     members,
     prefers,
     render_coalition,
-    singleton,
     unanimously_prefers,
 )
 from .errors import (

@@ -16,6 +16,7 @@ from stabledec import (
     sink_components,
     to_dot,
 )
+from stabledec import cli
 from stabledec.cli import load_game, main, parse_decomposition
 from conftest import C
 
@@ -336,6 +337,40 @@ class TestVerify:
 
     def test_malformed_decomposition_exit_code(self, g6_file, capsys):
         assert main(["verify", g6_file, "--decomposition", "{{oops}}"]) == 2
+
+
+class TestParserBuiltOnce:
+    def test_main_builds_the_parser_once(self, g6_file, g7_file, capsys):
+        runs = [
+            ["analyze", g7_file, "--all", "--json"],
+            ["generate", "roommate", "--agents", "5", "--seed", "3"],
+            ["verify", g6_file, "--decomposition", "{{1,2,3},{45,46,56}}"],
+            ["analyze", g6_file, "--rings"],
+            ["verify", g6_file, "--decomposition", "{{oops}}"],
+            ["analyze", g7_file, "--all", "--json"],
+        ]
+
+        def outputs(argvs):
+            got = []
+            for argv in argvs:
+                code = main(argv)
+                out, err = capsys.readouterr()
+                err = "".join(line for line in err.splitlines(True) if "analysis time" not in line)
+                got.append((code, out, err))
+            return got
+
+        # a fresh parser for every call
+        fresh = []
+        for argv in runs:
+            cli._parser.cache_clear()
+            fresh += outputs([argv])
+        cli._parser.cache_clear()
+        try:
+            assert outputs(runs) == fresh
+            assert outputs(runs) == fresh
+            assert cli._parser.cache_info().misses == 1
+        finally:
+            cli._parser.cache_clear()
 
 
 class TestGenerate:

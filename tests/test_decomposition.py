@@ -1,5 +1,7 @@
 """Parties, prevention, protection, stable decompositions, generated sets."""
 
+import importlib
+
 import pytest
 
 from stabledec import (
@@ -13,6 +15,7 @@ from stabledec import (
     VerificationFailed,
     absorbing_sets,
     all_stable_decompositions,
+    breaks,
     check_stable_decomposition,
     d_structures,
     decomposition,
@@ -24,13 +27,18 @@ from stabledec import (
     is_stable,
     is_stable_decomposition,
     make_party,
+    members,
+    prefers,
     prevents,
     protection_certificates,
     random_game,
     render_structure,
     unprevented_breakers,
 )
-from conftest import C, make_structure
+from conftest import GENERATED_GAMES, GENERATED_IDS, C, make_structure
+
+# the module, which the package's ``decomposition`` function shadows
+decomposition_module = importlib.import_module("stabledec.decomposition")
 
 RC7 = ("12", "23", "34", "45", "15")
 
@@ -448,3 +456,131 @@ class TestRoundTripProperties:
         ]
         assert sorted(induced) == sorted(stable)
         assert all(is_stable(g, pi) for pi in induced)
+
+
+def _reference_prevents(g, party, c):
+    if c in party.coalitions:
+        return False
+
+    def dissents(cp):
+        return any(prefers(g, i, cp, c) for i in members(cp & c))
+
+    if party.kind == SINGLE:
+        return dissents(party.coalitions[0])
+    return all(any(cp & c and dissents(cp) for cp in E) for E in party.compact)
+
+
+def _reference_witnesses(g, by, c):
+    witnesses = []
+    for E in [by.coalitions] if by.kind == SINGLE else by.compact:
+        for cp in E:
+            hit = next((i for i in members(cp & c) if prefers(g, i, cp, c)), None)
+            if hit is not None:
+                witnesses.append((cp, hit))
+                break
+    return witnesses
+
+
+def _reference_certificates(g, D):
+    """The breaker walk from the definitions: ``breaks`` for every
+    candidate, ``prevents`` for every party, then a second search for the
+    witnesses of the preventing party."""
+    out = []
+    for party in D.parties:
+        if party.kind == POOL:
+            continue
+        breakers = []
+        for c in g.permissible:
+            if c in party.coalitions or not breaks(g, c, party.coalitions):
+                continue
+            by = next(
+                (
+                    p
+                    for p in D.parties
+                    if p.kind != POOL and c not in p.coalitions and p.agents & c
+                    and _reference_prevents(g, p, c)
+                ),
+                None,
+            )
+            witnesses = [] if by is None else _reference_witnesses(g, by, c)
+            breakers.append({"coalition": c, "prevented_by": by, "witnesses": witnesses})
+        out.append({"party": party, "breakers": breakers})
+    return out
+
+
+def _stable_and_unstable(g):
+    """The stable decompositions of the game, and each one again with one
+    coalition party dissolved into the pool."""
+    out = []
+    for d in all_stable_decompositions(g):
+        out.append(d)
+        for k, p in enumerate(d.parties):
+            if p.kind == POOL:
+                continue
+            pool = p.agents
+            rest = []
+            for q in d.parties[:k] + d.parties[k + 1:]:
+                if q.kind == POOL:
+                    pool |= q.agents
+                else:
+                    rest.append(q)
+            out.append(decomposition(rest + [Party(POOL, tuple(1 << b for b in range(g.n) if pool >> b & 1))]))
+    return out
+
+
+class TestBreakerWalkMatchesReference:
+    @staticmethod
+    def _check(g):
+        decs = _stable_and_unstable(g)
+        assert decs
+        for d in decs:
+            certs = protection_certificates(g, d)
+            assert certs == _reference_certificates(g, d)
+            for entry in certs:
+                party = entry["party"]
+                assert unprevented_breakers(g, party, d) == [
+                    b["coalition"] for b in entry["breakers"] if b["prevented_by"] is None
+                ]
+                for c in g.permissible:
+                    if c & party.agents:
+                        want = _reference_prevents(g, party, c)
+                        assert prevents(g, party, c) == want
+                        witnesses = decomposition_module._witnesses(g, party, c)
+                        if want:
+                            assert witnesses == _reference_witnesses(g, party, c)
+
+    @pytest.mark.parametrize("front,seed,make", GENERATED_GAMES, ids=GENERATED_IDS)
+    def test_generated(self, front, seed, make):
+        self._check(make(seed))
+
+    @pytest.mark.parametrize("fixture", ["g6", "g7", "g8", "rm10", "mar33"])
+    def test_worked_examples(self, fixture, request):
+        self._check(request.getfixturevalue(fixture))
+
+    def test_pool_party_has_no_breaker(self, g7, d7_plain):
+        pool = Party(POOL, (C("1"), C("2")))
+        assert unprevented_breakers(g7, pool, d7_plain) == []
+
+
+class TestOneMaximalSetsPerParty:
+    @pytest.mark.parametrize("fixture", ["g6", "g7", "g8", "rm10"])
+    def test_breaker_walks(self, fixture, request, monkeypatch):
+        g = request.getfixturevalue(fixture)
+        decs = _stable_and_unstable(g)
+        calls = []
+        real = decomposition_module.maximal_sets
+
+        def counting(collection):
+            calls.append(1)
+            return real(collection)
+
+        monkeypatch.setattr(decomposition_module, "maximal_sets", counting)
+        for d in decs:
+            parties = [p for p in d.parties if p.kind != POOL]
+            del calls[:]
+            protection_certificates(g, d)
+            assert len(calls) == len(parties)
+            for p in parties:
+                del calls[:]
+                unprevented_breakers(g, p, d)
+                assert len(calls) == 1

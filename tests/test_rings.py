@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import sys
 from collections import deque
 
@@ -15,25 +16,32 @@ from stabledec import (
     TrivialAbsorbingSet,
     VerificationFailed,
     absorbing_sets,
+    all_stable_decompositions,
     breaks_maximal_set,
+    check_stable_decomposition,
     canonical_rotation,
     classify_simple,
     compact_collection,
     component,
     cyclically_equal,
+    d_structures,
     extract_ring,
     full_domination_graph,
+    generated_set,
     has_proper_ring,
     is_proper_ring,
     is_ring,
     is_ring_component,
+    make_party,
     marriage_to_game,
+    maximal_sets,
     random_game,
     random_marriage_spec,
     random_roommate_spec,
     ring_components_of,
     roommate_to_game,
     sink_components,
+    unanimously_prefers,
 )
 from stabledec import rings as rings_module
 from stabledec.cli import main
@@ -370,9 +378,11 @@ class TestExtractionMatchesPerEdgeSearch:
             assert _extract_rings(graph, a) == _per_edge_rings(graph, a)
 
 
-class TestRingMergeDefect:
-    """ROADMAP item 1: two extracted rings share {7,9}, and their merged
-    family is not a ring component. Frozen until the defect is fixed."""
+class TestRingMergeSeed42:
+    """Roommate seed 42: rings 47-49-79 and 57-59-79 share 79, and their
+    merged family is no ring component. It has no coalition in member
+    {1,26,38,45,7,9}, so it is no party of the set's decomposition either,
+    and extraction drops it instead of failing."""
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -388,12 +398,26 @@ class TestRingMergeDefect:
             for ring in (("14", "15", "45"), ("47", "49", "79"), ("57", "59", "79"))
         }
 
-    def test_merge_still_fails(self, case):
+    def test_merged_family_is_no_component(self, case):
+        g, _, sink = case
+        family = [C(t) for t in ("47", "49", "79", "57", "59")]
+        assert not is_ring_component(g, family)
+        assert any(not set(family) & set(pi) for pi in sink.members)
+
+    def test_only_the_covering_ring_is_kept(self, case):
         g, graph, sink = case
-        with pytest.raises(
-            VerificationFailed, match="merged ring family fails the ring component test"
-        ):
-            ring_components_of(g, sink, graph)
+        assert [rc.coalitions for rc in ring_components_of(g, sink, graph)] == [
+            tuple(sorted(C(t) for t in ("14", "15", "45")))
+        ]
+
+    def test_decomposition(self, case):
+        g, graph, sink = case
+        assert len(sink) == 12
+        (d,) = all_stable_decompositions(g)
+        assert d.render(g.n) == "{{14,15,45},{26},{38},{7,9}}"
+        assert check_stable_decomposition(g, d) == []
+        assert generated_set(g, d_structures(g, d)[0]).members == sink.members
+        assert all_stable_decompositions(g, graph=graph) == [d]
 
 
 class TestRingMemo:
@@ -420,3 +444,193 @@ class TestRingMemo:
         nontrivial = [a.members for a in absorbing_sets(g) if not a.trivial]
         assert nontrivial
         assert sorted(calls) == sorted(nontrivial)
+
+
+def _reference_is_ring_component(g, coalitions):
+    """Condition (i) as mutual reachability in the in-collection improvement
+    digraph, condition (ii) over every maximal set; no shared code with
+    the library's SCC routine."""
+    B = sorted(set(coalitions))
+    if len(B) < 3 or any(c not in g.permissible for c in B):
+        return False
+
+    def reach(forward):
+        seen, todo = {B[0]}, [B[0]]
+        while todo:
+            d = todo.pop()
+            for e in B:
+                a, b = (d, e) if forward else (e, d)
+                if e not in seen and a & b and unanimously_prefers(g, b, a):
+                    seen.add(e)
+                    todo.append(e)
+        return len(seen) == len(B)
+
+    if not (reach(True) and reach(False)):
+        return False
+    for mset in maximal_sets(B):
+        inside = set(mset)
+        if not any(breaks_maximal_set(g, r, mset) for r in B if r not in inside):
+            return False
+    return True
+
+
+def _reference_simple(g, coalitions):
+    B = sorted(set(coalitions))
+    for mset in maximal_sets(B):
+        inside = set(mset)
+        for r in B:
+            if r in inside or not breaks_maximal_set(g, r, mset):
+                continue
+            if sum(1 for m in mset if m & r) != 1:
+                return False
+    return True
+
+
+def _reference_compact(g, coalitions):
+    B = sorted(set(coalitions))
+    if _reference_simple(g, B):
+        return maximal_sets(B)
+    return [(r,) for r in B]
+
+
+def _merged_families(rings):
+    """Rings merged on shared coalitions, one set at a time."""
+    fams: list[set] = []
+    for ring in rings:
+        merged = set(ring)
+        rest = []
+        for f in fams:
+            if f & merged:
+                merged |= f
+            else:
+                rest.append(f)
+        fams = rest + [merged]
+    return sorted(frozenset(f) for f in fams)
+
+
+REFERENCE_GAMES = {
+    name: EXTRACTION_GAMES[name]
+    for name in ("roommate9-2", "roommate9-6", "roommate9-42", "random6-0.5-45",
+                 "random6-0.5-60", "random7-0.3-4", "random8-0.2-26")
+}
+
+
+KNOWN_COMPONENTS = {"g6": [("12", "23", "13"), ("45", "46", "56")], "g7": [RC7], "g8": [RC8]}
+
+
+def _reference_game(name, request):
+    if name in REFERENCE_GAMES:
+        return REFERENCE_GAMES[name]()
+    return request.getfixturevalue(name)
+
+
+class TestRingComponentMatchesReference:
+    """The one ring-component analysis against separate loops straight
+    from the definitions."""
+
+    @pytest.mark.parametrize("name", ["g6", "g7", "g8"] + sorted(REFERENCE_GAMES))
+    def test_extracted_components(self, name, request):
+        g = _reference_game(name, request)
+        graph = full_domination_graph(g)
+        comps = [
+            rc
+            for a in sink_components(graph)
+            if not a.trivial
+            for rc in ring_components_of(g, a, graph)
+        ]
+        assert comps
+        for rc in comps:
+            B = rc.coalitions
+            assert _reference_is_ring_component(g, B)
+            assert rc.simple == _reference_simple(g, B)
+            assert list(rc.maximal) == maximal_sets(B)
+            assert list(rc.compact) == _reference_compact(g, B)
+            assert component(g, B) == rc
+            assert classify_simple(g, B) == rc.simple
+            assert compact_collection(g, B) == list(rc.compact)
+
+    @pytest.mark.parametrize("name", ["g6", "g7", "g8", "mar33", "random6-0.5-45",
+                                      "random7-0.3-4"])
+    def test_random_collections(self, name, request):
+        g = _reference_game(name, request)
+        rng = random.Random(name)
+        ks = list(g.permissible)
+        picks = [rng.sample(ks, rng.randint(3, min(6, len(ks)))) for _ in range(150)]
+        picks += [ks, ks[:2], ks[:3] + [ks[0] | ks[1]]]
+        for known in KNOWN_COMPONENTS.get(name, ()):
+            rc = [C(t) for t in known]
+            picks += [rc, rc[1:]] + [rc + [c] for c in ks if c not in rc]
+        seen = {True: 0, False: 0}
+        for pick in picks:
+            want = _reference_is_ring_component(g, pick)
+            seen[want] += 1
+            assert is_ring_component(g, pick) == want
+            if want:
+                assert classify_simple(g, pick) == _reference_simple(g, pick)
+                assert compact_collection(g, pick) == _reference_compact(g, pick)
+            else:
+                for f in (component, classify_simple, compact_collection):
+                    with pytest.raises(NotARingComponent):
+                        f(g, pick)
+        assert seen[False]
+        assert seen[True] >= len(KNOWN_COMPONENTS.get(name, ()))
+
+
+class TestOneAnalysisPerFamily:
+    @staticmethod
+    def _count(monkeypatch):
+        tests, msets = [], []
+        ring_component, real_maximal = rings_module._ring_component, rings_module.maximal_sets
+
+        def counting_component(g, coalitions):
+            coalitions = set(coalitions)
+            tests.append(frozenset(coalitions))
+            return ring_component(g, coalitions)
+
+        def counting_maximal(collection):
+            collection = list(collection)
+            msets.append(frozenset(collection))
+            return real_maximal(collection)
+
+        monkeypatch.setattr(rings_module, "_ring_component", counting_component)
+        monkeypatch.setattr(rings_module, "maximal_sets", counting_maximal)
+        return tests, msets
+
+    @pytest.mark.parametrize("name", ["g6", "g7", "g8"] + sorted(REFERENCE_GAMES))
+    def test_ring_components_of(self, name, request, monkeypatch):
+        g = _reference_game(name, request)
+        graph = full_domination_graph(g)
+        sinks = [a for a in sink_components(graph) if not a.trivial]
+        families = sorted(f for a in sinks for f in _merged_families(_extract_rings(graph, a)))
+        tests, msets = self._count(monkeypatch)
+        for a in sinks:
+            ring_components_of(g, a, graph)
+        # one ring-component test and at most one maximal_sets per family
+        assert sorted(tests) == families
+        assert len(set(msets)) == len(msets)
+        assert set(msets) <= set(families)
+
+    @pytest.mark.parametrize("rejected,raises", [("12 13 23", False), ("45 46 56", True)])
+    def test_only_a_covering_family_must_be_a_component(self, g6, rejected, raises, monkeypatch):
+        # g6 pools agents 1-3: {12,13,23} misses a member, {45,46,56} covers all
+        rejected = {C(t) for t in rejected.split()}
+        real = rings_module._ring_component
+        monkeypatch.setattr(
+            rings_module,
+            "_ring_component",
+            lambda g, coalitions: None if set(coalitions) == rejected else real(g, coalitions),
+        )
+        (sink,) = absorbing_sets(g6)
+        graph = full_domination_graph(g6)
+        if raises:
+            with pytest.raises(VerificationFailed, match="merged ring family fails"):
+                ring_components_of(g6, sink, graph)
+        else:
+            comps = ring_components_of(g6, sink, graph)
+            assert [rc.coalitions for rc in comps] == [tuple(sorted(C(t) for t in ("45", "46", "56")))]
+
+    def test_make_party(self, g7, g8, monkeypatch):
+        tests, msets = self._count(monkeypatch)
+        make_party(g7, [C(t) for t in RC7])
+        make_party(g8, [C(t) for t in RC8])
+        assert len(tests) == len(msets) == 2
