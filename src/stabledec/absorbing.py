@@ -10,6 +10,12 @@ that no coalition links is analyzed one group at a time (``Analysis``):
 a domination step changes one group only, so the domination graph is the
 Cartesian product of the groups' graphs and the absorbing sets are the
 products of theirs.
+
+A group whose permissible coalitions are all pairs and which has a stable
+structure needs no graph: from every matching some sequence of blocking
+pairs reaches a stable one (Roth and Vande Vate 1990 for two-sided games,
+Diamantoudi, Miyagawa and Xue 2004 for roommate games), so its absorbing
+sets are exactly its stable structures.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from typing import NamedTuple
 
 from .core import Game, lowest_agent, members
 from .errors import LimitExceeded, TrivialAbsorbingSet, VerificationFailed
-from .structures import DEFAULT_LIMIT, enumerate_structures, structure_key
+from .structures import (
+    DEFAULT_LIMIT, enumerate_structures, is_stable, render_structure, structure_key,
+)
 from .dynamics import DominationEdge, DominationGraph, _grow, grow_graph
 from .rings import RingComponent, ring_components_of
 
@@ -125,11 +133,48 @@ def factor_games(g: Game) -> list[Game]:
 
 
 class Factor(NamedTuple):
-    """A factor's sub-game and the full domination graph over its
-    structures."""
+    """A factor's sub-game, its absorbing sets in ``sink_components``
+    order, and the full domination graph over its structures, or ``None``
+    for a pair-only factor with a stable structure, whose absorbing sets
+    are its stable structures (``_stable_matchings``)."""
 
     game: Game
-    graph: DominationGraph
+    sets: tuple[AbsorbingSet, ...]
+    graph: DominationGraph | None
+
+
+def _stable_matchings(g: Game, structures) -> list[tuple[int, ...]] | None:
+    """The stable structures among ``structures``, in their order, or
+    ``None`` when some permissible coalition is not a pair.
+
+    A structure is stable when the AND of ``better`` over its parts is 0
+    (``Game.expansion``); each one found is re-checked against the
+    definition (``structures.is_stable``).
+    """
+    if any(c.bit_count() != 2 for c in g.permissible):
+        return None
+    better = g.expansion().better
+    stable = []
+    for pi in structures:
+        blocking = -1
+        for p in pi:
+            blocking &= better[p]
+        if not blocking:
+            if not is_stable(g, pi):
+                raise VerificationFailed(
+                    f"{render_structure(pi)} passes the expansion test but is not stable"
+                )
+            stable.append(pi)
+    return stable
+
+
+def _factor(g: Game, structures: list, limit: int) -> Factor:
+    # every structure of the factor, enumerated once, in structure_key order
+    stable = _stable_matchings(g, structures)
+    if stable:
+        return Factor(g, tuple(AbsorbingSet((pi,)) for pi in stable), None)
+    graph = _grow(g, structures, limit)
+    return Factor(g, tuple(sink_components(graph)), graph)
 
 
 def _merge(full: int, pis) -> tuple[int, ...]:
@@ -147,8 +192,16 @@ def _merge(full: int, pis) -> tuple[int, ...]:
 
 class Analysis:
     """The absorbing sets, their ring components and the structure count of
-    a game, read off one full domination graph per factor (``factor_games``)
-    and never off the product graph.
+    a game, worked out per factor (``factor_games``) and never on the
+    product graph.
+
+    Each factor's structures are enumerated once. A factor whose
+    permissible coalitions are all pairs and which has a stable structure
+    takes its stable structures as its absorbing sets and builds no graph:
+    from every matching some sequence of blocking pairs reaches a stable
+    one (Roth and Vande Vate 1990; Diamantoudi, Miyagawa and Xue 2004), so
+    every absorbing set is trivial. Every other factor grows its full
+    domination graph from those structures and reads its sink components.
 
     Every domination step changes one factor, so the game's structures are
     the products of factor structures, its absorbing sets the products of
@@ -157,7 +210,7 @@ class Analysis:
     leaves the factor that the cycle's edge changes. The stable
     decompositions (``decomposition.factored_decompositions``) and the
     convergence verdict (``applications.factored_convergence``) combine the
-    same way. A game with one factor is analyzed on its own full graph.
+    same way.
 
     Raises ``LimitExceeded`` when the game has more than ``limit``
     structures.
@@ -166,21 +219,23 @@ class Analysis:
     def __init__(self, g: Game, limit: int = DEFAULT_LIMIT) -> None:
         self.game = g
         self.limit = limit
-        self.factors = [
-            Factor(sub, full_domination_graph(sub, limit=limit)) for sub in factor_games(g)
-        ]
+        subs = factor_games(g)
+        enumerated = [list(enumerate_structures(sub, limit=limit)) for sub in subs]
         count = 1
-        for f in self.factors:
-            count *= len(f.graph)
+        for structures in enumerated:
+            count *= len(structures)
         if count > limit:
             raise LimitExceeded(f"more than {limit} structures")
         self.structure_count = count
+        self.factors = [
+            _factor(sub, structures, limit) for sub, structures in zip(subs, enumerated)
+        ]
         self._sets: list[tuple[AbsorbingSet, tuple[AbsorbingSet, ...]]] | None = None
 
     def _products(self) -> list[tuple[AbsorbingSet, tuple[AbsorbingSet, ...]]]:
         # (absorbing set, its factor absorbing sets) pairs in report order
         if self._sets is None:
-            per = [sink_components(f.graph) for f in self.factors]
+            per = [f.sets for f in self.factors]
             if len(per) == 1:
                 self._sets = [(a, (a,)) for a in per[0]]
             else:

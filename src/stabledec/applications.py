@@ -3,14 +3,17 @@
 Roommate and marriage specs list acceptable partners per agent; both reduce
 to coalition formation games whose permissible coalitions are the mutually
 acceptable pairs. ``converges_to_stability`` decides whether every structure
-can reach a stable one, with a cross-check against sink triviality.
+can reach a stable one. On a domination graph it decides by reverse
+reachability and cross-checks against sink triviality; a factored analysis
+runs that on every factor with a graph, while a pair-only factor with a
+stable structure converges by theorem and has no graph to check.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .core import Game, coalition
 from .errors import MalformedSpec, VerificationFailed
@@ -128,8 +131,8 @@ def converges_to_stability(
     from the stable structures and cross-checked against triviality of the
     sink components; the two routes must agree.
 
-    Without ``graph`` the verdict comes from ``factored_convergence``, one
-    graph per factor; with it, from that graph.
+    Without ``graph`` the verdict comes from ``factored_convergence``, per
+    factor; with it, from that graph.
     """
     if graph is None:
         return factored_convergence(Analysis(g, limit))
@@ -164,8 +167,10 @@ def converges_to_stability(
 def factored_convergence(an: Analysis) -> tuple[bool, tuple[int, ...] | None]:
     """``converges_to_stability`` of the analysis's game, decided per factor.
 
-    The game converges exactly when every factor does, and each factor
-    keeps its own cross-check. The witness is the least, by
+    The game converges exactly when every factor does. A factor without a
+    graph is pair-only with a stable structure, which every structure
+    reaches (see ``absorbing.Analysis``); every other factor is decided on
+    its graph, with its own cross-check. The witness is the least, by
     ``structure_key``, of the failing factors' witnesses: setting the
     agents of other components single never moves a structure later in
     that order, so the least structure that cannot reach a stable one has
@@ -173,6 +178,8 @@ def factored_convergence(an: Analysis) -> tuple[bool, tuple[int, ...] | None]:
     """
     witnesses = []
     for f in an.factors:
+        if f.graph is None:
+            continue
         ok, witness = converges_to_stability(f.game, an.limit, graph=f.graph)
         if not ok:
             witnesses.append(witness)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import NamedTuple
 
 from .errors import (
     AgentIdOutOfRange,

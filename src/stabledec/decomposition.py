@@ -342,9 +342,10 @@ def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
     the same order.
 
     An absorbing set's decomposition is the union of the coalition parties
-    of its factor sets' decompositions, each built on its factor's game and
-    graph, plus one pool of the remaining agents; it is re-verified against
-    the whole game.
+    of its factor sets' decompositions, each built on its factor's game
+    (and graph: only a non-trivial set needs one, and a factor without a
+    graph has trivial sets only), plus one pool of the remaining agents; it
+    is re-verified against the whole game.
     """
     g = an.game
     full = (1 << g.n) - 1
@@ -420,8 +421,8 @@ def all_stable_decompositions(
 ) -> list[StableDecomposition]:
     """Every stable decomposition of the game, via its absorbing sets.
 
-    Without ``graph`` the absorbing sets come from ``Analysis``, one graph
-    per factor; with it, from that graph's sink components.
+    Without ``graph`` the absorbing sets come from ``Analysis``, per
+    factor; with it, from that graph's sink components.
     """
     if graph is None:
         return factored_decompositions(Analysis(g, limit))

@@ -207,7 +207,7 @@ class TestGateCoverage:
 
     def test_sets_ordered_across_factors(self):
         an = Analysis(UNIONS["marriage-marriage-interleaved"])
-        firsts, seconds = (sink_components(f.graph) for f in an.factors)
+        firsts, seconds = (f.sets for f in an.factors)
         combos = [
             (firsts.index(a), seconds.index(b))
             for a, b in (an.factor_sets(i) for i in range(len(an.absorbing_sets())))

@@ -1,6 +1,6 @@
 """Seeded differential fuzz over every front end.
 
-Each game's absorbing sets come from ``Analysis``, one graph per factor. The
+Each game's absorbing sets come from ``Analysis``, worked out per factor. The
 decomposition built for each set is re-verified against the definitions
 (``VerificationFailed`` on failure), and the set that its first D-structure
 generates on its own must be the very absorbing set it came from.
