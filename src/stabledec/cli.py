@@ -4,9 +4,14 @@ Three subcommands: ``analyze`` reports structures, absorbing sets, ring
 components, stable decompositions and the convergence verdict for a game;
 ``generate`` emits random game or matching-spec JSON; ``verify`` checks a
 proposed decomposition. Reports are deterministic; timing goes to stderr.
+``analyze`` works each section out once into a ``Report``, which the text
+and the JSON form only render.
 
 Exit codes: 0 on success (the verify verdict, positive or negative, is
-printed), 1 on exploration limit exceeded, 2 on malformed input.
+printed); 1 when the exploration limit is exceeded (``analyze`` prints a
+partial report); 2 on malformed input, an unreadable input file, a
+``--dot`` path that cannot be written, or a ``--limit`` that is not a
+positive integer.
 """
 
 from __future__ import annotations
@@ -17,14 +22,17 @@ import json
 import re
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import Game, compact_coalition, game_from_dict, parse_game_dsl, render_coalition
 from .errors import LimitExceeded, MalformedInput, MalformedParty, StabledecError
 from .structures import DEFAULT_LIMIT, render_structure
 from .dynamics import to_dot
-from .absorbing import Analysis, full_domination_graph
+from .rings import RingComponent
+from .absorbing import AbsorbingSet, Analysis, full_domination_graph
 from .decomposition import (
+    StableDecomposition,
     check_stable_decomposition,
     d_structures,
     decomposition_from_collections,
@@ -125,80 +133,113 @@ def _write_dot(g: Game, args, sinks) -> None:
     # the one section that needs the whole product graph
     graph = full_domination_graph(g, limit=args.limit)
     marked = [graph.node_id(pi) for a in sinks for pi in a.members]
-    Path(args.dot).write_text(to_dot(graph, marked))
+    try:
+        Path(args.dot).write_text(to_dot(graph, marked))
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {args.dot}: {exc.strerror or exc}") from None
     print(f"wrote {args.dot}", file=sys.stderr)
 
 
-def _analyze_text(g: Game, args, out: list[str]) -> None:
-    n = g.n
-    an = Analysis(g, limit=args.limit)
-    sinks = an.absorbing_sets()
-    stable = [a.members[0] for a in sinks if a.trivial]
-    kk = ", ".join(compact_coalition(c, n) for c in g.permissible)
-    out.append(f"agents: {n}")
-    out.append(f"permissible coalitions ({len(g.permissible)}): {kk}")
-    out.append(f"structures: {an.structure_count}")
-    out.append(f"stable structures: {len(stable)}")
-    for pi in stable:
-        out.append(f"  {_fmt_structure(pi, n)}")
-    if args.absorbing:
-        out.append(f"absorbing sets: {len(sinks)}")
-        for idx, a in enumerate(sinks, 1):
-            if a.trivial:
-                out.append(f"  #{idx} trivial: {_fmt_structure(a.members[0], n)}")
-            else:
-                out.append(f"  #{idx} size {len(a)}:")
-                for pi in a.members:
-                    out.append(f"    {_fmt_structure(pi, n)}")
-    if args.rings:
-        lines = []
-        for idx, a in enumerate(sinks, 1):
-            if a.trivial:
-                continue
-            for rc in an.ring_components(idx - 1):
-                mark = "simple" if rc.simple else "not simple"
-                coals = ",".join(compact_coalition(c, n) for c in rc.coalitions)
-                lines.append(f"  absorbing set #{idx}: {{{coals}}} ({mark})")
-                compact = " ".join(
-                    "{" + ",".join(compact_coalition(c, n) for c in E) + "}"
-                    for E in rc.compact
-                )
-                lines.append(f"    compact collection: {compact}")
-        if lines:
-            out.append("ring components:")
-            out.extend(lines)
-        else:
-            out.append("ring components: none")
-    if args.decompositions:
-        decs = factored_decompositions(an)
-        out.append(f"stable decompositions: {len(decs)}")
-        for d in decs:
-            out.append(f"  {d.render(n)}")
-    if args.converge:
-        ok, witness = factored_convergence(an)
+@dataclass
+class Report:
+    """The sections of one analysis. A section is ``None`` when it was not
+    asked for or the exploration limit ended the analysis before it."""
+
+    game: Game
+    structures: int | None = None
+    absorbing_sets: list[AbsorbingSet] | None = None
+    # (absorbing set index, ring component) pairs
+    rings: list[tuple[int, RingComponent]] | None = None
+    decompositions: list[StableDecomposition] | None = None
+    converges: tuple[bool, tuple[int, ...] | None] | None = None
+    limit_exceeded: str | None = None
+
+
+def analyze(g: Game, rings: bool, decompositions: bool, converge: bool, limit: int) -> Report:
+    """Work out each asked-for section once, in report order. A
+    ``LimitExceeded`` ends the analysis; the sections finished stay."""
+    report = Report(g)
+    try:
+        an = Analysis(g, limit=limit)
+        report.structures = an.structure_count
+        report.absorbing_sets = sinks = an.absorbing_sets()
+        if rings:
+            report.rings = [
+                (idx, rc)
+                for idx, a in enumerate(sinks)
+                if not a.trivial
+                for rc in an.ring_components(idx)
+            ]
+        if decompositions:
+            report.decompositions = factored_decompositions(an)
+        if converge:
+            report.converges = factored_convergence(an)
+    except LimitExceeded as exc:
+        report.limit_exceeded = str(exc)
+    return report
+
+
+def _render_text(report: Report, args) -> None:
+    n = report.game.n
+    out: list[str] = []
+    if report.absorbing_sets is not None:
+        sinks = report.absorbing_sets
+        stable = [a.members[0] for a in sinks if a.trivial]
+        permissible = report.game.permissible
+        kk = ", ".join(compact_coalition(c, n) for c in permissible)
+        out.append(f"agents: {n}")
+        out.append(f"permissible coalitions ({len(permissible)}): {kk}")
+        out.append(f"structures: {report.structures}")
+        out.append(f"stable structures: {len(stable)}")
+        out.extend(f"  {_fmt_structure(pi, n)}" for pi in stable)
+        if args.absorbing:
+            out.append(f"absorbing sets: {len(sinks)}")
+            for idx, a in enumerate(sinks, 1):
+                if a.trivial:
+                    out.append(f"  #{idx} trivial: {_fmt_structure(a.members[0], n)}")
+                else:
+                    out.append(f"  #{idx} size {len(a)}:")
+                    out.extend(f"    {_fmt_structure(pi, n)}" for pi in a.members)
+    if report.rings is not None:
+        out.append("ring components:" if report.rings else "ring components: none")
+        for idx, rc in report.rings:
+            mark = "simple" if rc.simple else "not simple"
+            coals = ",".join(compact_coalition(c, n) for c in rc.coalitions)
+            out.append(f"  absorbing set #{idx + 1}: {{{coals}}} ({mark})")
+            compact = " ".join(
+                "{" + ",".join(compact_coalition(c, n) for c in E) + "}" for E in rc.compact
+            )
+            out.append(f"    compact collection: {compact}")
+    if report.decompositions is not None:
+        out.append(f"stable decompositions: {len(report.decompositions)}")
+        out.extend(f"  {d.render(n)}" for d in report.decompositions)
+    if report.converges is not None:
+        ok, witness = report.converges
         if ok:
             out.append("converges to stability: yes")
         else:
-            out.append(
-                f"converges to stability: no (witness {_fmt_structure(witness, n)})"
-            )
-    if args.dot:
-        _write_dot(g, args, sinks)
+            out.append(f"converges to stability: no (witness {_fmt_structure(witness, n)})")
+    if report.limit_exceeded is not None:
+        out.append(f"partial report: limit exceeded ({report.limit_exceeded})")
+    print("\n".join(out))
 
 
-def _analyze_json(g: Game, args) -> dict:
-    an = Analysis(g, limit=args.limit)
-    sinks = an.absorbing_sets()
-    stable = [a.members[0] for a in sinks if a.trivial]
-    report: dict = {
+def _render_json(report: Report, args) -> None:
+    if report.limit_exceeded is not None:
+        partial = {"schema_version": SCHEMA_VERSION, "limit_exceeded": report.limit_exceeded}
+        print(json.dumps(partial))
+        return
+    g = report.game
+    sinks = report.absorbing_sets
+    doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "agents": g.n,
         "permissible": [render_coalition(c) for c in g.permissible],
-        "structures": an.structure_count,
-        "stable": [render_structure(pi) for pi in stable],
+        "structures": report.structures,
+        "stable": [render_structure(a.members[0]) for a in sinks if a.trivial],
     }
     if args.absorbing:
-        report["absorbing_sets"] = [
+        doc["absorbing_sets"] = [
             {
                 "trivial": a.trivial,
                 "size": len(a),
@@ -206,79 +247,54 @@ def _analyze_json(g: Game, args) -> dict:
             }
             for a in sinks
         ]
-    if args.rings:
-        entries = []
-        for idx, a in enumerate(sinks):
-            if a.trivial:
-                continue
-            for rc in an.ring_components(idx):
-                entries.append(
-                    {
-                        "absorbing_set": idx,
-                        "coalitions": [render_coalition(c) for c in rc.coalitions],
-                        "simple": rc.simple,
-                        "maximal": [
-                            [render_coalition(c) for c in E] for E in rc.maximal
-                        ],
-                        "compact": [
-                            [render_coalition(c) for c in E] for E in rc.compact
-                        ],
-                    }
-                )
-        report["ring_components"] = entries
-    if args.decompositions:
-        decs = factored_decompositions(an)
-        entries = []
-        for d, a in zip(decs, sinks):
-            entry = {
+    if report.rings is not None:
+        doc["ring_components"] = [
+            {
+                "absorbing_set": idx,
+                "coalitions": [render_coalition(c) for c in rc.coalitions],
+                "simple": rc.simple,
+                "maximal": [[render_coalition(c) for c in E] for E in rc.maximal],
+                "compact": [[render_coalition(c) for c in E] for E in rc.compact],
+            }
+            for idx, rc in report.rings
+        ]
+    if report.decompositions is not None:
+        doc["decompositions"] = [
+            {
                 "parties": [
-                    {
-                        "kind": p.kind,
-                        "coalitions": [render_coalition(c) for c in p.coalitions],
-                    }
+                    {"kind": p.kind, "coalitions": [render_coalition(c) for c in p.coalitions]}
                     for p in d.parties
                 ],
                 "certificates": _certificates_json(g, d),
-                "d_structures": [
-                    render_structure(ds.structure) for ds in d_structures(g, d)
-                ],
+                "d_structures": [render_structure(ds.structure) for ds in d_structures(g, d)],
                 "generated_size": len(a),
             }
-            entries.append(entry)
-        report["decompositions"] = entries
-    if args.converge:
-        ok, witness = factored_convergence(an)
-        report["converges"] = ok
-        report["witness"] = None if ok else render_structure(witness)
-    if args.dot:
-        _write_dot(g, args, sinks)
-    return report
+            for d, a in zip(report.decompositions, sinks)
+        ]
+    if report.converges is not None:
+        ok, witness = report.converges
+        doc["converges"] = ok
+        doc["witness"] = None if ok else render_structure(witness)
+    print(json.dumps(doc, indent=2))
 
 
 def _certificates_json(g: Game, d) -> list[dict]:
-    out = []
-    for entry in protection_certificates(g, d):
-        breakers = []
-        for b in entry["breakers"]:
-            by = b["prevented_by"]
-            breakers.append(
+    return [
+        {
+            "party": [render_coalition(c) for c in entry["party"].coalitions],
+            "breakers": [
                 {
                     "breaker": render_coalition(b["coalition"]),
                     "prevented_by": None
-                    if by is None
-                    else [render_coalition(c) for c in by.coalitions],
-                    "witnesses": [
-                        [render_coalition(cp), agent] for cp, agent in b["witnesses"]
-                    ],
+                    if b["prevented_by"] is None
+                    else [render_coalition(c) for c in b["prevented_by"].coalitions],
+                    "witnesses": [[render_coalition(cp), agent] for cp, agent in b["witnesses"]],
                 }
-            )
-        out.append(
-            {
-                "party": [render_coalition(c) for c in entry["party"].coalitions],
-                "breakers": breakers,
-            }
-        )
-    return out
+                for b in entry["breakers"]
+            ],
+        }
+        for entry in protection_certificates(g, d)
+    ]
 
 
 def _cmd_analyze(args) -> int:
@@ -286,27 +302,14 @@ def _cmd_analyze(args) -> int:
     if args.all:
         args.absorbing = args.rings = args.decompositions = args.converge = True
     started = time.perf_counter()
-    if args.json:
-        try:
-            report = _analyze_json(g, args)
-        except LimitExceeded as exc:
-            print(json.dumps({"schema_version": SCHEMA_VERSION, "limit_exceeded": str(exc)}))
-            return 1
-        finally:
-            print(f"analysis time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
-        print(json.dumps(report, indent=2))
-        return 0
-    out: list[str] = []
     try:
-        _analyze_text(g, args, out)
-    except LimitExceeded as exc:
-        out.append(f"partial report: limit exceeded ({exc})")
-        print("\n".join(out))
-        return 1
+        report = analyze(g, args.rings, args.decompositions, args.converge, args.limit)
+        if args.dot and report.limit_exceeded is None:
+            _write_dot(g, args, report.absorbing_sets)
     finally:
         print(f"analysis time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    print("\n".join(out))
-    return 0
+    (_render_json if args.json else _render_text)(report, args)
+    return 1 if report.limit_exceeded is not None else 0
 
 
 def _cmd_generate(args) -> int:
@@ -335,6 +338,16 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabledec",
@@ -356,7 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--json", action="store_true", help="emit a JSON report")
     analyze.add_argument("--dot", metavar="PATH", help="write the domination graph as DOT")
     analyze.add_argument(
-        "--limit", type=int, default=DEFAULT_LIMIT, help="exploration cap (default %(default)s)"
+        "--limit",
+        type=_positive_int,
+        default=DEFAULT_LIMIT,
+        help="exploration cap, a positive integer (default %(default)s)",
     )
     analyze.set_defaults(run=_cmd_analyze)
 
@@ -377,7 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidate, e.g. '{{12,23,13},{45,46,56}}' or JSON party lists",
     )
     verify.add_argument(
-        "--limit", type=int, default=DEFAULT_LIMIT, help="exploration cap (default %(default)s)"
+        "--limit",
+        type=_positive_int,
+        default=DEFAULT_LIMIT,
+        help="exploration cap, a positive integer (default %(default)s)",
     )
     verify.set_defaults(run=_cmd_verify)
     return parser

@@ -254,6 +254,34 @@ class TestAnalyze:
     def test_missing_file_exit_code(self, capsys):
         assert main(["analyze", "/nonexistent/game.json"]) == 2
 
+    def test_unwritable_dot_path_exit_code(self, g7_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "g.dot"
+        assert main(["analyze", g7_file, "--all", "--dot", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: cannot write {target}: " in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_limit_must_be_positive(self, g6_file, command, value, capsys):
+        argv = [command, g6_file, "--limit", value]
+        if command == "verify":
+            argv += ["--decomposition", "{{1,2,3},{45,46,56}}"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --limit: must be a positive integer, not '{value}'" in err
+
+    def test_limit_of_one_is_accepted(self, g6_file, capsys):
+        assert main(["analyze", g6_file, "--limit", "1"]) == 1
+        assert capsys.readouterr().out == "partial report: limit exceeded (more than 1 structures)\n"
+        argv = ["verify", g6_file, "--decomposition", "{{1,2,3},{45,46,56}}", "--limit", "1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "stable decomposition\n"
+
 
 # two pair-chasing triangles and an isolated agent: three factors of 4, 4
 # and 1 structures, 16 structures in all
@@ -302,6 +330,340 @@ class TestAnalyzeFactoredGame:
         marked = [graph.node_id(pi) for a in sink_components(graph) for pi in a.members]
         assert len(marked) == 9
         assert target.read_text() == to_dot(graph, marked)
+
+
+# the whole stdout of ``analyze --all``: the text report, and the JSON report
+# as the dict that ``json.dumps(..., indent=2)`` prints
+G7_ALL_TEXT = """\
+agents: 7
+permissible coalitions (8): 12, 23, 123, 34, 15, 45, 67, 467
+structures: 32
+stable structures: 3
+  {123,45,67}
+  {123,467,5}
+  {15,23,467}
+absorbing sets: 4
+  #1 size 5:
+    {1,23,45,67}
+    {12,3,45,67}
+    {12,34,5,67}
+    {15,2,34,67}
+    {15,23,4,67}
+  #2 trivial: {123,45,67}
+  #3 trivial: {123,467,5}
+  #4 trivial: {15,23,467}
+ring components:
+  absorbing set #1: {12,23,34,15,45} (simple)
+    compact collection: {12,34} {12,45} {23,15} {23,45} {34,15}
+stable decompositions: 4
+  {{12,23,34,15,45},{67}}
+  {{123},{45},{67}}
+  {{123},{467},{5}}
+  {{15},{23},{467}}
+converges to stability: no (witness {1,23,45,67})
+"""
+
+G7_ALL_JSON = {
+    "schema_version": 1,
+    "agents": 7,
+    "permissible": [
+        "{1,2}",
+        "{2,3}",
+        "{1,2,3}",
+        "{3,4}",
+        "{1,5}",
+        "{4,5}",
+        "{6,7}",
+        "{4,6,7}",
+    ],
+    "structures": 32,
+    "stable": ["{1,2,3} {4,5} {6,7}", "{1,2,3} {4,6,7} {5}", "{1,5} {2,3} {4,6,7}"],
+    "absorbing_sets": [
+        {
+            "trivial": False,
+            "size": 5,
+            "structures": [
+                "{1} {2,3} {4,5} {6,7}",
+                "{1,2} {3} {4,5} {6,7}",
+                "{1,2} {3,4} {5} {6,7}",
+                "{1,5} {2} {3,4} {6,7}",
+                "{1,5} {2,3} {4} {6,7}",
+            ],
+        },
+        {"trivial": True, "size": 1, "structures": ["{1,2,3} {4,5} {6,7}"]},
+        {"trivial": True, "size": 1, "structures": ["{1,2,3} {4,6,7} {5}"]},
+        {"trivial": True, "size": 1, "structures": ["{1,5} {2,3} {4,6,7}"]},
+    ],
+    "ring_components": [
+        {
+            "absorbing_set": 0,
+            "coalitions": ["{1,2}", "{2,3}", "{3,4}", "{1,5}", "{4,5}"],
+            "simple": True,
+            "maximal": [
+                ["{1,2}", "{3,4}"],
+                ["{1,2}", "{4,5}"],
+                ["{2,3}", "{1,5}"],
+                ["{2,3}", "{4,5}"],
+                ["{3,4}", "{1,5}"],
+            ],
+            "compact": [
+                ["{1,2}", "{3,4}"],
+                ["{1,2}", "{4,5}"],
+                ["{2,3}", "{1,5}"],
+                ["{2,3}", "{4,5}"],
+                ["{3,4}", "{1,5}"],
+            ],
+        },
+    ],
+    "decompositions": [
+        {
+            "parties": [
+                {
+                    "kind": "ring_component",
+                    "coalitions": ["{1,2}", "{2,3}", "{3,4}", "{1,5}", "{4,5}"],
+                },
+                {"kind": "single_coalition", "coalitions": ["{6,7}"]},
+            ],
+            "certificates": [
+                {
+                    "party": ["{1,2}", "{2,3}", "{3,4}", "{1,5}", "{4,5}"],
+                    "breakers": [
+                        {
+                            "breaker": "{4,6,7}",
+                            "prevented_by": ["{6,7}"],
+                            "witnesses": [["{6,7}", 6]],
+                        },
+                    ],
+                },
+                {"party": ["{6,7}"], "breakers": []},
+            ],
+            "d_structures": [
+                "{1,2} {3,4} {5} {6,7}",
+                "{1,2} {3} {4,5} {6,7}",
+                "{1,5} {2,3} {4} {6,7}",
+                "{1} {2,3} {4,5} {6,7}",
+                "{1,5} {2} {3,4} {6,7}",
+            ],
+            "generated_size": 5,
+        },
+        {
+            "parties": [
+                {"kind": "single_coalition", "coalitions": ["{1,2,3}"]},
+                {"kind": "single_coalition", "coalitions": ["{4,5}"]},
+                {"kind": "single_coalition", "coalitions": ["{6,7}"]},
+            ],
+            "certificates": [
+                {
+                    "party": ["{1,2,3}"],
+                    "breakers": [
+                        {
+                            "breaker": "{3,4}",
+                            "prevented_by": ["{4,5}"],
+                            "witnesses": [["{4,5}", 4]],
+                        },
+                    ],
+                },
+                {
+                    "party": ["{4,5}"],
+                    "breakers": [
+                        {
+                            "breaker": "{1,5}",
+                            "prevented_by": ["{1,2,3}"],
+                            "witnesses": [["{1,2,3}", 1]],
+                        },
+                        {
+                            "breaker": "{4,6,7}",
+                            "prevented_by": ["{6,7}"],
+                            "witnesses": [["{6,7}", 6]],
+                        },
+                    ],
+                },
+                {"party": ["{6,7}"], "breakers": []},
+            ],
+            "d_structures": ["{1,2,3} {4,5} {6,7}"],
+            "generated_size": 1,
+        },
+        {
+            "parties": [
+                {"kind": "single_coalition", "coalitions": ["{1,2,3}"]},
+                {"kind": "single_coalition", "coalitions": ["{4,6,7}"]},
+                {"kind": "singleton_pool", "coalitions": ["{5}"]},
+            ],
+            "certificates": [
+                {
+                    "party": ["{1,2,3}"],
+                    "breakers": [
+                        {
+                            "breaker": "{3,4}",
+                            "prevented_by": ["{4,6,7}"],
+                            "witnesses": [["{4,6,7}", 4]],
+                        },
+                    ],
+                },
+                {"party": ["{4,6,7}"], "breakers": []},
+            ],
+            "d_structures": ["{1,2,3} {4,6,7} {5}"],
+            "generated_size": 1,
+        },
+        {
+            "parties": [
+                {"kind": "single_coalition", "coalitions": ["{1,5}"]},
+                {"kind": "single_coalition", "coalitions": ["{2,3}"]},
+                {"kind": "single_coalition", "coalitions": ["{4,6,7}"]},
+            ],
+            "certificates": [
+                {
+                    "party": ["{1,5}"],
+                    "breakers": [
+                        {
+                            "breaker": "{1,2}",
+                            "prevented_by": ["{2,3}"],
+                            "witnesses": [["{2,3}", 2]],
+                        },
+                        {
+                            "breaker": "{1,2,3}",
+                            "prevented_by": ["{2,3}"],
+                            "witnesses": [["{2,3}", 2]],
+                        },
+                    ],
+                },
+                {
+                    "party": ["{2,3}"],
+                    "breakers": [
+                        {
+                            "breaker": "{3,4}",
+                            "prevented_by": ["{4,6,7}"],
+                            "witnesses": [["{4,6,7}", 4]],
+                        },
+                    ],
+                },
+                {"party": ["{4,6,7}"], "breakers": []},
+            ],
+            "d_structures": ["{1,5} {2,3} {4,6,7}"],
+            "generated_size": 1,
+        },
+    ],
+    "converges": False,
+    "witness": "{1} {2,3} {4,5} {6,7}",
+}
+
+UNION_ALL_TEXT = """\
+agents: 7
+permissible coalitions (6): 12, 13, 23, 45, 46, 56
+structures: 16
+stable structures: 0
+absorbing sets: 1
+  #1 size 9:
+    {1,23,4,56,7}
+    {1,23,45,6,7}
+    {1,23,46,5,7}
+    {12,3,4,56,7}
+    {12,3,45,6,7}
+    {12,3,46,5,7}
+    {13,2,4,56,7}
+    {13,2,45,6,7}
+    {13,2,46,5,7}
+ring components:
+  absorbing set #1: {12,13,23} (simple)
+    compact collection: {12} {13} {23}
+  absorbing set #1: {45,46,56} (simple)
+    compact collection: {45} {46} {56}
+stable decompositions: 1
+  {{12,13,23},{45,46,56},{7}}
+converges to stability: no (witness {1,2,3,4,5,6,7})
+"""
+
+UNION_ALL_JSON = {
+    "schema_version": 1,
+    "agents": 7,
+    "permissible": ["{1,2}", "{1,3}", "{2,3}", "{4,5}", "{4,6}", "{5,6}"],
+    "structures": 16,
+    "stable": [],
+    "absorbing_sets": [
+        {
+            "trivial": False,
+            "size": 9,
+            "structures": [
+                "{1} {2,3} {4} {5,6} {7}",
+                "{1} {2,3} {4,5} {6} {7}",
+                "{1} {2,3} {4,6} {5} {7}",
+                "{1,2} {3} {4} {5,6} {7}",
+                "{1,2} {3} {4,5} {6} {7}",
+                "{1,2} {3} {4,6} {5} {7}",
+                "{1,3} {2} {4} {5,6} {7}",
+                "{1,3} {2} {4,5} {6} {7}",
+                "{1,3} {2} {4,6} {5} {7}",
+            ],
+        },
+    ],
+    "ring_components": [
+        {
+            "absorbing_set": 0,
+            "coalitions": ["{1,2}", "{1,3}", "{2,3}"],
+            "simple": True,
+            "maximal": [["{1,2}"], ["{1,3}"], ["{2,3}"]],
+            "compact": [["{1,2}"], ["{1,3}"], ["{2,3}"]],
+        },
+        {
+            "absorbing_set": 0,
+            "coalitions": ["{4,5}", "{4,6}", "{5,6}"],
+            "simple": True,
+            "maximal": [["{4,5}"], ["{4,6}"], ["{5,6}"]],
+            "compact": [["{4,5}"], ["{4,6}"], ["{5,6}"]],
+        },
+    ],
+    "decompositions": [
+        {
+            "parties": [
+                {"kind": "ring_component", "coalitions": ["{1,2}", "{1,3}", "{2,3}"]},
+                {"kind": "ring_component", "coalitions": ["{4,5}", "{4,6}", "{5,6}"]},
+                {"kind": "singleton_pool", "coalitions": ["{7}"]},
+            ],
+            "certificates": [
+                {"party": ["{1,2}", "{1,3}", "{2,3}"], "breakers": []},
+                {"party": ["{4,5}", "{4,6}", "{5,6}"], "breakers": []},
+            ],
+            "d_structures": [
+                "{1,2} {3} {4,5} {6} {7}",
+                "{1,2} {3} {4,6} {5} {7}",
+                "{1,2} {3} {4} {5,6} {7}",
+                "{1,3} {2} {4,5} {6} {7}",
+                "{1,3} {2} {4,6} {5} {7}",
+                "{1,3} {2} {4} {5,6} {7}",
+                "{1} {2,3} {4,5} {6} {7}",
+                "{1} {2,3} {4,6} {5} {7}",
+                "{1} {2,3} {4} {5,6} {7}",
+            ],
+            "generated_size": 9,
+        },
+    ],
+    "converges": False,
+    "witness": "{1} {2} {3} {4} {5} {6} {7}",
+}
+
+
+class TestFullReports:
+    @pytest.mark.parametrize(
+        "dsl, expected",
+        [(G7_DSL, G7_ALL_TEXT), (UNION_DSL, UNION_ALL_TEXT)],
+        ids=["g7", "union"],
+    )
+    def test_text(self, tmp_path, capsys, dsl, expected):
+        p = tmp_path / "game.txt"
+        p.write_text(dsl)
+        assert main(["analyze", str(p), "--all"]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "dsl, expected",
+        [(G7_DSL, G7_ALL_JSON), (UNION_DSL, UNION_ALL_JSON)],
+        ids=["g7", "union"],
+    )
+    def test_json(self, tmp_path, capsys, dsl, expected):
+        p = tmp_path / "game.txt"
+        p.write_text(dsl)
+        assert main(["analyze", str(p), "--all", "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 class TestVerify:
