@@ -8,6 +8,15 @@ party) and no party formed over the pool's agents would be protected.
 Stable decompositions correspond one-to-one with absorbing sets:
 ``from_absorbing_set`` recovers the decomposition, ``d_structures`` +
 ``generated_set`` rebuild the absorbing set.
+
+``check_stable_decomposition`` decides the partition and protection by their
+definitions (``unprevented_breakers``). Only once every coalition party is
+protected does it decide the pool condition, through that correspondence
+rather than by searching the pool for parties: the condition holds when no
+permissible coalition lies inside the pool; without a ring party, such a
+coalition blocks the decomposition's only D-structure; otherwise the closure
+of the first D-structure must be one absorbing set whose parties are the
+decomposition's own.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ from .core import (
 )
 from .errors import (
     DisjointParty,
-    LimitExceeded,
     MalformedParty,
     PartyIsSingletonPool,
     VerificationFailed,
@@ -200,6 +208,11 @@ class Violation(NamedTuple):
                 f"{self.party.render(n)} unprotected against breaker "
                 f"{compact_coalition(self.coalition, n)}"
             )
+        if self.code == "pool-blocks":
+            return (
+                f"{compact_coalition(self.coalition, n)} blocks the D-structure "
+                "within the singleton pool"
+            )
         if self.code == "pool-supports-party":
             return f"singleton pool supports protected party {self.party.render(n)}"
         if self.code == "multiple-pools":
@@ -207,45 +220,8 @@ class Violation(NamedTuple):
         return "parties do not partition the agent set"
 
 
-def _protected_pool_subparty(
-    g: Game, D: StableDecomposition, pool_mask: int, limit: int
-) -> Party | None:
-    """A protected party formed over the pool's agents, if any exists.
-
-    Candidates are single permissible coalitions inside the pool and ring
-    components assembled from them; ring candidates are confined to the
-    strongly connected pieces of the improvement digraph, since a ring
-    component is internally strongly connected.
-    """
-    ks = [c for c in g.permissible if not c & ~pool_mask]
-    for c in ks:
-        party = Party(SINGLE, (c,))
-        if is_protected(g, party, D):
-            return party
-    checked = 0
-    for comp_idx in _rings._pref_digraph_sccs(g, ks):
-        if len(comp_idx) < 3:
-            continue
-        masks = sorted(ks[i] for i in comp_idx)
-        for r in range(3, len(masks) + 1):
-            for sub in itertools.combinations(masks, r):
-                checked += 1
-                if checked > limit:
-                    raise LimitExceeded(
-                        f"more than {limit} candidate parties over the pool"
-                    )
-                rc = _rings._ring_component(g, sub)
-                if rc is not None:
-                    party = Party(RING, rc.coalitions, rc.compact)
-                    if is_protected(g, party, D):
-                        return party
-    return None
-
-
-def check_stable_decomposition(
-    g: Game, D: StableDecomposition, limit: int = DEFAULT_LIMIT
-) -> list[Violation]:
-    """All reasons the decomposition is not stable; empty when it is."""
+def _partition_and_protection(g: Game, D: StableDecomposition) -> list[Violation]:
+    # every violation but the pool condition's
     full = (1 << g.n) - 1
     pools = [p for p in D.parties if p.kind == POOL]
     violations: list[Violation] = []
@@ -266,14 +242,66 @@ def check_stable_decomposition(
         bad = unprevented_breakers(g, p, D)
         if bad:
             violations.append(Violation("unprotected", p, bad[0]))
-    if len(pools) == 1:
-        found = _protected_pool_subparty(g, D, pools[0].agents, limit)
-        if found is not None:
-            violations.append(Violation("pool-supports-party", found, None))
     return violations
 
 
+def _pool_violation(
+    g: Game, D: StableDecomposition, pool_mask: int, limit: int
+) -> Violation | None:
+    """The pool condition of a partition whose coalition parties are all
+    protected, decided through the absorbing-set correspondence.
+
+    No permissible coalition inside the pool: no party can form there.
+    Without a ring party, D has one D-structure, which such a coalition
+    blocks, and D is stable exactly when that structure is. Otherwise D is
+    stable exactly when the closure of its first D-structure (at most
+    ``limit`` nodes) is one absorbing set whose parties are D's. The closure
+    may hold several absorbing sets, so each is searched for a party that D
+    lacks.
+    """
+    inside = next((c for c in g.permissible if not c & ~pool_mask), None)
+    if inside is None:
+        return None
+    if all(p.kind != RING for p in D.parties):
+        return Violation("pool-blocks", None, inside)
+    G = grow_graph(g, [d_structures(g, D)[0].structure], limit=limit)
+    sinks = sink_components(G)
+    own = {p.coalitions for p in D.parties}
+    for sink in sinks:
+        built = _absorbing_parties(g, sink, G, limit)
+        for p in built:
+            if p.kind != POOL and p.coalitions not in own:
+                return Violation("pool-supports-party", p, None)
+    if len(sinks) != 1 or {p.coalitions for p in built} != own:
+        raise VerificationFailed(
+            "the closure of the D-structure does not give back the decomposition"
+        )
+    return None
+
+
+def check_stable_decomposition(
+    g: Game, D: StableDecomposition, limit: int = DEFAULT_LIMIT
+) -> list[Violation]:
+    """All reasons the decomposition is not stable; empty when it is.
+
+    The parties must partition the agent set with at most one pool, and
+    every breaker of each coalition party must be prevented
+    (``unprevented_breakers``); each failure is listed. Only once all of
+    that holds is the pool condition decided (see ``_pool_violation``), as
+    ``pool-blocks`` or ``pool-supports-party``. That step may grow a
+    domination graph of at most ``limit`` nodes, and raises
+    ``LimitExceeded`` beyond it.
+    """
+    violations = _partition_and_protection(g, D)
+    pool = D.pool()
+    if violations or pool is None:
+        return violations
+    found = _pool_violation(g, D, pool.agents, limit)
+    return [] if found is None else [found]
+
+
 def is_stable_decomposition(g: Game, D: StableDecomposition, limit: int = DEFAULT_LIMIT) -> bool:
+    """Whether ``check_stable_decomposition`` finds no violation."""
     return not check_stable_decomposition(g, D, limit)
 
 
@@ -313,13 +341,19 @@ def _absorbing_parties(g: Game, absorbing: AbsorbingSet, G, limit: int) -> list[
     return parties
 
 
-def _verified(g: Game, parties: list[Party], limit: int) -> StableDecomposition:
+def _verified(g: Game, parties: list[Party], absorbing: AbsorbingSet) -> StableDecomposition:
+    """The decomposition of ``parties``, built from ``absorbing``, after the
+    partition and protection checks and the round trip: its first
+    D-structure must be a member of ``absorbing``. A sink component is the
+    closure of each of its members, so that D-structure generates exactly
+    ``absorbing``, whose parties are D's."""
     D = decomposition(parties)
-    problems = check_stable_decomposition(g, D, limit)
+    problems = [v.describe(g.n) for v in _partition_and_protection(g, D)]
+    if not problems and d_structures(g, D)[0].structure not in absorbing:
+        problems.append("its first D-structure is not in the absorbing set")
     if problems:
         raise VerificationFailed(
-            "constructed decomposition fails verification: "
-            + "; ".join(v.describe(g.n) for v in problems)
+            "constructed decomposition fails verification: " + "; ".join(problems)
         )
     return D
 
@@ -332,9 +366,12 @@ def from_absorbing_set(
     Trivial set: one single-coalition party per part plus a pool of the
     single agents. Non-trivial set: the ring components with a coalition in
     every member, plus single parties for coalitions present in every
-    member, plus a pool of the remaining agents. The result is re-verified.
+    member, plus a pool of the remaining agents. The result is re-checked:
+    the parties partition the agents, every coalition party is protected,
+    and the first D-structure lies in ``absorbing``, so that it generates
+    the set back. ``limit`` bounds the graph grown when ``G`` is not given.
     """
-    return _verified(g, _absorbing_parties(g, absorbing, G, limit), limit)
+    return _verified(g, _absorbing_parties(g, absorbing, G, limit), absorbing)
 
 
 def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
@@ -345,14 +382,15 @@ def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
     of its factor sets' decompositions, each built on its factor's game
     (and graph: only a non-trivial set needs one, and a factor without a
     graph has trivial sets only), plus one pool of the remaining agents; it
-    is re-verified against the whole game.
+    is re-checked against the whole game and its absorbing set, as
+    ``from_absorbing_set`` re-checks.
     """
     g = an.game
     full = (1 << g.n) - 1
     # (factor index, factor absorbing set) -> its coalition parties
     memo: dict = {}
     out = []
-    for idx in range(len(an.absorbing_sets())):
+    for idx, absorbing in enumerate(an.absorbing_sets()):
         parties: list[Party] = []
         covered = 0
         for fi, (f, fa) in enumerate(zip(an.factors, an.factor_sets(idx))):
@@ -368,7 +406,7 @@ def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
                 covered |= p.agents
         if full & ~covered:
             parties.append(_pool(g.n, full & ~covered))
-        out.append(_verified(g, parties, an.limit))
+        out.append(_verified(g, parties, absorbing))
     return out
 
 

@@ -278,8 +278,14 @@ class TestAnalyze:
     def test_limit_of_one_is_accepted(self, g6_file, capsys):
         assert main(["analyze", g6_file, "--limit", "1"]) == 1
         assert capsys.readouterr().out == "partial report: limit exceeded (more than 1 structures)\n"
+        # the pool {1,2,3} holds coalitions next to a ring party, so verify
+        # grows the closure of the D-structure, which --limit bounds
         argv = ["verify", g6_file, "--decomposition", "{{1,2,3},{45,46,56}}", "--limit", "1"]
-        assert main(argv) == 0
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: domination graph exceeds 1 nodes\n"
+        assert main(argv[:-2]) == 0
         assert capsys.readouterr().out == "stable decomposition\n"
 
 

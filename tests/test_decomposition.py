@@ -1,6 +1,7 @@
 """Parties, prevention, protection, stable decompositions, generated sets."""
 
 import importlib
+import json
 
 import pytest
 
@@ -27,20 +28,39 @@ from stabledec import (
     is_stable,
     is_stable_decomposition,
     make_party,
+    marriage_to_game,
     members,
+    parse_game_dsl,
     prefers,
     prevents,
     protection_certificates,
     random_game,
+    random_marriage_spec,
+    random_roommate_spec,
     render_structure,
+    roommate_to_game,
     unprevented_breakers,
 )
+from stabledec.cli import main
 from conftest import GENERATED_GAMES, GENERATED_IDS, C, make_structure
 
 # the module, which the package's ``decomposition`` function shadows
 decomposition_module = importlib.import_module("stabledec.decomposition")
 
 RC7 = ("12", "23", "34", "45", "15")
+
+# a pair-chasing triangle on 1-3 and a 2x2 marriage market on 4-7 with two
+# stable matchings, {46,57} and {47,56}
+TWO_MATCHINGS_DSL = """\
+agents: 7
+1: 12 | 13 | 1
+2: 23 | 12 | 2
+3: 13 | 23 | 3
+4: 46 | 47 | 4
+5: 57 | 56 | 5
+6: 56 | 46 | 6
+7: 47 | 57 | 7
+"""
 
 
 def collections(*groups):
@@ -254,6 +274,8 @@ class TestCheckStableDecomposition:
         assert [v.code for v in got] == ["not-partition"]
 
     def test_pool_supporting_a_party(self, g7):
+        # no ring party: the first permissible coalition inside the pool
+        # blocks the decomposition's only D-structure
         d = decomposition(
             [
                 Party(POOL, tuple(C(str(i)) for i in range(1, 6))),
@@ -261,10 +283,69 @@ class TestCheckStableDecomposition:
             ]
         )
         got = check_stable_decomposition(g7, d)
-        assert [v.code for v in got] == ["pool-supports-party"]
-        assert got[0].describe(7) == (
-            "singleton pool supports protected party {12,23,34,15,45}"
+        assert [v.code for v in got] == ["pool-blocks"]
+        assert got[0].coalition == C("12")
+        assert got[0].describe(7) == "12 blocks the D-structure within the singleton pool"
+
+    def test_marriage_singletons_are_not_stable(self, tmp_path, capsys):
+        # the game's only absorbing set is a perfect matching, no single
+        # pair of which is protected by the singletons alone
+        spec = random_marriage_spec(6, 6, 0.6, seed=6)
+        path = tmp_path / "marriage6.json"
+        path.write_text(json.dumps(spec.to_dict()))
+        pool = json.dumps([[[i] for i in range(1, 13)]])
+        assert main(["verify", str(path), "--decomposition", pool]) == 0
+        assert capsys.readouterr().out == (
+            "not a stable decomposition: {2,7} blocks the D-structure within the singleton pool\n"
         )
+        assert len(all_stable_decompositions(marriage_to_game(spec))) == 1
+
+    def test_large_pool_needs_no_search(self):
+        g = roommate_to_game(random_roommate_spec(9, 0.7, seed=3))
+        d = decomposition([Party(POOL, tuple(1 << b for b in range(9)))])
+        got = check_stable_decomposition(g, d, limit=20000)
+        assert [v.code for v in got] == ["pool-blocks"]
+        assert d.render(9) not in {x.render(9) for x in all_stable_decompositions(g)}
+
+    def test_ring_decomposition_with_a_party_in_its_pool(self):
+        # the listed {{12},{35,37,57,367,3567},{4}} with {12} dissolved: the
+        # ring stays protected, and the closure of the D-structure forms 12
+        g = random_game(7, 0.5, 31)
+        (listed,) = all_stable_decompositions(g)
+        assert listed.render(7) == "{{12},{35,37,57,367,3567},{4}}"
+        d = decomposition_from_collections(
+            g, collections(("35", "37", "57", "367", "3567"), ("1", "2", "4"))
+        )
+        got = check_stable_decomposition(g, d)
+        assert [v.code for v in got] == ["pool-supports-party"]
+        assert got[0].party == Party(SINGLE, (C("12"),))
+        assert got[0].describe(7) == "singleton pool supports protected party {12}"
+
+    def test_closure_with_two_absorbing_sets(self):
+        # a protected ring next to a 2x2 marriage market with two stable
+        # matchings: the closure of the D-structure has two sinks, and
+        # either one shows a party over the pool
+        g = parse_game_dsl(TWO_MATCHINGS_DSL)
+        assert [d.render(7) for d in all_stable_decompositions(g)] == [
+            "{{12,13,23},{46},{57}}",
+            "{{12,13,23},{47},{56}}",
+        ]
+        d = decomposition_from_collections(
+            g, collections(("12", "23", "13"), ("4", "5", "6", "7"))
+        )
+        got = check_stable_decomposition(g, d)
+        assert [v.code for v in got] == ["pool-supports-party"]
+        assert got[0].party == Party(SINGLE, (C("46"),))
+
+    def test_pool_checked_only_once_parties_are_protected(self, rm10):
+        # {4,7} is unprotected, so the pool, which holds 58 and 69 next to
+        # a ring party, is not examined: a closure would exceed limit=1
+        d = decomposition_from_collections(
+            rm10, collections(("12", "23", "13"), ("47",), ("5", "6", "8", "9", "a"))
+        )
+        assert [v.code for v in check_stable_decomposition(rm10, d, limit=1)] == [
+            "unprotected"
+        ]
 
     def test_verdict_is_partition_aware(self, g6):
         # the decomposition built from the wrong ring component leaves a

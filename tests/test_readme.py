@@ -59,6 +59,7 @@ def test_command_line_prints_what_the_readme_shows(tmp_path, monkeypatch, capsys
         ["stabledec", "analyze", "game.txt"],
         ["stabledec", "verify", "game.txt"],
         ["stabledec", "verify", "game.txt"],
+        ["stabledec", "verify", "game.txt"],
     ]
     for argv, shown in runs:
         assert main(argv[1:]) == 0
