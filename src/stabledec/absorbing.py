@@ -15,7 +15,9 @@ A group whose permissible coalitions are all pairs and which has a stable
 structure needs no graph: from every matching some sequence of blocking
 pairs reaches a stable one (Roth and Vande Vate 1990 for two-sided games,
 Diamantoudi, Miyagawa and Xue 2004 for roommate games), so its absorbing
-sets are exactly its stable structures.
+sets are exactly its stable structures. A pruned search finds them without
+enumerating the group's structures, and a memoized count, not enumeration,
+holds each group to the structure limit.
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ from typing import NamedTuple
 from .core import Game, lowest_agent, members
 from .errors import LimitExceeded, TrivialAbsorbingSet, VerificationFailed
 from .structures import (
-    DEFAULT_LIMIT, enumerate_structures, is_stable, render_structure, structure_key,
+    DEFAULT_LIMIT,
+    _count_structures,
+    _parts_by_agent,
+    enumerate_structures,
+    is_stable,
+    render_structure,
+    structure_key,
 )
 from .dynamics import DominationEdge, DominationGraph, _grow, grow_graph
 from .rings import RingComponent, ring_components_of
@@ -136,44 +144,87 @@ class Factor(NamedTuple):
     """A factor's sub-game, its absorbing sets in ``sink_components``
     order, and the full domination graph over its structures, or ``None``
     for a pair-only factor with a stable structure, whose absorbing sets
-    are its stable structures (``_stable_matchings``)."""
+    are its stable structures, found by a search that enumerates none of
+    the others (``_stable_matchings``)."""
 
     game: Game
     sets: tuple[AbsorbingSet, ...]
     graph: DominationGraph | None
 
 
-def _stable_matchings(g: Game, structures) -> list[tuple[int, ...]] | None:
-    """The stable structures among ``structures``, in their order, or
-    ``None`` when some permissible coalition is not a pair.
+def _stable_matchings(g: Game) -> list[tuple[int, ...]] | None:
+    """The stable structures in ``enumerate_structures`` order, or ``None``
+    when some permissible coalition is not a pair.
 
     A structure is stable when the AND of ``better`` over its parts is 0
-    (``Game.expansion``); each one found is re-checked against the
-    definition (``structures.is_stable``).
+    (``Game.expansion``). The search places parts in enumeration order and
+    carries that AND over the parts placed so far. ``better[p]`` keeps the
+    bit of every coalition that does not meet ``p``, so once all agents of
+    a coalition are placed, no later part clears its bit: a branch where
+    such a coalition keeps it holds no stable structure, and is dropped.
+    Each structure found is re-checked against the definition
+    (``structures.is_stable``).
     """
     if any(c.bit_count() != 2 for c in g.permissible):
         return None
-    better = g.expansion().better
+    bit, better, _ = g.expansion()
+    full = (1 << g.n) - 1
+    by_agent = _parts_by_agent(g)
+    # K-bits of the coalitions each agent belongs to
+    holding = [0] * (g.n + 1)
+    for i, own in enumerate(by_agent):
+        for c in own[1:]:
+            holding[i] |= bit[c]
+    # an agent in no permissible coalition is single in every structure
+    singles = [own[0] for own in by_agent[1:] if len(own) == 1]
+    # placed agents -> a mask whose K-bits are the coalitions all of whose
+    # agents are placed
+    inside: dict[int, int] = {}
     stable = []
-    for pi in structures:
-        blocking = -1
-        for p in pi:
-            blocking &= better[p]
-        if not blocking:
+    parts: list[int] = []
+
+    def rec(used: int, blocking: int) -> None:
+        if used == full:
+            pi = tuple(sorted(parts + singles, key=lowest_agent))
             if not is_stable(g, pi):
                 raise VerificationFailed(
                     f"{render_structure(pi)} passes the expansion test but is not stable"
                 )
             stable.append(pi)
+            return
+        free = ~used & full
+        for c in by_agent[(free & -free).bit_length()]:
+            if c & used:
+                continue
+            placed = used | c
+            kept = blocking & better[c]
+            done = inside.get(placed)
+            if done is None:
+                meets_free = 0
+                rest = full & ~placed
+                while rest:
+                    low = rest & -rest
+                    meets_free |= holding[low.bit_length()]
+                    rest ^= low
+                done = inside[placed] = ~meets_free
+            if kept & done:
+                continue
+            parts.append(c)
+            rec(placed, kept)
+            parts.pop()
+
+    rec(sum(singles), -1)
     return stable
 
 
-def _factor(g: Game, structures: list, limit: int) -> Factor:
-    # every structure of the factor, enumerated once, in structure_key order
-    stable = _stable_matchings(g, structures)
+def _factor(g: Game, limit: int) -> Factor:
+    # a pair-only factor with a stable structure needs no graph; any other
+    # grows its graph from the enumeration, whose count Analysis has already
+    # held to the limit
+    stable = _stable_matchings(g)
     if stable:
         return Factor(g, tuple(AbsorbingSet((pi,)) for pi in stable), None)
-    graph = _grow(g, structures, limit)
+    graph = _grow(g, enumerate_structures(g, limit=limit), limit)
     return Factor(g, tuple(sink_components(graph)), graph)
 
 
@@ -195,13 +246,17 @@ class Analysis:
     a game, worked out per factor (``factor_games``) and never on the
     product graph.
 
-    Each factor's structures are enumerated once. A factor whose
-    permissible coalitions are all pairs and which has a stable structure
-    takes its stable structures as its absorbing sets and builds no graph:
-    from every matching some sequence of blocking pairs reaches a stable
-    one (Roth and Vande Vate 1990; Diamantoudi, Miyagawa and Xue 2004), so
-    every absorbing set is trivial. Every other factor grows its full
-    domination graph from those structures and reads its sink components.
+    Each factor's structures are first counted, memoized on the agents
+    already placed (``structures._count_structures``), and the limit is
+    checked before any factor is searched, enumerated or grown. A factor
+    whose permissible coalitions are all pairs and which has a stable
+    structure takes its stable structures, found by a pruned search
+    (``_stable_matchings``), as its absorbing sets, and neither enumerates
+    its structures nor builds a graph: from every matching some sequence of
+    blocking pairs reaches a stable one (Roth and Vande Vate 1990;
+    Diamantoudi, Miyagawa and Xue 2004), so every absorbing set is trivial.
+    Every other factor grows its full domination graph from one enumeration
+    of its structures and reads its sink components.
 
     Every domination step changes one factor, so the game's structures are
     the products of factor structures, its absorbing sets the products of
@@ -220,16 +275,13 @@ class Analysis:
         self.game = g
         self.limit = limit
         subs = factor_games(g)
-        enumerated = [list(enumerate_structures(sub, limit=limit)) for sub in subs]
         count = 1
-        for structures in enumerated:
-            count *= len(structures)
+        for sub in subs:
+            count *= _count_structures(sub, limit)
         if count > limit:
             raise LimitExceeded(f"more than {limit} structures")
         self.structure_count = count
-        self.factors = [
-            _factor(sub, structures, limit) for sub, structures in zip(subs, enumerated)
-        ]
+        self.factors = [_factor(sub, limit) for sub in subs]
         self._sets: list[tuple[AbsorbingSet, tuple[AbsorbingSet, ...]]] | None = None
 
     def _products(self) -> list[tuple[AbsorbingSet, tuple[AbsorbingSet, ...]]]:

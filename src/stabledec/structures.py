@@ -128,6 +128,17 @@ def is_stable(g: Game, pi: tuple[int, ...]) -> bool:
     return not any(blocks(g, c, pi) for c in g.permissible)
 
 
+def _parts_by_agent(g: Game) -> list[list[int]]:
+    """Entry ``i`` lists the parts agent ``i`` can take when they are the
+    least agent not yet placed: their singleton, then each permissible
+    coalition containing them in member order."""
+    by_agent: list[list[int]] = [[]] + [[1 << b] for b in range(g.n)]
+    for agents, c in sorted((members(c), c) for c in g.permissible):
+        for i in agents:
+            by_agent[i].append(c)
+    return by_agent
+
+
 def enumerate_structures(g: Game, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[int, ...]]:
     """Lazily yield every coalition structure of the game once, canonical
     and in ``structure_key`` order.
@@ -138,12 +149,8 @@ def enumerate_structures(g: Game, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[
     either: ``full_domination_graph`` relies on that order. Raises
     ``LimitExceeded`` before yielding structure ``limit + 1``.
     """
-    n = g.n
-    full = (1 << n) - 1
-    by_agent: list[list[int]] = [[] for _ in range(n + 1)]
-    for c in sorted(g.permissible, key=members):
-        for i in members(c):
-            by_agent[i].append(c)
+    full = (1 << g.n) - 1
+    by_agent = _parts_by_agent(g)
     count = 0
     parts: list[int] = []
 
@@ -157,12 +164,7 @@ def enumerate_structures(g: Game, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[
             yield tuple(parts)
             return
         free = ~used & full
-        low = free & -free
-        i = low.bit_length()
-        parts.append(low)
-        yield from rec(used | low)
-        parts.pop()
-        for c in by_agent[i]:
+        for c in by_agent[(free & -free).bit_length()]:
             if c & used:
                 continue
             parts.append(c)
@@ -170,3 +172,34 @@ def enumerate_structures(g: Game, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[
             parts.pop()
 
     yield from rec(0)
+
+
+def _count_structures(g: Game, limit: int = DEFAULT_LIMIT) -> int:
+    """The number of coalition structures, without enumerating them.
+
+    The recursion of ``enumerate_structures``, memoized on the set of agents
+    already placed: the structures completing that set depend on it alone.
+    Raises ``LimitExceeded`` as soon as one set has more than ``limit``
+    completions; each set it reaches is placed by some structure, and its
+    completions give that many distinct structures of the game.
+    """
+    full = (1 << g.n) - 1
+    by_agent = _parts_by_agent(g)
+    memo = {full: 1}
+
+    def rec(used: int) -> int:
+        count = memo.get(used)
+        if count is not None:
+            return count
+        free = ~used & full
+        count = 0
+        for c in by_agent[(free & -free).bit_length()]:
+            if not c & used:
+                count += rec(used | c)
+        if count > limit:
+            raise LimitExceeded(f"more than {limit} structures")
+        memo[used] = count
+        return count
+
+    # an agent in no permissible coalition is single in every structure
+    return rec(sum(own[0] for own in by_agent[1:] if len(own) == 1))

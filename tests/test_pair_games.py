@@ -7,6 +7,10 @@ gate compares every section with the one read off the full domination graph
 and without a stable matching, pair-only general games whose rankings list
 unacceptable coalitions, and disjoint unions of a marriage game with a
 roommate game that has no stable matching.
+
+The pruned search for the stable structures (``_stable_matchings``) and the
+memoized structure count are checked against enumeration: the search
+against the enumerate-and-filter it replaced, kept here as a reference.
 """
 
 import json
@@ -16,9 +20,11 @@ import pytest
 
 import stabledec.absorbing as absorbing
 import stabledec.dynamics as dynamics
+import stabledec.structures as structures
 from stabledec import (
     Analysis,
     Game,
+    LimitExceeded,
     StabledecError,
     TrivialAbsorbingSet,
     VerificationFailed,
@@ -38,6 +44,9 @@ from stabledec import (
     sink_components,
 )
 from stabledec.cli import main
+from stabledec.structures import _count_structures
+
+from test_fuzz import FUZZ_GAMES
 
 
 def mar(men, women, seed, density=0.7):
@@ -148,6 +157,40 @@ def test_every_section_matches_full_graph(label):
     assert factored_convergence(an) == converges_to_stability(g, graph=graph)
 
 
+def reference_stable(g: Game) -> list[tuple[int, ...]]:
+    """Every structure, enumerated, whose AND of ``better`` over its parts
+    is 0: the enumerate-and-filter that ``_stable_matchings`` replaced."""
+    better = g.expansion().better
+    stable = []
+    for pi in enumerate_structures(g):
+        blocking = -1
+        for p in pi:
+            blocking &= better[p]
+        if not blocking:
+            stable.append(pi)
+    return stable
+
+
+@pytest.mark.parametrize("label", list(GAMES))
+def test_search_and_count_match_enumeration(label):
+    g = GAMES[label]()
+    # the same structures in the same order, for the game and each factor
+    for game in {g, *(f.game for f in Analysis(g).factors)}:
+        assert absorbing._stable_matchings(game) == reference_stable(game)
+    assert _count_structures(g) == sum(1 for _ in enumerate_structures(g))
+
+
+@pytest.mark.parametrize("label", list(FUZZ_GAMES))
+def test_count_matches_enumeration(label):
+    g = FUZZ_GAMES[label]()
+    assert _count_structures(g) == sum(1 for _ in enumerate_structures(g))
+
+
+def test_search_skips_games_with_larger_coalitions():
+    g = Game(3, {1: [(1, 2, 3), (1,)], 2: [(1, 2, 3), (2,)], 3: [(1, 2, 3), (3,)]})
+    assert absorbing._stable_matchings(g) is None
+
+
 class TestGateCoverage:
     def test_enough_games(self):
         assert len(GAMES) >= 200
@@ -230,8 +273,11 @@ class TestCounting:
     def test_marriage_grows_no_graph(self, monkeypatch):
         grows = _counting(monkeypatch, absorbing, "_grow")
         grows += _counting(monkeypatch, dynamics, "_grow")
+        enumerations = _counting(monkeypatch, absorbing, "enumerate_structures")
+        enumerations += _counting(monkeypatch, structures, "enumerate_structures")
         _full_analysis(mar(5, 5, 3))
         assert grows == []
+        assert enumerations == []
 
     def test_unstable_roommates_enumerate_once(self, monkeypatch):
         g = room(6, no_stable_roommates(6, 1)[0])
@@ -240,6 +286,28 @@ class TestCounting:
         _full_analysis(g)
         assert enumerations == ["enumerate_structures"]
         assert grows == ["_grow"]
+
+    def test_limit_raises_before_any_enumeration(self, monkeypatch):
+        # about 2.4e10 matchings of 20 agents who all accept each other
+        g = roommate_to_game(random_roommate_spec(20, 1.0, 1))
+        calls = _counting(monkeypatch, absorbing, "enumerate_structures")
+        calls += _counting(monkeypatch, structures, "enumerate_structures")
+        calls += _counting(monkeypatch, absorbing, "_grow")
+        calls += _counting(monkeypatch, dynamics, "_grow")
+        with pytest.raises(LimitExceeded, match="^more than 1000000 structures$"):
+            Analysis(g)
+        assert calls == []
+
+    def test_union_limit_is_the_product_count(self, monkeypatch):
+        g = GAMES["marriage3x3-0+roommate5-" + str(no_stable_roommates(5, 1)[0])]()
+        count = sum(1 for _ in enumerate_structures(g))
+        an = Analysis(g, limit=count)
+        assert an.structure_count == count
+        assert [f.graph is None for f in an.factors] == [True, False]
+        grows = _counting(monkeypatch, absorbing, "_grow")
+        with pytest.raises(LimitExceeded, match=f"^more than {count - 1} structures$"):
+            Analysis(g, limit=count - 1)
+        assert grows == []
 
 
 class TestLimit:
