@@ -261,11 +261,12 @@ class Analysis:
     Every domination step changes one factor, so the game's structures are
     the products of factor structures, its absorbing sets the products of
     factor absorbing sets, and the ring components of a product set those
-    of its non-trivial factor sets: a shortest path back along a cycle never
-    leaves the factor that the cycle's edge changes. The stable
-    decompositions (``decomposition.factored_decompositions``) and the
-    convergence verdict (``applications.factored_convergence``) combine the
-    same way.
+    of its non-trivial factor sets (``factor_rings``, worked out once each):
+    a shortest path back along a cycle never leaves the factor that the
+    cycle's edge changes, and coalitions of different factors are disjoint.
+    The stable decompositions (``decomposition.factored_decompositions``)
+    and the convergence verdict (``applications.factored_convergence``)
+    combine the same way.
 
     Raises ``LimitExceeded`` when the game has more than ``limit``
     structures.
@@ -283,6 +284,7 @@ class Analysis:
         self.structure_count = count
         self.factors = [_factor(sub, limit) for sub in subs]
         self._sets: list[tuple[AbsorbingSet, tuple[AbsorbingSet, ...]]] | None = None
+        self._rings: dict[tuple[int, AbsorbingSet], list[RingComponent]] = {}
 
     def _products(self) -> list[tuple[AbsorbingSet, tuple[AbsorbingSet, ...]]]:
         # (absorbing set, its factor absorbing sets) pairs in report order
@@ -311,18 +313,21 @@ class Analysis:
         ``idx``, aligned with ``factors``."""
         return self._products()[idx][1]
 
+    def factor_rings(self, fi: int, fa: AbsorbingSet) -> list[RingComponent]:
+        """The ring components of factor ``fi``'s absorbing set ``fa`` (none
+        for a trivial one), worked out once per set."""
+        if (fi, fa) not in self._rings:
+            f = self.factors[fi]
+            self._rings[(fi, fa)] = [] if fa.trivial else ring_components_of(f.game, fa, f.graph)
+        return self._rings[(fi, fa)]
+
     def ring_components(self, idx: int) -> list[RingComponent]:
         """The ring components of absorbing set ``idx``, sorted by
         coalitions, as ``ring_components_of`` gives them on the full graph."""
         a, combo = self._products()[idx]
         if a.trivial:
             raise TrivialAbsorbingSet("trivial absorbing sets carry no ring component")
-        comps = [
-            rc
-            for f, fa in zip(self.factors, combo)
-            if not fa.trivial
-            for rc in ring_components_of(f.game, fa, f.graph)
-        ]
+        comps = [rc for fi, fa in enumerate(combo) for rc in self.factor_rings(fi, fa)]
         return sorted(comps, key=lambda rc: rc.coalitions)
 
 

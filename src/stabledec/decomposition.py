@@ -268,7 +268,8 @@ def _pool_violation(
     sinks = sink_components(G)
     own = {p.coalitions for p in D.parties}
     for sink in sinks:
-        built = _absorbing_parties(g, sink, G, limit)
+        comps = [] if sink.trivial else _rings.ring_components_of(g, sink, G)
+        built = _absorbing_parties(g, sink, comps)
         for p in built:
             if p.kind != POOL and p.coalitions not in own:
                 return Violation("pool-supports-party", p, None)
@@ -309,8 +310,9 @@ def _pool(n: int, mask: int) -> Party:
     return Party(POOL, tuple(1 << b for b in range(n) if mask >> b & 1))
 
 
-def _absorbing_parties(g: Game, absorbing: AbsorbingSet, G, limit: int) -> list[Party]:
-    # the parties of from_absorbing_set, not yet checked
+def _absorbing_parties(g: Game, absorbing: AbsorbingSet, comps) -> list[Party]:
+    # the parties of from_absorbing_set, not yet checked; comps are the ring
+    # components of a non-trivial set
     parties: list[Party] = []
     if absorbing.trivial:
         pi = absorbing.members[0]
@@ -321,10 +323,7 @@ def _absorbing_parties(g: Game, absorbing: AbsorbingSet, G, limit: int) -> list[
             else:
                 pool_mask |= part
     else:
-        if G is None:
-            G = grow_graph(g, absorbing.members, limit=limit)
         part_sets = [set(pi) for pi in absorbing.members]
-        comps = _rings.ring_components_of(g, absorbing, G)
         covered = 0
         for rc in comps:
             if all(any(r in ps for r in rc.coalitions) for ps in part_sets):
@@ -371,7 +370,12 @@ def from_absorbing_set(
     and the first D-structure lies in ``absorbing``, so that it generates
     the set back. ``limit`` bounds the graph grown when ``G`` is not given.
     """
-    return _verified(g, _absorbing_parties(g, absorbing, G, limit), absorbing)
+    comps = []
+    if not absorbing.trivial:
+        if G is None:
+            G = grow_graph(g, absorbing.members, limit=limit)
+        comps = _rings.ring_components_of(g, absorbing, G)
+    return _verified(g, _absorbing_parties(g, absorbing, comps), absorbing)
 
 
 def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
@@ -380,8 +384,8 @@ def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
 
     An absorbing set's decomposition is the union of the coalition parties
     of its factor sets' decompositions, each built on its factor's game
-    (and graph: only a non-trivial set needs one, and a factor without a
-    graph has trivial sets only), plus one pool of the remaining agents; it
+    from the ring components the analysis works out once per factor set
+    (``Analysis.factor_rings``), plus one pool of the remaining agents; it
     is re-checked against the whole game and its absorbing set, as
     ``from_absorbing_set`` re-checks.
     """
@@ -398,7 +402,7 @@ def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
             if own is None:
                 own = memo[(fi, fa)] = [
                     p
-                    for p in _absorbing_parties(f.game, fa, f.graph, an.limit)
+                    for p in _absorbing_parties(f.game, fa, an.factor_rings(fi, fa))
                     if p.kind != POOL
                 ]
             for p in own:

@@ -121,17 +121,13 @@ class DominationGraph:
     """Immutable domination digraph over a set of structures.
 
     ``adj[v]`` lists ``(target_id, via_mask)`` pairs in ascending via order.
-    Strongly connected components, condensation reachability, the sink
-    components (``absorbing.sink_components``) and the ring components of
-    each absorbing set (``rings.ring_components_of``) are computed once on
-    demand and memoized; reachability queries never materialize a
-    node-by-node matrix.
+    Strongly connected components, condensation reachability and the sink
+    components (``absorbing.sink_components``) are computed once on demand
+    and memoized; reachability queries never materialize a node-by-node
+    matrix.
     """
 
-    __slots__ = (
-        "nodes", "adj", "seeds", "_index", "_comps", "_comp_of", "_reach",
-        "_sinks", "_rings",
-    )
+    __slots__ = ("nodes", "adj", "seeds", "_index", "_comps", "_comp_of", "_reach", "_sinks")
 
     def __init__(self, nodes, adj, seeds):
         self.nodes: list[tuple[int, ...]] = nodes
@@ -143,8 +139,6 @@ class DominationGraph:
         self._reach = None
         # the absorbing sets, filled by absorbing.py
         self._sinks = None
-        # absorbing-set members -> its ring components, filled by rings.py
-        self._rings: dict = {}
 
     def __len__(self) -> int:
         return len(self.nodes)

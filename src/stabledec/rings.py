@@ -5,12 +5,10 @@ unanimously preferred to its predecessor, cyclically. A ring component is a
 collection of permissible coalitions that (i) pairwise transitively prefer
 each other within the collection and (ii) break every one of their own
 maximal sets from within. Ring components are recovered from a non-trivial
-absorbing set by extracting a ring from a cycle through every edge and
-merging rings that share a coalition. Each cycle closes its edge ``u -> v``
-with a shortest path back from ``v``; one breadth-first search per member
-``v``, stopped once it has discovered every in-neighbour of ``v``, serves
-all edges into ``v``. The components are memoized on the domination graph
-per absorbing set.
+absorbing set by extracting a ring from a cycle through every edge, closed
+by a shortest path back, and merging rings that share a coalition. The
+searches stop once every strongly connected component of the set's step
+digraph is one merged family (``_ring_families``).
 """
 
 from __future__ import annotations
@@ -188,8 +186,9 @@ def compact_collection(g: Game, coalitions: Iterable[int]) -> list[tuple[int, ..
     return list(component(g, coalitions).compact)
 
 
-def _extract_rings(G: DominationGraph, absorbing) -> set[tuple[int, ...]]:
-    """Canonical rotations of the rings read off the absorbing set's cycles.
+def _ring_families(G: DominationGraph, absorbing) -> list[set[int]]:
+    """The rings read off the absorbing set's cycles, merged on shared
+    coalitions, in the order of their sorted coalitions.
 
     Every edge ``u -> v`` inside the set closes a cycle with the shortest
     path ``v -> u`` that breadth-first search from ``v`` finds; a ring is
@@ -198,27 +197,46 @@ def _extract_rings(G: DominationGraph, absorbing) -> set[tuple[int, ...]]:
     in-neighbour is discovered, and since a node's search-tree parent is
     fixed when it is first discovered, each path equals the one a search
     from ``v`` stopping at that single in-neighbour would find.
+
+    A ring steps from a coalition to the first later via meeting it, and
+    the coalition stands until then: each step goes from a coalition of a
+    member ``u`` to the via of an edge ``u -> v`` that meets it. So every
+    ring is a cycle of this step digraph, inside one of its strongly
+    connected components, and once each component of two or more
+    coalitions is one family, no further ring can change a family.
     """
     ids = [G.node_id(pi) for pi in absorbing.members]
     adj = G.adj
-    # in-edges of each member, as parallel source and via lists
+    # in-edges of each member, as parallel source and via lists, and the steps
     into_u: dict[int, list[int]] = {v: [] for v in ids}
     into_via: dict[int, list[int]] = {v: [] for v in ids}
+    steps: dict[int, set[int]] = {}
     for u in ids:
+        parts = [x for x in G.nodes[u] if x & (x - 1)]
         for v, via in adj[u]:
             if v not in into_u:
                 raise VerificationFailed("absorbing set has an outgoing edge")
             into_u[v].append(u)
             into_via[v].append(via)
+            for x in parts:
+                if x & via:
+                    steps.setdefault(x, set()).add(via)
+    masks = sorted(set(steps).union(*steps.values()))
+    index = {c: i for i, c in enumerate(masks)}
+    sccs = _tarjan([[(index[y],) for y in steps.get(c, ())] for c in masks])
+    unmerged = [{masks[i] for i in comp} for comp in sccs if len(comp) > 1]
+    # coalition -> its family, one set shared by all of the family's coalitions
+    family: dict[int, set[int]] = {}
     # per-node search state, stamped with the search root instead of reset
     n = len(G)
     seen_by = [-1] * n
     want = [-1] * n
     prev = [0] * n
     pvia = [0] * n
-    rings: set[tuple[int, ...]] = set()
     tried: set[tuple[int, ...]] = set()
     for v in ids:
+        if not unmerged:
+            break
         left = 0
         for u in into_u[v]:
             if want[u] != v:
@@ -254,60 +272,33 @@ def _extract_rings(G: DominationGraph, absorbing) -> set[tuple[int, ...]]:
                 continue
             tried.add(vias)
             for s in range(len(vias)):
-                rings.add(canonical_rotation(_ring_from_vias(vias, s)))
-    return rings
+                ring = _ring_from_vias(vias, s)
+                merged = set(ring).union(*(family.get(c, ()) for c in ring))
+                for c in merged:
+                    family[c] = merged
+        unmerged = [comp for comp in unmerged if family.get(min(comp)) != comp]
+    groups = {id(f): f for f in family.values()}
+    return sorted(groups.values(), key=lambda f: tuple(sorted(f)))
 
 
-def _merged_components(g: Game, rings: set[tuple[int, ...]], absorbing) -> list[RingComponent]:
-    """Rings merged on shared coalitions, to a fixed point, and kept when a
-    ring component. A family that misses a member of the absorbing set is no
-    party of its decomposition, so only a covering one must pass."""
-    parent: dict[int, int] = {}
+def ring_components_of(g: Game, absorbing, G: DominationGraph) -> list[RingComponent]:
+    """All ring components carried by a non-trivial absorbing set of ``G``.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ring in sorted(rings):
-        for c in ring:
-            parent.setdefault(c, c)
-        base = find(ring[0])
-        for c in ring[1:]:
-            r = find(c)
-            if r != base:
-                parent[r] = base
-    groups: dict[int, set[int]] = {}
-    for c in parent:
-        groups.setdefault(find(c), set()).add(c)
+    The merged ring families of the set (``_ring_families``) are analyzed
+    once each, and those that are ring components are kept. A family that
+    misses a member of the set is no party of its decomposition, so only a
+    covering one must pass. Each call works the components out anew.
+    """
+    if absorbing.trivial:
+        raise TrivialAbsorbingSet("trivial absorbing sets carry no ring component")
     comps = []
-    for fam in sorted(groups.values(), key=lambda s: tuple(sorted(s))):
+    for fam in _ring_families(G, absorbing):
         rc = _ring_component(g, fam)
         if rc is not None:
             comps.append(rc)
         elif all(fam.intersection(pi) for pi in absorbing.members):
             raise VerificationFailed("merged ring family fails the ring component test")
     return comps
-
-
-def ring_components_of(g: Game, absorbing, G: DominationGraph) -> list[RingComponent]:
-    """All ring components carried by a non-trivial absorbing set.
-
-    For every edge inside the set a cycle through it is completed with a
-    shortest return path, found by one breadth-first search per member that
-    stops once all of the member's in-neighbours are discovered. Rings are
-    extracted from every start position of each cycle, merged on shared
-    coalitions, and the merged families are analyzed once each. The result
-    is memoized on ``G`` per absorbing set; each call returns a new list.
-    """
-    if absorbing.trivial:
-        raise TrivialAbsorbingSet("trivial absorbing sets carry no ring component")
-    comps = G._rings.get(absorbing.members)
-    if comps is None:
-        comps = _merged_components(g, _extract_rings(G, absorbing), absorbing)
-        G._rings[absorbing.members] = comps
-    return list(comps)
 
 
 def has_proper_ring(g: Game) -> bool:

@@ -9,6 +9,7 @@ from collections import deque
 import pytest
 
 from stabledec import (
+    Analysis,
     Game,
     NotACycle,
     NotARingComponent,
@@ -43,10 +44,13 @@ from stabledec import (
     sink_components,
     unanimously_prefers,
 )
+from stabledec import absorbing as absorbing_module
+from stabledec import dynamics as dynamics_module
 from stabledec import rings as rings_module
 from stabledec.cli import main
-from stabledec.rings import _extract_rings, _ring_from_vias
+from stabledec.rings import _ring_families, _ring_from_vias
 from conftest import C, make_structure
+from test_fuzz import FUZZ_GAMES
 
 
 @pytest.fixture(scope="module")
@@ -360,7 +364,110 @@ EXTRACTION_GAMES = {
 }
 
 
+def _extract_rings(G, absorbing):
+    """Reference extraction, run to the end: the canonical rotations of the
+    rings read off a cycle through every edge inside the absorbing set, one
+    breadth-first search per member, stopped once it has discovered every
+    in-neighbour of that member."""
+    ids = [G.node_id(pi) for pi in absorbing.members]
+    adj = G.adj
+    into_u = {v: [] for v in ids}
+    into_via = {v: [] for v in ids}
+    for u in ids:
+        for v, via in adj[u]:
+            if v not in into_u:
+                raise VerificationFailed("absorbing set has an outgoing edge")
+            into_u[v].append(u)
+            into_via[v].append(via)
+    n = len(G)
+    seen_by = [-1] * n
+    want = [-1] * n
+    prev = [0] * n
+    pvia = [0] * n
+    rings = set()
+    tried = set()
+    for v in ids:
+        left = 0
+        for u in into_u[v]:
+            if want[u] != v:
+                want[u] = v
+                left += 1
+        seen_by[v] = v
+        queue = [v]
+        head = 0
+        while left:
+            if head == len(queue):
+                raise VerificationFailed("absorbing set is not strongly connected")
+            x = queue[head]
+            head += 1
+            for w, wv in adj[x]:
+                if seen_by[w] != v:
+                    seen_by[w] = v
+                    prev[w] = x
+                    pvia[w] = wv
+                    queue.append(w)
+                    if want[w] == v:
+                        left -= 1
+        for u, via in zip(into_u[v], into_via[v]):
+            path = []
+            x = u
+            while x != v:
+                path.append(pvia[x])
+                x = prev[x]
+            path.append(via)
+            vias = tuple(reversed(path))
+            if vias in tried:
+                continue
+            tried.add(vias)
+            for s in range(len(vias)):
+                rings.add(canonical_rotation(rings_module._ring_from_vias(vias, s)))
+    return rings
+
+
+def _merged_components(g, rings, absorbing):
+    """Reference merge: rings merged on shared coalitions to a fixed point,
+    each family kept when it is a ring component; a family that covers
+    every member of the set and is none raises."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for ring in sorted(rings):
+        for c in ring:
+            parent.setdefault(c, c)
+        base = find(ring[0])
+        for c in ring[1:]:
+            r = find(c)
+            if r != base:
+                parent[r] = base
+    groups = {}
+    for c in parent:
+        groups.setdefault(find(c), set()).add(c)
+    comps = []
+    for fam in sorted(groups.values(), key=lambda s: tuple(sorted(s))):
+        rc = rings_module._ring_component(g, fam)
+        if rc is not None:
+            comps.append(rc)
+        elif all(fam.intersection(pi) for pi in absorbing.members):
+            raise VerificationFailed("merged ring family fails the ring component test")
+    return comps
+
+
+def _family_list(rings):
+    """The merged families of ``rings`` in the order of their sorted
+    coalitions, as ``_ring_families`` lists them."""
+    return sorted((set(f) for f in _merged_families(rings)), key=lambda f: tuple(sorted(f)))
+
+
 class TestExtractionMatchesPerEdgeSearch:
+    """The reference extraction against one search per edge, and the
+    library's families and components, whose searches stop early, against
+    both."""
+
     @pytest.mark.parametrize("name", sorted(EXTRACTION_GAMES))
     def test_generated(self, name):
         self._check(EXTRACTION_GAMES[name]())
@@ -375,7 +482,10 @@ class TestExtractionMatchesPerEdgeSearch:
         sinks = [a for a in sink_components(graph) if not a.trivial]
         assert sinks
         for a in sinks:
-            assert _extract_rings(graph, a) == _per_edge_rings(graph, a)
+            rings = _per_edge_rings(graph, a)
+            assert _extract_rings(graph, a) == rings
+            assert _ring_families(graph, a) == _family_list(rings)
+            assert ring_components_of(g, a, graph) == _merged_components(g, rings, a)
 
 
 class TestRingMergeSeed42:
@@ -397,6 +507,10 @@ class TestRingMergeSeed42:
             canonical_rotation(tuple(C(t) for t in ring))
             for ring in (("14", "15", "45"), ("47", "49", "79"), ("57", "59", "79"))
         }
+        assert _ring_families(graph, sink) == [
+            {C(t) for t in ("14", "15", "45")},
+            {C(t) for t in ("47", "49", "79", "57", "59")},
+        ]
 
     def test_merged_family_is_no_component(self, case):
         g, _, sink = case
@@ -431,19 +545,183 @@ class TestRingMemo:
 
     @pytest.mark.parametrize("fixture", ["g6", "g7"])
     def test_analyze_extracts_once_per_sink(self, fixture, request, monkeypatch, capsys):
+        # the ring section and the decompositions share one Analysis
         g = request.getfixturevalue(fixture)
         calls = []
 
         def counting(G, absorbing):
             calls.append(absorbing.members)
-            return _extract_rings(G, absorbing)
+            return _ring_families(G, absorbing)
 
-        monkeypatch.setattr(rings_module, "_extract_rings", counting)
+        monkeypatch.setattr(rings_module, "_ring_families", counting)
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(g.to_dict())))
         assert main(["analyze", "-", "--all", "--json"]) == 0
         nontrivial = [a.members for a in absorbing_sets(g) if not a.trivial]
         assert nontrivial
         assert sorted(calls) == sorted(nontrivial)
+
+
+class TestSearchesStopEarly:
+    """Every ring is a cycle of the step digraph (a coalition of a member
+    to the via of an out-edge meeting it), so once each of its strongly
+    connected components of two or more coalitions is one family, the
+    searches stop."""
+
+    @staticmethod
+    def _count_walks(monkeypatch):
+        # one ring walk per start position of each distinct cycle
+        walks = []
+        real = rings_module._ring_from_vias
+
+        def counting(vias, start_idx):
+            walks.append(vias)
+            return real(vias, start_idx)
+
+        monkeypatch.setattr(rings_module, "_ring_from_vias", counting)
+        return walks
+
+    @pytest.mark.parametrize("fixture", ["g6", "g7"])
+    def test_analyze_grows_no_graph_for_rings(self, fixture, request, monkeypatch, capsys):
+        g = request.getfixturevalue(fixture)
+        grown = []
+        real_grow = absorbing_module._grow
+
+        def counting(*args):
+            grown.append(args[0])
+            return real_grow(*args)
+
+        monkeypatch.setattr(absorbing_module, "_grow", counting)
+        monkeypatch.setattr(dynamics_module, "_grow", counting)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(g.to_dict())))
+        assert main(["analyze", "-", "--all", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ring_components"]
+        # one graph per factor that needs one, none for the rings
+        assert len(grown) == sum(f.graph is not None for f in Analysis(g).factors)
+
+    def test_fewer_ring_walks_than_the_full_extraction(self, monkeypatch):
+        g = roommate_to_game(random_roommate_spec(9, 0.7, seed=42))
+        graph = full_domination_graph(g)
+        (sink,) = [a for a in sink_components(graph) if not a.trivial]
+        walks = self._count_walks(monkeypatch)
+        full = _extract_rings(graph, sink)
+        all_walks = len(walks)
+        walks.clear()
+        families = _ring_families(graph, sink)
+        assert families == _family_list(full)
+        assert 0 < len(walks) < all_walks
+
+    def test_a_component_no_family_fills_runs_every_search(self, monkeypatch):
+        # roommate (8, 0.9) seed 882: one step-digraph component also holds
+        # {1,6}, {3,6} and {2,8}, which no ring holds, so it never becomes
+        # one family and every member is searched
+        g = roommate_to_game(random_roommate_spec(8, 0.9, seed=882))
+        graph = full_domination_graph(g)
+        (sink,) = [a for a in sink_components(graph) if not a.trivial]
+        walks = self._count_walks(monkeypatch)
+        full = _extract_rings(graph, sink)
+        all_walks = len(walks)
+        walks.clear()
+        families = _ring_families(graph, sink)
+        assert families == _family_list(full)
+        assert not {C("16"), C("36"), C("28")} & set().union(*families)
+        assert len(walks) == all_walks
+        assert ring_components_of(g, sink, graph) == _merged_components(g, full, sink)
+
+
+# Games where the strongly connected components of the unanimous-improvement
+# digraph over the coalitions held in a non-trivial absorbing set differ from
+# its ring families, found by a sweep over random_game(n, p, seed) and
+# random_roommate_spec(8, 0.9, seed): an extra component no ring reaches, or a
+# component that swallows a coalition no ring holds and then fails the test.
+COALITION_SCC_COUNTEREXAMPLES = (
+    (6, 0.5, 8909), (6, 0.7, 8149), (6, 0.9, 942), (7, 0.5, 4100), (7, 0.5, 14642),
+    (7, 0.5, 17190), (7, 0.65, 14454), (7, 0.8, 6594), (7, 0.8, 7726), (7, 0.8, 15053),
+    (8, 0.4, 710),
+)
+ROOMMATE_SCC_COUNTEREXAMPLES = (59, 1423, 1661, 1876)
+
+# label -> make: every fuzz game, roommate games (n = 9) of the benchmark's
+# first two populations and seed 42, a slice of random seven-agent games, and
+# the counterexamples above; about 10 s in all on a 2-core x86-64 machine
+ROUTE_GAMES = {
+    **FUZZ_GAMES,
+    **{
+        f"roommate9-{s}": (lambda s=s: roommate_to_game(random_roommate_spec(9, 0.7, s)))
+        for s in list(range(1, 61)) + [42]
+    },
+    **{
+        f"random7-{p}-{s}": (lambda p=p, s=s: random_game(7, p, s))
+        for p in (0.35, 0.5, 0.65, 0.8)
+        for s in range(2001, 2101)
+    },
+    **{
+        f"random{n}-{p}-{s}": (lambda n=n, p=p, s=s: random_game(n, p, s))
+        for n, p, s in COALITION_SCC_COUNTEREXAMPLES
+    },
+    **{
+        f"roommate8-0.9-{s}": (lambda s=s: roommate_to_game(random_roommate_spec(8, 0.9, s)))
+        for s in ROOMMATE_SCC_COUNTEREXAMPLES + (882,)
+    },
+}
+
+
+@pytest.mark.parametrize("label", list(ROUTE_GAMES))
+def test_components_match_the_full_extraction(label):
+    """The ring components, whose searches stop early, equal the reference
+    extraction's, content and order, on every non-trivial absorbing set."""
+    g = ROUTE_GAMES[label]()
+    graph = full_domination_graph(g)
+    for a in sink_components(graph):
+        if a.trivial:
+            continue
+        try:
+            want = _merged_components(g, _extract_rings(graph, a), a)
+        except VerificationFailed as exc:
+            with pytest.raises(VerificationFailed, match=str(exc)):
+                ring_components_of(g, a, graph)
+        else:
+            assert ring_components_of(g, a, graph) == want
+
+
+class TestCoalitionSccsAreNotTheComponents:
+    """The strongly connected components of the unanimous-improvement
+    digraph over the coalitions held in some member of the set are not its
+    ring families: preferences alone can close a cycle that the dynamics
+    never run."""
+
+    @staticmethod
+    def _case(n, p, seed):
+        g = random_game(n, p, seed)
+        graph = full_domination_graph(g)
+        (sink,) = [a for a in sink_components(graph) if not a.trivial]
+        held = sorted({c for pi in sink.members for c in pi if c.bit_count() >= 2})
+        sccs = [
+            {held[i] for i in comp}
+            for comp in rings_module._pref_digraph_sccs(g, held)
+            if len(comp) >= 3
+        ]
+        return g, graph, sink, sccs
+
+    def test_a_component_that_no_ring_reaches(self):
+        g, graph, sink, sccs = self._case(6, 0.5, 8909)
+        extra = {C(t) for t in ("145", "46", "56")}
+        assert extra in sccs
+        assert is_ring_component(g, extra)
+        assert not extra & set().union(*_extract_rings(graph, sink))
+        assert [rc.coalitions for rc in ring_components_of(g, sink, graph)] == [
+            tuple(sorted(C(t) for t in ("12", "16", "26", "126")))
+        ]
+
+    def test_a_swallowed_coalition_fails_the_test(self):
+        g, graph, sink, sccs = self._case(7, 0.5, 4100)
+        family = {
+            C(t) for t in ("13", "134", "17", "27", "127", "37", "137", "237", "147", "1247", "347")
+        }
+        assert family | {C("346")} in sccs
+        assert not is_ring_component(g, family | {C("346")})
+        assert family in _family_list(_extract_rings(graph, sink))
+        assert tuple(sorted(family)) in [rc.coalitions for rc in ring_components_of(g, sink, graph)]
 
 
 def _reference_is_ring_component(g, coalitions):
