@@ -32,8 +32,8 @@ from .errors import LimitExceeded, TrivialAbsorbingSet, VerificationFailed
 from .structures import (
     DEFAULT_LIMIT,
     _count_structures,
+    _keyed_structures,
     _parts_by_agent,
-    enumerate_structures,
     is_stable,
     render_structure,
     structure_key,
@@ -62,18 +62,25 @@ def full_domination_graph(g: Game, limit: int = DEFAULT_LIMIT) -> DominationGrap
 
     Structures stream in lazily; domination never leaves the structure
     space, so seeding growth with all of them yields the complete graph.
-    Enumeration already yields each valid structure once, canonical and in
-    ``structure_key`` order, so the seeds skip ``grow_graph``'s validation
-    and sort; nodes and edges come out the same.
+    Enumeration already yields each valid structure once, canonical, in
+    ``structure_key`` order and with its key, so the seeds skip
+    ``grow_graph``'s validation, sort and keying; nodes and edges come out
+    the same. Every node is a seed, so node ids are in ``structure_key``
+    order.
     """
-    return _grow(g, enumerate_structures(g, limit=limit), limit)
+    return _grow(g, _keyed_structures(g, limit), limit)
 
 
 def sink_components(G: DominationGraph) -> list[AbsorbingSet]:
-    """Sink SCCs of the graph as absorbing sets, canonically ordered.
+    """Sink SCCs of the graph as absorbing sets, canonically ordered: the
+    members of each set by ``structure_key``, and the sets by their least
+    member.
 
-    Computed once per graph and memoized on it; each call returns a new
-    list.
+    On a graph whose node ids are in ``structure_key`` order
+    (``DominationGraph.key_ordered``), such as every full graph, that is
+    id order, and no key is computed; on any other graph the members are
+    sorted by key. Computed once per graph and memoized on it; each call
+    returns a new list.
     """
     if G._sinks is None:
         G._sinks = _scan_sinks(G)
@@ -92,12 +99,16 @@ def _scan_sinks(G: DominationGraph) -> list[AbsorbingSet]:
             if comp_of[w] != cv:
                 has_out[cv] = True
                 break
-    sets = []
-    for ci, comp in enumerate(comps):
-        if has_out[ci]:
-            continue
-        structures = sorted((G.nodes[v] for v in comp), key=structure_key)
-        sets.append(AbsorbingSet(tuple(structures)))
+    sinks = [comp for ci, comp in enumerate(comps) if not has_out[ci]]
+    nodes = G.nodes
+    if G.key_ordered():
+        # each component is sorted by id, so its least id comes first
+        sinks.sort(key=lambda comp: comp[0])
+        return [AbsorbingSet(tuple(nodes[v] for v in comp)) for comp in sinks]
+    sets = [
+        AbsorbingSet(tuple(sorted((nodes[v] for v in comp), key=structure_key)))
+        for comp in sinks
+    ]
     return sorted(sets, key=lambda a: structure_key(a.members[0]))
 
 
@@ -224,7 +235,7 @@ def _factor(g: Game, limit: int) -> Factor:
     stable = _stable_matchings(g)
     if stable:
         return Factor(g, tuple(AbsorbingSet((pi,)) for pi in stable), None)
-    graph = _grow(g, enumerate_structures(g, limit=limit), limit)
+    graph = _grow(g, _keyed_structures(g, limit), limit)
     return Factor(g, tuple(sink_components(graph)), graph)
 
 

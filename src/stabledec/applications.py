@@ -3,10 +3,12 @@
 Roommate and marriage specs list acceptable partners per agent; both reduce
 to coalition formation games whose permissible coalitions are the mutually
 acceptable pairs. ``converges_to_stability`` decides whether every structure
-can reach a stable one. On a domination graph it decides by reverse
-reachability and cross-checks against sink triviality; a factored analysis
-runs that on every factor with a graph, while a pair-only factor with a
-stable structure converges by theorem and has no graph to check.
+can reach a stable one. On a domination graph with no stable structure the
+answer is no, with the least structure as witness; otherwise one walk over
+the graph's memoized SCCs, in reverse topological order, decides it. Both
+cases cross-check against sink triviality. A factored analysis runs that on
+every factor with a graph, while a pair-only factor with a stable structure
+converges by theorem and has no graph to check.
 """
 
 from __future__ import annotations
@@ -126,32 +128,33 @@ def converges_to_stability(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Whether every structure can reach a stable one under domination.
 
-    Returns ``(True, None)`` or ``(False, witness)`` with a structure from
-    which no stable structure is reachable. Decided by reverse reachability
-    from the stable structures and cross-checked against triviality of the
-    sink components; the two routes must agree.
+    Returns ``(True, None)`` or ``(False, witness)`` with the least
+    structure, by ``structure_key``, from which no stable structure is
+    reachable. On a graph with no stable structure that is its least
+    structure. Otherwise the memoized SCCs are walked once in Tarjan's
+    reverse topological order: a component reaches a stable structure when
+    it holds one or has an edge into a component that reaches one. The
+    verdict is cross-checked against triviality of the sink components; the
+    two routes must agree.
 
     Without ``graph`` the verdict comes from ``factored_convergence``, per
     factor; with it, from that graph.
     """
     if graph is None:
         return factored_convergence(Analysis(g, limit))
-    stable_ids = [v for v in range(len(graph)) if not graph.adj[v]]
-    reached = [False] * len(graph)
-    incoming: list[list[int]] = [[] for _ in range(len(graph))]
-    for u in range(len(graph)):
-        for v, _via in graph.adj[u]:
-            incoming[v].append(u)
-    frontier = list(stable_ids)
-    for v in frontier:
-        reached[v] = True
-    while frontier:
-        v = frontier.pop()
-        for u in incoming[v]:
-            if not reached[u]:
-                reached[u] = True
-                frontier.append(u)
-    stragglers = [graph.nodes[v] for v in range(len(graph)) if not reached[v]]
+    adj = graph.adj
+    if graph.nodes and all(adj):
+        stragglers = range(len(graph))
+    else:
+        comps = graph.sccs()
+        comp_of = graph._comp_of
+        good = [False] * len(comps)
+        # every edge leaving a component points at a lower index
+        for ci, comp in enumerate(comps):
+            good[ci] = any(
+                not adj[v] or any(good[comp_of[w]] for w, _ in adj[v]) for v in comp
+            )
+        stragglers = [v for v in range(len(graph)) if not good[comp_of[v]]]
     verdict = not stragglers
 
     trivial_sinks = all(a.trivial for a in sink_components(graph))
@@ -161,7 +164,9 @@ def converges_to_stability(
         )
     if verdict:
         return True, None
-    return False, min(stragglers, key=structure_key)
+    if graph.key_ordered():
+        return False, graph.nodes[stragglers[0]]
+    return False, min((graph.nodes[v] for v in stragglers), key=structure_key)
 
 
 def factored_convergence(an: Analysis) -> tuple[bool, tuple[int, ...] | None]:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .core import Game, compact_coalition, game_from_dict, parse_game_dsl, render_coalition
 from .errors import LimitExceeded, MalformedInput, MalformedParty, StabledecError
-from .structures import DEFAULT_LIMIT, render_structure
+from .structures import DEFAULT_LIMIT
 from .dynamics import to_dot
 from .rings import RingComponent
 from .absorbing import AbsorbingSet, Analysis, full_domination_graph
@@ -231,19 +231,27 @@ def _render_json(report: Report, args) -> None:
         return
     g = report.game
     sinks = report.absorbing_sets
+    # every part of a structure is a singleton or a permissible coalition:
+    # render each once, not once per structure holding it
+    names = {c: render_coalition(c) for c in g.permissible}
+    names.update((1 << b, f"{{{b + 1}}}") for b in range(g.n))
+
+    def structure_name(pi) -> str:
+        return " ".join([names[p] for p in pi])
+
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "agents": g.n,
-        "permissible": [render_coalition(c) for c in g.permissible],
+        "permissible": [names[c] for c in g.permissible],
         "structures": report.structures,
-        "stable": [render_structure(a.members[0]) for a in sinks if a.trivial],
+        "stable": [structure_name(a.members[0]) for a in sinks if a.trivial],
     }
     if args.absorbing:
         doc["absorbing_sets"] = [
             {
                 "trivial": a.trivial,
                 "size": len(a),
-                "structures": [render_structure(pi) for pi in a.members],
+                "structures": [structure_name(pi) for pi in a.members],
             }
             for a in sinks
         ]
@@ -266,7 +274,7 @@ def _render_json(report: Report, args) -> None:
                     for p in d.parties
                 ],
                 "certificates": _certificates_json(g, d),
-                "d_structures": [render_structure(ds.structure) for ds in d_structures(g, d)],
+                "d_structures": [structure_name(ds.structure) for ds in d_structures(g, d)],
                 "generated_size": len(a),
             }
             for d, a in zip(report.decompositions, sinks)
@@ -274,7 +282,7 @@ def _render_json(report: Report, args) -> None:
     if report.converges is not None:
         ok, witness = report.converges
         doc["converges"] = ok
-        doc["witness"] = None if ok else render_structure(witness)
+        doc["witness"] = None if ok else structure_name(witness)
     print(json.dumps(doc, indent=2))
 
 

@@ -125,6 +125,11 @@ class DominationGraph:
     components (``absorbing.sink_components``) are computed once on demand
     and memoized; reachability queries never materialize a node-by-node
     matrix.
+
+    Seeds are numbered first, in ``structure_key`` order, and discovered
+    nodes after them. So when every node is a seed (``key_ordered``), as on
+    every full graph, node ids are in ``structure_key`` order, and the least
+    id of a set of nodes is its least structure.
     """
 
     __slots__ = ("nodes", "adj", "seeds", "_index", "_comps", "_comp_of", "_reach", "_sinks")
@@ -151,6 +156,11 @@ class DominationGraph:
             return self._index[pi]
         except KeyError:
             raise NodeNotInGraph(f"{render_structure(pi)} is not in the graph") from None
+
+    def key_ordered(self) -> bool:
+        """Whether node ids follow ``structure_key`` order: true when every
+        node is a seed."""
+        return len(self.seeds) == len(self.nodes)
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj)
@@ -233,17 +243,20 @@ def grow_graph(g: Game, seeds: Iterable, limit: int = DEFAULT_LIMIT) -> Dominati
     seed_structs = sorted(
         {structure_from_parts(g, pi) for pi in seeds}, key=structure_key
     )
-    return _grow(g, seed_structs, limit)
+    bit = g.expansion().bit
+    keyed = ((pi, sum(bit[p] for p in pi if p & (p - 1))) for pi in seed_structs)
+    return _grow(g, keyed, limit)
 
 
-def _grow(g: Game, seed_structs: Iterable, limit: int) -> DominationGraph:
+def _grow(g: Game, keyed_seeds: Iterable, limit: int) -> DominationGraph:
     """``grow_graph`` for seeds that are already valid, canonical, distinct
-    and sorted by ``structure_key``; they are taken as given."""
+    and sorted by ``structure_key``, each paired with its key: the K-bitset
+    of its non-single parts, which identifies a structure here. They are
+    taken as given."""
     ks = g.permissible
-    bit, better, meets = g.expansion()
+    _, better, meets = g.expansion()
     nodes: list[tuple[int, ...]] = []
     adj: list[list[tuple[int, int]]] = []
-    # a structure is identified by the K-bitset of its non-single parts
     keys: list[int] = []
     index: dict[int, int] = {}
 
@@ -257,8 +270,8 @@ def _grow(g: Game, seed_structs: Iterable, limit: int) -> DominationGraph:
         index[key] = v
         return v
 
-    for pi in seed_structs:
-        add_node(pi, sum(bit[p] for p in pi if p & (p - 1)))
+    for pi, key in keyed_seeds:
+        add_node(pi, key)
     seed_ids = tuple(range(len(nodes)))
 
     v = 0

@@ -143,45 +143,67 @@ def enumerate_structures(g: Game, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[
     """Lazily yield every coalition structure of the game once, canonical
     and in ``structure_key`` order.
 
-    Recursion assigns the least unassigned agent a part: its singleton
+    The walk assigns the least unassigned agent a part: its singleton
     first, then each disjoint permissible coalition in member order. So no
     structure is produced twice, no dedup set is needed, and no sort
     either: ``full_domination_graph`` relies on that order. Raises
     ``LimitExceeded`` before yielding structure ``limit + 1``.
     """
+    for pi, _ in _keyed_structures(g, limit):
+        yield pi
+
+
+def _keyed_structures(
+    g: Game, limit: int = DEFAULT_LIMIT
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``enumerate_structures`` with each structure's key: the K-bitset of
+    its non-single parts (``Game.expansion``), which identifies it in
+    ``dynamics._grow``.
+
+    One iterative walk: a frame per part being placed holds its remaining
+    options, the agents placed before it and their key.
+    """
     full = (1 << g.n) - 1
-    by_agent = _parts_by_agent(g)
+    bit = g.expansion().bit
+    # (part, its K-bit) per agent; a singleton has none
+    options = [[(c, bit.get(c, 0)) for c in own] for own in _parts_by_agent(g)]
     count = 0
     parts: list[int] = []
-
-    def rec(used: int) -> Iterator[tuple[int, ...]]:
-        nonlocal count
-        if used == full:
-            count += 1
-            if count > limit:
-                raise LimitExceeded(f"more than {limit} structures")
-            # parts were added in least-member order, already canonical
-            yield tuple(parts)
-            return
-        free = ~used & full
-        for c in by_agent[(free & -free).bit_length()]:
+    frames = [(iter(options[1]), 0, 0)]
+    while frames:
+        todo, used, key = frames[-1]
+        for c, b in todo:
             if c & used:
                 continue
+            placed = used | c
             parts.append(c)
-            yield from rec(used | c)
-            parts.pop()
-
-    yield from rec(0)
+            if placed == full:
+                count += 1
+                if count > limit:
+                    raise LimitExceeded(f"more than {limit} structures")
+                # parts were added in least-member order, already canonical
+                yield tuple(parts), key | b
+                parts.pop()
+                continue
+            free = ~placed & full
+            frames.append((iter(options[(free & -free).bit_length()]), placed, key | b))
+            break
+        else:
+            # every option of this frame is done: undo the part that led here
+            frames.pop()
+            if parts:
+                parts.pop()
 
 
 def _count_structures(g: Game, limit: int = DEFAULT_LIMIT) -> int:
     """The number of coalition structures, without enumerating them.
 
-    The recursion of ``enumerate_structures``, memoized on the set of agents
-    already placed: the structures completing that set depend on it alone.
-    Raises ``LimitExceeded`` as soon as one set has more than ``limit``
-    completions; each set it reaches is placed by some structure, and its
-    completions give that many distinct structures of the game.
+    The walk of ``enumerate_structures`` as a recursion, memoized on the
+    set of agents already placed: the structures completing that set
+    depend on it alone. Raises ``LimitExceeded`` as soon as one set has
+    more than ``limit`` completions; each set it reaches is placed by some
+    structure, and its completions give that many distinct structures of
+    the game.
     """
     full = (1 << g.n) - 1
     by_agent = _parts_by_agent(g)

@@ -11,6 +11,7 @@ from stabledec import (
     MalformedInput,
     VerificationFailed,
     absorbing_sets,
+    converges_to_stability,
     dominate_via,
     enumerate_structures,
     full_domination_graph,
@@ -23,7 +24,9 @@ from stabledec import (
     structure_key,
 )
 from stabledec import absorbing as absorbing_module
+from stabledec import applications as applications_module
 from stabledec import dynamics as dynamics_module
+from stabledec import structures as structures_module
 from stabledec.cli import main
 from conftest import GENERATED_GAMES, GENERATED_IDS, make_structure, parts
 
@@ -77,10 +80,30 @@ class TestTrustedSeeds:
             monkeypatch.setattr(
                 dynamics_module, name, counting(name, getattr(dynamics_module, name))
             )
-        assert len(full_domination_graph(g7)) == 32
+        for module in (absorbing_module, applications_module):
+            monkeypatch.setattr(
+                module, "structure_key", counting("structure_key", module.structure_key)
+            )
+        graph = full_domination_graph(g7)
+        assert len(graph) == 32
+        assert calls == []
+        # node ids are in key order, so the sinks and the witness need no key
+        assert len(sink_components(graph)) == 4
+        assert converges_to_stability(g7, graph=graph)[0] is False
         assert calls == []
         grow_graph(g7, [singleton_structure(7)])
         assert calls.count("structure_from_parts") == 1
+
+    @pytest.mark.parametrize("front,seed,make", GENERATED_GAMES, ids=GENERATED_IDS)
+    def test_keyed_enumeration(self, front, seed, make):
+        # the key of each structure is the K-bitset of its non-single parts
+        g = make(seed)
+        bit = g.expansion().bit
+        keyed = list(structures_module._keyed_structures(g))
+        assert [pi for pi, _ in keyed] == list(enumerate_structures(g))
+        assert [key for _, key in keyed] == [
+            sum(bit[p] for p in pi if p & (p - 1)) for pi, _ in keyed
+        ]
 
     @pytest.mark.parametrize(
         "seed,message",

@@ -273,7 +273,8 @@ class TestCounting:
     def test_marriage_grows_no_graph(self, monkeypatch):
         grows = _counting(monkeypatch, absorbing, "_grow")
         grows += _counting(monkeypatch, dynamics, "_grow")
-        enumerations = _counting(monkeypatch, absorbing, "enumerate_structures")
+        enumerations = _counting(monkeypatch, absorbing, "_keyed_structures")
+        enumerations += _counting(monkeypatch, structures, "_keyed_structures")
         enumerations += _counting(monkeypatch, structures, "enumerate_structures")
         _full_analysis(mar(5, 5, 3))
         assert grows == []
@@ -281,16 +282,17 @@ class TestCounting:
 
     def test_unstable_roommates_enumerate_once(self, monkeypatch):
         g = room(6, no_stable_roommates(6, 1)[0])
-        enumerations = _counting(monkeypatch, absorbing, "enumerate_structures")
+        enumerations = _counting(monkeypatch, absorbing, "_keyed_structures")
         grows = _counting(monkeypatch, absorbing, "_grow")
         _full_analysis(g)
-        assert enumerations == ["enumerate_structures"]
+        assert enumerations == ["_keyed_structures"]
         assert grows == ["_grow"]
 
     def test_limit_raises_before_any_enumeration(self, monkeypatch):
         # about 2.4e10 matchings of 20 agents who all accept each other
         g = roommate_to_game(random_roommate_spec(20, 1.0, 1))
-        calls = _counting(monkeypatch, absorbing, "enumerate_structures")
+        calls = _counting(monkeypatch, absorbing, "_keyed_structures")
+        calls += _counting(monkeypatch, structures, "_keyed_structures")
         calls += _counting(monkeypatch, structures, "enumerate_structures")
         calls += _counting(monkeypatch, absorbing, "_grow")
         calls += _counting(monkeypatch, dynamics, "_grow")
