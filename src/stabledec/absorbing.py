@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Game, lowest_agent, members
+from .core import Game, lowest_agent
 from .errors import LimitExceeded, TrivialAbsorbingSet, VerificationFailed
 from .structures import (
     DEFAULT_LIMIT,
@@ -143,12 +143,14 @@ def factor_games(g: Game) -> list[Game]:
     component's agents keep their rankings and every other agent ranks
     only their singleton. So its permissible set is the part of K inside
     the component, and its structures are the game's structures with every
-    agent outside the component single.
+    agent outside the component single. Each sub-game is built from the
+    game's already checked tables (``Game._restricted``), not validated
+    again.
     """
     comps = coalition_components(g)
     if len(comps) < 2:
         return [g]
-    return [Game(g.n, {i: g.rankings[i - 1] for i in members(m)}) for m in comps]
+    return [Game._restricted(g, m) for m in comps]
 
 
 class Factor(NamedTuple):

@@ -87,6 +87,13 @@ class Expansion(NamedTuple):
     coalitions blocking a structure are the AND of ``better`` over its
     parts. ``meets[j]`` marks the K-coalitions sharing an agent with
     ``permissible[j]``.
+
+    For K-coalitions ``c`` and ``m`` that share an agent, ``better[m] &
+    bit[c]`` is nonzero exactly when ``unanimously_prefers(g, c, m)``. So
+    the breakers of a maximal set are the AND of ``better`` over it, met
+    with the OR of its ``meets`` (``structures._breaking``), and a
+    coalition ``d`` dissents from ``c`` exactly when ``bit[c]`` lies in
+    ``meets[j(d)] & ~better[d]`` (``decomposition._prevention``).
     """
 
     bit: dict[int, int]
@@ -165,15 +172,36 @@ class Game:
             out.append(tuple(ranking))
         return tuple(out)
 
+    @classmethod
+    def _restricted(cls, g: Game, agents: int) -> Game:
+        """The sub-game of ``g`` on ``agents``, from ``g``'s checked tables
+        and with no second validation: every other agent ranks only their
+        singleton, so the permissible set is the part of K inside
+        ``agents``."""
+        sub = cls.__new__(cls)
+        sub.n = g.n
+        sub.rankings = tuple(
+            r if agents >> i & 1 else (1 << i,) for i, r in enumerate(g.rankings)
+        )
+        sub._pos = tuple(
+            p if agents >> i & 1 else {1 << i: 0} for i, p in enumerate(g._pos)
+        )
+        sub.permissible = tuple(c for c in g.permissible if not c & ~agents)
+        sub._kset = frozenset(sub.permissible)
+        sub._expansion = None
+        return sub
+
     def _permissible_set(self) -> tuple[int, ...]:
-        cands = set()
-        for ranking in self.rankings:
-            cands.update(c for c in ranking if c.bit_count() >= 2)
-        ks = []
-        for c in cands:
-            if all(self._key(i, c) < self._key(i, singleton(i)) for i in members(c)):
-                ks.append(c)
-        return tuple(sorted(ks))
+        # a coalition is permissible when each of its members lists it above
+        # their singleton: rankings hold each own coalition at most once
+        count: dict[int, int] = {}
+        for i, ranking in enumerate(self.rankings):
+            own = 1 << i
+            for c in ranking:
+                if c == own:
+                    break
+                count[c] = count.get(c, 0) + 1
+        return tuple(sorted(c for c, k in count.items() if k == c.bit_count()))
 
     def _key(self, i: int, c: int):
         # Listed coalitions sort by position; unlisted ones after all listed,

@@ -10,13 +10,14 @@ Stable decompositions correspond one-to-one with absorbing sets:
 ``generated_set`` rebuild the absorbing set.
 
 ``check_stable_decomposition`` decides the partition and protection by their
-definitions (``unprevented_breakers``). Only once every coalition party is
-protected does it decide the pool condition, through that correspondence
-rather than by searching the pool for parties: the condition holds when no
-permissible coalition lies inside the pool; without a ring party, such a
-coalition blocks the decomposition's only D-structure; otherwise the closure
-of the first D-structure must be one absorbing set whose parties are the
-decomposition's own.
+definitions (``unprevented_breakers``), protection with a few ANDs per party
+on the K-bitsets of ``Game.expansion`` (``_breakers``, ``_prevention``).
+Only once every coalition party is protected does it decide the pool
+condition, through that correspondence rather than by searching the pool
+for parties: the condition holds when no permissible coalition lies inside
+the pool; without a ring party, such a coalition blocks the decomposition's
+only D-structure; otherwise the closure of the first D-structure must be one
+absorbing set whose parties are the decomposition's own.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     VerificationFailed,
 )
 from .structures import (
-    DEFAULT_LIMIT, breaks_maximal_set, maximal_sets, structure_from_parts, structure_key,
+    DEFAULT_LIMIT, _breaking, maximal_sets, structure_from_parts, structure_key,
 )
 from .dynamics import grow_graph
 from .absorbing import AbsorbingSet, Analysis, sink_components
@@ -159,34 +160,82 @@ def _witnesses(g: Game, party: Party, c: int) -> list[tuple[int, int]] | None:
     return out
 
 
-def _prevented_by(g: Game, D: StableDecomposition, c: int) -> tuple[Party | None, list]:
-    # the first party of D preventing c with its witnesses, or (None, [])
-    for party in D.parties:
-        if party.kind == POOL or c in party.coalitions or not party.agents & c:
-            continue
-        witnesses = _witnesses(g, party, c)
-        if witnesses is not None:
-            return party, witnesses
-    return None, []
+def _kbit(bit: dict[int, int], c: int) -> int:
+    # the K-bit of a party's coalition, which a hand-built party may lack
+    b = bit.get(c)
+    if b is None:
+        raise MalformedParty(f"{render_coalition(c)} is not a permissible coalition")
+    return b
 
 
-def _breakers(g: Game, party: Party, D: StableDecomposition) -> list[tuple]:
-    """(breaker, *``_prevented_by``) for each breaker of the party, in
-    ``g.permissible`` order; the party's maximal sets are computed once."""
+def _breakers(g: Game, party: Party) -> int:
+    """The K-bits (``Game.expansion``) of the party's breakers: the
+    coalitions outside it that break one of its maximal sets, which are
+    computed once."""
     ks = [x for x in party.coalitions if x.bit_count() >= 2]
     if not ks:
-        return []
-    msets = maximal_sets(ks)
-    return [
-        (c, *_prevented_by(g, D, c))
-        for c in g.permissible
-        if c not in party.coalitions and any(breaks_maximal_set(g, c, m) for m in msets)
-    ]
+        return 0
+    bit = g.expansion().bit
+    own = found = 0
+    for c in ks:
+        own |= _kbit(bit, c)
+    for mset in maximal_sets(ks):
+        found |= _breaking(g, mset)
+    return found & ~own
+
+
+def _prevention(g: Game, D: StableDecomposition) -> list[tuple[Party, int]]:
+    """Each coalition party of ``D`` with the K-bits of the coalitions it
+    prevents, in ``D``'s order.
+
+    A coalition ``d`` dissents from ``c`` when a member of both prefers
+    ``d``: ``bit[c]`` lies in ``meets[j(d)] & ~better[d]``. A single party
+    prevents what its coalition dissents from, a ring party what some
+    coalition of each compact set dissents from; neither prevents its own
+    coalitions.
+    """
+    bit, better, meets = g.expansion()
+    out = []
+    for party in D.parties:
+        if party.kind == POOL:
+            continue
+        own = reach = 0
+        for c in party.coalitions:
+            b = _kbit(bit, c)
+            own |= b
+            reach |= meets[b.bit_length() - 1]
+        for E in party.compact if party.kind == RING else (party.coalitions,):
+            dissent = 0
+            for d in E:
+                dissent |= meets[_kbit(bit, d).bit_length() - 1] & ~better[d]
+            reach &= dissent
+        out.append((party, reach & ~own))
+    return out
+
+
+def _prevented(g: Game, D: StableDecomposition) -> int:
+    # the K-bits of the coalitions some party of D prevents
+    found = 0
+    for _, mask in _prevention(g, D):
+        found |= mask
+    return found
+
+
+def _coalitions(g: Game, bits: int) -> list[int]:
+    # the K-coalitions of a K-bitset, in ``g.permissible`` order
+    ks = g.permissible
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(ks[low.bit_length() - 1])
+        bits ^= low
+    return out
 
 
 def unprevented_breakers(g: Game, party: Party, D: StableDecomposition) -> list[int]:
     """Breakers of the party that no party of ``D`` prevents, ascending."""
-    return [c for c, by, _ in _breakers(g, party, D) if by is None]
+    found = _breakers(g, party)
+    return _coalitions(g, found & ~_prevented(g, D)) if found else []
 
 
 def is_protected(g: Game, party: Party, D: StableDecomposition) -> bool:
@@ -236,10 +285,11 @@ def _partition_and_protection(g: Game, D: StableDecomposition) -> list[Violation
     if union != full:
         violations.append(Violation("not-partition", None, None))
         return violations
+    prevented = _prevented(g, D)
     for p in D.parties:
         if p.kind == POOL:
             continue
-        bad = unprevented_breakers(g, p, D)
+        bad = _coalitions(g, _breakers(g, p) & ~prevented)
         if bad:
             violations.append(Violation("unprotected", p, bad[0]))
     return violations
@@ -474,12 +524,14 @@ def all_stable_decompositions(
 def protection_certificates(g: Game, D: StableDecomposition) -> list[dict]:
     """For every coalition party, each breaker with the party preventing it
     and the dissenting witnesses ((coalition, agent) pairs)."""
+    bit = g.expansion().bit
+    masks = _prevention(g, D)
     out = []
-    for party in D.parties:
-        if party.kind != POOL:
-            breakers = [
-                {"coalition": c, "prevented_by": by, "witnesses": witnesses}
-                for c, by, witnesses in _breakers(g, party, D)
-            ]
-            out.append({"party": party, "breakers": breakers})
+    for party, _ in masks:
+        breakers = []
+        for c in _coalitions(g, _breakers(g, party)):
+            by = next((p for p, mask in masks if mask & bit[c]), None)
+            witnesses = [] if by is None else _witnesses(g, by, c)
+            breakers.append({"coalition": c, "prevented_by": by, "witnesses": witnesses})
+        out.append({"party": party, "breakers": breakers})
     return out

@@ -26,7 +26,7 @@ from .errors import (
     TrivialAbsorbingSet,
     VerificationFailed,
 )
-from .structures import breaks_maximal_set, maximal_sets, render_structure
+from .structures import _breaking, maximal_sets, render_structure
 
 
 def is_ring(g: Game, seq: Sequence[int]) -> bool:
@@ -146,16 +146,25 @@ def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
     # digraph: an edge d -> e when e beats d on a shared agent
     if len(_pref_digraph_sccs(g, B)) != 1:
         return None
-    # condition (ii): each maximal set must be broken by an outside member
+    # condition (ii): each maximal set must be broken by a member, which
+    # lies outside it (``_breaking``); simple: every such breaker meets
+    # exactly one coalition of the set
+    bit, _, meets = g.expansion()
+    inside = 0
+    for c in B:
+        inside |= bit[c]
     maximal = tuple(maximal_sets(B))
+    simple = True
     for mset in maximal:
-        if not any(breaks_maximal_set(g, r, mset) for r in B if r not in mset):
+        found = _breaking(g, mset) & inside
+        if not found:
             return None
-    # simple: every breaker of a maximal set meets exactly one of its coalitions
-    simple = all(
-        sum(1 for m in mset if m & r) == 1
-        for mset in maximal for r in B if r not in mset and breaks_maximal_set(g, r, mset)
-    )
+        once = twice = 0
+        for m in mset:
+            hit = meets[bit[m].bit_length() - 1]
+            twice |= once & hit
+            once |= hit
+        simple = simple and not found & twice
     return RingComponent(B, simple, maximal, maximal if simple else tuple((r,) for r in B))
 
 

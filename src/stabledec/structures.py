@@ -109,6 +109,19 @@ def breaks_maximal_set(g: Game, c: int, mset: Iterable[int]) -> bool:
     return hit
 
 
+def _breaking(g: Game, mset: Iterable[int]) -> int:
+    """The K-bits (``Game.expansion``) of every coalition breaking the
+    maximal set of K-coalitions: those beating each member they meet
+    (the AND of ``better``) that meet some member (the OR of ``meets``).
+    A member never breaks its own set."""
+    bit, better, meets = g.expansion()
+    beats, hit = -1, 0
+    for m in mset:
+        beats &= better[m]
+        hit |= meets[bit[m].bit_length() - 1]
+    return beats & hit
+
+
 def breaks(g: Game, c: int, collection: Iterable[int]) -> bool:
     """Whether coalition ``c`` breaks the collection: some maximal set has a
     member meeting ``c`` and ``c`` beats every member it meets there."""

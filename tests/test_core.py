@@ -27,7 +27,19 @@ from stabledec import (
     transitively_prefers,
     unanimously_prefers,
 )
-from conftest import C, parts
+from conftest import GENERATED_GAMES, C, parts
+from test_fuzz import FUZZ_GAMES
+
+
+def _reference_permissible(g):
+    """K as computed before counting: coalitions every member keys below
+    their singleton."""
+    cands = set()
+    for ranking in g.rankings:
+        cands.update(c for c in ranking if c.bit_count() >= 2)
+    return tuple(sorted(
+        c for c in cands if all(g._key(i, c) < g._key(i, singleton(i)) for i in members(c))
+    ))
 
 
 class TestCoalitionMasks:
@@ -170,6 +182,16 @@ class TestPermissibleSet:
             ):
                 want.add(mask)
         assert got == want
+
+    def test_counting_matches_the_keys_on_fuzz_games(self):
+        for make in FUZZ_GAMES.values():
+            g = make()
+            assert g.permissible == _reference_permissible(g)
+
+    def test_counting_matches_the_keys_on_generated_games(self):
+        for _, seed, make in GENERATED_GAMES:
+            g = make(seed)
+            assert g.permissible == _reference_permissible(g)
 
 
 class TestPrefers:

@@ -42,7 +42,10 @@ from stabledec import (
     unprevented_breakers,
 )
 from stabledec.cli import main
+from stabledec.structures import _breaking, breaks_maximal_set, maximal_sets
 from conftest import GENERATED_GAMES, GENERATED_IDS, C, make_structure
+from test_factoring import UNIONS
+from test_fuzz import FUZZ_GAMES, _analyzed
 
 # the module, which the package's ``decomposition`` function shadows
 decomposition_module = importlib.import_module("stabledec.decomposition")
@@ -638,6 +641,11 @@ class TestBreakerWalkMatchesReference:
     def test_worked_examples(self, fixture, request):
         self._check(request.getfixturevalue(fixture))
 
+    @pytest.mark.parametrize("name", sorted(UNIONS))
+    def test_unions(self, name):
+        # several coalition components, as in the split-markets benchmark
+        self._check(UNIONS[name])
+
     def test_pool_party_has_no_breaker(self, g7, d7_plain):
         pool = Party(POOL, (C("1"), C("2")))
         assert unprevented_breakers(g7, pool, d7_plain) == []
@@ -665,3 +673,93 @@ class TestOneMaximalSetsPerParty:
                 del calls[:]
                 unprevented_breakers(g, p, d)
                 assert len(calls) == 1
+
+
+class TestBitsetsMatchDefinitions:
+    """The K-bitsets of breaking and prevention (``Game.expansion``) against
+    ``breaks_maximal_set`` and the prevention definition, on every coalition
+    party of the fuzz games' stable decompositions."""
+
+    @pytest.mark.parametrize("label", list(FUZZ_GAMES))
+    def test_fuzz(self, label):
+        g, _, decs = _analyzed(label)
+        bit = g.expansion().bit
+        for d in decs:
+            masks = decomposition_module._prevention(g, d)
+            assert [p for p, _ in masks] == [p for p in d.parties if p.kind != POOL]
+            for party, mask in masks:
+                for mset in maximal_sets(party.coalitions):
+                    assert decomposition_module._coalitions(g, _breaking(g, mset)) == [
+                        c for c in g.permissible if breaks_maximal_set(g, c, mset)
+                    ]
+                for c in g.permissible:
+                    assert bool(mask & bit[c]) == _reference_prevents(g, party, c)
+
+
+class TestNonPermissibleParty:
+    """A hand-built ``Party`` holding a coalition outside K is refused with
+    ``make_party``'s wording by every protection entry point."""
+
+    MESSAGE = r"^\{1,3\} is not a permissible coalition$"
+
+    @pytest.fixture
+    def bad(self, g7):
+        party = Party(SINGLE, (C("13"),))
+        return party, decomposition([party, Party(POOL, tuple(C(t) for t in "24567"))])
+
+    def test_make_party_wording(self, g7):
+        with pytest.raises(MalformedParty, match=self.MESSAGE):
+            make_party(g7, [C("13")])
+
+    def test_unprevented_breakers(self, g7, bad):
+        party, d = bad
+        with pytest.raises(MalformedParty, match=self.MESSAGE):
+            unprevented_breakers(g7, party, d)
+
+    def test_is_protected(self, g7, bad):
+        party, d = bad
+        with pytest.raises(MalformedParty, match=self.MESSAGE):
+            is_protected(g7, party, d)
+
+    def test_check_stable_decomposition(self, g7, bad):
+        _, d = bad
+        with pytest.raises(MalformedParty, match=self.MESSAGE):
+            check_stable_decomposition(g7, d)
+
+    def test_as_a_preventing_party(self, g7):
+        # {2,3} breaks {1,2}; the bad party would be asked whether it prevents it
+        good = Party(SINGLE, (C("12"),))
+        pool = Party(POOL, tuple(C(t) for t in "457"))
+        d = decomposition([good, Party(SINGLE, (C("36"),)), pool])
+        with pytest.raises(MalformedParty, match=r"^\{3,6\} is not a permissible coalition$"):
+            unprevented_breakers(g7, good, d)
+
+
+class TestWitnessesOnlyForCertificates:
+    def test_analyze_json(self, g7, tmp_path, monkeypatch, capsys):
+        """The re-check decides protection on the bitsets alone: ``analyze
+        --json`` looks for witnesses once per prevented breaker of its
+        certificates, and building the decompositions looks for none."""
+        calls = []
+        real = decomposition_module._witnesses
+
+        def counting(g, party, c):
+            calls.append(c)
+            return real(g, party, c)
+
+        monkeypatch.setattr(decomposition_module, "_witnesses", counting)
+        all_stable_decompositions(g7)
+        assert calls == []
+        path = tmp_path / "g7.json"
+        path.write_text(json.dumps(g7.to_dict()))
+        assert main(["analyze", str(path), "--all", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        prevented = [
+            b
+            for d in report["decompositions"]
+            for entry in d["certificates"]
+            for b in entry["breakers"]
+            if b["prevented_by"] is not None
+        ]
+        assert prevented
+        assert len(calls) == len(prevented)

@@ -119,6 +119,13 @@ for s in range(12):
     UNIONS[f"seeded-{s}"] = union(*pieces, isolated=s % 2)
 
 
+# UNIONS with several components, and unions shaped like the split-markets
+# benchmark games: random, roommate and 3x3 marriage games of six agents each
+SUB_GAME_CASES = {name: g for name, g in UNIONS.items() if len(coalition_components(g)) >= 2}
+for s in range(1, 13):
+    SUB_GAME_CASES[f"split-{s}"] = union(rnd(6, 0.6, s), room(6, 0.6, s), mar(s, 0.6))
+
+
 def outcome(fn):
     """The result of ``fn()``, or the library error it raises."""
     try:
@@ -265,6 +272,22 @@ class TestFactors:
         for sub in subs:
             count *= sum(1 for _ in enumerate_structures(sub))
         assert count == sum(1 for _ in enumerate_structures(g))
+
+    @pytest.mark.parametrize("name", sorted(SUB_GAME_CASES))
+    def test_sub_games_equal_games_built_anew(self, name):
+        # built from the parent's tables, each sub-game has the tables a
+        # validated Game of the component's rankings has
+        g = SUB_GAME_CASES[name]
+        subs = factor_games(g)
+        assert len(subs) >= 2
+        for sub, comp in zip(subs, coalition_components(g)):
+            fresh = Game(g.n, {i: g.rankings[i - 1] for i in members(comp)})
+            assert sub.n == fresh.n
+            assert sub.rankings == fresh.rankings
+            assert sub._pos == fresh._pos
+            assert sub.permissible == fresh.permissible
+            assert sub._kset == fresh._kset
+            assert sub.expansion() == fresh.expansion()
 
     def test_agent_sets_partition_the_linked_agents(self):
         g = UNIONS["random-roommate-marriage+2"]

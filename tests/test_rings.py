@@ -49,6 +49,7 @@ from stabledec import dynamics as dynamics_module
 from stabledec import rings as rings_module
 from stabledec.cli import main
 from stabledec.rings import _ring_families, _ring_from_vias
+from stabledec.structures import _breaking
 from conftest import C, make_structure
 from test_fuzz import FUZZ_GAMES
 
@@ -912,3 +913,21 @@ class TestOneAnalysisPerFamily:
         make_party(g7, [C(t) for t in RC7])
         make_party(g8, [C(t) for t in RC8])
         assert len(tests) == len(msets) == 2
+
+
+@pytest.mark.parametrize("label", list(FUZZ_GAMES))
+def test_breaking_bits_match_the_definition(label):
+    """On every maximal set of every ring family that ``_ring_component``
+    tests, the K-bits of ``_breaking`` are the coalitions that
+    ``breaks_maximal_set`` says break it."""
+    g = FUZZ_GAMES[label]()
+    ks = g.permissible
+    for f in Analysis(g).factors:
+        for a in f.sets:
+            if a.trivial:
+                continue
+            for fam in _ring_families(f.graph, a):
+                for mset in maximal_sets(fam):
+                    found = _breaking(g, mset)
+                    got = [c for j, c in enumerate(ks) if found >> j & 1]
+                    assert got == [c for c in ks if breaks_maximal_set(g, c, mset)]
