@@ -237,7 +237,7 @@ def _factor(g: Game, limit: int) -> Factor:
     stable = _stable_matchings(g)
     if stable:
         return Factor(g, tuple(AbsorbingSet((pi,)) for pi in stable), None)
-    graph = _grow(g, _keyed_structures(g, limit), limit)
+    graph = full_domination_graph(g, limit)
     return Factor(g, tuple(sink_components(graph)), graph)
 
 

@@ -107,20 +107,20 @@ class MarriageSpec:
         }
 
 
-def roommate_to_game(spec: RoommateSpec) -> Game:
+def _pair_game(spec: RoommateSpec | MarriageSpec) -> Game:
     rankings = {
         i: [coalition((i, p)) for p in spec.preferences[i]] + [coalition((i,))]
         for i in range(1, spec.n + 1)
     }
     return Game(spec.n, rankings)
+
+
+def roommate_to_game(spec: RoommateSpec) -> Game:
+    return _pair_game(spec)
 
 
 def marriage_to_game(spec: MarriageSpec) -> Game:
-    rankings = {
-        i: [coalition((i, p)) for p in spec.preferences[i]] + [coalition((i,))]
-        for i in range(1, spec.n + 1)
-    }
-    return Game(spec.n, rankings)
+    return _pair_game(spec)
 
 
 def converges_to_stability(

@@ -80,40 +80,38 @@ def _tarjan(adj) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on[root] = True
+        work = [(root, iter(adj[root]))]
         while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on[v] = True
-            descended = False
-            out = adj[v]
-            for k in range(ptr, len(out)):
-                w = out[k][0]
+            v, edges = work[-1]
+            for e in edges:
+                w = e[0]
                 if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on[w] = True
+                    work.append((w, iter(adj[w])))
                     break
-                if on[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
+                if on[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        on[w] = False
+                        comp.append(w)
+                    comps.append(comp)
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return comps
 
 
@@ -121,10 +119,9 @@ class DominationGraph:
     """Immutable domination digraph over a set of structures.
 
     ``adj[v]`` lists ``(target_id, via_mask)`` pairs in ascending via order.
-    Strongly connected components, condensation reachability and the sink
-    components (``absorbing.sink_components``) are computed once on demand
-    and memoized; reachability queries never materialize a node-by-node
-    matrix.
+    Strongly connected components and the sink components
+    (``absorbing.sink_components``) are computed once on demand and
+    memoized.
 
     Seeds are numbered first, in ``structure_key`` order, and discovered
     nodes after them. So when every node is a seed (``key_ordered``), as on
@@ -132,7 +129,7 @@ class DominationGraph:
     id of a set of nodes is its least structure.
     """
 
-    __slots__ = ("nodes", "adj", "seeds", "_index", "_comps", "_comp_of", "_reach", "_sinks")
+    __slots__ = ("nodes", "adj", "seeds", "_index", "_comps", "_comp_of", "_sinks")
 
     def __init__(self, nodes, adj, seeds):
         self.nodes: list[tuple[int, ...]] = nodes
@@ -141,7 +138,6 @@ class DominationGraph:
         self._index = {pi: v for v, pi in enumerate(nodes)}
         self._comps = None
         self._comp_of = None
-        self._reach = None
         # the absorbing sets, filled by absorbing.py
         self._sinks = None
 
@@ -185,39 +181,6 @@ class DominationGraph:
             self._comp_of = comp_of
         return self._comps
 
-    def comp_of(self, v: int) -> int:
-        self.sccs()
-        return self._comp_of[v]
-
-    def _reach_sets(self) -> list[int]:
-        # reach[c] = bitmask of components reachable from c (including c)
-        if self._reach is None:
-            comps = self.sccs()
-            cadj: list[set[int]] = [set() for _ in comps]
-            for v in range(len(self.nodes)):
-                cv = self._comp_of[v]
-                for w, _ in self.adj[v]:
-                    cw = self._comp_of[w]
-                    if cw != cv:
-                        cadj[cv].add(cw)
-            reach = [0] * len(comps)
-            # reverse topological emission: successors have lower indices
-            for c in range(len(comps)):
-                r = 1 << c
-                for d in cadj[c]:
-                    r |= reach[d]
-                reach[c] = r
-            self._reach = reach
-        return self._reach
-
-    def reaches(self, src: int, dst: int) -> bool:
-        """Whether a domination path of length >= 1 leads from src to dst."""
-        comps = self.sccs()
-        cs, cd = self._comp_of[src], self._comp_of[dst]
-        if cs == cd:
-            return src != dst or len(comps[cs]) >= 2
-        return bool(self._reach_sets()[cs] >> cd & 1)
-
 
 def transitively_dominates(G: DominationGraph, a, b, strict_self: bool = False) -> bool:
     """Whether ``a`` transitively dominates ``b`` in the graph.
@@ -229,7 +192,16 @@ def transitively_dominates(G: DominationGraph, a, b, strict_self: bool = False) 
     ia, ib = G.node_id(a), G.node_id(b)
     if strict_self and ia == ib:
         return False
-    return G.reaches(ib, ia)
+    seen = {ib}
+    todo = [ib]
+    while todo:
+        for w, _ in G.adj[todo.pop()]:
+            if w == ia:
+                return True
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return False
 
 
 def grow_graph(g: Game, seeds: Iterable, limit: int = DEFAULT_LIMIT) -> DominationGraph:
