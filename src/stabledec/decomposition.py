@@ -59,6 +59,10 @@ class Party:
     coalitions: tuple[int, ...]
     # compact sets of the ring component; empty for the other kinds
     compact: tuple[tuple[int, ...], ...] = field(default=())
+    # maximal sets of the ring component (``RingComponent.maximal``), which
+    # follow from the coalitions; empty for the other kinds and for a party
+    # built by hand, whose breakers then compute them
+    maximal: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
     @property
     def agents(self) -> int:
@@ -100,7 +104,7 @@ def make_party(g: Game, coalitions: Iterable) -> Party:
     rc = _rings._ring_component(g, masks)
     if rc is None:
         raise MalformedParty("multi-coalition parties must be ring components")
-    return Party(RING, masks, rc.compact)
+    return Party(RING, masks, rc.compact, rc.maximal)
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,8 @@ def _kbit(bit: dict[int, int], c: int) -> int:
 
 def _breakers(g: Game, party: Party) -> int:
     """The K-bits (``Game.expansion``) of the party's breakers: the
-    coalitions outside it that break one of its maximal sets, which are
+    coalitions outside it that break one of its maximal sets. A ring
+    party's maximal sets come from its ring component; otherwise they are
     computed once."""
     ks = [x for x in party.coalitions if x.bit_count() >= 2]
     if not ks:
@@ -179,7 +184,7 @@ def _breakers(g: Game, party: Party) -> int:
     own = found = 0
     for c in ks:
         own |= _kbit(bit, c)
-    for mset in maximal_sets(ks):
+    for mset in party.maximal or maximal_sets(ks):
         found |= _breaking(g, mset)
     return found & ~own
 
@@ -377,7 +382,7 @@ def _absorbing_parties(g: Game, absorbing: AbsorbingSet, comps) -> list[Party]:
         covered = 0
         for rc in comps:
             if all(any(r in ps for r in rc.coalitions) for ps in part_sets):
-                parties.append(Party(RING, rc.coalitions, rc.compact))
+                parties.append(Party(RING, rc.coalitions, rc.compact, rc.maximal))
                 for c in rc.coalitions:
                     covered |= c
         for c in g.permissible:

@@ -119,9 +119,13 @@ class DominationGraph:
     """Immutable domination digraph over a set of structures.
 
     ``adj[v]`` lists ``(target_id, via_mask)`` pairs in ascending via order.
-    Strongly connected components and the sink components
-    (``absorbing.sink_components``) are computed once on demand and
-    memoized.
+    ``keys[v]`` is node ``v``'s key: the K-bitset (``Game.expansion``) of its
+    non-single parts, which identifies the structure within its game. For
+    an edge ``u -> v`` via ``c``, ``keys[v] & ~keys[u]`` is the bit of ``c``
+    and ``keys[u] & ~keys[v]`` the bits of the parts of ``u`` that meet
+    ``c``, which its formation dissolves. Strongly connected components and
+    the sink components (``absorbing.sink_components``) are computed once
+    on demand and memoized.
 
     Seeds are numbered first, in ``structure_key`` order, and discovered
     nodes after them. So when every node is a seed (``key_ordered``), as on
@@ -129,11 +133,12 @@ class DominationGraph:
     id of a set of nodes is its least structure.
     """
 
-    __slots__ = ("nodes", "adj", "seeds", "_index", "_comps", "_comp_of", "_sinks")
+    __slots__ = ("nodes", "adj", "keys", "seeds", "_index", "_comps", "_comp_of", "_sinks")
 
-    def __init__(self, nodes, adj, seeds):
+    def __init__(self, nodes, adj, keys, seeds):
         self.nodes: list[tuple[int, ...]] = nodes
         self.adj: list[list[tuple[int, int]]] = adj
+        self.keys: list[int] = keys
         self.seeds: tuple[int, ...] = tuple(seeds)
         self._index = {pi: v for v, pi in enumerate(nodes)}
         self._comps = None
@@ -209,8 +214,9 @@ def grow_graph(g: Game, seeds: Iterable, limit: int = DEFAULT_LIMIT) -> Dominati
 
     Each seed is validated and canonicalized (``structure_from_parts``),
     duplicates are dropped and the rest sorted by ``structure_key``. Nodes
-    are numbered by discovery order starting from those seeds; successor
-    edges per node come in ascending via order.
+    are numbered by discovery order starting from those seeds, and each
+    keeps its key (``DominationGraph.keys``); successor edges per node come
+    in ascending via order.
     """
     seed_structs = sorted(
         {structure_from_parts(g, pi) for pi in seeds}, key=structure_key
@@ -225,26 +231,19 @@ def _grow(g: Game, keyed_seeds: Iterable, limit: int) -> DominationGraph:
     and sorted by ``structure_key``, each paired with its key: the K-bitset
     of its non-single parts, which identifies a structure here. They are
     taken as given."""
-    ks = g.permissible
     _, better, meets = g.expansion()
+    # per K-coalition: the coalition and the key bits its formation keeps
+    table = [(c, ~m) for c, m in zip(g.permissible, meets)]
     nodes: list[tuple[int, ...]] = []
-    adj: list[list[tuple[int, int]]] = []
     keys: list[int] = []
-    index: dict[int, int] = {}
-
-    def add_node(pi, key) -> int:
-        if len(nodes) >= limit:
-            raise LimitExceeded(f"domination graph exceeds {limit} nodes")
-        v = len(nodes)
-        nodes.append(pi)
-        adj.append([])
-        keys.append(key)
-        index[key] = v
-        return v
-
     for pi, key in keyed_seeds:
-        add_node(pi, key)
-    seed_ids = tuple(range(len(nodes)))
+        nodes.append(pi)
+        keys.append(key)
+    if len(nodes) > limit:
+        raise LimitExceeded(f"domination graph exceeds {limit} nodes")
+    index = dict(zip(keys, range(len(keys))))
+    adj: list[list[tuple[int, int]]] = []
+    seed_ids = range(len(nodes))
 
     v = 0
     while v < len(nodes):
@@ -253,20 +252,25 @@ def _grow(g: Game, keyed_seeds: Iterable, limit: int) -> DominationGraph:
         blocking = -1
         for p in pi:
             blocking &= better[p]
-        out = adj[v]
+        out = []
+        adj.append(out)
         # set bits low to high are the blocking coalitions in mask order
         while blocking:
             low = blocking & -blocking
             blocking ^= low
-            j = low.bit_length() - 1
-            c = ks[j]
-            key2 = key & ~meets[j] | low
+            c, keep = table[low.bit_length() - 1]
+            key2 = key & keep | low
             w = index.get(key2)
             if w is None:
-                w = add_node(_form(pi, c), key2)
+                w = len(nodes)
+                if w >= limit:
+                    raise LimitExceeded(f"domination graph exceeds {limit} nodes")
+                nodes.append(_form(pi, c))
+                keys.append(key2)
+                index[key2] = w
             out.append((w, c))
         v += 1
-    return DominationGraph(nodes, adj, seed_ids)
+    return DominationGraph(nodes, adj, keys, seed_ids)
 
 
 def to_dot(G: DominationGraph, highlight: Iterable[int] = ()) -> str:

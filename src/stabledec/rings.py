@@ -195,6 +195,36 @@ def compact_collection(g: Game, coalitions: Iterable[int]) -> list[tuple[int, ..
     return list(component(g, coalitions).compact)
 
 
+def _in_edges_and_steps(
+    G: DominationGraph, ids: Sequence[int]
+) -> tuple[list[list[int] | None], dict[int, int], dict[int, int]]:
+    """One pass over the edges of a set of nodes closed under domination:
+    the in-neighbours of each member (``None`` off the set), and its step
+    digraph, as each via's sources (the K-bits of the parts that forming it
+    dissolves, ``keys[u] & ~keys[v]`` for an edge ``u -> v``) together with
+    the via of each K-bit that forms on some edge."""
+    adj, keys = G.adj, G.keys
+    into: list[list[int] | None] = [None] * len(G)
+    for v in ids:
+        into[v] = []
+    sources: dict[int, int] = {}
+    via_of: dict[int, int] = {}
+    for u in ids:
+        key = keys[u]
+        for v, via in adj[u]:
+            inward = into[v]
+            if inward is None:
+                raise VerificationFailed("absorbing set has an outgoing edge")
+            inward.append(u)
+            kv = keys[v]
+            found = sources.get(via)
+            if found is None:
+                via_of[kv & ~key] = via
+                found = 0
+            sources[via] = found | key & ~kv
+    return into, sources, via_of
+
+
 def _ring_families(G: DominationGraph, absorbing) -> list[set[int]]:
     """The rings read off the absorbing set's cycles, merged on shared
     coalitions, in the order of their sorted coalitions.
@@ -209,31 +239,47 @@ def _ring_families(G: DominationGraph, absorbing) -> list[set[int]]:
 
     A ring steps from a coalition to the first later via meeting it, and
     the coalition stands until then: each step goes from a coalition of a
-    member ``u`` to the via of an edge ``u -> v`` that meets it. So every
-    ring is a cycle of this step digraph, inside one of its strongly
-    connected components, and once each component of two or more
-    coalitions is one family, no further ring can change a family.
+    member ``u`` to the via of an edge ``u -> v`` that meets it. Those
+    coalitions are the parts that forming the via dissolves, read off the
+    node keys as ``G.keys[u] & ~G.keys[v]``. So every ring is a cycle of
+    this step digraph, inside one of its strongly connected components, and
+    once each component of two or more coalitions is one family, no further
+    ring can change a family, and the searches stop.
+
+    The searches start at the members with the most in-edges, ties broken
+    by id. The order does not change the families: if the searches stop,
+    the families are those components; if they never stop, every member is
+    searched and every ring read. So every order stops or none does.
     """
+    return _family_search(G, absorbing)[0]
+
+
+def _family_search(
+    G: DominationGraph, absorbing, roots: Iterable[int] | None = None
+) -> tuple[list[set[int]], list[int]]:
+    """``_ring_families``' families, and the members it searched from, in
+    order; ``roots``, an order of all the members, replaces the default."""
     ids = [G.node_id(pi) for pi in absorbing.members]
-    adj = G.adj
-    # in-edges of each member, as parallel source and via lists, and the steps
-    into_u: dict[int, list[int]] = {v: [] for v in ids}
-    into_via: dict[int, list[int]] = {v: [] for v in ids}
-    steps: dict[int, set[int]] = {}
-    for u in ids:
-        parts = [x for x in G.nodes[u] if x & (x - 1)]
-        for v, via in adj[u]:
-            if v not in into_u:
-                raise VerificationFailed("absorbing set has an outgoing edge")
-            into_u[v].append(u)
-            into_via[v].append(via)
-            for x in parts:
-                if x & via:
-                    steps.setdefault(x, set()).add(via)
-    masks = sorted(set(steps).union(*steps.values()))
-    index = {c: i for i, c in enumerate(masks)}
-    sccs = _tarjan([[(index[y],) for y in steps.get(c, ())] for c in masks])
-    unmerged = [{masks[i] for i in comp} for comp in sccs if len(comp) > 1]
+    adj, keys = G.adj, G.keys
+    into, sources, via_of = _in_edges_and_steps(G, ids)
+    # the step digraph reversed, via to source, has the same components; a
+    # source that is never a via has no step into it and is left out
+    formed = sorted(sources)
+    index = {c: i for i, c in enumerate(formed)}
+    back = []
+    for c in formed:
+        out = []
+        bits = sources[c]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            x = via_of.get(low)
+            if x is not None:
+                out.append((index[x],))
+        back.append(out)
+    unmerged = [{formed[i] for i in comp} for comp in _tarjan(back) if len(comp) > 1]
+    if roots is None:
+        roots = sorted(ids, key=lambda v: (-len(into[v]), v))
     # coalition -> its family, one set shared by all of the family's coalitions
     family: dict[int, set[int]] = {}
     # per-node search state, stamped with the search root instead of reset
@@ -243,14 +289,16 @@ def _ring_families(G: DominationGraph, absorbing) -> list[set[int]]:
     prev = [0] * n
     pvia = [0] * n
     tried: set[tuple[int, ...]] = set()
-    for v in ids:
+    searched: list[int] = []
+    for v in roots:
         if not unmerged:
             break
-        left = 0
-        for u in into_u[v]:
-            if want[u] != v:
-                want[u] = v
-                left += 1
+        searched.append(v)
+        # no two edges join the same pair of structures
+        inward = into[v]
+        for u in inward:
+            want[u] = v
+        left = len(inward)
         seen_by[v] = v
         queue = [v]
         head = 0
@@ -267,7 +315,8 @@ def _ring_families(G: DominationGraph, absorbing) -> list[set[int]]:
                     queue.append(w)
                     if want[w] == v:
                         left -= 1
-        for u, via in zip(into_u[v], into_via[v]):
+        kv = keys[v]
+        for u in inward:
             # vias aligned with the cycle (v, ..., u): first the edge into v,
             # then the path steps in forward order
             path = []
@@ -275,7 +324,7 @@ def _ring_families(G: DominationGraph, absorbing) -> list[set[int]]:
             while x != v:
                 path.append(pvia[x])
                 x = prev[x]
-            path.append(via)
+            path.append(via_of[kv & ~keys[u]])
             vias = tuple(reversed(path))
             if vias in tried:
                 continue
@@ -287,7 +336,7 @@ def _ring_families(G: DominationGraph, absorbing) -> list[set[int]]:
                     family[c] = merged
         unmerged = [comp for comp in unmerged if family.get(min(comp)) != comp]
     groups = {id(f): f for f in family.values()}
-    return sorted(groups.values(), key=lambda f: tuple(sorted(f)))
+    return sorted(groups.values(), key=lambda f: tuple(sorted(f))), searched
 
 
 def ring_components_of(g: Game, absorbing, G: DominationGraph) -> list[RingComponent]:

@@ -41,7 +41,7 @@ from stabledec import (
     roommate_to_game,
     unprevented_breakers,
 )
-from stabledec.cli import main
+from stabledec.cli import main, parse_decomposition
 from stabledec.structures import _breaking, breaks_maximal_set, maximal_sets
 from conftest import GENERATED_GAMES, GENERATED_IDS, C, make_structure
 from test_factoring import UNIONS
@@ -652,10 +652,14 @@ class TestBreakerWalkMatchesReference:
 
 
 class TestOneMaximalSetsPerParty:
+    """A single party computes its maximal sets once per breaker walk; a
+    ring party reads them off its ring component and computes none."""
+
     @pytest.mark.parametrize("fixture", ["g6", "g7", "g8", "rm10"])
     def test_breaker_walks(self, fixture, request, monkeypatch):
         g = request.getfixturevalue(fixture)
         decs = _stable_and_unstable(g)
+        assert any(p.kind == RING for d in decs for p in d.parties)
         calls = []
         real = decomposition_module.maximal_sets
 
@@ -668,11 +672,45 @@ class TestOneMaximalSetsPerParty:
             parties = [p for p in d.parties if p.kind != POOL]
             del calls[:]
             protection_certificates(g, d)
-            assert len(calls) == len(parties)
+            assert len(calls) == sum(p.kind == SINGLE for p in parties)
             for p in parties:
                 del calls[:]
                 unprevented_breakers(g, p, d)
-                assert len(calls) == 1
+                assert len(calls) == (p.kind == SINGLE)
+
+
+class TestRingPartyMaximalSets:
+    """A ring party carries its ring component's maximal sets, whether it
+    comes from an absorbing set, ``make_party`` or ``parse_decomposition``;
+    its breakers equal those of the same party built by hand without them,
+    which computes them."""
+
+    @pytest.mark.parametrize("fixture", ["g6", "g7", "g8"])
+    def test_breakers_match_computed_maximal_sets(self, fixture, request):
+        g = request.getfixturevalue(fixture)
+        parties = [p for d in all_stable_decompositions(g) for p in d.parties if p.kind == RING]
+        assert parties
+        for p in parties:
+            assert p.maximal == tuple(maximal_sets(p.coalitions))
+            bare = Party(RING, p.coalitions, p.compact)
+            assert bare.maximal == () and bare == p
+            assert decomposition_module._breakers(g, p) == decomposition_module._breakers(g, bare)
+            made = make_party(g, p.coalitions)
+            assert made.maximal == p.maximal
+
+    def test_parsed_ring_party(self, g7, d7_ring):
+        parsed = parse_decomposition(g7, "{{12,23,34,45,15},{67}}")
+        assert parsed == d7_ring
+        (ring,) = [p for p in parsed.parties if p.kind == RING]
+        assert ring.maximal == tuple(maximal_sets(ring.coalitions))
+        bare = Party(RING, ring.coalitions, ring.compact)
+        assert decomposition_module._breakers(g7, ring) == decomposition_module._breakers(g7, bare)
+
+    def test_hand_built_ring_party_outside_k(self, g7):
+        # the maximal sets it carries do not skip the check on its coalitions
+        bad = Party(RING, (C("12"), C("13"), C("23")), (), ((C("12"),), (C("13"),)))
+        with pytest.raises(MalformedParty, match=r"^\{1,3\} is not a permissible coalition$"):
+            decomposition_module._breakers(g7, bad)
 
 
 class TestBitsetsMatchDefinitions:

@@ -8,6 +8,7 @@ from stabledec import (
     NotBlocking,
     dominate_via,
     enumerate_structures,
+    full_domination_graph,
     grow_graph,
     is_stable,
     marriage_to_game,
@@ -23,6 +24,8 @@ from stabledec import (
     transitively_dominates,
 )
 from conftest import C, make_structure
+from test_fuzz import FUZZ_GAMES
+from test_key_order import PARTIAL_GAMES, partial_graphs
 
 
 class TestDominateVia:
@@ -194,6 +197,39 @@ class TestExpansionMatchesSuccessors:
         assert graph.nodes == nodes
         assert graph.adj == adj
         assert graph.seeds == tuple(range(len(seeds)))
+
+
+class TestNodeKeys:
+    """``G.keys[v]`` is the K-bitset (``Game.expansion``) of node ``v``'s
+    non-single parts, for seeds and discovered nodes alike; on an edge
+    ``u -> v`` via ``c``, ``keys[v] & ~keys[u]`` is the bit of ``c`` and
+    ``keys[u] & ~keys[v]`` the parts of ``u`` that meet ``c``."""
+
+    @staticmethod
+    def _check(g, G):
+        bit = g.expansion().bit
+        assert len(G.keys) == len(G.nodes)
+        for v, pi in enumerate(G.nodes):
+            assert G.keys[v] == sum(bit[p] for p in pi if p.bit_count() >= 2)
+        for u, out in enumerate(G.adj):
+            for v, via in out:
+                assert G.keys[v] & ~G.keys[u] == bit[via]
+                met = sum(bit[p] for p in G.nodes[u] if p.bit_count() >= 2 and p & via)
+                assert G.keys[u] & ~G.keys[v] == met
+
+    @pytest.mark.parametrize("label", list(FUZZ_GAMES))
+    def test_full_graphs(self, label):
+        g = FUZZ_GAMES[label]()
+        self._check(g, full_domination_graph(g))
+
+    @pytest.mark.parametrize("label", list(PARTIAL_GAMES))
+    def test_closures(self, label):
+        g = PARTIAL_GAMES[label]()
+        grown = [grow_graph(g, [singleton_structure(g.n)]), *partial_graphs(g)]
+        # some closure discovers nodes after its seeds
+        assert any(len(G) > len(G.seeds) for G in grown)
+        for G in grown:
+            self._check(g, G)
 
 
 class TestDot:

@@ -48,7 +48,7 @@ from stabledec import absorbing as absorbing_module
 from stabledec import dynamics as dynamics_module
 from stabledec import rings as rings_module
 from stabledec.cli import main
-from stabledec.rings import _ring_families, _ring_from_vias
+from stabledec.rings import _family_search, _ring_families, _ring_from_vias
 from stabledec.structures import _breaking
 from conftest import C, make_structure
 from test_fuzz import FUZZ_GAMES
@@ -630,6 +630,38 @@ class TestSearchesStopEarly:
         assert ring_components_of(g, sink, graph) == _merged_components(g, full, sink)
 
 
+# random_roommate_spec(9, 0.7, seed), seeds 1-30 and 42 (population 0 of
+# the roommate-rings benchmark): per game with a non-trivial absorbing set,
+# (members, searches from the most in-edges, searches in id order) of each
+# such set of a graph-route factor
+POPULATION0_SEARCHES = {
+    2: [(164, 3, 22)], 3: [(583, 4, 21)], 5: [(555, 2, 20)], 6: [(3, 1, 1)],
+    11: [(3, 1, 1)], 15: [(521, 3, 6)], 16: [(1030, 4, 7)], 19: [(883, 4, 16)],
+    21: [(138, 4, 4)], 22: [(526, 2, 58)], 23: [(1088, 5, 16)], 25: [(103, 2, 11)],
+    26: [(578, 3, 8)], 42: [(12, 6, 8)],
+}
+
+
+def test_population0_search_counts():
+    """The searches start at the members with the most in-edges: 44 on the
+    14 non-trivial sets of population 0, where id order needs 199."""
+    got = {}
+    for seed in list(range(1, 31)) + [42]:
+        g = roommate_to_game(random_roommate_spec(9, 0.7, seed))
+        for f in Analysis(g).factors:
+            for a in f.sets:
+                if a.trivial:
+                    continue
+                ids = sorted(f.graph.node_id(pi) for pi in a.members)
+                families, searched = _family_search(f.graph, a)
+                by_id, searched_by_id = _family_search(f.graph, a, ids)
+                assert families == by_id
+                got.setdefault(seed, []).append((len(a), len(searched), len(searched_by_id)))
+    assert got == POPULATION0_SEARCHES
+    counts = [c for sets in got.values() for c in sets]
+    assert (sum(c[1] for c in counts), sum(c[2] for c in counts)) == (44, 199)
+
+
 # Games where the strongly connected components of the unanimous-improvement
 # digraph over the coalitions held in a non-trivial absorbing set differ from
 # its ring families, found by a sweep over random_game(n, p, seed) and
@@ -683,6 +715,64 @@ def test_components_match_the_full_extraction(label):
                 ring_components_of(g, a, graph)
         else:
             assert ring_components_of(g, a, graph) == want
+
+
+def _reference_steps(G, absorbing):
+    """The step digraph by the parts loop that the key read replaced: on
+    every edge ``u -> v`` inside the set, each non-single part of ``u`` that
+    meets the via steps to it. Each via with its sources."""
+    steps = {}
+    for pi in absorbing.members:
+        u = G.node_id(pi)
+        parts = [x for x in G.nodes[u] if x & (x - 1)]
+        for v, via in G.adj[u]:
+            for x in parts:
+                if x & via:
+                    steps.setdefault(via, set()).add(x)
+    return steps
+
+
+# label -> make: the fuzz games, roommate games (n = 9) seeds 1-60 and 42,
+# roommate (8, 0.9) seed 882, and the 15 sets where the coalition-digraph
+# route was refuted; about 3 s in all on a 2-core x86-64 machine
+STEP_GAMES = {
+    **FUZZ_GAMES,
+    **{label: make for label, make in ROUTE_GAMES.items() if label.startswith("roommate")},
+    **{
+        f"random{n}-{p}-{s}": (lambda n=n, p=p, s=s: random_game(n, p, s))
+        for n, p, s in COALITION_SCC_COUNTEREXAMPLES
+    },
+}
+
+
+@pytest.mark.parametrize("label", list(STEP_GAMES))
+def test_steps_and_search_order(label):
+    """The steps read off the node keys equal the parts loop, and the
+    searches, which start at the members with the most in-edges, give the
+    families that id order gives."""
+    g = STEP_GAMES[label]()
+    ks = g.permissible
+    bit = g.expansion().bit
+    graph = full_domination_graph(g)
+    for a in sink_components(graph):
+        if a.trivial:
+            continue
+        ids = [graph.node_id(pi) for pi in a.members]
+        into, sources, via_of = rings_module._in_edges_and_steps(graph, ids)
+        read = {c: {x for j, x in enumerate(ks) if mask >> j & 1} for c, mask in sources.items()}
+        assert {c: xs for c, xs in read.items() if xs} == _reference_steps(graph, a)
+        assert via_of == {bit[c]: c for c in sources}
+        indegree = dict.fromkeys(ids, 0)
+        for u in ids:
+            for v, _ in graph.adj[u]:
+                indegree[v] += 1
+        assert {v: len(into[v]) for v in ids} == indegree
+        families, searched = _family_search(graph, a)
+        by_id, searched_by_id = _family_search(graph, a, sorted(ids))
+        assert families == by_id
+        order = sorted(ids, key=lambda v: (-indegree[v], v))
+        assert searched == order[: len(searched)]
+        assert searched_by_id == sorted(ids)[: len(searched_by_id)]
 
 
 class TestCoalitionSccsAreNotTheComponents:
