@@ -17,7 +17,7 @@ import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .core import Game, coalition
+from .core import Game
 from .errors import MalformedSpec, VerificationFailed
 from .structures import DEFAULT_LIMIT, structure_key
 from .absorbing import Analysis, sink_components
@@ -38,7 +38,7 @@ def _check_pref_table(n: int, preferences: Mapping) -> dict[int, list[int]]:
             raise MalformedSpec(f"agent {agent} listed twice")
         row = []
         for p in partners:
-            if not isinstance(p, int) or not 1 <= p <= n:
+            if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= n:
                 raise MalformedSpec(f"agent {agent} lists invalid partner {p!r}")
             if p == agent:
                 raise MalformedSpec(f"agent {agent} lists itself as a partner")
@@ -81,7 +81,7 @@ class MarriageSpec:
     preferences: Mapping[int, Sequence[int]]
 
     def __post_init__(self):
-        if not isinstance(self.men, int) or not isinstance(self.women, int):
+        if any(isinstance(k, bool) or not isinstance(k, int) for k in (self.men, self.women)):
             raise MalformedSpec("side sizes must be integers")
         if self.men < 1 or self.women < 1:
             raise MalformedSpec("both sides need at least one agent")
@@ -108,10 +108,12 @@ class MarriageSpec:
 
 
 def _pair_game(spec: RoommateSpec | MarriageSpec) -> Game:
-    rankings = {
-        i: [coalition((i, p)) for p in spec.preferences[i]] + [coalition((i,))]
-        for i in range(1, spec.n + 1)
-    }
+    # the spec has checked every partner id, so the pair masks need no
+    # conversion; Game still checks the rankings
+    rankings = {}
+    for i, partners in spec.preferences.items():
+        own = 1 << (i - 1)
+        rankings[i] = [own | 1 << (p - 1) for p in partners] + [own]
     return Game(spec.n, rankings)
 
 

@@ -23,6 +23,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from .core import Game, compact_coalition, game_from_dict, parse_game_dsl, render_coalition
@@ -107,7 +108,9 @@ def parse_decomposition(g: Game, text: str):
         for party in obj:
             coals = []
             for c in party:
-                if not isinstance(c, list) or not all(isinstance(a, int) for a in c):
+                if not isinstance(c, list) or not all(
+                    isinstance(a, int) and not isinstance(a, bool) for a in c
+                ):
                     raise MalformedParty("coalitions must be lists of agent ids")
                 coals.append(tuple(c))
             collections.append(coals)
@@ -283,7 +286,64 @@ def _render_json(report: Report, args) -> None:
         ok, witness = report.converges
         doc["converges"] = ok
         doc["witness"] = None if ok else structure_name(witness)
-    print(json.dumps(doc, indent=2))
+    print(_indented_json(doc))
+
+
+def _indented_json(obj) -> str:
+    """``json.dumps(obj, indent=2)`` for the types reports hold: dicts with
+    str keys, lists, str, int, bool and None. With any indent the stdlib
+    encodes in Python, not C; this writer quotes strings with its C string
+    encoder and joins a list of strings in one call."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    # ``newline`` breaks the line and indents to the level holding ``obj``
+    kind = type(obj)
+    if kind is str:
+        out.append(_json_str(obj))
+    elif kind is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        if type(obj[0]) is str and type(obj[-1]) is str:
+            try:
+                out.append("[" + inner + sep.join(map(_json_str, obj)) + newline + "]")
+                return
+            except TypeError:
+                pass  # a non-string inside: write item by item
+        out.append("[")
+        for k, item in enumerate(obj):
+            out.append(sep if k else inner)
+            _write_json(item, inner, out)
+        out.append(newline + "]")
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        out.append("{")
+        for k, (key, value) in enumerate(obj.items()):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append((sep if k else inner) + _json_str(key) + ": ")
+            _write_json(value, inner, out)
+        out.append(newline + "}")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _certificates_json(g: Game, d) -> list[dict]:
@@ -331,7 +391,7 @@ def _cmd_generate(args) -> int:
     else:
         density = 0.7 if density is None else density
         obj = random_marriage_spec(args.men, args.women, density, args.seed).to_dict()
-    print(json.dumps(obj, indent=2))
+    print(_indented_json(obj))
     return 0
 
 

@@ -122,16 +122,15 @@ class Game:
         if n > MAX_AGENTS:
             raise MalformedInput(f"at most {MAX_AGENTS} agents are supported, got {n}")
         self.n = n
-        self.rankings = self._normalize(n, rankings)
-        self._pos = tuple(
-            {c: p for p, c in enumerate(ranking)} for ranking in self.rankings
-        )
-        self.permissible = self._permissible_set()
+        self.rankings, self._pos, self.permissible = self._normalize(n, rankings)
         self._kset = frozenset(self.permissible)
         self._expansion = None
 
     @staticmethod
     def _normalize(n, rankings):
+        """The rankings as mask tuples, their position tables and the
+        permissible set, from one pass that checks each entry once. An entry
+        is a mask or an iterable of agent ids."""
         if isinstance(rankings, Mapping):
             items = dict(rankings)
         else:
@@ -139,38 +138,53 @@ class Game:
         for agent in items:
             if not (isinstance(agent, int) and 1 <= agent <= n):
                 raise AgentIdOutOfRange(f"ranking row for agent {agent!r} is out of range 1..{n}")
-        full = (1 << n) - 1
+        outside = ~((1 << n) - 1)
         out = []
+        positions = []
+        # how many members list each coalition above their singleton
+        count: dict[int, int] = {}
         for i in range(1, n + 1):
+            own = 1 << (i - 1)
             raw = items.get(i, ())
             if not raw:
                 # absent or empty row: the agent accepts only their singleton
-                out.append((singleton(i),))
+                out.append((own,))
+                positions.append({own: 0})
                 continue
-            ranking = []
-            seen = set()
+            # the position table doubles as the duplicate check
+            pos: dict[int, int] = {}
+            above = True
             for entry in raw:
-                mask = entry if isinstance(entry, int) else coalition(entry)
-                if mask == 0:
+                if type(entry) is not int and not isinstance(entry, int):
+                    entry = coalition(entry)
+                if entry == 0:
                     raise InconsistentRanking(f"agent {i} ranked an empty coalition")
-                if mask & ~full:
+                if entry & outside:
                     raise AgentIdOutOfRange(
-                        f"agent {i} ranked coalition {render_coalition(mask)} with ids above {n}"
+                        f"agent {i} ranked coalition {render_coalition(entry)} with ids above {n}"
                     )
-                if not contains(mask, i):
+                if not entry & own:
                     raise InconsistentRanking(
-                        f"agent {i} ranked coalition {render_coalition(mask)} not containing them"
+                        f"agent {i} ranked coalition {render_coalition(entry)} not containing them"
                     )
-                if mask in seen:
+                if entry in pos:
                     raise InconsistentRanking(
-                        f"agent {i} ranked coalition {render_coalition(mask)} twice"
+                        f"agent {i} ranked coalition {render_coalition(entry)} twice"
                     )
-                seen.add(mask)
-                ranking.append(mask)
-            if singleton(i) not in seen:
+                pos[entry] = len(pos)
+                if above:
+                    if entry == own:
+                        above = False
+                    else:
+                        count[entry] = count.get(entry, 0) + 1
+            if above:
                 raise InconsistentRanking(f"agent {i}'s ranking omits their singleton")
-            out.append(tuple(ranking))
-        return tuple(out)
+            out.append(tuple(pos))
+            positions.append(pos)
+        # a coalition is permissible when each of its members lists it above
+        # their singleton: rankings hold each own coalition at most once
+        permissible = tuple(sorted(c for c, k in count.items() if k == c.bit_count()))
+        return tuple(out), tuple(positions), permissible
 
     @classmethod
     def _restricted(cls, g: Game, agents: int) -> Game:
@@ -190,18 +204,6 @@ class Game:
         sub._kset = frozenset(sub.permissible)
         sub._expansion = None
         return sub
-
-    def _permissible_set(self) -> tuple[int, ...]:
-        # a coalition is permissible when each of its members lists it above
-        # their singleton: rankings hold each own coalition at most once
-        count: dict[int, int] = {}
-        for i, ranking in enumerate(self.rankings):
-            own = 1 << i
-            for c in ranking:
-                if c == own:
-                    break
-                count[c] = count.get(c, 0) + 1
-        return tuple(sorted(c for c, k in count.items() if k == c.bit_count()))
 
     def _key(self, i: int, c: int):
         # Listed coalitions sort by position; unlisted ones after all listed,
@@ -281,6 +283,11 @@ def game_from_dict(obj) -> Game:
     prefs = obj.get("preferences", {})
     if not isinstance(prefs, Mapping):
         raise MalformedInput("'preferences' must be a mapping")
+    # Every type fault is reported before any ranking fault, which Game
+    # reports in agent order. So an entry is passed on as its mask only when
+    # each id is a plain int in 1..MAX_AGENTS; any other entry goes on as its
+    # id tuple, for Game to convert or reject in turn. Exact-type tests come
+    # first; the Sequence and isinstance tests decide what they do not pass.
     rankings: dict[int, list] = {}
     for key, ranking in prefs.items():
         try:
@@ -289,20 +296,30 @@ def game_from_dict(obj) -> Game:
             raise MalformedInput(f"preference key {key!r} is not an agent id") from None
         if not 1 <= agent <= (n if n >= 1 else 0):
             raise AgentIdOutOfRange(f"preference key {agent} is out of range 1..{n}")
-        if not isinstance(ranking, Sequence) or isinstance(ranking, (str, bytes)):
+        if type(ranking) is not list and not _is_list_like(ranking):
             raise MalformedInput(f"agent {agent}'s ranking must be a list")
         entries = []
         for entry in ranking:
-            if not isinstance(entry, Sequence) or isinstance(entry, (str, bytes)):
+            if type(entry) is not list and not _is_list_like(entry):
                 raise MalformedInput(
                     f"agent {agent}'s ranking entries must be lists of agent ids"
                 )
+            mask = 0
+            as_ids = False
             for a in entry:
-                if not isinstance(a, int) or isinstance(a, bool):
-                    raise MalformedInput(f"agent id {a!r} is not an integer")
-            entries.append(tuple(entry))
+                if type(a) is not int or not 0 < a <= MAX_AGENTS:
+                    if not isinstance(a, int) or isinstance(a, bool):
+                        raise MalformedInput(f"agent id {a!r} is not an integer")
+                    as_ids = True
+                    continue
+                mask |= 1 << (a - 1)
+            entries.append(tuple(entry) if as_ids else mask)
         rankings[agent] = entries
     return Game(n, rankings)
+
+
+def _is_list_like(obj) -> bool:
+    return isinstance(obj, Sequence) and not isinstance(obj, (str, bytes))
 
 
 def parse_game_json(text: str) -> Game:

@@ -1,10 +1,13 @@
 """Command line behavior: loading, reports, verify, generate, exit codes."""
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stabledec import (
     Game,
@@ -12,7 +15,12 @@ from stabledec import (
     MalformedParty,
     StabledecError,
     full_domination_graph,
+    marriage_to_game,
     parse_game_dsl,
+    random_game,
+    random_marriage_spec,
+    random_roommate_spec,
+    roommate_to_game,
     sink_components,
     to_dot,
 )
@@ -705,6 +713,106 @@ class TestVerify:
 
     def test_malformed_decomposition_exit_code(self, g6_file, capsys):
         assert main(["verify", g6_file, "--decomposition", "{{oops}}"]) == 2
+
+
+class TestBooleansAreNotAgentIds:
+    """JSON ``true`` and ``false`` compare equal to 1 and 0 in Python; no
+    front end and no decomposition reads them as agent ids."""
+
+    def test_decomposition_coalition(self, tmp_path, capsys):
+        p = tmp_path / "rm4.json"
+        p.write_text('{"n": 4, "preferences": {"1": [2], "2": [1]}}')
+        assert main(["verify", str(p), "--decomposition", "[[[true,2]],[[3],[4]]]"]) == 2
+        assert capsys.readouterr().err == "error: coalitions must be lists of agent ids\n"
+
+    def test_roommate_partner(self, tmp_path, capsys):
+        p = tmp_path / "rm2.json"
+        p.write_text('{"n": 2, "preferences": {"2": [true]}}')
+        assert main(["analyze", str(p)]) == 2
+        assert capsys.readouterr().err == "error: agent 2 lists invalid partner True\n"
+
+    def test_marriage_side_size(self, tmp_path, capsys):
+        p = tmp_path / "mar.json"
+        p.write_text('{"men": true, "women": 1, "preferences": {"1": [2], "2": [1]}}')
+        assert main(["analyze", str(p)]) == 2
+        assert capsys.readouterr().err == "error: side sizes must be integers\n"
+
+
+JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f \u00e9\u2028\ud800\U0001f600ab')
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70) | JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner) | st.lists(JSON_TEXT) | st.dictionaries(JSON_TEXT, inner),
+    max_leaves=25,
+)
+
+
+def _split_market(seed: int) -> str:
+    """A random, a roommate and a marriage market on agents 1-6, 7-12 and
+    13-18, as one game."""
+    markets = [
+        random_game(6, 0.6, seed),
+        roommate_to_game(random_roommate_spec(6, 0.6, seed)),
+        marriage_to_game(random_marriage_spec(3, 3, 0.6, seed)),
+    ]
+    prefs = {}
+    for k, game in enumerate(markets):
+        for agent, ranking in game.to_dict()["preferences"].items():
+            prefs[str(int(agent) + 6 * k)] = [[a + 6 * k for a in c] for c in ranking]
+    return json.dumps({"agents": 18, "preferences": prefs})
+
+
+SEEDED_INPUTS = (
+    [(f"random-{s}", lambda s=s: json.dumps(random_game(6, 0.5, s).to_dict())) for s in range(4)]
+    + [(f"roommate-{s}", lambda s=s: json.dumps(random_roommate_spec(9, 0.7, s).to_dict()))
+       for s in range(4)]
+    + [(f"marriage-{s}", lambda s=s: json.dumps(random_marriage_spec(4, 4, 0.7, s).to_dict()))
+       for s in range(4)]
+    + [(f"split-{s}", lambda s=s: _split_market(s)) for s in range(4)]
+)
+
+
+class TestIndentedJson:
+    """The report writer against ``json.dumps(obj, indent=2)``."""
+
+    @given(JSON_VALUES)
+    @example(["a", 1, "b"])
+    @example({"": [[], {}, [""], None, False, -0]})
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_stdlib(self, obj):
+        assert cli._indented_json(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("bad", [1.5, (1,), {1: "a"}, b"x"])
+    def test_rejects_other_types(self, bad):
+        with pytest.raises(TypeError):
+            cli._indented_json([bad])
+
+    @pytest.mark.parametrize("label, make", SEEDED_INPUTS, ids=[k for k, _ in SEEDED_INPUTS])
+    def test_reports(self, label, make, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(make()))
+        assert main(["analyze", "-", "--all", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_limit_exceeded_report_stays_compact(self, g7_file, capsys):
+        assert main(["analyze", g7_file, "--all", "--json", "--limit", "5"]) == 1
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["random", "--agents", "7", "--seed", "2"],
+            ["roommate", "--agents", "9", "--seed", "5"],
+            ["marriage", "--men", "4", "--women", "2", "--seed", "3"],
+        ],
+    )
+    def test_generate(self, argv, capsys):
+        assert main(["generate", *argv]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestParserBuiltOnce:

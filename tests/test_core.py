@@ -1,5 +1,9 @@
 """Coalition masks, game construction, preference queries."""
 
+import json
+from collections.abc import Mapping, Sequence
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +14,8 @@ from stabledec import (
     Game,
     InconsistentRanking,
     MalformedInput,
+    RoommateSpec,
+    StabledecError,
     coalition,
     compact_coalition,
     contains,
@@ -17,12 +23,16 @@ from stabledec import (
     intersects,
     is_singleton,
     lowest_agent,
+    marriage_to_game,
     members,
     parse_game_dsl,
     parse_game_json,
     prefers,
     random_game,
+    random_marriage_spec,
+    random_roommate_spec,
     render_coalition,
+    roommate_to_game,
     singleton,
     transitively_prefers,
     unanimously_prefers,
@@ -320,3 +330,254 @@ class TestParsing:
     def test_random_game_roundtrips(self, seed):
         g = random_game(6, density=0.3, seed=seed)
         assert game_from_dict(g.to_dict()) == g
+
+
+# --- the loader before it checked each entry once, kept as the reference ---
+
+def _reference_tables(n, rankings):
+    """``(rankings, permissible, pos)`` as ``Game`` built them: the rows
+    converted and checked entry by entry, then the position tables, then
+    the permissible set counted from the rankings."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise MalformedInput(f"agent count must be a positive integer, got {n!r}")
+    if n > 63:
+        raise MalformedInput(f"at most 63 agents are supported, got {n}")
+    if isinstance(rankings, Mapping):
+        items = dict(rankings)
+    else:
+        items = {i + 1: rankings[i] for i in range(len(rankings))}
+    for agent in items:
+        if not (isinstance(agent, int) and 1 <= agent <= n):
+            raise AgentIdOutOfRange(f"ranking row for agent {agent!r} is out of range 1..{n}")
+    full = (1 << n) - 1
+    out = []
+    for i in range(1, n + 1):
+        raw = items.get(i, ())
+        if not raw:
+            out.append((singleton(i),))
+            continue
+        ranking = []
+        seen = set()
+        for entry in raw:
+            mask = entry if isinstance(entry, int) else coalition(entry)
+            if mask == 0:
+                raise InconsistentRanking(f"agent {i} ranked an empty coalition")
+            if mask & ~full:
+                raise AgentIdOutOfRange(
+                    f"agent {i} ranked coalition {render_coalition(mask)} with ids above {n}"
+                )
+            if not contains(mask, i):
+                raise InconsistentRanking(
+                    f"agent {i} ranked coalition {render_coalition(mask)} not containing them"
+                )
+            if mask in seen:
+                raise InconsistentRanking(
+                    f"agent {i} ranked coalition {render_coalition(mask)} twice"
+                )
+            seen.add(mask)
+            ranking.append(mask)
+        if singleton(i) not in seen:
+            raise InconsistentRanking(f"agent {i}'s ranking omits their singleton")
+        out.append(tuple(ranking))
+    pos = tuple({c: p for p, c in enumerate(ranking)} for ranking in out)
+    count = {}
+    for i, ranking in enumerate(out):
+        for c in ranking:
+            if c == 1 << i:
+                break
+            count[c] = count.get(c, 0) + 1
+    permissible = tuple(sorted(c for c, k in count.items() if k == c.bit_count()))
+    return tuple(out), permissible, pos
+
+
+def _reference_from_dict(obj):
+    """``game_from_dict``'s type checks over every row, then
+    ``_reference_tables``."""
+    if not isinstance(obj, Mapping):
+        raise MalformedInput("game object must be a mapping")
+    if "agents" not in obj:
+        raise MalformedInput("game object lacks an 'agents' field")
+    n = obj["agents"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise MalformedInput(f"'agents' must be an integer, got {n!r}")
+    prefs = obj.get("preferences", {})
+    if not isinstance(prefs, Mapping):
+        raise MalformedInput("'preferences' must be a mapping")
+    rankings = {}
+    for key, ranking in prefs.items():
+        try:
+            agent = int(key)
+        except (TypeError, ValueError):
+            raise MalformedInput(f"preference key {key!r} is not an agent id") from None
+        if not 1 <= agent <= (n if n >= 1 else 0):
+            raise AgentIdOutOfRange(f"preference key {agent} is out of range 1..{n}")
+        if not isinstance(ranking, Sequence) or isinstance(ranking, (str, bytes)):
+            raise MalformedInput(f"agent {agent}'s ranking must be a list")
+        entries = []
+        for entry in ranking:
+            if not isinstance(entry, Sequence) or isinstance(entry, (str, bytes)):
+                raise MalformedInput(
+                    f"agent {agent}'s ranking entries must be lists of agent ids"
+                )
+            for a in entry:
+                if not isinstance(a, int) or isinstance(a, bool):
+                    raise MalformedInput(f"agent id {a!r} is not an integer")
+            entries.append(tuple(entry))
+        rankings[agent] = entries
+    return _reference_tables(n, rankings)
+
+
+def _reference_pair_tables(spec):
+    """The pair front ends' rankings, each pair converted by ``coalition``."""
+    rankings = {
+        i: [coalition((i, p)) for p in spec.preferences[i]] + [coalition((i,))]
+        for i in range(1, spec.n + 1)
+    }
+    return _reference_tables(spec.n, rankings)
+
+
+def _tables(g):
+    return g.rankings, g.permissible, g._pos
+
+
+def _outcome(tables, *args):
+    """The tables, or the class and message of the error raised."""
+    try:
+        return tables(*args)
+    except StabledecError as exc:
+        return type(exc), str(exc)
+
+
+class _Agent(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+# (game object, error class, message); several hold two faults, the one
+# reported first named in the comment
+MALFORMED_GAMES = [
+    ([], MalformedInput, "game object must be a mapping"),
+    ({"preferences": {}}, MalformedInput, "game object lacks an 'agents' field"),
+    ({"agents": True}, MalformedInput, "'agents' must be an integer, got True"),
+    ({"agents": 0}, MalformedInput, "agent count must be a positive integer, got 0"),
+    ({"agents": 2, "preferences": []}, MalformedInput, "'preferences' must be a mapping"),
+    ({"agents": 2, "preferences": {"x": [[1]]}}, MalformedInput,
+     "preference key 'x' is not an agent id"),
+    ({"agents": 2, "preferences": {"3": [[3]]}}, AgentIdOutOfRange,
+     "preference key 3 is out of range 1..2"),
+    ({"agents": 2, "preferences": {"1": "12"}}, MalformedInput,
+     "agent 1's ranking must be a list"),
+    ({"agents": 2, "preferences": {"1": [12, [1]]}}, MalformedInput,
+     "agent 1's ranking entries must be lists of agent ids"),
+    ({"agents": 2, "preferences": {"1": ["12", [1]]}}, MalformedInput,
+     "agent 1's ranking entries must be lists of agent ids"),
+    ({"agents": 2, "preferences": {"1": [[True, 2], [1]]}}, MalformedInput,
+     "agent id True is not an integer"),
+    ({"agents": 2, "preferences": {"1": [[1, 2.0], [1]]}}, MalformedInput,
+     "agent id 2.0 is not an integer"),
+    ({"agents": 2, "preferences": {"1": [[], [1]]}}, InconsistentRanking,
+     "agent 1 ranked an empty coalition"),
+    ({"agents": 3, "preferences": {"1": [[1, -2], [1]]}}, AgentIdOutOfRange,
+     "agent id -2 is out of range"),
+    ({"agents": 2, "preferences": {"1": [[1, 3], [1]]}}, AgentIdOutOfRange,
+     "agent 1 ranked coalition {1,3} with ids above 2"),
+    ({"agents": 3, "preferences": {"1": [[1, 100], [1]]}}, AgentIdOutOfRange,
+     "agent 1 ranked coalition {1,100} with ids above 3"),
+    ({"agents": 3, "preferences": {"2": [[1, 3], [2]]}}, InconsistentRanking,
+     "agent 2 ranked coalition {1,3} not containing them"),
+    ({"agents": 2, "preferences": {"1": [[1, 2], [2, 1], [1]]}}, InconsistentRanking,
+     "agent 1 ranked coalition {1,2} twice"),
+    ({"agents": 2, "preferences": {"1": [[1, 2]]}}, InconsistentRanking,
+     "agent 1's ranking omits their singleton"),
+    # out-of-range id at agent 1, non-integer id at agent 3: the type comes first
+    ({"agents": 3, "preferences": {"1": [[1, 4], [1]], "3": [[3, "x"], [3]]}},
+     MalformedInput, "agent id 'x' is not an integer"),
+    # id below 1 at agent 1, float id at agent 3
+    ({"agents": 3, "preferences": {"1": [[1, 0], [1]], "3": [[3, 2.0], [3]]}},
+     MalformedInput, "agent id 2.0 is not an integer"),
+    # id far above any game at agent 1, a bad entry at agent 2
+    ({"agents": 3, "preferences": {"1": [[1, 10**6], [1]], "2": [[2], None]}},
+     MalformedInput, "agent 2's ranking entries must be lists of agent ids"),
+    # id below 1 at agent 2, listed first; a foreign coalition at agent 1
+    ({"agents": 3, "preferences": {"2": [[0, 2], [2]], "1": [[2, 3], [1]]}},
+     InconsistentRanking, "agent 1 ranked coalition {2,3} not containing them"),
+    # id below 1 at agent 1; a duplicate at agent 2
+    ({"agents": 3, "preferences": {"1": [[0, 1], [1]], "2": [[2], [2]]}},
+     AgentIdOutOfRange, "agent id 0 is out of range"),
+    # ids above the game's size; an agent count above the cap
+    ({"agents": 64, "preferences": {"1": [[1, 65], [1]]}}, MalformedInput,
+     "at most 63 agents are supported, got 64"),
+    ({"agents": 64, "preferences": {"1": [[1, None], [1]]}}, MalformedInput,
+     "agent id None is not an integer"),
+]
+
+# game objects both loaders accept
+ACCEPTED_GAMES = [
+    {"agents": 2, "preferences": {"1": [(1, 2), (1,)], "2": ((2, 1), [2])}},
+    {"agents": 2, "preferences": {"1": [[_Agent.ONE, _Agent.TWO], [_Agent.ONE]],
+                                  "2": [[2, _Agent.ONE], [_Agent.TWO]]}},
+    # the row of "1" is replaced by the row of "01" before any ranking check
+    {"agents": 2, "preferences": {"1": [[0]], "01": [[1, 2], [1]], "2": [[1, 2], [2]]}},
+    {"agents": 3, "preferences": {"3": [], "2": [[2, 3, 3], [2, 2]]}},
+    {"agents": 1},
+]
+
+
+class TestLoader:
+    """``game_from_dict``, ``Game`` and the pair front ends against the
+    loader they replaced."""
+
+    @pytest.mark.parametrize(("obj", "error", "message"), MALFORMED_GAMES)
+    def test_malformed_input_messages(self, obj, error, message):
+        assert _outcome(_reference_from_dict, obj) == (error, message)
+        assert _outcome(lambda o: _tables(game_from_dict(o)), obj) == (error, message)
+
+    @pytest.mark.parametrize("obj", ACCEPTED_GAMES)
+    def test_accepted_inputs(self, obj):
+        assert _tables(game_from_dict(obj)) == _reference_from_dict(obj)
+
+    def test_fuzz_games(self):
+        for make in FUZZ_GAMES.values():
+            g = make()
+            obj = g.to_dict()
+            want = _reference_from_dict(obj)
+            assert _tables(game_from_dict(obj)) == want
+            assert _tables(game_from_dict(json.loads(json.dumps(obj)))) == want
+            assert _tables(Game(g.n, dict(enumerate(g.rankings, 1)))) == want
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_front_ends(self, seed):
+        specs = [
+            random_roommate_spec(9, 0.7, seed),
+            random_roommate_spec(12, 0.4, seed),
+            random_marriage_spec(6, 6, 0.6, seed),
+            random_marriage_spec(3, 5, 0.8, seed),
+        ]
+        for spec in specs:
+            g = roommate_to_game(spec) if isinstance(spec, RoommateSpec) else marriage_to_game(spec)
+            want = _reference_pair_tables(spec)
+            assert _tables(g) == want
+            assert _reference_from_dict(g.to_dict()) == want
+        for n, density in ((6, 0.6), (8, 0.3), (12, 0.02)):
+            g = random_game(n, density, seed)
+            want = _reference_from_dict(g.to_dict())
+            assert _tables(g) == want
+            assert _tables(game_from_dict(g.to_dict())) == want
+
+    @pytest.mark.parametrize(
+        "rankings",
+        [
+            {2: [0b110, 0b10], 1: [0b1000, 0b1]},
+            {1: [0b11, 0b11, 0b1]},
+            {1: [0b1, 0], 2: [0b10]},
+            {1: [(1, 2), 0b1], 2: [(2, 1), (2,)], 3: [[3]]},
+            [[0b1], [0b11]],
+            [[0b1], [0b10], [0b100], [0b1]],
+            [[(1, 0)], [(2, "x")]],
+        ],
+    )
+    def test_direct_rankings(self, rankings):
+        # masks and id iterables mixed; the first fault in agent order wins
+        assert _outcome(lambda r: _tables(Game(3, r)), rankings) == _outcome(
+            _reference_tables, 3, rankings
+        )
