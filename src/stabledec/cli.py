@@ -5,7 +5,9 @@ components, stable decompositions and the convergence verdict for a game;
 ``generate`` emits random game or matching-spec JSON; ``verify`` checks a
 proposed decomposition. Reports are deterministic; timing goes to stderr.
 ``analyze`` works each section out once into a ``Report``, which the text
-and the JSON form only render.
+and the JSON form only render: each decomposition comes with the protection
+walk and the D-structures its re-check built, and the JSON certificates add
+only the witnesses of prevented breakers.
 
 Exit codes: 0 on success (the verify verdict, positive or negative, is
 printed); 1 when the exploration limit is exceeded (``analyze`` prints a
@@ -34,11 +36,10 @@ from .rings import RingComponent
 from .absorbing import AbsorbingSet, Analysis, full_domination_graph
 from .decomposition import (
     StableDecomposition,
+    _certificates,
+    _checked_decompositions,
     check_stable_decomposition,
-    d_structures,
     decomposition_from_collections,
-    factored_decompositions,
-    protection_certificates,
 )
 from .applications import (
     MarriageSpec,
@@ -153,7 +154,9 @@ class Report:
     absorbing_sets: list[AbsorbingSet] | None = None
     # (absorbing set index, ring component) pairs
     rings: list[tuple[int, RingComponent]] | None = None
-    decompositions: list[StableDecomposition] | None = None
+    # (decomposition, protection walk, D-structures) triples, as the
+    # re-check built them
+    decompositions: list[tuple[StableDecomposition, list, list]] | None = None
     converges: tuple[bool, tuple[int, ...] | None] | None = None
     limit_exceeded: str | None = None
 
@@ -174,7 +177,7 @@ def analyze(g: Game, rings: bool, decompositions: bool, converge: bool, limit: i
                 for rc in an.ring_components(idx)
             ]
         if decompositions:
-            report.decompositions = factored_decompositions(an)
+            report.decompositions = _checked_decompositions(an)
         if converge:
             report.converges = factored_convergence(an)
     except LimitExceeded as exc:
@@ -215,7 +218,7 @@ def _render_text(report: Report, args) -> None:
             out.append(f"    compact collection: {compact}")
     if report.decompositions is not None:
         out.append(f"stable decompositions: {len(report.decompositions)}")
-        out.extend(f"  {d.render(n)}" for d in report.decompositions)
+        out.extend(f"  {d.render(n)}" for d, _, _ in report.decompositions)
     if report.converges is not None:
         ok, witness = report.converges
         if ok:
@@ -276,11 +279,11 @@ def _render_json(report: Report, args) -> None:
                     {"kind": p.kind, "coalitions": [render_coalition(c) for c in p.coalitions]}
                     for p in d.parties
                 ],
-                "certificates": _certificates_json(g, d),
-                "d_structures": [structure_name(ds.structure) for ds in d_structures(g, d)],
+                "certificates": _certificates_json(g, walk),
+                "d_structures": [structure_name(ds.structure) for ds in induced],
                 "generated_size": len(a),
             }
-            for d, a in zip(report.decompositions, sinks)
+            for (d, walk, induced), a in zip(report.decompositions, sinks)
         ]
     if report.converges is not None:
         ok, witness = report.converges
@@ -346,7 +349,7 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _certificates_json(g: Game, d) -> list[dict]:
+def _certificates_json(g: Game, walk) -> list[dict]:
     return [
         {
             "party": [render_coalition(c) for c in entry["party"].coalitions],
@@ -361,7 +364,7 @@ def _certificates_json(g: Game, d) -> list[dict]:
                 for b in entry["breakers"]
             ],
         }
-        for entry in protection_certificates(g, d)
+        for entry in _certificates(g, walk)
     ]
 
 
@@ -381,16 +384,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    density = args.density
+    # the generators hold the default densities
+    given = {} if args.density is None else {"density": args.density}
     if args.kind == "random":
-        density = 0.35 if density is None else density
-        obj = random_game(args.agents, density, args.seed).to_dict()
+        obj = random_game(args.agents, seed=args.seed, **given).to_dict()
     elif args.kind == "roommate":
-        density = 0.5 if density is None else density
-        obj = random_roommate_spec(args.agents, density, args.seed).to_dict()
+        obj = random_roommate_spec(args.agents, seed=args.seed, **given).to_dict()
     else:
-        density = 0.7 if density is None else density
-        obj = random_marriage_spec(args.men, args.women, density, args.seed).to_dict()
+        obj = random_marriage_spec(args.men, args.women, seed=args.seed, **given).to_dict()
     print(_indented_json(obj))
     return 0
 

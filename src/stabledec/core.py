@@ -7,7 +7,6 @@ the canonical order of coalitions is numeric order of the masks.
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
@@ -47,10 +46,6 @@ def members(mask: int) -> tuple[int, ...]:
 
 def singleton(i: int) -> int:
     return 1 << (i - 1)
-
-
-def is_singleton(mask: int) -> bool:
-    return mask.bit_count() == 1
 
 
 def lowest_agent(mask: int) -> int:
@@ -320,15 +315,6 @@ def game_from_dict(obj) -> Game:
 
 def _is_list_like(obj) -> bool:
     return isinstance(obj, Sequence) and not isinstance(obj, (str, bytes))
-
-
-def parse_game_json(text: str) -> Game:
-    """Parse a game from its JSON text form."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"invalid JSON: {exc}") from None
-    return game_from_dict(obj)
 
 
 _DSL_HEADER = re.compile(r"^agents\s*:\s*(\d+)\s*$")

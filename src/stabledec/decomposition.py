@@ -9,11 +9,14 @@ Stable decompositions correspond one-to-one with absorbing sets:
 ``from_absorbing_set`` recovers the decomposition, ``d_structures`` +
 ``generated_set`` rebuild the absorbing set.
 
-``check_stable_decomposition`` decides the partition and protection by their
-definitions (``unprevented_breakers``), protection with a few ANDs per party
-on the K-bitsets of ``Game.expansion`` (``_breakers``, ``_prevention``).
-Only once every coalition party is protected does it decide the pool
-condition, through that correspondence rather than by searching the pool
+Protection is one walk (``_protection``): each coalition party with its
+breakers in ``g.permissible`` order, each paired with the first party that
+prevents it, a few ANDs per party on the K-bitsets of ``Game.expansion``.
+``check_stable_decomposition`` (and ``verify``), ``unprevented_breakers``,
+the re-check of each decomposition built from an absorbing set, and the
+certificates all read it. Only once the parties partition the agents and
+every coalition party is protected does ``check_stable_decomposition``
+decide the pool condition, through that correspondence rather than by searching the pool
 for parties: the condition holds when no permissible coalition lies inside
 the pool; without a ring party, such a coalition blocks the decomposition's
 only D-structure; otherwise the closure of the first D-structure must be one
@@ -218,29 +221,30 @@ def _prevention(g: Game, D: StableDecomposition) -> list[tuple[Party, int]]:
     return out
 
 
-def _prevented(g: Game, D: StableDecomposition) -> int:
-    # the K-bits of the coalitions some party of D prevents
-    found = 0
-    for _, mask in _prevention(g, D):
-        found |= mask
-    return found
-
-
-def _coalitions(g: Game, bits: int) -> list[int]:
-    # the K-coalitions of a K-bitset, in ``g.permissible`` order
+def _protection(g: Game, D: StableDecomposition, parties=None) -> list:
+    """The protection walk: each coalition party of ``D`` (or each of
+    ``parties``, which need not be in ``D``) with its breakers in
+    ``g.permissible`` order, each paired with the first party of ``D`` that
+    prevents it, or ``None``."""
     ks = g.permissible
+    masks = _prevention(g, D)
     out = []
-    while bits:
-        low = bits & -bits
-        out.append(ks[low.bit_length() - 1])
-        bits ^= low
+    for party in [p for p in D.parties if p.kind != POOL] if parties is None else parties:
+        pairs = []
+        found = _breakers(g, party)
+        while found:
+            low = found & -found
+            found ^= low
+            by = next((p for p, mask in masks if mask & low), None)
+            pairs.append((ks[low.bit_length() - 1], by))
+        out.append((party, pairs))
     return out
 
 
 def unprevented_breakers(g: Game, party: Party, D: StableDecomposition) -> list[int]:
     """Breakers of the party that no party of ``D`` prevents, ascending."""
-    found = _breakers(g, party)
-    return _coalitions(g, found & ~_prevented(g, D)) if found else []
+    ((_, pairs),) = _protection(g, D, [party])
+    return [c for c, by in pairs if by is None]
 
 
 def is_protected(g: Game, party: Party, D: StableDecomposition) -> bool:
@@ -274,8 +278,9 @@ class Violation(NamedTuple):
         return "parties do not partition the agent set"
 
 
-def _partition_and_protection(g: Game, D: StableDecomposition) -> list[Violation]:
-    # every violation but the pool condition's
+def _partition_and_protection(g: Game, D: StableDecomposition) -> tuple[list[Violation], list]:
+    # every violation but the pool condition's, and the protection walk
+    # (empty when the parties do not partition the agents)
     full = (1 << g.n) - 1
     pools = [p for p in D.parties if p.kind == POOL]
     violations: list[Violation] = []
@@ -285,19 +290,17 @@ def _partition_and_protection(g: Game, D: StableDecomposition) -> list[Violation
     for p in D.parties:
         if p.agents & union:
             violations.append(Violation("not-partition", p, None))
-            return violations
+            return violations, []
         union |= p.agents
     if union != full:
         violations.append(Violation("not-partition", None, None))
-        return violations
-    prevented = _prevented(g, D)
-    for p in D.parties:
-        if p.kind == POOL:
-            continue
-        bad = _coalitions(g, _breakers(g, p) & ~prevented)
-        if bad:
-            violations.append(Violation("unprotected", p, bad[0]))
-    return violations
+        return violations, []
+    walk = _protection(g, D)
+    for party, pairs in walk:
+        bad = next((c for c, by in pairs if by is None), None)
+        if bad is not None:
+            violations.append(Violation("unprotected", party, bad))
+    return violations, walk
 
 
 def _pool_violation(
@@ -348,7 +351,7 @@ def check_stable_decomposition(
     domination graph of at most ``limit`` nodes, and raises
     ``LimitExceeded`` beyond it.
     """
-    violations = _partition_and_protection(g, D)
+    violations, _ = _partition_and_protection(g, D)
     pool = D.pool()
     if violations or pool is None:
         return violations
@@ -395,21 +398,23 @@ def _absorbing_parties(g: Game, absorbing: AbsorbingSet, comps) -> list[Party]:
     return parties
 
 
-def _verified(g: Game, parties: list[Party], absorbing: AbsorbingSet) -> StableDecomposition:
-    """The decomposition of ``parties``, built from ``absorbing``, after the
-    partition and protection checks and the round trip: its first
-    D-structure must be a member of ``absorbing``. A sink component is the
-    closure of each of its members, so that D-structure generates exactly
-    ``absorbing``, whose parties are D's."""
+def _verified(g: Game, parties: list[Party], absorbing: AbsorbingSet) -> tuple:
+    """The decomposition of ``parties``, built from ``absorbing``, with its
+    protection walk and D-structures, after the partition and protection
+    checks and the round trip: its first D-structure must be a member of
+    ``absorbing``. A sink component is the closure of each of its members,
+    so that D-structure generates exactly ``absorbing``, whose parties are D's."""
     D = decomposition(parties)
-    problems = [v.describe(g.n) for v in _partition_and_protection(g, D)]
-    if not problems and d_structures(g, D)[0].structure not in absorbing:
+    violations, walk = _partition_and_protection(g, D)
+    problems = [v.describe(g.n) for v in violations]
+    induced = [] if problems else d_structures(g, D)
+    if not problems and induced[0].structure not in absorbing:
         problems.append("its first D-structure is not in the absorbing set")
     if problems:
         raise VerificationFailed(
             "constructed decomposition fails verification: " + "; ".join(problems)
         )
-    return D
+    return D, walk, induced
 
 
 def from_absorbing_set(
@@ -430,7 +435,7 @@ def from_absorbing_set(
         if G is None:
             G = grow_graph(g, absorbing.members, limit=limit)
         comps = _rings.ring_components_of(g, absorbing, G)
-    return _verified(g, _absorbing_parties(g, absorbing, comps), absorbing)
+    return _verified(g, _absorbing_parties(g, absorbing, comps), absorbing)[0]
 
 
 def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
@@ -444,6 +449,12 @@ def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
     is re-checked against the whole game and its absorbing set, as
     ``from_absorbing_set`` re-checks.
     """
+    return [D for D, _, _ in _checked_decompositions(an)]
+
+
+def _checked_decompositions(an: Analysis) -> list[tuple]:
+    # (decomposition, protection walk, D-structures) of each absorbing set,
+    # as the re-check built them
     g = an.game
     full = (1 << g.n) - 1
     # (factor index, factor absorbing set) -> its coalition parties
@@ -529,13 +540,16 @@ def all_stable_decompositions(
 def protection_certificates(g: Game, D: StableDecomposition) -> list[dict]:
     """For every coalition party, each breaker with the party preventing it
     and the dissenting witnesses ((coalition, agent) pairs)."""
-    bit = g.expansion().bit
-    masks = _prevention(g, D)
+    return _certificates(g, _protection(g, D))
+
+
+def _certificates(g: Game, walk: list) -> list[dict]:
+    # the certificates of a protection walk: witnesses are looked up only
+    # for the first preventing party of each breaker
     out = []
-    for party, _ in masks:
+    for party, pairs in walk:
         breakers = []
-        for c in _coalitions(g, _breakers(g, party)):
-            by = next((p for p, mask in masks if mask & bit[c]), None)
+        for c, by in pairs:
             witnesses = [] if by is None else _witnesses(g, by, c)
             breakers.append({"coalition": c, "prevented_by": by, "witnesses": witnesses})
         out.append({"party": party, "breakers": breakers})

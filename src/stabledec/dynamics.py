@@ -9,7 +9,7 @@ structure tuple.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import Game, compact_coalition, lowest_agent, members, render_coalition
 from .errors import LimitExceeded, NodeNotInGraph, NotBlocking
@@ -165,11 +165,6 @@ class DominationGraph:
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj)
-
-    def edges(self) -> Iterator[DominationEdge]:
-        for v, out in enumerate(self.adj):
-            for w, via in out:
-                yield DominationEdge(self.nodes[v], self.nodes[w], via)
 
     def sccs(self) -> list[list[int]]:
         """Strongly connected components, each sorted, in reverse topological

@@ -883,6 +883,19 @@ class TestGenerate:
         assert obj["men"] == 2 and obj["women"] == 3
         assert load_game(json.dumps(obj)).n == 5
 
+    @pytest.mark.parametrize(
+        "kind, make",
+        [
+            ("random", lambda: random_game(6, seed=1).to_dict()),
+            ("roommate", lambda: random_roommate_spec(6, seed=1).to_dict()),
+            ("marriage", lambda: random_marriage_spec(3, 3, seed=1).to_dict()),
+        ],
+    )
+    def test_density_defaults_to_the_generators(self, kind, make, capsys):
+        # without --density the generator's own default density applies
+        assert main(["generate", kind, "--seed", "1"]) == 0
+        assert capsys.readouterr().out == json.dumps(make(), indent=2) + "\n"
+
     def test_seeded_output_is_stable(self, capsys):
         main(["generate", "random", "--agents", "6", "--seed", "3"])
         first = capsys.readouterr().out

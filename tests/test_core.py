@@ -21,12 +21,10 @@ from stabledec import (
     contains,
     game_from_dict,
     intersects,
-    is_singleton,
     lowest_agent,
     marriage_to_game,
     members,
     parse_game_dsl,
-    parse_game_json,
     prefers,
     random_game,
     random_marriage_spec,
@@ -37,6 +35,8 @@ from stabledec import (
     transitively_prefers,
     unanimously_prefers,
 )
+from stabledec.cli import load_game
+
 from conftest import GENERATED_GAMES, C, parts
 from test_fuzz import FUZZ_GAMES
 
@@ -64,9 +64,6 @@ class TestCoalitionMasks:
 
     def test_singleton_helpers(self):
         assert singleton(5) == C("5")
-        assert is_singleton(C("5"))
-        assert not is_singleton(C("45"))
-        assert not is_singleton(0)
 
     def test_lowest_agent_and_contains(self):
         assert lowest_agent(C("467")) == 4
@@ -277,7 +274,7 @@ class TestTransitivelyPrefers:
 
 class TestParsing:
     def test_json_roundtrip(self, g7):
-        assert parse_game_json(__import__("json").dumps(g7.to_dict())) == g7
+        assert load_game(json.dumps(g7.to_dict())) == g7
 
     def test_dict_roundtrip(self, g6):
         assert game_from_dict(g6.to_dict()) == g6
@@ -313,10 +310,10 @@ class TestParsing:
             parse_game_dsl(f"agents: 3\n1: 12 | 1\n2: 12 | 2\n{line}\n")
 
     def test_json_rejects_garbage(self):
-        with pytest.raises(MalformedInput):
-            parse_game_json("not json")
-        with pytest.raises(MalformedInput):
-            parse_game_json("[1, 2]")
+        with pytest.raises(MalformedInput, match="^invalid JSON"):
+            load_game("{not json")
+        with pytest.raises(MalformedInput, match="must be a mapping"):
+            game_from_dict([1, 2])
         with pytest.raises(MalformedInput):
             game_from_dict({"preferences": {}})
         with pytest.raises(MalformedInput):

@@ -44,7 +44,7 @@ from stabledec import (
 from stabledec.cli import main, parse_decomposition
 from stabledec.structures import _breaking, breaks_maximal_set, maximal_sets
 from conftest import GENERATED_GAMES, GENERATED_IDS, C, make_structure
-from test_factoring import UNIONS
+from test_factoring import UNIONS, mar, rnd, room, union
 from test_fuzz import FUZZ_GAMES, _analyzed
 
 # the module, which the package's ``decomposition`` function shadows
@@ -727,7 +727,8 @@ class TestBitsetsMatchDefinitions:
             assert [p for p, _ in masks] == [p for p in d.parties if p.kind != POOL]
             for party, mask in masks:
                 for mset in maximal_sets(party.coalitions):
-                    assert decomposition_module._coalitions(g, _breaking(g, mset)) == [
+                    breakers = _breaking(g, mset)
+                    assert [c for c in g.permissible if breakers & bit[c]] == [
                         c for c in g.permissible if breaks_maximal_set(g, c, mset)
                     ]
                 for c in g.permissible:
@@ -771,6 +772,50 @@ class TestNonPermissibleParty:
         d = decomposition([good, Party(SINGLE, (C("36"),)), pool])
         with pytest.raises(MalformedParty, match=r"^\{3,6\} is not a permissible coalition$"):
             unprevented_breakers(g7, good, d)
+
+
+class TestOneProtectionWalkPerDecomposition:
+    """``analyze --all --json`` walks the breakers once per coalition party
+    and works out prevention and the D-structures once per decomposition:
+    the re-check builds them, and the JSON report only renders them."""
+
+    @staticmethod
+    def _counted(monkeypatch, g, tmp_path, capsys):
+        calls = {"_breakers": 0, "_prevention": 0, "d_structures": 0}
+
+        def counting(name):
+            real = getattr(decomposition_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(decomposition_module, name, counting(name))
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(g.to_dict()))
+        assert main(["analyze", str(path), "--all", "--json"]) == 0
+        decs = json.loads(capsys.readouterr().out)["decompositions"]
+        monkeypatch.undo()
+        parties = sum(p["kind"] != POOL for d in decs for p in d["parties"])
+        assert calls == {"_breakers": parties, "_prevention": len(decs), "d_structures": len(decs)}
+        return calls
+
+    @pytest.mark.parametrize("fixture", ["g6", "g7", "g8", "rm10", "mar33"])
+    def test_worked_examples(self, fixture, request, monkeypatch, tmp_path, capsys):
+        self._counted(monkeypatch, request.getfixturevalue(fixture), tmp_path, capsys)
+
+    def test_split_markets_population_0(self, monkeypatch, tmp_path, capsys):
+        # the benchmark's split-markets games of generator seeds 1-30: three
+        # 6-agent submarkets (random, roommate, marriage) side by side
+        total = {"_breakers": 0, "_prevention": 0, "d_structures": 0}
+        for seed in range(1, 31):
+            g = union(rnd(6, 0.6, seed), room(6, 0.6, seed), mar(seed, 0.6))
+            for name, count in self._counted(monkeypatch, g, tmp_path, capsys).items():
+                total[name] += count
+        assert total == {"_breakers": 419, "_prevention": 61, "d_structures": 61}
 
 
 class TestWitnessesOnlyForCertificates:

@@ -37,6 +37,7 @@ from stabledec import (
     roommate_to_game,
 )
 from stabledec import rings
+from stabledec.cli import parse_decomposition
 
 # label -> make; both tests together take about 3 s on a 2-core x86-64 machine
 FUZZ_GAMES = dict(
@@ -145,3 +146,27 @@ def test_verdicts_match_the_listing(label):
         if pool is not None and pool.agents.bit_count() <= REFERENCE_POOL_AGENTS:
             found = _reference_pool_party(g, d, pool.agents)
             assert found is None or violations, (d.render(g.n), found.render(g.n))
+
+
+# random_game(5, 0.5, seed) -> a candidate that ``analyze`` does not list but
+# ``check_stable_decomposition`` accepts (ROADMAP item 1: a ring party with a
+# pool that holds no permissible coalition, or with no pool at all)
+UNLISTED_BUT_ACCEPTED = {
+    89: "{{12,25,135},{4}}",
+    105: "{{13,35,145},{2}}",
+    125: "{{1234,135,45}}",
+    166: "{{23,14,34,15,25,35}}",
+    196: "{{1234,25,135}}",
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: verify accepts decompositions that match no absorbing set",
+)
+@pytest.mark.parametrize("seed", list(UNLISTED_BUT_ACCEPTED))
+def test_unlisted_candidates_are_rejected(seed):
+    g = random_game(5, 0.5, seed)
+    d = parse_decomposition(g, UNLISTED_BUT_ACCEPTED[seed])
+    assert d not in factored_decompositions(Analysis(g))
+    assert check_stable_decomposition(g, d)
