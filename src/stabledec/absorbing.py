@@ -18,6 +18,24 @@ Diamantoudi, Miyagawa and Xue 2004 for roommate games), so its absorbing
 sets are exactly its stable structures. A pruned search finds them without
 enumerating the group's structures, and a memoized count, not enumeration,
 holds each group to the structure limit.
+
+A pair-only group without a stable structure grows only the closure of its
+P-stable matchings. A stable partition (Tan 1991) is a permutation ``pi``
+of the agents whose steps are permissible pairs, an agent on a cycle of
+length 1 being single, such that (T1) every agent ranks ``pi(i)`` at least
+as high as ``pi^-1(i)``, and (T2) no permissible pair ``{i, j}`` has each
+agent ranking the other above their own predecessor, a single agent being
+their own predecessor. A P-stable matching pairs consecutive agents along
+each cycle: a 2-cycle is a pair, an even cycle of length 4 or more gives
+its two alternating matchings, and an odd cycle of length ``k`` gives
+``k``, each leaving a different agent single. The closure is closed under
+domination, so each of its sinks is an absorbing set, with no theorem
+needed. The converse needs one: from every matching some sequence of
+blocking pairs reaches a P-stable matching (Iñarra, Larrea and Molis 2008,
+*Random paths to P-stability in the roommate problem*). From a member of an
+absorbing set that path stays inside the set, so every absorbing set holds
+a P-stable matching, lies in the closure and is one of its sinks. The
+structure limit still counts all of the group's structures.
 """
 
 from __future__ import annotations
@@ -27,12 +45,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Game, lowest_agent
+from .core import Game, lowest_agent, members
 from .errors import LimitExceeded, TrivialAbsorbingSet, VerificationFailed
 from .structures import (
     DEFAULT_LIMIT,
     _count_structures,
     _keyed_structures,
+    _order_key,
     _parts_by_agent,
     is_stable,
     render_structure,
@@ -79,8 +98,10 @@ def sink_components(G: DominationGraph) -> list[AbsorbingSet]:
     On a graph whose node ids are in ``structure_key`` order
     (``DominationGraph.key_ordered``), such as every full graph, that is
     id order, and no key is computed; on any other graph the members are
-    sorted by key. Computed once per graph and memoized on it; each call
-    returns a new list.
+    sorted as plain tuples when every part has at most two agents, which is
+    that order, and by ``structure_key`` otherwise
+    (``structures._order_key``). Computed once per graph and memoized on
+    it; each call returns a new list.
     """
     if G._sinks is None:
         G._sinks = _scan_sinks(G)
@@ -105,11 +126,12 @@ def _scan_sinks(G: DominationGraph) -> list[AbsorbingSet]:
         # each component is sorted by id, so its least id comes first
         sinks.sort(key=lambda comp: comp[0])
         return [AbsorbingSet(tuple(nodes[v] for v in comp)) for comp in sinks]
-    sets = [
-        AbsorbingSet(tuple(sorted((nodes[v] for v in comp), key=structure_key)))
-        for comp in sinks
-    ]
-    return sorted(sets, key=lambda a: structure_key(a.members[0]))
+    held = [[nodes[v] for v in comp] for comp in sinks]
+    order = _order_key(itertools.chain.from_iterable(held))
+    sets = [AbsorbingSet(tuple(sorted(ms, key=order))) for ms in held]
+    if order is None:
+        return sorted(sets, key=lambda a: a.members[0])
+    return sorted(sets, key=lambda a: order(a.members[0]))
 
 
 def absorbing_sets(g: Game, limit: int = DEFAULT_LIMIT) -> list[AbsorbingSet]:
@@ -155,10 +177,18 @@ def factor_games(g: Game) -> list[Game]:
 
 class Factor(NamedTuple):
     """A factor's sub-game, its absorbing sets in ``sink_components``
-    order, and the full domination graph over its structures, or ``None``
-    for a pair-only factor with a stable structure, whose absorbing sets
-    are its stable structures, found by a search that enumerates none of
-    the others (``_stable_matchings``)."""
+    order, and its graph:
+
+    - ``None`` for a pair-only factor with a stable structure, whose
+      absorbing sets are its stable structures, found by a search that
+      enumerates none of the others (``_stable_matchings``);
+    - for a pair-only factor without one, the closure of its P-stable
+      matchings (``_stable_partitions``, ``_p_stable_matchings``), whose
+      sinks are its absorbing sets and which need not hold its other
+      structures;
+    - for every other factor, the full domination graph over its
+      structures.
+    """
 
     game: Game
     sets: tuple[AbsorbingSet, ...]
@@ -230,14 +260,177 @@ def _stable_matchings(g: Game) -> list[tuple[int, ...]] | None:
     return stable
 
 
+def _stable_partitions(g: Game) -> list[tuple[tuple[int, ...], ...]]:
+    """Every stable partition of a pair-only game (Tan 1991), each as its
+    cycles: a cycle lists its agents along the permutation from its least
+    agent, and the cycles come by least agent.
+
+    A stable partition is a permutation ``pi`` of the agents whose every
+    step ``i -> pi(i)`` with ``pi(i) != i`` is a permissible pair; an agent
+    on a cycle of length 1 is single. It satisfies
+
+    - T1: every agent ``i`` ranks ``pi(i)`` at least as high as their
+      predecessor ``pi^-1(i)``, the same agent only on a cycle of length 2;
+    - T2: no permissible pair ``{i, j}`` has ``i`` ranking ``j`` above
+      ``pi^-1(i)`` and ``j`` ranking ``i`` above ``pi^-1(j)``. A single
+      agent is their own predecessor, and ranks every partner above it.
+
+    The search closes one cycle at a time, from the least agent not yet
+    placed, and places each successor among the partners the current agent
+    ranks above their predecessor, so T1 holds as each successor is placed
+    (at a cycle's first agent, once it closes). Each agent with a known
+    predecessor keeps the K-bits of the pairs they would rather hold
+    (``envy``), every pair without them included; as in
+    ``_stable_matchings``, a branch is dropped once the AND of those masks
+    keeps a pair both of whose agents have known predecessors.
+    """
+    bit = g.expansion().bit
+    n = g.n
+    # per agent: K-bits of their pairs, partners best first, each partner's
+    # position there, and per predecessor the envy mask
+    holding = [0] * (n + 1)
+    partners: list[list[int]] = [[] for _ in range(n + 1)]
+    rank: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    envy: list[dict[int, int]] = [{i: -1} for i in range(n + 1)]
+    for c, b in bit.items():
+        for i in members(c):
+            holding[i] |= b
+    for i in range(1, n + 1):
+        own = 1 << (i - 1)
+        above = ~holding[i]
+        # every permissible pair of i is ranked above their singleton
+        for c in g.rankings[i - 1]:
+            if c == own:
+                break
+            b = bit.get(c)
+            if b is None:
+                continue
+            j = (c & ~own).bit_length()
+            rank[i][j] = len(partners[i])
+            partners[i].append(j)
+            envy[i][j] = above
+            above |= b
+    succ = [0] * (n + 1)
+    found = []
+
+    def cycles() -> tuple[tuple[int, ...], ...]:
+        out = []
+        seen = 0
+        for i in range(1, n + 1):
+            if not seen >> i & 1:
+                cyc = [i]
+                j = succ[i]
+                while j != i:
+                    cyc.append(j)
+                    j = succ[j]
+                for j in cyc:
+                    seen |= 1 << j
+                out.append(tuple(cyc))
+        return tuple(out)
+
+    # ``free``: agents in no cycle yet; ``blocking``: the AND of the envy
+    # masks of the agents with known predecessors; ``within``: the K-bits
+    # of the pairs both of whose agents have one; ``held``: the K-bits of
+    # those agents' pairs
+    def start(free: int, blocking: int, within: int, held: int) -> None:
+        if not free:
+            found.append(cycles())
+            return
+        low = free & -free
+        a = low.bit_length()
+        free ^= low
+        # a single: T1 holds and their envy mask is -1
+        inside = within | holding[a] & held
+        if not blocking & inside:
+            succ[a] = a
+            start(free, blocking, inside, held | holding[a])
+        for y in partners[a]:
+            if free >> (y - 1) & 1:
+                succ[a] = y
+                place(a, a, y, free ^ 1 << (y - 1), blocking, within, held)
+
+    def place(a: int, x: int, y: int, free: int, blocking: int, within: int, held: int) -> None:
+        # y becomes x's successor on the cycle from a
+        blocking &= envy[y][x]
+        within |= holding[y] & held
+        if blocking & within:
+            return
+        held |= holding[y]
+        # T1 at y: the successor is ranked above x, or is x on a 2-cycle
+        for z in partners[y][: rank[y][x]]:
+            if z == a:
+                # closing: T1 at a, whose predecessor becomes y
+                if rank[a][succ[a]] < rank[a][y]:
+                    succ[y] = a
+                    close(a, y, free, blocking, within, held)
+            elif free >> (z - 1) & 1:
+                succ[y] = z
+                place(a, y, z, free ^ 1 << (z - 1), blocking, within, held)
+        if x == a:
+            succ[y] = a
+            close(a, y, free, blocking, within, held)
+
+    def close(a: int, y: int, free: int, blocking: int, within: int, held: int) -> None:
+        # the cycle from a closes at y, a's predecessor
+        blocking &= envy[a][y]
+        within |= holding[a] & held
+        if not blocking & within:
+            start(free, blocking, within, held | holding[a])
+
+    start((1 << n) - 1, -1, 0, 0)
+    return found
+
+
+def _p_stable_matchings(g: Game, partitions) -> list[tuple[tuple[int, ...], int]]:
+    """The P-stable matchings of the stable partitions, distinct, sorted by
+    ``structure_key`` and each with its key, as ``dynamics._grow`` takes
+    seeds. A cycle of length 2 is a pair, an even cycle of length 4 or more
+    gives its two alternating matchings, and an odd cycle of length ``k``
+    gives ``k``: one per agent left single, the others paired along it."""
+    bit = g.expansion().bit
+    keyed: dict[int, tuple[int, ...]] = {}
+    for partition in partitions:
+        options = []
+        for cyc in partition:
+            k = len(cyc)
+            masks = [1 << (a - 1) for a in cyc]
+            if k < 3:
+                options.append([[sum(masks)]])
+            elif k % 2 == 0:
+                options.append(
+                    [[masks[i] | masks[(i + 1) % k] for i in range(s, k + s, 2)] for s in (0, 1)]
+                )
+            else:
+                options.append(
+                    [
+                        [masks[s]]
+                        + [masks[(s + i) % k] | masks[(s + i + 1) % k] for i in range(1, k, 2)]
+                        for s in range(k)
+                    ]
+                )
+        for choice in itertools.product(*options):
+            parts = [p for chosen in choice for p in chosen]
+            key = sum(bit[p] for p in parts if p & (p - 1))
+            if key not in keyed:
+                keyed[key] = tuple(sorted(parts, key=lowest_agent))
+    return sorted(((pi, key) for key, pi in keyed.items()), key=lambda e: structure_key(e[0]))
+
+
 def _factor(g: Game, limit: int) -> Factor:
-    # a pair-only factor with a stable structure needs no graph; any other
-    # grows its graph from the enumeration, whose count Analysis has already
-    # held to the limit
+    # a pair-only factor with a stable structure needs no graph; one without
+    # grows the closure of its P-stable matchings; any other grows its graph
+    # from the enumeration. Analysis has already held the structure count,
+    # which bounds either graph, to the limit
     stable = _stable_matchings(g)
     if stable:
         return Factor(g, tuple(AbsorbingSet((pi,)) for pi in stable), None)
-    graph = full_domination_graph(g, limit)
+    if stable is None:
+        graph = full_domination_graph(g, limit)
+    else:
+        partitions = _stable_partitions(g)
+        if not partitions:
+            raise VerificationFailed("no stable partition found; every game has one")
+        graph = _grow(g, _p_stable_matchings(g, partitions), limit)
     return Factor(g, tuple(sink_components(graph)), graph)
 
 
@@ -261,15 +454,20 @@ class Analysis:
 
     Each factor's structures are first counted, memoized on the agents
     already placed (``structures._count_structures``), and the limit is
-    checked before any factor is searched, enumerated or grown. A factor
-    whose permissible coalitions are all pairs and which has a stable
-    structure takes its stable structures, found by a pruned search
-    (``_stable_matchings``), as its absorbing sets, and neither enumerates
-    its structures nor builds a graph: from every matching some sequence of
-    blocking pairs reaches a stable one (Roth and Vande Vate 1990;
-    Diamantoudi, Miyagawa and Xue 2004), so every absorbing set is trivial.
-    Every other factor grows its full domination graph from one enumeration
-    of its structures and reads its sink components.
+    checked before any factor is searched, enumerated or grown; the limit
+    counts structures on every route. A factor whose permissible coalitions
+    are all pairs and which has a stable structure takes its stable
+    structures, found by a pruned search (``_stable_matchings``), as its
+    absorbing sets, and neither enumerates its structures nor builds a
+    graph: from every matching some sequence of blocking pairs reaches a
+    stable one (Roth and Vande Vate 1990; Diamantoudi, Miyagawa and Xue
+    2004), so every absorbing set is trivial. A pair-only factor without a
+    stable structure enumerates none either: it grows the closure of its
+    P-stable matchings, read off its stable partitions (Tan 1991), and
+    reads the closure's sinks, which are exactly its absorbing sets (see
+    the module docstring; Iñarra, Larrea and Molis 2008). Every other
+    factor grows its full domination graph from one enumeration of its
+    structures and reads its sink components.
 
     Every domination step changes one factor, so the game's structures are
     the products of factor structures, its absorbing sets the products of

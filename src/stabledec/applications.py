@@ -6,9 +6,11 @@ acceptable pairs. ``converges_to_stability`` decides whether every structure
 can reach a stable one. On a domination graph with no stable structure the
 answer is no, with the least structure as witness; otherwise one walk over
 the graph's memoized SCCs, in reverse topological order, decides it. Both
-cases cross-check against sink triviality. A factored analysis runs that on
-every factor with a graph, while a pair-only factor with a stable structure
-converges by theorem and has no graph to check.
+cases cross-check against sink triviality. The least structure, all agents
+single, is the witness even on a graph that lacks it, as the closure of a
+pair-only factor's P-stable matchings does. A factored analysis runs that
+on every factor with a graph, while a pair-only factor with a stable
+structure converges by theorem and has no graph to check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .core import Game
 from .errors import MalformedSpec, VerificationFailed
-from .structures import DEFAULT_LIMIT, structure_key
+from .structures import DEFAULT_LIMIT, singleton_structure, structure_key
 from .absorbing import Analysis, sink_components
 
 
@@ -132,20 +134,24 @@ def converges_to_stability(
 
     Returns ``(True, None)`` or ``(False, witness)`` with the least
     structure, by ``structure_key``, from which no stable structure is
-    reachable. On a graph with no stable structure that is its least
-    structure. Otherwise the memoized SCCs are walked once in Tarjan's
+    reachable. On a graph with no stable structure that is all agents
+    single, the least structure, whether or not the graph holds it, as a
+    closure need not. Otherwise the memoized SCCs are walked once in Tarjan's
     reverse topological order: a component reaches a stable structure when
     it holds one or has an edge into a component that reaches one. The
     verdict is cross-checked against triviality of the sink components; the
     two routes must agree.
 
     Without ``graph`` the verdict comes from ``factored_convergence``, per
-    factor; with it, from that graph.
+    factor; with it, from that graph. A graph that holds a stable structure
+    is taken to hold every structure: the witness is the least of its own
+    nodes that reach none.
     """
     if graph is None:
         return factored_convergence(Analysis(g, limit))
     adj = graph.adj
-    if graph.nodes and all(adj):
+    stuck = bool(graph.nodes) and all(adj)
+    if stuck:
         stragglers = range(len(graph))
     else:
         comps = graph.sccs()
@@ -166,6 +172,8 @@ def converges_to_stability(
         )
     if verdict:
         return True, None
+    if stuck:
+        return False, singleton_structure(g.n)
     if graph.key_ordered():
         return False, graph.nodes[stragglers[0]]
     return False, min((graph.nodes[v] for v in stragglers), key=structure_key)

@@ -245,6 +245,11 @@ def _render_json(report: Report, args) -> None:
     def structure_name(pi) -> str:
         return " ".join([names[p] for p in pi])
 
+    def name(c: int) -> str:
+        # any other coalition, such as a witness's, is rendered on demand
+        found = names.get(c)
+        return render_coalition(c) if found is None else found
+
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "agents": g.n,
@@ -265,10 +270,10 @@ def _render_json(report: Report, args) -> None:
         doc["ring_components"] = [
             {
                 "absorbing_set": idx,
-                "coalitions": [render_coalition(c) for c in rc.coalitions],
+                "coalitions": [name(c) for c in rc.coalitions],
                 "simple": rc.simple,
-                "maximal": [[render_coalition(c) for c in E] for E in rc.maximal],
-                "compact": [[render_coalition(c) for c in E] for E in rc.compact],
+                "maximal": [[name(c) for c in E] for E in rc.maximal],
+                "compact": [[name(c) for c in E] for E in rc.compact],
             }
             for idx, rc in report.rings
         ]
@@ -276,10 +281,10 @@ def _render_json(report: Report, args) -> None:
         doc["decompositions"] = [
             {
                 "parties": [
-                    {"kind": p.kind, "coalitions": [render_coalition(c) for c in p.coalitions]}
+                    {"kind": p.kind, "coalitions": [name(c) for c in p.coalitions]}
                     for p in d.parties
                 ],
-                "certificates": _certificates_json(g, walk),
+                "certificates": _certificates_json(g, walk, name),
                 "d_structures": [structure_name(ds.structure) for ds in induced],
                 "generated_size": len(a),
             }
@@ -349,17 +354,18 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _certificates_json(g: Game, walk) -> list[dict]:
+def _certificates_json(g: Game, walk, name) -> list[dict]:
+    # ``name`` renders a coalition mask
     return [
         {
-            "party": [render_coalition(c) for c in entry["party"].coalitions],
+            "party": [name(c) for c in entry["party"].coalitions],
             "breakers": [
                 {
-                    "breaker": render_coalition(b["coalition"]),
+                    "breaker": name(b["coalition"]),
                     "prevented_by": None
                     if b["prevented_by"] is None
-                    else [render_coalition(c) for c in b["prevented_by"].coalitions],
-                    "witnesses": [[render_coalition(cp), agent] for cp, agent in b["witnesses"]],
+                    else [name(c) for c in b["prevented_by"].coalitions],
+                    "witnesses": [[name(cp), agent] for cp, agent in b["witnesses"]],
                 }
                 for b in entry["breakers"]
             ],

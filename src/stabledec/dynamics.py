@@ -38,20 +38,23 @@ def dominate_via(g: Game, pi: tuple[int, ...], c: int) -> tuple[int, ...]:
     return _form(pi, c)
 
 
-def _form(pi: tuple[int, ...], c: int) -> tuple[int, ...]:
+def _form(pi: tuple[int, ...], c: int, lowest=lowest_agent) -> tuple[int, ...]:
     # c forms against pi: parts meeting c lose those agents to c and the
-    # rest of each such part falls back to singletons
+    # rest of each such part falls back to singletons; ``lowest`` orders
+    # the parts as ``lowest_agent`` does
     parts = [c]
+    rest = 0
     for p in pi:
         if p & c:
-            rest = p & ~c
-            while rest:
-                low = rest & -rest
-                parts.append(low)
-                rest ^= low
+            rest |= p & ~c
         else:
             parts.append(p)
-    return tuple(sorted(parts, key=lowest_agent))
+    while rest:
+        low = rest & -rest
+        parts.append(low)
+        rest ^= low
+    parts.sort(key=lowest)
+    return tuple(parts)
 
 
 def successors(g: Game, pi: tuple[int, ...]) -> list[DominationEdge]:
@@ -229,6 +232,10 @@ def _grow(g: Game, keyed_seeds: Iterable, limit: int) -> DominationGraph:
     _, better, meets = g.expansion()
     # per K-coalition: the coalition and the key bits its formation keeps
     table = [(c, ~m) for c, m in zip(g.permissible, meets)]
+    # every part's lowest bit, so that _form sorts with a C-level key
+    low_bit = {c: c & -c for c in g.permissible}
+    low_bit.update((1 << b, 1 << b) for b in range(g.n))
+    lowest = low_bit.__getitem__
     nodes: list[tuple[int, ...]] = []
     keys: list[int] = []
     for pi, key in keyed_seeds:
@@ -260,7 +267,7 @@ def _grow(g: Game, keyed_seeds: Iterable, limit: int) -> DominationGraph:
                 w = len(nodes)
                 if w >= limit:
                     raise LimitExceeded(f"domination graph exceeds {limit} nodes")
-                nodes.append(_form(pi, c))
+                nodes.append(_form(pi, c, lowest))
                 keys.append(key2)
                 index[key2] = w
             out.append((w, c))

@@ -72,6 +72,20 @@ def structure_key(pi: tuple[int, ...]):
     return tuple(members(p) for p in pi)
 
 
+def _order_key(pis: Iterable[tuple[int, ...]]):
+    """``structure_key``, or ``None`` when the given canonical structures of
+    one game already compare in its order as plain tuples of masks.
+
+    Where two structures first differ, their earlier parts cover the same
+    agents, so both parts there hold the same least agent ``a``. When every
+    part has at most two agents, those parts are ``{a}`` or a pair
+    ``{a, b}``, and their masks compare as their member tuples.
+    """
+    if all(p.bit_count() <= 2 for pi in pis for p in pi):
+        return None
+    return structure_key
+
+
 def maximal_sets(collection: Iterable[int]) -> list[tuple[int, ...]]:
     """All inclusion-maximal pairwise-disjoint subsets of the non-single
     coalitions in ``collection``.

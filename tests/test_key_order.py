@@ -9,6 +9,8 @@ from a strict subset of the structures discovers nodes out of key order and
 must keep the key sort: those cases pin the all-seed guard.
 """
 
+import random
+
 import pytest
 
 from stabledec import (
@@ -18,9 +20,12 @@ from stabledec import (
     enumerate_structures,
     full_domination_graph,
     grow_graph,
+    random_game,
     sink_components,
+    singleton_structure,
     structure_key,
 )
+from stabledec.structures import _order_key
 from conftest import GENERATED_GAMES, GENERATED_IDS
 from test_fuzz import FUZZ_GAMES
 from test_pair_games import GAMES as PAIR_GAMES
@@ -66,9 +71,18 @@ def reference_convergence(G):
     return False, min((G.nodes[v] for v in stragglers), key=structure_key)
 
 
+def expected_convergence(g, G):
+    """``reference_convergence``, except on a graph with no stable node: its
+    witness is the game's least structure, all agents single, which a
+    partial graph need not hold."""
+    if G.nodes and len(reference_stragglers(G)) == len(G):
+        return False, singleton_structure(g.n)
+    return reference_convergence(G)
+
+
 def check(g, G):
     assert sink_components(G) == reference_sinks(G)
-    assert converges_to_stability(g, graph=G) == reference_convergence(G)
+    assert converges_to_stability(g, graph=G) == expected_convergence(g, G)
 
 
 def check_full(g):
@@ -99,9 +113,9 @@ def test_no_stable_roommate_games(label):
 
 def partial_graphs(g):
     """Graphs grown from strict subsets of the structures: the upper half
-    in key order, and the greatest structure alone."""
+    in key order, the greatest structure alone, and the least alone."""
     structs = list(enumerate_structures(g))
-    for seeds in (structs[len(structs) // 2 :], structs[-1:]):
+    for seeds in (structs[len(structs) // 2 :], structs[-1:], structs[:1]):
         yield grow_graph(g, seeds)
 
 
@@ -109,6 +123,9 @@ PARTIAL_GAMES = dict(
     [(f"{front}-{seed}", lambda make=make, seed=seed: make(seed))
      for front, seed, make in GENERATED_GAMES]
     + list(NO_STABLE.items())
+    # stable structures and a non-trivial sink: grown from the least
+    # structure, the least straggler by key is not the least straggler id
+    + [("random6-114-mixed", lambda: random_game(6, 0.5, 114))]
 )
 
 
@@ -121,8 +138,8 @@ def test_partial_graphs_keep_the_key_sort(label):
 
 def test_partial_graphs_discover_out_of_key_order():
     # the inputs above exercise the guard: some partial graph has a sink
-    # whose members are not in id order, and some has a witness that is
-    # not its least straggler id
+    # whose members are not in id order, and some with a stable node has a
+    # witness that is not its least straggler id
     unordered_sink = unordered_witness = False
     for make in PARTIAL_GAMES.values():
         g = make()
@@ -130,10 +147,30 @@ def test_partial_graphs_discover_out_of_key_order():
             for a in reference_sinks(G):
                 ids = [G.node_id(pi) for pi in a.members]
                 unordered_sink |= ids != sorted(ids)
+            stragglers = reference_stragglers(G)
             ok, witness = reference_convergence(G)
-            if not ok:
-                unordered_witness |= G.node_id(witness) != min(reference_stragglers(G))
+            if not ok and len(stragglers) < len(G):
+                unordered_witness |= G.node_id(witness) != min(stragglers)
     assert unordered_sink and unordered_witness
+
+
+@pytest.mark.parametrize("label", list(PARTIAL_GAMES))
+def test_order_key_is_structure_key_order(label):
+    # shuffled structures, sorted as plain tuples when every part has at
+    # most two agents, else by structure_key
+    g = PARTIAL_GAMES[label]()
+    structs = list(enumerate_structures(g))
+    random.Random(len(structs)).shuffle(structs)
+    order = _order_key(structs)
+    assert (order is None) == all(p.bit_count() <= 2 for pi in structs for p in pi)
+    assert sorted(structs, key=order) == sorted(structs, key=structure_key)
+
+
+def test_order_key_takes_both_branches():
+    pair_only = [
+        all(p.bit_count() <= 2 for p in make().permissible) for make in PARTIAL_GAMES.values()
+    ]
+    assert any(pair_only) and not all(pair_only)
 
 
 def test_empty_graph_converges(g7):

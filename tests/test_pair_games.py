@@ -1,12 +1,14 @@
 """Pair-only factors with a stable structure: no domination graph.
 
 ``Analysis`` takes a factor's stable structures as its absorbing sets when
-every permissible coalition is a pair and some structure is stable. The
-gate compares every section with the one read off the full domination graph
-(``graph=full_domination_graph(g)``): marriage games, roommate games with
-and without a stable matching, pair-only general games whose rankings list
-unacceptable coalitions, and disjoint unions of a marriage game with a
-roommate game that has no stable matching.
+every permissible coalition is a pair and some structure is stable; a
+pair-only factor without one grows the closure of its P-stable matchings
+(see ``test_p_stable.py``). The gate compares every section with the one
+read off the full domination graph (``graph=full_domination_graph(g)``):
+marriage games, roommate games with and without a stable matching,
+pair-only general games whose rankings list unacceptable coalitions, and
+disjoint unions of a marriage game with a roommate game that has no stable
+matching.
 
 The pruned search for the stable structures (``_stable_matchings``) and the
 memoized structure count are checked against enumeration: the search
@@ -113,7 +115,8 @@ for (m, w), seeds in {(3, 3): 40, (4, 4): 30, (5, 5): 25, (6, 6): 15, (3, 5): 10
 for n, seeds in {5: 20, 6: 20, 7: 15, 8: 10, 9: 5}.items():
     for s in range(1, seeds + 1):
         GAMES[f"roommate{n}-{s}"] = lambda n=n, s=s: room(n, s)
-# roommate games with no stable matching, which keep the graph route
+# roommate games with no stable matching, which grow the closure of their
+# P-stable matchings
 for n in (5, 6, 7):
     for s in no_stable_roommates(n, 5):
         GAMES[f"roommate{n}-{s}-unstable"] = lambda n=n, s=s: room(n, s)
@@ -196,7 +199,7 @@ class TestGateCoverage:
         assert len(GAMES) >= 200
 
     def test_both_routes_taken(self):
-        # factors without a graph, and pair-only factors that keep theirs
+        # factors without a graph, and pair-only factors with a closure
         routes = {"pairs": 0, "graph": 0, "pairs-graph": 0}
         for label, make in GAMES.items():
             g = make()
@@ -280,12 +283,15 @@ class TestCounting:
         assert grows == []
         assert enumerations == []
 
-    def test_unstable_roommates_enumerate_once(self, monkeypatch):
+    def test_unstable_roommates_enumerate_nothing(self, monkeypatch):
+        # one growth, of the closure of the P-stable matchings
         g = room(6, no_stable_roommates(6, 1)[0])
         enumerations = _counting(monkeypatch, absorbing, "_keyed_structures")
+        enumerations += _counting(monkeypatch, structures, "_keyed_structures")
+        enumerations += _counting(monkeypatch, structures, "enumerate_structures")
         grows = _counting(monkeypatch, absorbing, "_grow")
         _full_analysis(g)
-        assert enumerations == ["_keyed_structures"]
+        assert enumerations == []
         assert grows == ["_grow"]
 
     def test_limit_raises_before_any_enumeration(self, monkeypatch):
