@@ -36,6 +36,48 @@ blocking pairs reaches a P-stable matching (Iñarra, Larrea and Molis 2008,
 absorbing set that path stays inside the set, so every absorbing set holds
 a P-stable matching, lies in the closure and is one of its sinks. The
 structure limit still counts all of the group's structures.
+
+Both searches of a pair-only group, for its stable matchings and for its
+stable partitions, branch only on the pairs left in Irving's (1985, *An
+efficient algorithm for the stable roommates problem*) phase-1 table
+(``_phase_one``), built once per group over the agents that hold a
+permissible pair: each agent proposes to the first partner left in their
+row, the receiver drops every pair they rank below that proposer (from
+both rows), and this repeats until nothing changes. A proposer's first
+partner is dropped only by that partner: the pairs an agent drops as a
+receiver lie below the proposer, who is in their row and so ranked no
+higher than their first partner. So an agent who has received a proposal
+holds one from then on, and no pair joins two agents whose rows end empty.
+At the fixpoint the first partner of every agent with a non-empty row
+ranks that agent last in their own row, so the map from an agent to their
+first partner is a bijection on the agents with non-empty rows. Blocking
+and T2 are still tested against every permissible pair. Two lemmas make
+the table exact:
+
+1. A dropped pair is adjacent in no stable partition, so it is in no
+   stable matching, a stable matching being a stable partition of cycles
+   of length 1 and 2. Take the first dropped pair ``{y, z}`` that is
+   adjacent in some stable partition ``pi``: it was dropped because ``x``
+   proposed to ``y`` and ``y`` ranks ``x`` above ``z``. Every pair ``x``
+   ranks above ``{x, y}`` was dropped earlier, so no neighbour of ``x`` in
+   ``pi`` is one ``x`` ranks above ``y``. If ``pi(x) = y``, then
+   ``pi^-1(y) = x``, so ``pi(y) = z`` is ranked below ``pi^-1(y)``: T1
+   fails at ``y``. If ``pi^-1(x) = y``, then ``pi(y) = x`` and
+   ``pi^-1(y) = z``, so ``pi(x) != y`` and ``x`` ranks ``pi(x)`` below
+   ``y = pi^-1(x)``: T1 fails at ``x``. Otherwise ``x`` ranks ``y`` above
+   ``pi^-1(x)`` (or is single), and ``y`` ranks ``x`` above ``pi^-1(y)``,
+   which is ``z`` or, by T1 at ``y``, ranked no higher than ``pi(y) =
+   z``: ``{x, y}`` violates T2.
+2. An agent whose row is not empty is matched in every stable matching
+   ``M``. By Lemma 1, ``M`` pairs each matched agent with a partner left
+   in their row. Let ``w`` have a non-empty row with first partner ``v``.
+   Either ``M(w) = v``, or ``w`` ranks ``v`` above ``M(w)`` or is single;
+   then, as ``{w, v}`` does not block ``M``, ``v`` holds a partner they
+   rank above ``w``. Either way ``v`` is matched, and every agent with a
+   non-empty row is the first partner of one.
+
+So the matching search places every agent with an empty row single and
+never offers the others their singleton.
 """
 
 from __future__ import annotations
@@ -52,7 +94,6 @@ from .structures import (
     _count_structures,
     _keyed_structures,
     _order_key,
-    _parts_by_agent,
     is_stable,
     render_structure,
     structure_key,
@@ -188,6 +229,12 @@ class Factor(NamedTuple):
       structures;
     - for every other factor, the full domination graph over its
       structures.
+
+    Both searches of a pair-only factor branch only on the pairs left in
+    its phase-1 table (``_phase_one``), built once with its rows
+    (``_pair_rows``): a dropped pair is adjacent in no stable partition,
+    hence in no stable matching (Lemma 1), and an agent whose row is not
+    empty is matched in every stable matching (Lemma 2).
     """
 
     game: Game
@@ -195,40 +242,157 @@ class Factor(NamedTuple):
     graph: DominationGraph | None
 
 
-def _stable_matchings(g: Game) -> list[tuple[int, ...]] | None:
-    """The stable structures in ``enumerate_structures`` order, or ``None``
-    when some permissible coalition is not a pair.
+class _PairRows(NamedTuple):
+    """The rows of a pair-only factor, built once and shared by
+    ``_stable_matchings`` and ``_stable_partitions``. Lists are indexed by
+    agent; an agent outside ``agents`` holds no permissible pair and has an
+    empty ``table`` row, an empty ``envy`` row and no K-bits.
 
-    A structure is stable when the AND of ``better`` over its parts is 0
-    (``Game.expansion``). The search places parts in enumeration order and
-    carries that AND over the parts placed so far. ``better[p]`` keeps the
-    bit of every coalition that does not meet ``p``, so once all agents of
-    a coalition are placed, no later part clears its bit: a branch where
-    such a coalition keeps it holds no stable structure, and is dropped.
-    Each structure found is re-checked against the definition
+    - ``agents``: the agents that hold a permissible pair;
+    - ``holding[i]``: the K-bits (``Game.expansion``) of ``i``'s pairs;
+    - ``table[i]``: the partners left in ``i``'s row of the phase-1 table
+      (``_phase_one``), best first;
+    - ``envy[i][j]``, for every permissible partner ``j`` of ``i``: the
+      K-bits of the pairs ``i`` ranks above ``{i, j}``, every pair without
+      ``i`` included; ``envy[i][i]`` is ``-1``, since a single agent ranks
+      every partner above their singleton.
+    """
+
+    agents: int
+    holding: list[int]
+    table: list[list[int]]
+    envy: list[dict[int, int]]
+
+
+def _pair_rows(g: Game) -> _PairRows | None:
+    """The rows of a pair-only game, or ``None`` when some permissible
+    coalition is not a pair. Only the rankings of agents holding a
+    permissible pair are read, and ``Game.expansion`` is not built: K-bit
+    ``j`` stands for ``permissible[j]`` here too."""
+    ks = g.permissible
+    if any(c.bit_count() != 2 for c in ks):
+        return None
+    n = g.n
+    bit = {}
+    agents = 0
+    holding = [0] * (n + 1)
+    for j, c in enumerate(ks):
+        b = bit[c] = 1 << j
+        agents |= c
+        holding[(c & -c).bit_length()] |= b
+        holding[c.bit_length()] |= b
+    table: list[list[int]] = [[] for _ in range(n + 1)]
+    envy: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for i in members(agents):
+        own = 1 << (i - 1)
+        row = table[i]
+        wish = envy[i]
+        wish[i] = -1
+        above = ~holding[i]
+        # every permissible pair of i is ranked above their singleton
+        for c in g.rankings[i - 1]:
+            if c == own:
+                break
+            b = bit.get(c)
+            if b is None:
+                continue
+            j = (c & ~own).bit_length()
+            row.append(j)
+            wish[j] = above
+            above |= b
+    _phase_one(table, agents)
+    return _PairRows(agents, holding, table, envy)
+
+
+def _phase_one(table: list[list[int]], agents: int) -> None:
+    """Reduce the best-first partner rows of the given agents, in place, to
+    Irving's (1985) phase-1 table. Rows must be symmetric, ``j`` in row
+    ``i`` exactly when ``i`` is in row ``j``. Each agent proposes to the
+    first partner left in their row, the receiver drops every pair they
+    rank below that proposer (from both rows), and this repeats until
+    nothing changes. Rows keep their order.
+
+    At the fixpoint the first partner of every agent with a non-empty row
+    ranks that agent last; the module docstring proves that no pair this
+    drops is adjacent in any stable partition (Lemma 1) and that every
+    agent whose row is not empty is matched in every stable matching
+    (Lemma 2).
+    """
+    todo = list(members(agents))
+    while todo:
+        x = todo.pop()
+        row = table[x]
+        if not row:
+            continue
+        y = row[0]
+        held = table[y]
+        k = held.index(x) + 1
+        for z in held[k:]:
+            other = table[z]
+            if other[0] == y:
+                # z loses their first partner and proposes again
+                todo.append(z)
+            other.remove(y)
+        del held[k:]
+
+
+def _stable_matchings(g: Game, rows: _PairRows | None = None) -> list[tuple[int, ...]] | None:
+    """The stable structures in ``enumerate_structures`` order, or ``None``
+    when some permissible coalition is not a pair. ``rows`` are the game's
+    ``_pair_rows``, built here when not given.
+
+    A matching is stable when the AND over its parts of the K-bits of the
+    pairs that each part's agents would rather hold is 0: ``envy[i][j] &
+    envy[j][i]`` for a pair ``{i, j}``, which is ``better[{i, j}]`` of
+    ``Game.expansion`` on K, and every pair for a single agent. The search
+    places parts in enumeration order and carries that AND over the parts
+    placed so far. A part's mask keeps the bit of every pair that does not
+    meet it, so once both agents of a pair are placed, no later part clears
+    its bit: a branch where such a pair keeps it holds no stable structure,
+    and is dropped.
+
+    The search branches only on the pairs left in the phase-1 table
+    (``_phase_one``): a dropped pair is in no stable matching (Lemma 1), so
+    an agent with an empty row is single in every stable matching and is
+    placed so before the search starts, as is every agent outside the
+    factor; an agent with a non-empty row is matched in every stable
+    matching (Lemma 2), so the search never offers them their singleton.
+    Blocking is still tested against every permissible pair, and each
+    structure found is re-checked against the definition
     (``structures.is_stable``).
     """
-    if any(c.bit_count() != 2 for c in g.permissible):
-        return None
-    bit, better, _ = g.expansion()
+    if rows is None:
+        rows = _pair_rows(g)
+        if rows is None:
+            return None
+    holding, table, envy = rows.holding, rows.table, rows.envy
     full = (1 << g.n) - 1
-    by_agent = _parts_by_agent(g)
-    # K-bits of the coalitions each agent belongs to
-    holding = [0] * (g.n + 1)
-    for i, own in enumerate(by_agent):
-        for c in own[1:]:
-            holding[i] |= bit[c]
-    # an agent in no permissible coalition is single in every structure
-    singles = [own[0] for own in by_agent[1:] if len(own) == 1]
-    # placed agents -> a mask whose K-bits are the coalitions all of whose
-    # agents are placed
-    inside: dict[int, int] = {}
+    # the pairs each matched agent can take as the least agent not yet
+    # placed, in member order, with their mask
+    options: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
+    matched = held = 0
+    for i in members(rows.agents):
+        own = 1 << (i - 1)
+        if table[i]:
+            matched |= own
+            for j in sorted(table[i]):
+                if j > i:
+                    options[i].append((own | 1 << (j - 1), envy[i][j] & envy[j][i]))
+        else:
+            held |= holding[i]
+    singles = full & ~matched
+    single_parts = [1 << (i - 1) for i in members(singles)]
     stable = []
     parts: list[int] = []
 
-    def rec(used: int, blocking: int) -> None:
+    # ``used``: the agents placed; ``blocking``: the AND of the masks of
+    # their parts; ``held``: the K-bits of their pairs; ``within``: the
+    # K-bits of the pairs both of whose agents are placed. No pair joins
+    # two agents with empty rows (see the module docstring), so ``within``
+    # starts at 0
+    def rec(used: int, blocking: int, within: int, held: int) -> None:
         if used == full:
-            pi = tuple(sorted(parts + singles, key=lowest_agent))
+            pi = tuple(sorted(parts + single_parts, key=lowest_agent))
             if not is_stable(g, pi):
                 raise VerificationFailed(
                     f"{render_structure(pi)} passes the expansion test but is not stable"
@@ -236,34 +400,30 @@ def _stable_matchings(g: Game) -> list[tuple[int, ...]] | None:
             stable.append(pi)
             return
         free = ~used & full
-        for c in by_agent[(free & -free).bit_length()]:
+        a = (free & -free).bit_length()
+        for c, mask in options[a]:
             if c & used:
                 continue
-            placed = used | c
-            kept = blocking & better[c]
-            done = inside.get(placed)
-            if done is None:
-                meets_free = 0
-                rest = full & ~placed
-                while rest:
-                    low = rest & -rest
-                    meets_free |= holding[low.bit_length()]
-                    rest ^= low
-                done = inside[placed] = ~meets_free
-            if kept & done:
+            kept = blocking & mask
+            h = holding[a] | holding[c.bit_length()]
+            inside = within | h & held
+            if kept & inside:
                 continue
             parts.append(c)
-            rec(placed, kept)
+            rec(used | c, kept, inside, held | h)
             parts.pop()
 
-    rec(sum(singles), -1)
+    rec(singles, -1, 0, held)
     return stable
 
 
-def _stable_partitions(g: Game) -> list[tuple[tuple[int, ...], ...]]:
+def _stable_partitions(
+    g: Game, rows: _PairRows | None = None
+) -> list[tuple[tuple[int, ...], ...]]:
     """Every stable partition of a pair-only game (Tan 1991), each as its
     cycles: a cycle lists its agents along the permutation from its least
-    agent, and the cycles come by least agent.
+    agent, and the cycles come by least agent. ``rows`` are the game's
+    ``_pair_rows``, built here when not given.
 
     A stable partition is a permutation ``pi`` of the agents whose every
     step ``i -> pi(i)`` with ``pi(i) != i`` is a permissible pair; an agent
@@ -276,56 +436,47 @@ def _stable_partitions(g: Game) -> list[tuple[tuple[int, ...], ...]]:
       agent is their own predecessor, and ranks every partner above it.
 
     The search closes one cycle at a time, from the least agent not yet
-    placed, and places each successor among the partners the current agent
-    ranks above their predecessor, so T1 holds as each successor is placed
-    (at a cycle's first agent, once it closes). Each agent with a known
-    predecessor keeps the K-bits of the pairs they would rather hold
-    (``envy``), every pair without them included; as in
-    ``_stable_matchings``, a branch is dropped once the AND of those masks
-    keeps a pair both of whose agents have known predecessors.
+    placed, and places each successor among the partners left in the current
+    agent's row of the phase-1 table that they rank above their predecessor,
+    so T1 holds as each successor is placed (at a cycle's first agent, once
+    it closes). A pair dropped from the table is adjacent in no stable
+    partition (Lemma 1 of the module docstring), so no partition is lost.
+    Each agent with a known predecessor keeps the K-bits of every
+    permissible pair they would rather hold (``envy``), every pair without
+    them included, and a branch is dropped once the AND of those masks keeps
+    a pair both of whose agents have known predecessors. Agents outside the
+    factor are single from the start.
     """
-    bit = g.expansion().bit
+    if rows is None:
+        rows = _pair_rows(g)
+    holding, partners, envy = rows.holding, rows.table, rows.envy
+    agents = rows.agents
     n = g.n
-    # per agent: K-bits of their pairs, partners best first, each partner's
-    # position there, and per predecessor the envy mask
-    holding = [0] * (n + 1)
-    partners: list[list[int]] = [[] for _ in range(n + 1)]
+    # each partner's position in the table row
     rank: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    envy: list[dict[int, int]] = [{i: -1} for i in range(n + 1)]
-    for c, b in bit.items():
-        for i in members(c):
-            holding[i] |= b
-    for i in range(1, n + 1):
-        own = 1 << (i - 1)
-        above = ~holding[i]
-        # every permissible pair of i is ranked above their singleton
-        for c in g.rankings[i - 1]:
-            if c == own:
-                break
-            b = bit.get(c)
-            if b is None:
-                continue
-            j = (c & ~own).bit_length()
-            rank[i][j] = len(partners[i])
-            partners[i].append(j)
-            envy[i][j] = above
-            above |= b
+    for i in members(agents):
+        rank[i] = {j: k for k, j in enumerate(partners[i])}
+    # the agents outside the factor, each a cycle of length 1
+    outside = [(b + 1,) for b in range(n) if not agents >> b & 1]
     succ = [0] * (n + 1)
     found = []
 
     def cycles() -> tuple[tuple[int, ...], ...]:
-        out = []
-        seen = 0
-        for i in range(1, n + 1):
-            if not seen >> i & 1:
-                cyc = [i]
-                j = succ[i]
-                while j != i:
-                    cyc.append(j)
-                    j = succ[j]
-                for j in cyc:
-                    seen |= 1 << j
-                out.append(tuple(cyc))
+        out = list(outside)
+        rest = agents
+        while rest:
+            low = rest & -rest
+            i = low.bit_length()
+            cyc = [i]
+            j = succ[i]
+            while j != i:
+                cyc.append(j)
+                j = succ[j]
+            for j in cyc:
+                rest &= ~(1 << (j - 1))
+            out.append(tuple(cyc))
+        if outside:
+            out.sort()
         return tuple(out)
 
     # ``free``: agents in no cycle yet; ``blocking``: the AND of the envy
@@ -377,7 +528,7 @@ def _stable_partitions(g: Game) -> list[tuple[tuple[int, ...], ...]]:
         if not blocking & within:
             start(free, blocking, within, held | holding[a])
 
-    start((1 << n) - 1, -1, 0, 0)
+    start(agents, -1, 0, 0)
     return found
 
 
@@ -419,15 +570,17 @@ def _p_stable_matchings(g: Game, partitions) -> list[tuple[tuple[int, ...], int]
 def _factor(g: Game, limit: int) -> Factor:
     # a pair-only factor with a stable structure needs no graph; one without
     # grows the closure of its P-stable matchings; any other grows its graph
-    # from the enumeration. Analysis has already held the structure count,
-    # which bounds either graph, to the limit
-    stable = _stable_matchings(g)
-    if stable:
-        return Factor(g, tuple(AbsorbingSet((pi,)) for pi in stable), None)
-    if stable is None:
+    # from the enumeration. Both pair searches share one phase-1 table.
+    # Analysis has already held the structure count, which bounds either
+    # graph, to the limit
+    rows = _pair_rows(g)
+    if rows is None:
         graph = full_domination_graph(g, limit)
     else:
-        partitions = _stable_partitions(g)
+        stable = _stable_matchings(g, rows)
+        if stable:
+            return Factor(g, tuple(AbsorbingSet((pi,)) for pi in stable), None)
+        partitions = _stable_partitions(g, rows)
         if not partitions:
             raise VerificationFailed("no stable partition found; every game has one")
         graph = _grow(g, _p_stable_matchings(g, partitions), limit)
@@ -465,7 +618,12 @@ class Analysis:
     stable structure enumerates none either: it grows the closure of its
     P-stable matchings, read off its stable partitions (Tan 1991), and
     reads the closure's sinks, which are exactly its absorbing sets (see
-    the module docstring; Iñarra, Larrea and Molis 2008). Every other
+    the module docstring; Iñarra, Larrea and Molis 2008). Both searches
+    branch only on the pairs left in the factor's phase-1 table (Irving
+    1985), built once per factor: a dropped pair is adjacent in no stable
+    partition and so in no stable matching, and an agent whose row is not
+    empty is matched in every stable matching (the module docstring proves
+    both). Every other
     factor grows its full domination graph from one enumeration of its
     structures and reads its sink components.
 

@@ -51,7 +51,7 @@ from stabledec.cli import main
 
 from test_factoring import TRIANGLE, UNIONS
 from test_fuzz import FUZZ_GAMES
-from test_pair_games import GAMES, no_stable_roommates, pair_game
+from test_pair_games import GAMES, dropped_pairs, no_stable_roommates, pair_game
 from test_rings import ROUTE_GAMES
 
 
@@ -124,6 +124,26 @@ SMALL_GAMES = {
 def test_partition_search_matches_brute_force(label):
     g = SMALL_GAMES[label]()
     assert sorted(absorbing._stable_partitions(g)) == brute_partitions(g)
+
+
+@pytest.mark.parametrize("label", list(SMALL_GAMES))
+def test_table_drops_no_pair_of_a_stable_partition(label):
+    # Lemma 1 of the phase-1 table (``absorbing._phase_one``), against the
+    # brute force
+    g = SMALL_GAMES[label]()
+    dropped = dropped_pairs(g)
+    for partition in brute_partitions(g):
+        for cyc in partition:
+            if len(cyc) > 1:
+                assert not dropped & {coalition((a, b)) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+
+
+def test_table_drops_pairs_of_small_games():
+    # the lemma above is tested on games where the table drops pairs, with
+    # and without a stable matching
+    dropping = [label for label, make in SMALL_GAMES.items() if dropped_pairs(make())]
+    assert len(dropping) >= 60
+    assert sum(label.endswith("-unstable") or label == "triangle" for label in dropping) >= 5
 
 
 def test_partition_search_covers_odd_cycles():

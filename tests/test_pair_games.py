@@ -13,6 +13,26 @@ matching.
 The pruned search for the stable structures (``_stable_matchings``) and the
 memoized structure count are checked against enumeration: the search
 against the enumerate-and-filter it replaced, kept here as a reference.
+
+Both pair searches branch only on the pairs left in the phase-1 table
+(``absorbing._phase_one``, Irving 1985): each agent proposes to the first
+partner left in their row, and the receiver drops every pair they rank
+below that proposer, until nothing changes. Lemma 1: a dropped pair is
+adjacent in no stable partition, hence in no stable matching; take the
+first dropped pair ``{y, z}`` adjacent in a stable partition, dropped
+because ``x`` proposed to ``y``: if ``y`` follows ``x`` T1 fails at ``y``,
+if ``y`` precedes ``x`` T1 fails at ``x``, and otherwise ``{x, y}``
+violates T2. Lemma 2: an agent whose row is not empty is matched in every
+stable matching, since the first partner of each such agent is matched
+(or ``{agent, first partner}`` would block) and first partners are a
+bijection on those agents. The full proofs are in the ``absorbing``
+module docstring. ``TestPhaseOneTable`` checks both lemmas against
+enumeration and ``reference_stable`` (marriage games with unequal sides,
+roommate games of at most 10 agents, pair-only games listing unacceptable
+pairs), that the table is a fixpoint and never touches agents outside the
+factor, and that the cyclic k x k markets have exactly k stable matchings;
+``test_p_stable.py`` checks Lemma 1 against its brute force over stable
+partitions.
 """
 
 import json
@@ -27,6 +47,7 @@ from stabledec import (
     Analysis,
     Game,
     LimitExceeded,
+    MarriageSpec,
     StabledecError,
     TrivialAbsorbingSet,
     VerificationFailed,
@@ -39,12 +60,14 @@ from stabledec import (
     full_domination_graph,
     is_stable,
     marriage_to_game,
+    members,
     random_marriage_spec,
     random_roommate_spec,
     ring_components_of,
     roommate_to_game,
     sink_components,
 )
+from stabledec.absorbing import factor_games
 from stabledec.cli import main
 from stabledec.structures import _count_structures
 
@@ -192,6 +215,140 @@ def test_count_matches_enumeration(label):
 def test_search_skips_games_with_larger_coalitions():
     g = Game(3, {1: [(1, 2, 3), (1,)], 2: [(1, 2, 3), (2,)], 3: [(1, 2, 3), (3,)]})
     assert absorbing._stable_matchings(g) is None
+
+
+def dropped_pairs(g: Game) -> set[int]:
+    """The permissible pairs that the phase-1 table drops."""
+    table = absorbing._pair_rows(g).table
+    return {c for c in g.permissible if c.bit_length() not in table[(c & -c).bit_length()]}
+
+
+def partner_rows(g: Game) -> list[list[int]]:
+    """Each agent's permissible partners, best first, read off the
+    rankings: the rows before phase 1."""
+    rows: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for c in g.permissible:
+        i, j = members(c)
+        rows[i].append(j)
+        rows[j].append(i)
+    for i in range(1, g.n + 1):
+        rows[i].sort(key=lambda j: g.rankings[i - 1].index(coalition((i, j))))
+    return rows
+
+
+def cyclic_market(k: int) -> Game:
+    """The complete k x k marriage market whose preferences turn round a
+    cycle: man ``i`` ranks women ``i, i+1, ...`` and woman ``j`` ranks men
+    ``j+1, j+2, ..., j``, indices mod k. Each matching of man ``i`` to
+    woman ``i+s`` is stable."""
+    prefs = {i: [k + 1 + (i - 1 + t) % k for t in range(k)] for i in range(1, k + 1)}
+    prefs.update({k + j: [1 + (j + t) % k for t in range(k)] for j in range(1, k + 1)})
+    return marriage_to_game(MarriageSpec(k, k, prefs))
+
+
+# label -> make: games, most with stable matchings and agents the table leaves
+# unmatched, for the two lemmas of the phase-1 table (``absorbing._phase_one``)
+TABLE_GAMES = {}
+for (m, w) in ((2, 5), (3, 5), (5, 3), (4, 6), (6, 4)):
+    for d in (0.7, 0.9):
+        for s in range(1, 7):
+            TABLE_GAMES[f"marriage{m}x{w}-{d}-{s}"] = lambda m=m, w=w, d=d, s=s: mar(m, w, s, d)
+for n in range(4, 11):
+    for s in range(1, 9 if n < 10 else 5):
+        TABLE_GAMES[f"roommate{n}-{s}"] = lambda n=n, s=s: room(n, s)
+for n in (4, 5, 6, 7):
+    for s in range(1, 9):
+        TABLE_GAMES[f"pairs{n}-{s}"] = lambda n=n, s=s: pair_game(n, s)
+
+
+class TestPhaseOneTable:
+    """The phase-1 table that both pair searches branch on: a dropped pair
+    is in no stable matching (Lemma 1), and an agent whose row is not empty
+    is matched in every stable matching (Lemma 2)."""
+
+    @pytest.mark.parametrize("label", list(TABLE_GAMES))
+    def test_stable_matchings_keep_to_the_table(self, label):
+        g = TABLE_GAMES[label]()
+        table = absorbing._pair_rows(g).table
+        dropped = dropped_pairs(g)
+        kept = {i for i in range(1, g.n + 1) if table[i]}
+        for pi in reference_stable(g):
+            assert not dropped.intersection(pi)
+            assert {i for p in pi if p.bit_count() == 2 for i in members(p)} == kept
+
+    @pytest.mark.parametrize("label", list(TABLE_GAMES) + list(GAMES))
+    def test_table_is_a_fixpoint(self, label):
+        g = (TABLE_GAMES.get(label) or GAMES[label])()
+        rows = absorbing._pair_rows(g)
+        table = rows.table
+        again = [list(row) for row in table]
+        absorbing._phase_one(again, rows.agents)
+        assert again == table
+        full = partner_rows(g)
+        for i in range(1, g.n + 1):
+            # rows keep their order and stay symmetric
+            assert table[i] == [j for j in full[i] if j in table[i]]
+            assert all(i in table[j] for j in table[i])
+            # the first partner of each agent ranks them last
+            if table[i]:
+                assert table[table[i][0]][-1] == i
+        # so first partners are a bijection on the agents with a row
+        firsts = [row[0] for row in table if row]
+        assert sorted(firsts) == [i for i in range(1, g.n + 1) if table[i]]
+
+    def test_table_never_touches_agents_outside_the_factor(self):
+        unstable = no_stable_roommates(5, 2)
+        for markets in (
+            [mar(3, 3, 0), room(5, unstable[0])],
+            [room(5, unstable[1]), mar(3, 4, 1)],
+            [mar(3, 3, 2), room(6, 3), mar(2, 4, 4)],
+        ):
+            g = union(*markets)
+            # each market's table taken alone, on the union's agent ids
+            want: list[list[int]] = [[]]
+            for market in markets:
+                offset = len(want) - 1
+                table = absorbing._pair_rows(market).table
+                want += [[j + offset for j in row] for row in table[1:]]
+            for f in factor_games(g):
+                rows = absorbing._pair_rows(f)
+                agents = 0
+                for c in f.permissible:
+                    agents |= c
+                assert rows.agents == agents
+                for i in range(1, g.n + 1):
+                    if agents >> (i - 1) & 1:
+                        assert rows.table[i] == want[i]
+                    else:
+                        assert rows.table[i] == [] and rows.envy[i] == {}
+                        assert rows.holding[i] == 0
+        # an agent who lists a pair their partner does not accept holds no
+        # permissible pair, and gets no row
+        g = Game(3, {1: [(1, 2), (1,)], 2: [(2,), (1, 2)], 3: [(3,)]})
+        rows = absorbing._pair_rows(g)
+        assert rows.agents == 0 and rows.table == [[], [], [], []]
+        assert absorbing._stable_matchings(g, rows) == [(1, 2, 4)]
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7])
+    def test_cyclic_markets(self, k):
+        g = cyclic_market(k)
+        stable = absorbing._stable_matchings(g)
+        assert len(stable) == k
+        assert stable == reference_stable(g)
+        # every pair of the market lies on one of the k stable matchings,
+        # so the table drops none and the search still branches
+        assert not dropped_pairs(g)
+
+    def test_coverage(self):
+        dropping = emptied = 0
+        for make in TABLE_GAMES.values():
+            g = make()
+            rows = absorbing._pair_rows(g)
+            dropping += bool(dropped_pairs(g))
+            emptied += any(rows.holding[i] and not rows.table[i] for i in range(1, g.n + 1))
+        assert len(TABLE_GAMES) >= 140
+        assert dropping >= 110
+        assert emptied >= 80
 
 
 class TestGateCoverage:
