@@ -116,14 +116,32 @@ def extract_ring(g: Game, cycle: Sequence[tuple[int, ...]], start: int) -> tuple
 
 
 def _pref_digraph_sccs(g: Game, masks: Sequence[int]) -> list[list[int]]:
-    """SCCs (lists of indices) of the unanimous-improvement digraph over
-    ``masks``, in reverse topological order."""
-    m = len(masks)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            if a != b and masks[a] & masks[b] and unanimously_prefers(g, masks[b], masks[a]):
-                adj[a].append((b, masks[b]))
+    """SCCs (lists of indices) of the unanimous-improvement digraph over the
+    K-coalitions ``masks``, in reverse topological order.
+
+    The edges come off the ``Game.expansion`` bitsets: ``a`` steps to the
+    coalitions of ``better[a] & meets[j(a)]`` inside ``masks``, which are
+    exactly those that share an agent with ``a`` and that every shared
+    agent ranks above it. ``bit[a]`` is never in ``better[a]``, so there is
+    no self-loop. Each coalition's successors are listed in K order, the
+    order of ``masks`` when it is sorted, as every caller passes it.
+    """
+    bit, better, meets = g.expansion()
+    index = {}
+    inside = 0
+    for i, c in enumerate(masks):
+        b = bit[c]
+        index[b] = i
+        inside |= b
+    adj = []
+    for c in masks:
+        out = []
+        succ = better[c] & meets[bit[c].bit_length() - 1] & inside
+        while succ:
+            low = succ & -succ
+            succ ^= low
+            out.append((index[low],))
+        adj.append(out)
     return _tarjan(adj)
 
 
@@ -143,7 +161,8 @@ def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
     if len(B) < 3 or any(c not in g._kset for c in B):
         return None
     # condition (i) as strong connectivity of the in-collection improvement
-    # digraph: an edge d -> e when e beats d on a shared agent
+    # digraph: an edge d -> e when e beats d on a shared agent, read off
+    # the K-bitsets
     if len(_pref_digraph_sccs(g, B)) != 1:
         return None
     # condition (ii): each maximal set must be broken by a member, which
@@ -195,34 +214,34 @@ def compact_collection(g: Game, coalitions: Iterable[int]) -> list[tuple[int, ..
     return list(component(g, coalitions).compact)
 
 
-def _in_edges_and_steps(
+def _in_degrees_and_steps(
     G: DominationGraph, ids: Sequence[int]
-) -> tuple[list[list[int] | None], dict[int, int], dict[int, int]]:
+) -> tuple[list[int], dict[int, int], dict[int, int]]:
     """One pass over the edges of a set of nodes closed under domination:
-    the in-neighbours of each member (``None`` off the set), and its step
-    digraph, as each via's sources (the K-bits of the parts that forming it
+    the in-degree of each member (``-1`` off the set), and its step digraph,
+    as each via's sources (the K-bits of the parts that forming it
     dissolves, ``keys[u] & ~keys[v]`` for an edge ``u -> v``) together with
     the via of each K-bit that forms on some edge."""
     adj, keys = G.adj, G.keys
-    into: list[list[int] | None] = [None] * len(G)
+    indegree = [-1] * len(G)
     for v in ids:
-        into[v] = []
+        indegree[v] = 0
     sources: dict[int, int] = {}
     via_of: dict[int, int] = {}
     for u in ids:
         key = keys[u]
         for v, via in adj[u]:
-            inward = into[v]
-            if inward is None:
+            d = indegree[v]
+            if d < 0:
                 raise VerificationFailed("absorbing set has an outgoing edge")
-            inward.append(u)
+            indegree[v] = d + 1
             kv = keys[v]
             found = sources.get(via)
             if found is None:
                 via_of[kv & ~key] = via
                 found = 0
             sources[via] = found | key & ~kv
-    return into, sources, via_of
+    return indegree, sources, via_of
 
 
 def _ring_families(G: DominationGraph, absorbing) -> list[set[int]]:
@@ -232,10 +251,12 @@ def _ring_families(G: DominationGraph, absorbing) -> list[set[int]]:
     Every edge ``u -> v`` inside the set closes a cycle with the shortest
     path ``v -> u`` that breadth-first search from ``v`` finds; a ring is
     extracted from every start position of that cycle. One search from each
-    member ``v`` serves all the edges into ``v``: it stops once every
-    in-neighbour is discovered, and since a node's search-tree parent is
-    fixed when it is first discovered, each path equals the one a search
-    from ``v`` stopping at that single in-neighbour would find.
+    member ``v`` serves all the edges into ``v``: expanding a node ``u``
+    with an edge to ``v`` closes that edge's cycle, and the search stops
+    once it has closed as many as ``v`` has in-edges. Since a node's
+    search-tree parent is fixed when it is first discovered, each path
+    equals the one a search from ``v`` stopping at that single in-neighbour
+    would find.
 
     A ring steps from a coalition to the first later via meeting it, and
     the coalition stands until then: each step goes from a coalition of a
@@ -244,12 +265,15 @@ def _ring_families(G: DominationGraph, absorbing) -> list[set[int]]:
     node keys as ``G.keys[u] & ~G.keys[v]``. So every ring is a cycle of
     this step digraph, inside one of its strongly connected components, and
     once each component of two or more coalitions is one family, no further
-    ring can change a family, and the searches stop.
+    ring can change a family, and the searches stop, mid-search if need
+    be. A ring is also a subset of its cycle's vias, so the rings of a
+    cycle whose vias all lie in one family are not walked.
 
     The searches start at the members with the most in-edges, ties broken
     by id. The order does not change the families: if the searches stop,
     the families are those components; if they never stop, every member is
-    searched and every ring read. So every order stops or none does.
+    searched and every ring that can change a family read. So every order
+    stops or none does.
     """
     return _family_search(G, absorbing)[0]
 
@@ -260,8 +284,8 @@ def _family_search(
     """``_ring_families``' families, and the members it searched from, in
     order; ``roots``, an order of all the members, replaces the default."""
     ids = [G.node_id(pi) for pi in absorbing.members]
-    adj, keys = G.adj, G.keys
-    into, sources, via_of = _in_edges_and_steps(G, ids)
+    adj = G.adj
+    indegree, sources, via_of = _in_degrees_and_steps(G, ids)
     # the step digraph reversed, via to source, has the same components; a
     # source that is never a via has no step into it and is left out
     formed = sorted(sources)
@@ -277,28 +301,24 @@ def _family_search(
             if x is not None:
                 out.append((index[x],))
         back.append(out)
-    unmerged = [{formed[i] for i in comp} for comp in _tarjan(back) if len(comp) > 1]
+    # each component of two or more coalitions not yet one family, with
+    # its least coalition
+    unmerged = [
+        (formed[min(comp)], {formed[i] for i in comp}) for comp in _tarjan(back) if len(comp) > 1
+    ]
     if roots is None:
-        roots = sorted(ids, key=lambda v: (-len(into[v]), v))
-    # coalition -> its family, one set shared by all of the family's coalitions
-    family: dict[int, set[int]] = {}
+        roots = sorted(ids, key=lambda v: (-indegree[v], v))
     # per-node search state, stamped with the search root instead of reset
     n = len(G)
     seen_by = [-1] * n
-    want = [-1] * n
     prev = [0] * n
     pvia = [0] * n
-    tried: set[tuple[int, ...]] = set()
-    searched: list[int] = []
-    for v in roots:
-        if not unmerged:
-            break
-        searched.append(v)
-        # no two edges join the same pair of structures
-        inward = into[v]
-        for u in inward:
-            want[u] = v
-        left = len(inward)
+
+    def cycles(v: int):
+        """The vias of the cycle each edge into ``v`` closes, aligned with
+        the cycle (v, ..., u): first the edge into v, then the path steps in
+        forward order; no two edges join the same pair of structures."""
+        left = indegree[v]
         seen_by[v] = v
         queue = [v]
         head = 0
@@ -308,24 +328,37 @@ def _family_search(
             x = queue[head]
             head += 1
             for w, wv in adj[x]:
-                if seen_by[w] != v:
+                if w == v:
+                    path = []
+                    u = x
+                    while u != v:
+                        path.append(pvia[u])
+                        u = prev[u]
+                    path.append(wv)
+                    yield tuple(reversed(path))
+                    left -= 1
+                    if not left:
+                        return
+                elif seen_by[w] != v:
                     seen_by[w] = v
                     prev[w] = x
                     pvia[w] = wv
                     queue.append(w)
-                    if want[w] == v:
-                        left -= 1
-        kv = keys[v]
-        for u in inward:
-            # vias aligned with the cycle (v, ..., u): first the edge into v,
-            # then the path steps in forward order
-            path = []
-            x = u
-            while x != v:
-                path.append(pvia[x])
-                x = prev[x]
-            path.append(via_of[kv & ~keys[u]])
-            vias = tuple(reversed(path))
+
+    # coalition -> its family, one set shared by all of the family's coalitions
+    family: dict[int, set[int]] = {}
+    tried: set[tuple[int, ...]] = set()
+    searched: list[int] = []
+    for v in roots:
+        if not unmerged:
+            break
+        searched.append(v)
+        for vias in cycles(v):
+            # a ring lies within its cycle's vias, so a cycle whose vias are
+            # all in one family already cannot change a family
+            settled = family.get(vias[0])
+            if settled is not None and all(family.get(c) is settled for c in vias):
+                continue
             if vias in tried:
                 continue
             tried.add(vias)
@@ -334,7 +367,9 @@ def _family_search(
                 merged = set(ring).union(*(family.get(c, ()) for c in ring))
                 for c in merged:
                     family[c] = merged
-        unmerged = [comp for comp in unmerged if family.get(min(comp)) != comp]
+            unmerged = [(c, comp) for c, comp in unmerged if family.get(c) != comp]
+            if not unmerged:
+                break
     groups = {id(f): f for f in family.values()}
     return sorted(groups.values(), key=lambda f: tuple(sorted(f))), searched
 

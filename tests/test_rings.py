@@ -612,21 +612,19 @@ class TestSearchesStopEarly:
         assert families == _family_list(full)
         assert 0 < len(walks) < all_walks
 
-    def test_a_component_no_family_fills_runs_every_search(self, monkeypatch):
+    def test_a_component_no_family_fills_runs_every_search(self):
         # roommate (8, 0.9) seed 882: one step-digraph component also holds
         # {1,6}, {3,6} and {2,8}, which no ring holds, so it never becomes
-        # one family and every member is searched
+        # one family and every member is searched (the ring walks of cycles
+        # whose vias already lie in one family are still skipped)
         g = roommate_to_game(random_roommate_spec(8, 0.9, seed=882))
         graph = full_domination_graph(g)
         (sink,) = [a for a in sink_components(graph) if not a.trivial]
-        walks = self._count_walks(monkeypatch)
         full = _extract_rings(graph, sink)
-        all_walks = len(walks)
-        walks.clear()
-        families = _ring_families(graph, sink)
+        families, searched = _family_search(graph, sink)
+        assert sorted(searched) == sorted(graph.node_id(pi) for pi in sink.members)
         assert families == _family_list(full)
         assert not {C("16"), C("36"), C("28")} & set().union(*families)
-        assert len(walks) == all_walks
         assert ring_components_of(g, sink, graph) == _merged_components(g, full, sink)
 
 
@@ -734,6 +732,70 @@ def _reference_steps(G, absorbing):
     return steps
 
 
+def _inlist_family_search(G, absorbing, roots=None):
+    """Reference for ``_family_search``: in-lists for every member, each
+    search run until it has discovered every in-neighbour of its root, every
+    ring walk of every new cycle taken, and the stop checked only between
+    searches. The families and the members searched from, in order."""
+    ids = [G.node_id(pi) for pi in absorbing.members]
+    adj, keys = G.adj, G.keys
+    into = {v: [] for v in ids}
+    sources, via_of = {}, {}
+    for u in ids:
+        for v, via in adj[u]:
+            if v not in into:
+                raise VerificationFailed("absorbing set has an outgoing edge")
+            into[v].append(u)
+            sources[via] = sources.get(via, 0) | keys[u] & ~keys[v]
+            via_of[keys[v] & ~keys[u]] = via
+    formed = sorted(sources)
+    index = {c: i for i, c in enumerate(formed)}
+    back = [[(index[x],) for b, x in via_of.items() if sources[c] & b] for c in formed]
+    unmerged = [
+        {formed[i] for i in comp} for comp in dynamics_module._tarjan(back) if len(comp) > 1
+    ]
+    if roots is None:
+        roots = sorted(ids, key=lambda v: (-len(into[v]), v))
+    family = {}
+    tried = set()
+    searched = []
+    for v in roots:
+        if not unmerged:
+            break
+        searched.append(v)
+        want = set(into[v])
+        prev, pvia = {v: None}, {}
+        queue = deque([v])
+        while want:
+            if not queue:
+                raise VerificationFailed("absorbing set is not strongly connected")
+            x = queue.popleft()
+            for w, wv in adj[x]:
+                if w not in prev:
+                    prev[w], pvia[w] = x, wv
+                    queue.append(w)
+                    want.discard(w)
+        for u in into[v]:
+            path = []
+            x = u
+            while x != v:
+                path.append(pvia[x])
+                x = prev[x]
+            path.append(via_of[keys[v] & ~keys[u]])
+            vias = tuple(reversed(path))
+            if vias in tried:
+                continue
+            tried.add(vias)
+            for s in range(len(vias)):
+                ring = _ring_from_vias(vias, s)
+                merged = set(ring).union(*(family.get(c, ()) for c in ring))
+                for c in merged:
+                    family[c] = merged
+        unmerged = [comp for comp in unmerged if family.get(min(comp)) != comp]
+    groups = {id(f): f for f in family.values()}
+    return sorted(groups.values(), key=lambda f: tuple(sorted(f))), searched
+
+
 # label -> make: the fuzz games, roommate games (n = 9) seeds 1-60 and 42,
 # roommate (8, 0.9) seed 882, and the 15 sets where the coalition-digraph
 # route was refuted; about 3 s in all on a 2-core x86-64 machine
@@ -749,9 +811,9 @@ STEP_GAMES = {
 
 @pytest.mark.parametrize("label", list(STEP_GAMES))
 def test_steps_and_search_order(label):
-    """The steps read off the node keys equal the parts loop, and the
-    searches, which start at the members with the most in-edges, give the
-    families that id order gives."""
+    """The steps read off the node keys equal the parts loop; the searches,
+    which start at the members with the most in-edges, give the families
+    that id order gives; and both equal the in-list reference search."""
     g = STEP_GAMES[label]()
     ks = g.permissible
     bit = g.expansion().bit
@@ -760,7 +822,7 @@ def test_steps_and_search_order(label):
         if a.trivial:
             continue
         ids = [graph.node_id(pi) for pi in a.members]
-        into, sources, via_of = rings_module._in_edges_and_steps(graph, ids)
+        counted, sources, via_of = rings_module._in_degrees_and_steps(graph, ids)
         read = {c: {x for j, x in enumerate(ks) if mask >> j & 1} for c, mask in sources.items()}
         assert {c: xs for c, xs in read.items() if xs} == _reference_steps(graph, a)
         assert via_of == {bit[c]: c for c in sources}
@@ -768,13 +830,85 @@ def test_steps_and_search_order(label):
         for u in ids:
             for v, _ in graph.adj[u]:
                 indegree[v] += 1
-        assert {v: len(into[v]) for v in ids} == indegree
+        assert {v: counted[v] for v in ids} == indegree
+        assert all(counted[v] == -1 for v in set(range(len(graph))) - set(ids))
         families, searched = _family_search(graph, a)
         by_id, searched_by_id = _family_search(graph, a, sorted(ids))
         assert families == by_id
         order = sorted(ids, key=lambda v: (-indegree[v], v))
         assert searched == order[: len(searched)]
         assert searched_by_id == sorted(ids)[: len(searched_by_id)]
+        assert _inlist_family_search(graph, a) == (families, searched)
+        assert _inlist_family_search(graph, a, sorted(ids)) == (by_id, searched_by_id)
+
+
+def _reference_step_sccs(G, absorbing):
+    """The strongly connected components of two or more coalitions of the
+    set's step digraph (``_reference_steps``), by reachability, each sorted,
+    in sorted order."""
+    succ = {}
+    for via, xs in _reference_steps(G, absorbing).items():
+        for x in xs:
+            succ.setdefault(x, set()).add(via)
+
+    def reach(x):
+        seen, todo = set(), [x]
+        while todo:
+            for y in succ.get(todo.pop(), ()):
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen
+
+    reached = {x: reach(x) for x in succ}
+    comps = {
+        tuple(sorted(y for y in reached[x] if x in reached.get(y, ())))
+        for x in succ
+        if x in reached[x]
+    }
+    return sorted(c for c in comps if len(c) > 1)
+
+
+class TestStepSccsAreNotTheComponents:
+    """The ring components are not the step-digraph components that pass
+    the ring component test, so the search cannot be replaced by them:
+    (a) such a component can hold coalitions no ring of the set holds, and
+    be listed where the extracted family is smaller or absent; (b) a family
+    strictly inside a component that fails the test can pass it. Random
+    roommate games; each sweep hit is pinned with its set's sizes."""
+
+    # (agents, density, seed) -> (kind, ring component sizes, sizes of the
+    # step components that pass the test)
+    CASES = {
+        (9, 0.7, 5912): ("a", [12, 3], [13, 3]),
+        (9, 0.7, 6284): ("a", [6, 3], [7, 3]),
+        (8, 0.9, 10511): ("a", [3], [3, 7]),
+        (8, 0.9, 1876): ("b", [14, 3], [3]),
+        (9, 0.9, 2247): ("b", [6, 6], [6]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES), ids=lambda c: "roommate%d-%s-%d" % c)
+    def test_components_are_extracted_not_read_off_the_step_sccs(self, case):
+        kind, sizes, passing_sizes = self.CASES[case]
+        n, p, seed = case
+        g = roommate_to_game(random_roommate_spec(n, p, seed))
+        (f,) = [f for f in Analysis(g).factors if any(not a.trivial for a in f.sets)]
+        (sink,) = [a for a in f.sets if not a.trivial]
+        got = [rc.coalitions for rc in ring_components_of(f.game, sink, f.graph)]
+        want = _merged_components(f.game, _extract_rings(f.graph, sink), sink)
+        assert got == [rc.coalitions for rc in want]
+        sccs = _reference_step_sccs(f.graph, sink)
+        passing = [c for c in sccs if is_ring_component(f.game, c)]
+        assert [len(c) for c in got] == sizes
+        assert [len(c) for c in passing] == passing_sizes
+        assert sorted(got) != passing
+        if kind == "a":
+            # a component passes the test and is no ring component
+            assert any(c not in got for c in passing)
+        else:
+            # a ring component lies strictly inside a failing component
+            failing = [set(c) for c in sccs if c not in passing]
+            assert any(set(rc) < c for rc in got for c in failing)
 
 
 class TestCoalitionSccsAreNotTheComponents:
