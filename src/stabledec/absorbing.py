@@ -93,7 +93,6 @@ from .structures import (
     DEFAULT_LIMIT,
     _count_structures,
     _keyed_structures,
-    _order_key,
     is_stable,
     render_structure,
     structure_key,
@@ -139,10 +138,10 @@ def sink_components(G: DominationGraph) -> list[AbsorbingSet]:
     On a graph whose node ids are in ``structure_key`` order
     (``DominationGraph.key_ordered``), such as every full graph, that is
     id order, and no key is computed; on any other graph the members are
-    sorted as plain tuples when every part has at most two agents, which is
-    that order, and by ``structure_key`` otherwise
-    (``structures._order_key``). Computed once per graph and memoized on
-    it; each call returns a new list.
+    sorted by the graph's ``order``: as plain tuples when no coalition of
+    its game has three or more agents, which is that order, and by
+    ``structure_key`` otherwise (``structures._order_key``). Computed once
+    per graph and memoized on it; each call returns a new list.
     """
     if G._sinks is None:
         G._sinks = _scan_sinks(G)
@@ -167,9 +166,8 @@ def _scan_sinks(G: DominationGraph) -> list[AbsorbingSet]:
         # each component is sorted by id, so its least id comes first
         sinks.sort(key=lambda comp: comp[0])
         return [AbsorbingSet(tuple(nodes[v] for v in comp)) for comp in sinks]
-    held = [[nodes[v] for v in comp] for comp in sinks]
-    order = _order_key(itertools.chain.from_iterable(held))
-    sets = [AbsorbingSet(tuple(sorted(ms, key=order))) for ms in held]
+    order = G.order
+    sets = [AbsorbingSet(tuple(sorted((nodes[v] for v in comp), key=order))) for comp in sinks]
     if order is None:
         return sorted(sets, key=lambda a: a.members[0])
     return sorted(sets, key=lambda a: order(a.members[0]))

@@ -62,10 +62,10 @@ class Party:
     coalitions: tuple[int, ...]
     # compact sets of the ring component; empty for the other kinds
     compact: tuple[tuple[int, ...], ...] = field(default=())
-    # maximal sets of the ring component (``RingComponent.maximal``), which
-    # follow from the coalitions; empty for the other kinds and for a party
-    # built by hand, whose breakers then compute them
-    maximal: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
+    # breakers of the ring component (``RingComponent.breakers``), which
+    # follow from the coalitions; None for the other kinds and for a party
+    # built by hand, whose breakers are then computed
+    breakers: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def agents(self) -> int:
@@ -107,7 +107,7 @@ def make_party(g: Game, coalitions: Iterable) -> Party:
     rc = _rings._ring_component(g, masks)
     if rc is None:
         raise MalformedParty("multi-coalition parties must be ring components")
-    return Party(RING, masks, rc.compact, rc.maximal)
+    return Party(RING, masks, rc.compact, rc.breakers)
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,8 @@ def _kbit(bit: dict[int, int], c: int) -> int:
 def _breakers(g: Game, party: Party) -> int:
     """The K-bits (``Game.expansion``) of the party's breakers: the
     coalitions outside it that break one of its maximal sets. A ring
-    party's maximal sets come from its ring component; otherwise they are
-    computed once."""
+    party built from its ring component carries them; a single coalition
+    is its only maximal set; otherwise the maximal sets are computed once."""
     ks = [x for x in party.coalitions if x.bit_count() >= 2]
     if not ks:
         return 0
@@ -187,8 +187,12 @@ def _breakers(g: Game, party: Party) -> int:
     own = found = 0
     for c in ks:
         own |= _kbit(bit, c)
-    for mset in party.maximal or maximal_sets(ks):
-        found |= _breaking(g, mset)
+    if party.breakers is not None:
+        for c in party.breakers:
+            found |= bit[c]
+    else:
+        for mset in maximal_sets(ks) if len(ks) > 1 else (ks,):
+            found |= _breaking(g, mset)
     return found & ~own
 
 
@@ -327,7 +331,7 @@ def _pool_violation(
     own = {p.coalitions for p in D.parties}
     for sink in sinks:
         comps = [] if sink.trivial else _rings.ring_components_of(g, sink, G)
-        built = _absorbing_parties(g, sink, comps)
+        built = _absorbing_parties(g, sink, comps, G)
         for p in built:
             if p.kind != POOL and p.coalitions not in own:
                 return Violation("pool-supports-party", p, None)
@@ -368,9 +372,12 @@ def _pool(n: int, mask: int) -> Party:
     return Party(POOL, tuple(1 << b for b in range(n) if mask >> b & 1))
 
 
-def _absorbing_parties(g: Game, absorbing: AbsorbingSet, comps) -> list[Party]:
-    # the parties of from_absorbing_set, not yet checked; comps are the ring
-    # components of a non-trivial set
+def _absorbing_parties(g: Game, absorbing: AbsorbingSet, comps, G) -> list[Party]:
+    # the parties of from_absorbing_set, not yet checked. For a non-trivial
+    # set, comps are its ring components and G a graph of g holding it; the
+    # parties are read off the member keys: a coalition held in every member
+    # has its bit in the AND of the keys, and a component covers every
+    # member when each key meets its bits
     parties: list[Party] = []
     if absorbing.trivial:
         pi = absorbing.members[0]
@@ -381,17 +388,27 @@ def _absorbing_parties(g: Game, absorbing: AbsorbingSet, comps) -> list[Party]:
             else:
                 pool_mask |= part
     else:
-        part_sets = [set(pi) for pi in absorbing.members]
+        keys = [G.keys[G.node_id(pi)] for pi in absorbing.members]
+        bit = g.expansion().bit
         covered = 0
         for rc in comps:
-            if all(any(r in ps for r in rc.coalitions) for ps in part_sets):
-                parties.append(Party(RING, rc.coalitions, rc.compact, rc.maximal))
+            own = 0
+            for c in rc.coalitions:
+                own |= bit[c]
+            if all(key & own for key in keys):
+                parties.append(Party(RING, rc.coalitions, rc.compact, rc.breakers))
                 for c in rc.coalitions:
                     covered |= c
-        for c in g.permissible:
-            if all(c in ps for ps in part_sets):
-                parties.append(Party(SINGLE, (c,)))
-                covered |= c
+        held = -1
+        for key in keys:
+            held &= key
+        ks = g.permissible
+        while held:
+            low = held & -held
+            held ^= low
+            c = ks[low.bit_length() - 1]
+            parties.append(Party(SINGLE, (c,)))
+            covered |= c
         pool_mask = (1 << g.n) - 1 & ~covered
     if pool_mask:
         parties.append(_pool(g.n, pool_mask))
@@ -435,7 +452,7 @@ def from_absorbing_set(
         if G is None:
             G = grow_graph(g, absorbing.members, limit=limit)
         comps = _rings.ring_components_of(g, absorbing, G)
-    return _verified(g, _absorbing_parties(g, absorbing, comps), absorbing)[0]
+    return _verified(g, _absorbing_parties(g, absorbing, comps, G), absorbing)[0]
 
 
 def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
@@ -468,7 +485,7 @@ def _checked_decompositions(an: Analysis) -> list[tuple]:
             if own is None:
                 own = memo[(fi, fa)] = [
                     p
-                    for p in _absorbing_parties(f.game, fa, an.factor_rings(fi, fa))
+                    for p in _absorbing_parties(f.game, fa, an.factor_rings(fi, fa), f.graph)
                     if p.kind != POOL
                 ]
             for p in own:

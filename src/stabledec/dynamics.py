@@ -15,6 +15,7 @@ from .core import Game, compact_coalition, lowest_agent, members, render_coaliti
 from .errors import LimitExceeded, NodeNotInGraph, NotBlocking
 from .structures import (
     DEFAULT_LIMIT,
+    _order_key,
     blocks,
     render_structure,
     structure_from_parts,
@@ -133,16 +134,21 @@ class DominationGraph:
     Seeds are numbered first, in ``structure_key`` order, and discovered
     nodes after them. So when every node is a seed (``key_ordered``), as on
     every full graph, node ids are in ``structure_key`` order, and the least
-    id of a set of nodes is its least structure.
+    id of a set of nodes is its least structure. Otherwise ``order`` sorts
+    structures in that order: ``None`` for plain tuples, when no coalition
+    of the game has three or more agents (``structures._order_key``).
     """
 
-    __slots__ = ("nodes", "adj", "keys", "seeds", "_index", "_comps", "_comp_of", "_sinks")
+    __slots__ = (
+        "nodes", "adj", "keys", "seeds", "order", "_index", "_comps", "_comp_of", "_sinks",
+    )
 
-    def __init__(self, nodes, adj, keys, seeds):
+    def __init__(self, nodes, adj, keys, seeds, order):
         self.nodes: list[tuple[int, ...]] = nodes
         self.adj: list[list[tuple[int, int]]] = adj
         self.keys: list[int] = keys
         self.seeds: tuple[int, ...] = tuple(seeds)
+        self.order = order
         self._index = {pi: v for v, pi in enumerate(nodes)}
         self._comps = None
         self._comp_of = None
@@ -272,7 +278,7 @@ def _grow(g: Game, keyed_seeds: Iterable, limit: int) -> DominationGraph:
                 index[key2] = w
             out.append((w, c))
         v += 1
-    return DominationGraph(nodes, adj, keys, seed_ids)
+    return DominationGraph(nodes, adj, keys, seed_ids, _order_key(g))
 
 
 def to_dot(G: DominationGraph, highlight: Iterable[int] = ()) -> str:

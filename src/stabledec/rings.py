@@ -13,7 +13,7 @@ digraph is one merged family (``_ring_families``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .core import Game, intersects, render_coalition, unanimously_prefers
@@ -151,12 +151,15 @@ class RingComponent:
     simple: bool
     maximal: tuple[tuple[int, ...], ...]
     compact: tuple[tuple[int, ...], ...]
+    # the coalitions outside it that break one of its maximal sets,
+    # ascending; masks, which mean the same in every game holding them
+    breakers: tuple[int, ...] = field(compare=False, repr=False)
 
 
 def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
     """The ring component analysis of the collection, ``None`` when it is
-    not one; simpleness and the compact sets are worked out only for a
-    collection that passes conditions (i) and (ii)."""
+    not one; simpleness, the compact sets and the breakers are worked out
+    only for a collection that passes conditions (i) and (ii)."""
     B = tuple(sorted(set(coalitions)))
     if len(B) < 3 or any(c not in g._kset for c in B):
         return None
@@ -167,24 +170,36 @@ def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
         return None
     # condition (ii): each maximal set must be broken by a member, which
     # lies outside it (``_breaking``); simple: every such breaker meets
-    # exactly one coalition of the set
+    # exactly one coalition of the set. The breakers from outside are kept
     bit, _, meets = g.expansion()
     inside = 0
     for c in B:
         inside |= bit[c]
     maximal = tuple(maximal_sets(B))
     simple = True
+    outside = 0
     for mset in maximal:
-        found = _breaking(g, mset) & inside
+        found = _breaking(g, mset)
+        outside |= found
+        found &= inside
         if not found:
             return None
-        once = twice = 0
-        for m in mset:
-            hit = meets[bit[m].bit_length() - 1]
-            twice |= once & hit
-            once |= hit
-        simple = simple and not found & twice
-    return RingComponent(B, simple, maximal, maximal if simple else tuple((r,) for r in B))
+        if simple:
+            once = twice = 0
+            for m in mset:
+                hit = meets[bit[m].bit_length() - 1]
+                twice |= once & hit
+                once |= hit
+            simple = not found & twice
+    outside &= ~inside
+    ks = g.permissible
+    breakers = []
+    while outside:
+        low = outside & -outside
+        outside ^= low
+        breakers.append(ks[low.bit_length() - 1])
+    compact = maximal if simple else tuple((r,) for r in B)
+    return RingComponent(B, simple, maximal, compact, tuple(breakers))
 
 
 def is_ring_component(g: Game, coalitions: Iterable[int]) -> bool:

@@ -72,42 +72,80 @@ def structure_key(pi: tuple[int, ...]):
     return tuple(members(p) for p in pi)
 
 
-def _order_key(pis: Iterable[tuple[int, ...]]):
-    """``structure_key``, or ``None`` when the given canonical structures of
-    one game already compare in its order as plain tuples of masks.
+def _order_key(g: Game):
+    """``structure_key``, or ``None`` when the game's canonical structures
+    already compare in its order as plain tuples of masks: when no
+    permissible coalition has three or more agents.
 
     Where two structures first differ, their earlier parts cover the same
     agents, so both parts there hold the same least agent ``a``. When every
     part has at most two agents, those parts are ``{a}`` or a pair
     ``{a, b}``, and their masks compare as their member tuples.
     """
-    if all(p.bit_count() <= 2 for pi in pis for p in pi):
+    if all(c.bit_count() <= 2 for c in g.permissible):
         return None
     return structure_key
 
 
 def maximal_sets(collection: Iterable[int]) -> list[tuple[int, ...]]:
     """All inclusion-maximal pairwise-disjoint subsets of the non-single
-    coalitions in ``collection``.
+    coalitions in ``collection``, each in ascending order, sorted.
 
-    Enumerated as the maximal cliques of the disjointness graph
-    (Bron-Kerbosch), so each family is produced exactly once.
+    Enumerated as the maximal cliques of the disjointness graph by
+    Bron-Kerbosch with Tomita's pivot (Tomita, Tanaka and Takahashi 2006),
+    on bitsets over the coalitions' indices, so each family is produced
+    exactly once. Each call branches only on the candidates that share an
+    agent with the pivot: the candidate or excluded coalition with the most
+    candidates disjoint from it.
     """
     ks = sorted({c for c in collection if c.bit_count() >= 2})
     if not ks:
         raise EmptyCollection("collection has no non-single coalition")
+    # apart[i]: the indices of the coalitions disjoint from ks[i]
+    holding: dict[int, int] = {}
+    for i, c in enumerate(ks):
+        for a in members(c):
+            holding[a] = holding.get(a, 0) | 1 << i
+    full = (1 << len(ks)) - 1
+    apart = []
+    for c in ks:
+        meets = 0
+        for a in members(c):
+            meets |= holding[a]
+        apart.append(full & ~meets)
     out: list[tuple[int, ...]] = []
 
-    def bk(r, p, x):
-        if not p and not x:
-            out.append(tuple(r))
+    def expand(chosen: int, cand: int, excl: int) -> None:
+        if not cand:
+            if not excl:
+                found = []
+                while chosen:
+                    low = chosen & -chosen
+                    chosen ^= low
+                    found.append(ks[low.bit_length() - 1])
+                out.append(tuple(found))
             return
-        for v in list(p):
-            bk(r + [v], [u for u in p if not u & v], [u for u in x if not u & v])
-            p.remove(v)
-            x.append(v)
+        # every maximal set below holds the pivot or a candidate meeting
+        # it, so only those candidates are branched on
+        most, skip = -1, 0
+        rest = cand | excl
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            left = apart[low.bit_length() - 1]
+            k = (cand & left).bit_count()
+            if k > most:
+                most, skip = k, left
+        todo = cand & ~skip
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            left = apart[low.bit_length() - 1]
+            expand(chosen | low, cand & left, excl & left)
+            cand ^= low
+            excl |= low
 
-    bk([], ks, [])
+    expand(0, full, 0)
     return sorted(out)
 
 

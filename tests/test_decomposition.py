@@ -9,6 +9,7 @@ from stabledec import (
     POOL,
     RING,
     SINGLE,
+    Analysis,
     DisjointParty,
     MalformedParty,
     Party,
@@ -21,6 +22,7 @@ from stabledec import (
     d_structures,
     decomposition,
     decomposition_from_collections,
+    factored_decompositions,
     from_absorbing_set,
     full_domination_graph,
     generated_set,
@@ -38,6 +40,7 @@ from stabledec import (
     random_marriage_spec,
     random_roommate_spec,
     render_structure,
+    ring_components_of,
     roommate_to_game,
     unprevented_breakers,
 )
@@ -652,8 +655,9 @@ class TestBreakerWalkMatchesReference:
 
 
 class TestOneMaximalSetsPerParty:
-    """A single party computes its maximal sets once per breaker walk; a
-    ring party reads them off its ring component and computes none."""
+    """No breaker walk computes maximal sets: a single party's only maximal
+    set is its coalition, and a ring party carries its ring component's
+    breakers."""
 
     @pytest.mark.parametrize("fixture", ["g6", "g7", "g8", "rm10"])
     def test_breaker_walks(self, fixture, request, monkeypatch):
@@ -672,18 +676,29 @@ class TestOneMaximalSetsPerParty:
             parties = [p for p in d.parties if p.kind != POOL]
             del calls[:]
             protection_certificates(g, d)
-            assert len(calls) == sum(p.kind == SINGLE for p in parties)
+            assert len(calls) == 0
             for p in parties:
                 del calls[:]
                 unprevented_breakers(g, p, d)
-                assert len(calls) == (p.kind == SINGLE)
+                assert len(calls) == 0
+
+
+def _defined_breakers(g, coalitions):
+    # the definition: the coalitions breaking some maximal set, less the
+    # collection's own
+    return [
+        c
+        for c in g.permissible
+        if c not in coalitions
+        and any(breaks_maximal_set(g, c, mset) for mset in maximal_sets(coalitions))
+    ]
 
 
 class TestRingPartyMaximalSets:
-    """A ring party carries its ring component's maximal sets, whether it
-    comes from an absorbing set, ``make_party`` or ``parse_decomposition``;
-    its breakers equal those of the same party built by hand without them,
-    which computes them."""
+    """A ring party carries its ring component's breakers, whether it comes
+    from an absorbing set, ``make_party`` or ``parse_decomposition``; they
+    are the breakers of the definition, and those of the same party built by
+    hand without them, which computes them from its maximal sets."""
 
     @pytest.mark.parametrize("fixture", ["g6", "g7", "g8"])
     def test_breakers_match_computed_maximal_sets(self, fixture, request):
@@ -691,24 +706,24 @@ class TestRingPartyMaximalSets:
         parties = [p for d in all_stable_decompositions(g) for p in d.parties if p.kind == RING]
         assert parties
         for p in parties:
-            assert p.maximal == tuple(maximal_sets(p.coalitions))
+            assert list(p.breakers) == _defined_breakers(g, p.coalitions)
             bare = Party(RING, p.coalitions, p.compact)
-            assert bare.maximal == () and bare == p
+            assert bare.breakers is None and bare == p
             assert decomposition_module._breakers(g, p) == decomposition_module._breakers(g, bare)
             made = make_party(g, p.coalitions)
-            assert made.maximal == p.maximal
+            assert made.breakers == p.breakers
 
     def test_parsed_ring_party(self, g7, d7_ring):
         parsed = parse_decomposition(g7, "{{12,23,34,45,15},{67}}")
         assert parsed == d7_ring
         (ring,) = [p for p in parsed.parties if p.kind == RING]
-        assert ring.maximal == tuple(maximal_sets(ring.coalitions))
+        assert list(ring.breakers) == _defined_breakers(g7, ring.coalitions)
         bare = Party(RING, ring.coalitions, ring.compact)
         assert decomposition_module._breakers(g7, ring) == decomposition_module._breakers(g7, bare)
 
     def test_hand_built_ring_party_outside_k(self, g7):
-        # the maximal sets it carries do not skip the check on its coalitions
-        bad = Party(RING, (C("12"), C("13"), C("23")), (), ((C("12"),), (C("13"),)))
+        # the breakers it carries do not skip the check on its coalitions
+        bad = Party(RING, (C("12"), C("13"), C("23")), (), (C("45"),))
         with pytest.raises(MalformedParty, match=r"^\{1,3\} is not a permissible coalition$"):
             decomposition_module._breakers(g7, bad)
 
@@ -733,6 +748,95 @@ class TestBitsetsMatchDefinitions:
                     ]
                 for c in g.permissible:
                     assert bool(mask & bit[c]) == _reference_prevents(g, party, c)
+
+
+# roommate (9, 0.7) seeds 13-60 (1-12 are fuzz games), and the unions of
+# test_factoring that have a ring party, whose factor games number K
+# differently from the whole game
+ROOMMATE9 = {
+    f"roommate9-{s}": (lambda s=s: roommate_to_game(random_roommate_spec(9, 0.7, seed=s)))
+    for s in range(13, 61)
+}
+RING_UNIONS = [
+    "roommate-marriage-random+1",
+    "seven-triangle",
+    "triangle-random-roommate-relabelled",
+]
+
+
+def _every_game():
+    # (label, game) over the fuzz games, ROOMMATE9 and RING_UNIONS
+    for label, make in list(FUZZ_GAMES.items()) + list(ROOMMATE9.items()):
+        yield label, make()
+    for name in RING_UNIONS:
+        yield name, UNIONS[name]
+
+
+def _set_based_parties(g, absorbing, comps):
+    # the parties of a non-trivial set read with one set per member: a ring
+    # component covering every member, then each coalition held in all
+    parties = []
+    part_sets = [set(pi) for pi in absorbing.members]
+    covered = 0
+    for rc in comps:
+        if all(any(r in ps for r in rc.coalitions) for ps in part_sets):
+            parties.append(Party(RING, rc.coalitions, rc.compact))
+            for c in rc.coalitions:
+                covered |= c
+    for c in g.permissible:
+        if all(c in ps for ps in part_sets):
+            parties.append(Party(SINGLE, (c,)))
+            covered |= c
+    if (1 << g.n) - 1 & ~covered:
+        parties.append(decomposition_module._pool(g.n, (1 << g.n) - 1 & ~covered))
+    return parties
+
+
+class TestCarriedBreakers:
+    """Every ring party carries the breakers of the definition (the OR over
+    its maximal sets of ``breaks_maximal_set``, less its own coalitions), in
+    the whole game also when its factor game numbers K differently, and
+    ``_breakers`` reads them as the walk over its maximal sets would find
+    them."""
+
+    def test_every_ring_party(self):
+        seen = {"parties": 0, "factored": 0}
+        for label, g in _every_game():
+            an = Analysis(g)
+            for d in factored_decompositions(an):
+                for p in d.parties:
+                    if p.kind != RING:
+                        continue
+                    seen["parties"] += 1
+                    seen["factored"] += len(an.factors) > 1
+                    assert list(p.breakers) == _defined_breakers(g, p.coalitions), label
+                    bare = Party(RING, p.coalitions, p.compact)
+                    got = decomposition_module._breakers(g, p)
+                    assert got == decomposition_module._breakers(g, bare), label
+        # a factor of a game with several holds a strict part of its K
+        assert seen == {"parties": 66, "factored": 16}
+
+
+class TestKeyBasedParties:
+    """``_absorbing_parties`` reads a non-trivial set's parties off its member
+    keys; they are the parties of the one-set-per-member reading, on every
+    non-trivial set of the fuzz games, the roommate games and the unions."""
+
+    def test_every_nontrivial_set(self):
+        sets = 0
+        for label, g in _every_game():
+            an = Analysis(g)
+            for f in an.factors:
+                for fa in f.sets:
+                    if fa.trivial:
+                        continue
+                    sets += 1
+                    comps = ring_components_of(f.game, fa, f.graph)
+                    got = decomposition_module._absorbing_parties(f.game, fa, comps, f.graph)
+                    assert got == _set_based_parties(f.game, fa, comps), label
+                    rings = [p for p in got if p.kind == RING]
+                    assert all(p.breakers is not None for p in rings)
+        assert sets == 57
 
 
 class TestNonPermissibleParty:

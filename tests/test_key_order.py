@@ -156,14 +156,16 @@ def test_partial_graphs_discover_out_of_key_order():
 
 @pytest.mark.parametrize("label", list(PARTIAL_GAMES))
 def test_order_key_is_structure_key_order(label):
-    # shuffled structures, sorted as plain tuples when every part has at
-    # most two agents, else by structure_key
+    # shuffled structures, sorted as plain tuples when no permissible
+    # coalition has three or more agents, else by structure_key; growing a
+    # closure keeps the same order on the graph
     g = PARTIAL_GAMES[label]()
     structs = list(enumerate_structures(g))
     random.Random(len(structs)).shuffle(structs)
-    order = _order_key(structs)
-    assert (order is None) == all(p.bit_count() <= 2 for pi in structs for p in pi)
+    order = _order_key(g)
+    assert (order is None) == all(c.bit_count() <= 2 for c in g.permissible)
     assert sorted(structs, key=order) == sorted(structs, key=structure_key)
+    assert grow_graph(g, structs[:1]).order is order
 
 
 def test_order_key_takes_both_branches():

@@ -6,6 +6,7 @@ import pytest
 
 from stabledec import (
     AgentIdOutOfRange,
+    Analysis,
     EmptyCollection,
     Game,
     LimitExceeded,
@@ -19,12 +20,16 @@ from stabledec import (
     maximal_sets,
     members,
     random_game,
+    random_roommate_spec,
     render_structure,
+    roommate_to_game,
     singleton_structure,
     structure_from_parts,
     structure_key,
 )
+from stabledec.rings import _ring_families
 from conftest import GENERATED_GAMES, GENERATED_IDS, C, make_structure, parts
+from test_fuzz import FUZZ_GAMES
 
 
 def disjoint_families(coalitions):
@@ -133,6 +138,48 @@ class TestMaximalSets:
             if not any(set(f) < set(other) for other in nonempty)
         )
         assert maximal_sets(g.permissible) == want
+
+    @pytest.mark.parametrize("seed,size,count", [(3, 22, 122), (16, 27, 287), (19, 26, 243),
+                                                 (23, 27, 307)])
+    def test_large_ring_families(self, seed, size, count):
+        # the one ring family of each of these roommate games, too large for
+        # the brute force above
+        g = roommate_to_game(random_roommate_spec(9, 0.7, seed=seed))
+        (f,) = [f for f in Analysis(g).factors if f.graph is not None]
+        families = [fam for a in f.sets if not a.trivial for fam in _ring_families(f.graph, a)]
+        assert [len(fam) for fam in families] == [size]
+        assert len(_checked_maximal_sets(families[0])) == count
+
+    def test_fuzz_permissible_sets(self):
+        for label, make in FUZZ_GAMES.items():
+            g = make()
+            if g.permissible:
+                _checked_maximal_sets(g.permissible)
+
+
+def _checked_maximal_sets(collection):
+    """``maximal_sets`` of the collection, after checking that the list is
+    sorted with no repeat, that each set is ascending, pairwise disjoint and
+    maximal, and that the greedy extension of each coalition is listed."""
+    ks = sorted({c for c in collection if c.bit_count() >= 2})
+    got = maximal_sets(collection)
+    assert got == sorted(set(got))
+    for mset in got:
+        assert list(mset) == sorted(mset)
+        agents = 0
+        for c in mset:
+            assert not c & agents
+            agents |= c
+        assert all(c & agents for c in ks)
+    listed = set(got)
+    for c in ks:
+        greedy, agents = [c], c
+        for d in ks:
+            if not d & agents:
+                greedy.append(d)
+                agents |= d
+        assert tuple(sorted(greedy)) in listed
+    return got
 
 
 class TestBreaks:
