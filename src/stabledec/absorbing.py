@@ -334,10 +334,9 @@ def _phase_one(table: list[list[int]], agents: int) -> None:
         del held[k:]
 
 
-def _stable_matchings(g: Game, rows: _PairRows | None = None) -> list[tuple[int, ...]] | None:
-    """The stable structures in ``enumerate_structures`` order, or ``None``
-    when some permissible coalition is not a pair. ``rows`` are the game's
-    ``_pair_rows``, built here when not given.
+def _stable_matchings(g: Game, rows: _PairRows) -> list[tuple[int, ...]]:
+    """The stable structures in ``enumerate_structures`` order of a pair-only
+    game whose ``_pair_rows`` are ``rows``.
 
     A matching is stable when the AND over its parts of the K-bits of the
     pairs that each part's agents would rather hold is 0: ``envy[i][j] &
@@ -359,10 +358,6 @@ def _stable_matchings(g: Game, rows: _PairRows | None = None) -> list[tuple[int,
     structure found is re-checked against the definition
     (``structures.is_stable``).
     """
-    if rows is None:
-        rows = _pair_rows(g)
-        if rows is None:
-            return None
     holding, table, envy = rows.holding, rows.table, rows.envy
     full = (1 << g.n) - 1
     # the pairs each matched agent can take as the least agent not yet
@@ -415,13 +410,11 @@ def _stable_matchings(g: Game, rows: _PairRows | None = None) -> list[tuple[int,
     return stable
 
 
-def _stable_partitions(
-    g: Game, rows: _PairRows | None = None
-) -> list[tuple[tuple[int, ...], ...]]:
+def _stable_partitions(g: Game, rows: _PairRows) -> list[tuple[tuple[int, ...], ...]]:
     """Every stable partition of a pair-only game (Tan 1991), each as its
     cycles: a cycle lists its agents along the permutation from its least
     agent, and the cycles come by least agent. ``rows`` are the game's
-    ``_pair_rows``, built here when not given.
+    ``_pair_rows``.
 
     A stable partition is a permutation ``pi`` of the agents whose every
     step ``i -> pi(i)`` with ``pi(i) != i`` is a permissible pair; an agent
@@ -445,8 +438,6 @@ def _stable_partitions(
     a pair both of whose agents have known predecessors. Agents outside the
     factor are single from the start.
     """
-    if rows is None:
-        rows = _pair_rows(g)
     holding, partners, envy = rows.holding, rows.table, rows.envy
     agents = rows.agents
     n = g.n

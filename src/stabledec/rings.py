@@ -223,12 +223,6 @@ def classify_simple(g: Game, coalitions: Iterable[int]) -> bool:
     return component(g, coalitions).simple
 
 
-def compact_collection(g: Game, coalitions: Iterable[int]) -> list[tuple[int, ...]]:
-    """The compact sets of a ring component: its maximal sets when simple,
-    otherwise one singleton family per coalition."""
-    return list(component(g, coalitions).compact)
-
-
 def _in_degrees_and_steps(
     G: DominationGraph, ids: Sequence[int]
 ) -> tuple[list[int], dict[int, int], dict[int, int]]:

@@ -3,7 +3,7 @@ pair-only games without a stable matching.
 
 Each game is a factor of ``random_roommate_spec(n, density, seed)`` that is
 pair-only and has no stable matching; ``assert_routes_agree`` of
-``test_p_stable.py`` compares the two routes on it (absorbing sets and their
+``oracle.py`` compares the two routes on it (absorbing sets and their
 order, convergence, the bytes of ``analyze --all --json``). Too slow for the
 test suite; run it by hand:
 
@@ -22,10 +22,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from stabledec import Analysis  # noqa: E402
 from stabledec.absorbing import factor_games  # noqa: E402
 
-from test_p_stable import assert_routes_agree, is_closure_factor, room  # noqa: E402
+from stabledec import Analysis  # noqa: E402
+
+from games import room  # noqa: E402
+from oracle import assert_routes_agree, is_closure_factor  # noqa: E402
 
 # agents -> games to check; 1,000 in all
 COUNTS = {6: 300, 7: 250, 8: 200, 9: 150, 10: 100}
@@ -38,7 +40,7 @@ def games(n: int, count: int):
     found = 0
     for s in itertools.count(1):
         d = DENSITIES[s % len(DENSITIES)]
-        for k, f in enumerate(factor_games(room(n, s, d))):
+        for k, f in enumerate(factor_games(room(n, d, s))):
             if is_closure_factor(f):
                 yield f"roommate({n}, {d}, {s})/{k}", f
                 found += 1
@@ -53,12 +55,12 @@ def main() -> int:
         t = time.perf_counter()
         checked = grown = sets = 0
         for label, g in games(n, count):
+            an = Analysis(g)
             try:
-                assert_routes_agree(g)
+                assert_routes_agree(g, an)
             except AssertionError:
                 print(f"routes disagree on {label}", flush=True)
                 raise
-            an = Analysis(g)
             (f,) = an.factors
             grown += len(f.graph)
             sets += len(f.sets)

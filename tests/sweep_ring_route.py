@@ -4,7 +4,7 @@ many seeded games.
 For every non-trivial absorbing set of every factor of each game
 (``Analysis(...).factors``), ``rings._family_search`` must give the same
 families and search the same members, in the same order, as
-``_inlist_family_search`` of ``test_rings.py``: in-lists for every member,
+``_inlist_family_search`` of ``oracle.py``: in-lists for every member,
 each search run until it has discovered every in-neighbour of its root,
 every ring walk taken, and the stop checked only between searches. The
 sweep also counts the sets where some strongly connected component of two
@@ -27,17 +27,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from stabledec import Analysis, random_game, random_roommate_spec, roommate_to_game  # noqa: E402
+from stabledec import Analysis  # noqa: E402
 from stabledec.rings import _family_search  # noqa: E402
 
-from test_rings import _inlist_family_search, _reference_step_sccs  # noqa: E402
+from games import rnd, room  # noqa: E402
+from oracle import _inlist_family_search, _reference_step_sccs  # noqa: E402
 
 # label -> (make a game from a seed, seeds)
 FAMILIES = {
-    "roommate(8, 0.9)": (lambda s: roommate_to_game(random_roommate_spec(8, 0.9, s)), range(1, 2001)),
-    "roommate(9, 0.7)": (lambda s: roommate_to_game(random_roommate_spec(9, 0.7, s)), range(1, 2001)),
-    "roommate(9, 0.9)": (lambda s: roommate_to_game(random_roommate_spec(9, 0.9, s)), range(1, 1001)),
-    "random_game(7, 0.65)": (lambda s: random_game(7, 0.65, s), range(1, 5001)),
+    "roommate(8, 0.9)": (lambda s: room(8, 0.9, s), range(1, 2001)),
+    "roommate(9, 0.7)": (lambda s: room(9, 0.7, s), range(1, 2001)),
+    "roommate(9, 0.9)": (lambda s: room(9, 0.9, s), range(1, 1001)),
+    "random_game(7, 0.65)": (lambda s: rnd(7, 0.65, s), range(1, 5001)),
 }
 
 

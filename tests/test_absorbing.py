@@ -1,15 +1,12 @@
 """Absorbing sets: sink components of the full domination graph."""
 
-import io
 import json
-import sys
 
 import pytest
 
 from stabledec import (
     LimitExceeded,
     MalformedInput,
-    VerificationFailed,
     absorbing_sets,
     converges_to_stability,
     dominate_via,
@@ -27,8 +24,8 @@ from stabledec import absorbing as absorbing_module
 from stabledec import applications as applications_module
 from stabledec import dynamics as dynamics_module
 from stabledec import structures as structures_module
-from stabledec.cli import main
-from conftest import GENERATED_GAMES, GENERATED_IDS, make_structure, parts
+from games import GENERATED_GAMES, GENERATED_IDS, make_structure, parts
+from oracle import analyze_json, spy
 
 
 class TestFullGraph:
@@ -68,22 +65,9 @@ class TestTrustedSeeds:
         self.assert_same_as_validated(request.getfixturevalue(fixture))
 
     def test_full_graph_skips_validation_and_sort(self, g7, monkeypatch):
-        calls = []
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in ("structure_from_parts", "structure_key"):
-            monkeypatch.setattr(
-                dynamics_module, name, counting(name, getattr(dynamics_module, name))
-            )
-        for module in (absorbing_module, applications_module):
-            monkeypatch.setattr(
-                module, "structure_key", counting("structure_key", module.structure_key)
-            )
+        calls = spy(monkeypatch, [], dynamics_module, "structure_from_parts")
+        for module in (dynamics_module, absorbing_module, applications_module):
+            spy(monkeypatch, calls, module, "structure_key")
         graph = full_domination_graph(g7)
         assert len(graph) == 32
         assert calls == []
@@ -129,19 +113,11 @@ class TestSinkMemo:
         first.clear()
         assert sink_components(graph) == second
 
-    def test_analyze_scans_sinks_once(self, g7, monkeypatch, capsys):
-        calls = []
-        scan = absorbing_module._scan_sinks
-
-        def counting(G):
-            calls.append(G)
-            return scan(G)
-
-        monkeypatch.setattr(absorbing_module, "_scan_sinks", counting)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(g7.to_dict())))
-        assert main(["analyze", "-", "--all", "--json"]) == 0
+    def test_analyze_scans_sinks_once(self, g7, monkeypatch):
+        calls = spy(monkeypatch, [], absorbing_module, "_scan_sinks")
+        report = json.loads(analyze_json(g7))
         assert len(calls) == 1
-        assert len(json.loads(capsys.readouterr().out)["absorbing_sets"]) == 4
+        assert len(report["absorbing_sets"]) == 4
 
 
 class TestAbsorbingSets:

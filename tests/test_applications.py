@@ -19,7 +19,7 @@ from stabledec import (
     roommate_to_game,
     singleton_structure,
 )
-from conftest import C, make_structure
+from games import C, make_structure
 
 
 class TestSpecs:

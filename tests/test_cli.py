@@ -15,18 +15,16 @@ from stabledec import (
     MalformedParty,
     StabledecError,
     full_domination_graph,
-    marriage_to_game,
     parse_game_dsl,
     random_game,
     random_marriage_spec,
     random_roommate_spec,
-    roommate_to_game,
     sink_components,
     to_dot,
 )
 from stabledec import cli
 from stabledec.cli import load_game, main, parse_decomposition
-from conftest import C
+from games import split_market
 
 G7_DSL = """\
 agents: 7
@@ -749,28 +747,13 @@ JSON_VALUES = st.recursive(
 )
 
 
-def _split_market(seed: int) -> str:
-    """A random, a roommate and a marriage market on agents 1-6, 7-12 and
-    13-18, as one game."""
-    markets = [
-        random_game(6, 0.6, seed),
-        roommate_to_game(random_roommate_spec(6, 0.6, seed)),
-        marriage_to_game(random_marriage_spec(3, 3, 0.6, seed)),
-    ]
-    prefs = {}
-    for k, game in enumerate(markets):
-        for agent, ranking in game.to_dict()["preferences"].items():
-            prefs[str(int(agent) + 6 * k)] = [[a + 6 * k for a in c] for c in ranking]
-    return json.dumps({"agents": 18, "preferences": prefs})
-
-
 SEEDED_INPUTS = (
     [(f"random-{s}", lambda s=s: json.dumps(random_game(6, 0.5, s).to_dict())) for s in range(4)]
     + [(f"roommate-{s}", lambda s=s: json.dumps(random_roommate_spec(9, 0.7, s).to_dict()))
        for s in range(4)]
     + [(f"marriage-{s}", lambda s=s: json.dumps(random_marriage_spec(4, 4, 0.7, s).to_dict()))
        for s in range(4)]
-    + [(f"split-{s}", lambda s=s: _split_market(s)) for s in range(4)]
+    + [(f"split-{s}", lambda s=s: json.dumps(split_market(s).to_dict())) for s in range(4)]
 )
 
 

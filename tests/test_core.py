@@ -1,7 +1,6 @@
 """Coalition masks, game construction, preference queries."""
 
 import json
-from collections.abc import Mapping, Sequence
 from enum import IntEnum
 
 import pytest
@@ -15,7 +14,6 @@ from stabledec import (
     InconsistentRanking,
     MalformedInput,
     RoommateSpec,
-    StabledecError,
     coalition,
     compact_coalition,
     contains,
@@ -37,19 +35,14 @@ from stabledec import (
 )
 from stabledec.cli import load_game
 
-from conftest import GENERATED_GAMES, C, parts
-from test_fuzz import FUZZ_GAMES
-
-
-def _reference_permissible(g):
-    """K as computed before counting: coalitions every member keys below
-    their singleton."""
-    cands = set()
-    for ranking in g.rankings:
-        cands.update(c for c in ranking if c.bit_count() >= 2)
-    return tuple(sorted(
-        c for c in cands if all(g._key(i, c) < g._key(i, singleton(i)) for i in members(c))
-    ))
+from games import FUZZ_GAMES, GENERATED_GAMES, C, parts
+from oracle import (
+    _reference_from_dict,
+    _reference_pair_tables,
+    _reference_permissible,
+    _reference_tables,
+    outcome,
+)
 
 
 class TestCoalitionMasks:
@@ -329,120 +322,8 @@ class TestParsing:
         assert game_from_dict(g.to_dict()) == g
 
 
-# --- the loader before it checked each entry once, kept as the reference ---
-
-def _reference_tables(n, rankings):
-    """``(rankings, permissible, pos)`` as ``Game`` built them: the rows
-    converted and checked entry by entry, then the position tables, then
-    the permissible set counted from the rankings."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise MalformedInput(f"agent count must be a positive integer, got {n!r}")
-    if n > 63:
-        raise MalformedInput(f"at most 63 agents are supported, got {n}")
-    if isinstance(rankings, Mapping):
-        items = dict(rankings)
-    else:
-        items = {i + 1: rankings[i] for i in range(len(rankings))}
-    for agent in items:
-        if not (isinstance(agent, int) and 1 <= agent <= n):
-            raise AgentIdOutOfRange(f"ranking row for agent {agent!r} is out of range 1..{n}")
-    full = (1 << n) - 1
-    out = []
-    for i in range(1, n + 1):
-        raw = items.get(i, ())
-        if not raw:
-            out.append((singleton(i),))
-            continue
-        ranking = []
-        seen = set()
-        for entry in raw:
-            mask = entry if isinstance(entry, int) else coalition(entry)
-            if mask == 0:
-                raise InconsistentRanking(f"agent {i} ranked an empty coalition")
-            if mask & ~full:
-                raise AgentIdOutOfRange(
-                    f"agent {i} ranked coalition {render_coalition(mask)} with ids above {n}"
-                )
-            if not contains(mask, i):
-                raise InconsistentRanking(
-                    f"agent {i} ranked coalition {render_coalition(mask)} not containing them"
-                )
-            if mask in seen:
-                raise InconsistentRanking(
-                    f"agent {i} ranked coalition {render_coalition(mask)} twice"
-                )
-            seen.add(mask)
-            ranking.append(mask)
-        if singleton(i) not in seen:
-            raise InconsistentRanking(f"agent {i}'s ranking omits their singleton")
-        out.append(tuple(ranking))
-    pos = tuple({c: p for p, c in enumerate(ranking)} for ranking in out)
-    count = {}
-    for i, ranking in enumerate(out):
-        for c in ranking:
-            if c == 1 << i:
-                break
-            count[c] = count.get(c, 0) + 1
-    permissible = tuple(sorted(c for c, k in count.items() if k == c.bit_count()))
-    return tuple(out), permissible, pos
-
-
-def _reference_from_dict(obj):
-    """``game_from_dict``'s type checks over every row, then
-    ``_reference_tables``."""
-    if not isinstance(obj, Mapping):
-        raise MalformedInput("game object must be a mapping")
-    if "agents" not in obj:
-        raise MalformedInput("game object lacks an 'agents' field")
-    n = obj["agents"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise MalformedInput(f"'agents' must be an integer, got {n!r}")
-    prefs = obj.get("preferences", {})
-    if not isinstance(prefs, Mapping):
-        raise MalformedInput("'preferences' must be a mapping")
-    rankings = {}
-    for key, ranking in prefs.items():
-        try:
-            agent = int(key)
-        except (TypeError, ValueError):
-            raise MalformedInput(f"preference key {key!r} is not an agent id") from None
-        if not 1 <= agent <= (n if n >= 1 else 0):
-            raise AgentIdOutOfRange(f"preference key {agent} is out of range 1..{n}")
-        if not isinstance(ranking, Sequence) or isinstance(ranking, (str, bytes)):
-            raise MalformedInput(f"agent {agent}'s ranking must be a list")
-        entries = []
-        for entry in ranking:
-            if not isinstance(entry, Sequence) or isinstance(entry, (str, bytes)):
-                raise MalformedInput(
-                    f"agent {agent}'s ranking entries must be lists of agent ids"
-                )
-            for a in entry:
-                if not isinstance(a, int) or isinstance(a, bool):
-                    raise MalformedInput(f"agent id {a!r} is not an integer")
-            entries.append(tuple(entry))
-        rankings[agent] = entries
-    return _reference_tables(n, rankings)
-
-
-def _reference_pair_tables(spec):
-    """The pair front ends' rankings, each pair converted by ``coalition``."""
-    rankings = {
-        i: [coalition((i, p)) for p in spec.preferences[i]] + [coalition((i,))]
-        for i in range(1, spec.n + 1)
-    }
-    return _reference_tables(spec.n, rankings)
-
-
 def _tables(g):
     return g.rankings, g.permissible, g._pos
-
-
-def _outcome(tables, *args):
-    """The tables, or the class and message of the error raised."""
-    try:
-        return tables(*args)
-    except StabledecError as exc:
-        return type(exc), str(exc)
 
 
 class _Agent(IntEnum):
@@ -526,8 +407,8 @@ class TestLoader:
 
     @pytest.mark.parametrize(("obj", "error", "message"), MALFORMED_GAMES)
     def test_malformed_input_messages(self, obj, error, message):
-        assert _outcome(_reference_from_dict, obj) == (error, message)
-        assert _outcome(lambda o: _tables(game_from_dict(o)), obj) == (error, message)
+        assert outcome(lambda: _reference_from_dict(obj)) == (error.__name__, message)
+        assert outcome(lambda: _tables(game_from_dict(obj))) == (error.__name__, message)
 
     @pytest.mark.parametrize("obj", ACCEPTED_GAMES)
     def test_accepted_inputs(self, obj):
@@ -575,6 +456,6 @@ class TestLoader:
     )
     def test_direct_rankings(self, rankings):
         # masks and id iterables mixed; the first fault in agent order wins
-        assert _outcome(lambda r: _tables(Game(3, r)), rankings) == _outcome(
-            _reference_tables, 3, rankings
+        assert outcome(lambda: _tables(Game(3, rankings))) == outcome(
+            lambda: _reference_tables(3, rankings)
         )

@@ -9,20 +9,16 @@ from stabledec import (
     POOL,
     RING,
     SINGLE,
-    Analysis,
     DisjointParty,
     MalformedParty,
     Party,
     PartyIsSingletonPool,
-    VerificationFailed,
     absorbing_sets,
     all_stable_decompositions,
-    breaks,
     check_stable_decomposition,
     d_structures,
     decomposition,
     decomposition_from_collections,
-    factored_decompositions,
     from_absorbing_set,
     full_domination_graph,
     generated_set,
@@ -31,9 +27,7 @@ from stabledec import (
     is_stable_decomposition,
     make_party,
     marriage_to_game,
-    members,
     parse_game_dsl,
-    prefers,
     prevents,
     protection_certificates,
     random_game,
@@ -46,14 +40,32 @@ from stabledec import (
 )
 from stabledec.cli import main, parse_decomposition
 from stabledec.structures import _breaking, breaks_maximal_set, maximal_sets
-from conftest import GENERATED_GAMES, GENERATED_IDS, C, make_structure
-from test_factoring import UNIONS, mar, rnd, room, union
-from test_fuzz import FUZZ_GAMES, _analyzed
+from games import (
+    FUZZ_GAMES,
+    GENERATED_GAMES,
+    GENERATED_IDS,
+    RC7,
+    RING_UNIONS,
+    ROOMMATE9,
+    UNIONS,
+    C,
+    build,
+    make_structure,
+    split_market,
+)
+from oracle import (
+    analyze_json,
+    spy,
+    _defined_breakers,
+    _reference_certificates,
+    _reference_parties,
+    _reference_prevents,
+    _reference_witnesses,
+    candidates,
+)
 
 # the module, which the package's ``decomposition`` function shadows
 decomposition_module = importlib.import_module("stabledec.decomposition")
-
-RC7 = ("12", "23", "34", "45", "15")
 
 # a pair-chasing triangle on 1-3 and a 2x2 marriage market on 4-7 with two
 # stable matchings, {46,57} and {47,56}
@@ -545,74 +557,10 @@ class TestRoundTripProperties:
         assert all(is_stable(g, pi) for pi in induced)
 
 
-def _reference_prevents(g, party, c):
-    if c in party.coalitions:
-        return False
-
-    def dissents(cp):
-        return any(prefers(g, i, cp, c) for i in members(cp & c))
-
-    if party.kind == SINGLE:
-        return dissents(party.coalitions[0])
-    return all(any(cp & c and dissents(cp) for cp in E) for E in party.compact)
-
-
-def _reference_witnesses(g, by, c):
-    witnesses = []
-    for E in [by.coalitions] if by.kind == SINGLE else by.compact:
-        for cp in E:
-            hit = next((i for i in members(cp & c) if prefers(g, i, cp, c)), None)
-            if hit is not None:
-                witnesses.append((cp, hit))
-                break
-    return witnesses
-
-
-def _reference_certificates(g, D):
-    """The breaker walk from the definitions: ``breaks`` for every
-    candidate, ``prevents`` for every party, then a second search for the
-    witnesses of the preventing party."""
-    out = []
-    for party in D.parties:
-        if party.kind == POOL:
-            continue
-        breakers = []
-        for c in g.permissible:
-            if c in party.coalitions or not breaks(g, c, party.coalitions):
-                continue
-            by = next(
-                (
-                    p
-                    for p in D.parties
-                    if p.kind != POOL and c not in p.coalitions and p.agents & c
-                    and _reference_prevents(g, p, c)
-                ),
-                None,
-            )
-            witnesses = [] if by is None else _reference_witnesses(g, by, c)
-            breakers.append({"coalition": c, "prevented_by": by, "witnesses": witnesses})
-        out.append({"party": party, "breakers": breakers})
-    return out
-
-
 def _stable_and_unstable(g):
-    """The stable decompositions of the game, and each one again with one
-    coalition party dissolved into the pool."""
-    out = []
-    for d in all_stable_decompositions(g):
-        out.append(d)
-        for k, p in enumerate(d.parties):
-            if p.kind == POOL:
-                continue
-            pool = p.agents
-            rest = []
-            for q in d.parties[:k] + d.parties[k + 1:]:
-                if q.kind == POOL:
-                    pool |= q.agents
-                else:
-                    rest.append(q)
-            out.append(decomposition(rest + [Party(POOL, tuple(1 << b for b in range(g.n) if pool >> b & 1))]))
-    return out
+    """The stable decompositions of the game, the all-singletons pool, and
+    each stable one with a coalition party dissolved into the pool."""
+    return [d for d, _ in candidates(g, build(g).decompositions)]
 
 
 class TestBreakerWalkMatchesReference:
@@ -664,14 +612,7 @@ class TestOneMaximalSetsPerParty:
         g = request.getfixturevalue(fixture)
         decs = _stable_and_unstable(g)
         assert any(p.kind == RING for d in decs for p in d.parties)
-        calls = []
-        real = decomposition_module.maximal_sets
-
-        def counting(collection):
-            calls.append(1)
-            return real(collection)
-
-        monkeypatch.setattr(decomposition_module, "maximal_sets", counting)
+        calls = spy(monkeypatch, [], decomposition_module, "maximal_sets")
         for d in decs:
             parties = [p for p in d.parties if p.kind != POOL]
             del calls[:]
@@ -681,17 +622,6 @@ class TestOneMaximalSetsPerParty:
                 del calls[:]
                 unprevented_breakers(g, p, d)
                 assert len(calls) == 0
-
-
-def _defined_breakers(g, coalitions):
-    # the definition: the coalitions breaking some maximal set, less the
-    # collection's own
-    return [
-        c
-        for c in g.permissible
-        if c not in coalitions
-        and any(breaks_maximal_set(g, c, mset) for mset in maximal_sets(coalitions))
-    ]
 
 
 class TestRingPartyMaximalSets:
@@ -735,7 +665,8 @@ class TestBitsetsMatchDefinitions:
 
     @pytest.mark.parametrize("label", list(FUZZ_GAMES))
     def test_fuzz(self, label):
-        g, _, decs = _analyzed(label)
+        b = build(FUZZ_GAMES[label]())
+        g, decs = b.game, b.decompositions
         bit = g.expansion().bit
         for d in decs:
             masks = decomposition_module._prevention(g, d)
@@ -750,46 +681,12 @@ class TestBitsetsMatchDefinitions:
                     assert bool(mask & bit[c]) == _reference_prevents(g, party, c)
 
 
-# roommate (9, 0.7) seeds 13-60 (1-12 are fuzz games), and the unions of
-# test_factoring that have a ring party, whose factor games number K
-# differently from the whole game
-ROOMMATE9 = {
-    f"roommate9-{s}": (lambda s=s: roommate_to_game(random_roommate_spec(9, 0.7, seed=s)))
-    for s in range(13, 61)
-}
-RING_UNIONS = [
-    "roommate-marriage-random+1",
-    "seven-triangle",
-    "triangle-random-roommate-relabelled",
-]
-
-
 def _every_game():
-    # (label, game) over the fuzz games, ROOMMATE9 and RING_UNIONS
+    # (label, build) over the fuzz games, ROOMMATE9 and RING_UNIONS
     for label, make in list(FUZZ_GAMES.items()) + list(ROOMMATE9.items()):
-        yield label, make()
+        yield label, build(make())
     for name in RING_UNIONS:
-        yield name, UNIONS[name]
-
-
-def _set_based_parties(g, absorbing, comps):
-    # the parties of a non-trivial set read with one set per member: a ring
-    # component covering every member, then each coalition held in all
-    parties = []
-    part_sets = [set(pi) for pi in absorbing.members]
-    covered = 0
-    for rc in comps:
-        if all(any(r in ps for r in rc.coalitions) for ps in part_sets):
-            parties.append(Party(RING, rc.coalitions, rc.compact))
-            for c in rc.coalitions:
-                covered |= c
-    for c in g.permissible:
-        if all(c in ps for ps in part_sets):
-            parties.append(Party(SINGLE, (c,)))
-            covered |= c
-    if (1 << g.n) - 1 & ~covered:
-        parties.append(decomposition_module._pool(g.n, (1 << g.n) - 1 & ~covered))
-    return parties
+        yield name, build(UNIONS[name])
 
 
 class TestCarriedBreakers:
@@ -801,9 +698,9 @@ class TestCarriedBreakers:
 
     def test_every_ring_party(self):
         seen = {"parties": 0, "factored": 0}
-        for label, g in _every_game():
-            an = Analysis(g)
-            for d in factored_decompositions(an):
+        for label, b in _every_game():
+            g, an = b.game, b.analysis
+            for d in b.decompositions:
                 for p in d.parties:
                     if p.kind != RING:
                         continue
@@ -824,16 +721,15 @@ class TestKeyBasedParties:
 
     def test_every_nontrivial_set(self):
         sets = 0
-        for label, g in _every_game():
-            an = Analysis(g)
-            for f in an.factors:
+        for label, b in _every_game():
+            for f in b.analysis.factors:
                 for fa in f.sets:
                     if fa.trivial:
                         continue
                     sets += 1
                     comps = ring_components_of(f.game, fa, f.graph)
                     got = decomposition_module._absorbing_parties(f.game, fa, comps, f.graph)
-                    assert got == _set_based_parties(f.game, fa, comps), label
+                    assert got == _reference_parties(f.game, fa, comps), label
                     rings = [p for p in got if p.kind == RING]
                     assert all(p.breakers is not None for p in rings)
         assert sets == 57
@@ -883,64 +779,42 @@ class TestOneProtectionWalkPerDecomposition:
     and works out prevention and the D-structures once per decomposition:
     the re-check builds them, and the JSON report only renders them."""
 
-    @staticmethod
-    def _counted(monkeypatch, g, tmp_path, capsys):
-        calls = {"_breakers": 0, "_prevention": 0, "d_structures": 0}
+    NAMES = ("_breakers", "_prevention", "d_structures")
 
-        def counting(name):
-            real = getattr(decomposition_module, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(decomposition_module, name, counting(name))
-        path = tmp_path / "game.json"
-        path.write_text(json.dumps(g.to_dict()))
-        assert main(["analyze", str(path), "--all", "--json"]) == 0
-        decs = json.loads(capsys.readouterr().out)["decompositions"]
+    def _counted(self, monkeypatch, g):
+        calls = []
+        for name in self.NAMES:
+            spy(monkeypatch, calls, decomposition_module, name)
+        decs = json.loads(analyze_json(g))["decompositions"]
         monkeypatch.undo()
+        counts = {name: calls.count(name) for name in self.NAMES}
         parties = sum(p["kind"] != POOL for d in decs for p in d["parties"])
-        assert calls == {"_breakers": parties, "_prevention": len(decs), "d_structures": len(decs)}
-        return calls
+        assert counts == {"_breakers": parties, "_prevention": len(decs), "d_structures": len(decs)}
+        return counts
 
     @pytest.mark.parametrize("fixture", ["g6", "g7", "g8", "rm10", "mar33"])
-    def test_worked_examples(self, fixture, request, monkeypatch, tmp_path, capsys):
-        self._counted(monkeypatch, request.getfixturevalue(fixture), tmp_path, capsys)
+    def test_worked_examples(self, fixture, request, monkeypatch):
+        self._counted(monkeypatch, request.getfixturevalue(fixture))
 
-    def test_split_markets_population_0(self, monkeypatch, tmp_path, capsys):
+    def test_split_markets_population_0(self, monkeypatch):
         # the benchmark's split-markets games of generator seeds 1-30: three
         # 6-agent submarkets (random, roommate, marriage) side by side
-        total = {"_breakers": 0, "_prevention": 0, "d_structures": 0}
+        total = dict.fromkeys(self.NAMES, 0)
         for seed in range(1, 31):
-            g = union(rnd(6, 0.6, seed), room(6, 0.6, seed), mar(seed, 0.6))
-            for name, count in self._counted(monkeypatch, g, tmp_path, capsys).items():
+            for name, count in self._counted(monkeypatch, split_market(seed)).items():
                 total[name] += count
         assert total == {"_breakers": 419, "_prevention": 61, "d_structures": 61}
 
 
 class TestWitnessesOnlyForCertificates:
-    def test_analyze_json(self, g7, tmp_path, monkeypatch, capsys):
+    def test_analyze_json(self, g7, monkeypatch):
         """The re-check decides protection on the bitsets alone: ``analyze
         --json`` looks for witnesses once per prevented breaker of its
         certificates, and building the decompositions looks for none."""
-        calls = []
-        real = decomposition_module._witnesses
-
-        def counting(g, party, c):
-            calls.append(c)
-            return real(g, party, c)
-
-        monkeypatch.setattr(decomposition_module, "_witnesses", counting)
+        calls = spy(monkeypatch, [], decomposition_module, "_witnesses")
         all_stable_decompositions(g7)
         assert calls == []
-        path = tmp_path / "g7.json"
-        path.write_text(json.dumps(g7.to_dict()))
-        assert main(["analyze", str(path), "--all", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = json.loads(analyze_json(g7))
         prevented = [
             b
             for d in report["decompositions"]

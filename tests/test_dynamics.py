@@ -8,24 +8,16 @@ from stabledec import (
     NotBlocking,
     dominate_via,
     enumerate_structures,
-    full_domination_graph,
     grow_graph,
-    is_stable,
-    marriage_to_game,
     random_game,
-    random_marriage_spec,
-    random_roommate_spec,
-    roommate_to_game,
     singleton_structure,
-    structure_from_parts,
     structure_key,
     successors,
     to_dot,
     transitively_dominates,
 )
-from conftest import C, make_structure
-from test_fuzz import FUZZ_GAMES
-from test_key_order import PARTIAL_GAMES, partial_graphs
+from games import EQUIVALENCE_GAMES, FUZZ_GAMES, PARTIAL_GAMES, C, build, make_structure
+from oracle import reference_graph
 
 
 class TestDominateVia:
@@ -153,33 +145,6 @@ class TestTransitivelyDominates:
                 assert all(k != i for k, _ in graph.adj[j])
 
 
-def reference_graph(g, seeds):
-    """Breadth-first closure of ``seeds`` through ``successors()``, which
-    tests blocking with ``blocks`` and forms successors with
-    ``dominate_via``, independently of the bitset expansion."""
-    nodes = sorted({structure_from_parts(g, pi) for pi in seeds}, key=structure_key)
-    index = {pi: v for v, pi in enumerate(nodes)}
-    adj = []
-    for pi in nodes:  # grows while iterated: breadth-first order
-        out = []
-        for e in successors(g, pi):
-            if e.target not in index:
-                index[e.target] = len(nodes)
-                nodes.append(e.target)
-            out.append((index[e.target], e.via))
-        adj.append(out)
-    return nodes, adj
-
-
-EQUIVALENCE_GAMES = (
-    [("random", s, lambda s: random_game(6, density=0.45, seed=s + 60)) for s in range(4)]
-    + [("roommate", s, lambda s: roommate_to_game(random_roommate_spec(8, 0.6, seed=s)))
-       for s in range(3)]
-    + [("marriage", s, lambda s: marriage_to_game(random_marriage_spec(4, 4, 0.7, seed=s)))
-       for s in range(3)]
-)
-
-
 class TestExpansionMatchesSuccessors:
     @pytest.mark.parametrize("seeding", ["full", "singletons"])
     @pytest.mark.parametrize(
@@ -219,13 +184,14 @@ class TestNodeKeys:
 
     @pytest.mark.parametrize("label", list(FUZZ_GAMES))
     def test_full_graphs(self, label):
-        g = FUZZ_GAMES[label]()
-        self._check(g, full_domination_graph(g))
+        b = build(FUZZ_GAMES[label]())
+        self._check(b.game, b.graph)
 
     @pytest.mark.parametrize("label", list(PARTIAL_GAMES))
     def test_closures(self, label):
-        g = PARTIAL_GAMES[label]()
-        grown = [grow_graph(g, [singleton_structure(g.n)]), *partial_graphs(g)]
+        b = build(PARTIAL_GAMES[label]())
+        g = b.game
+        grown = [grow_graph(g, [singleton_structure(g.n)]), *b.partial_graphs]
         # some closure discovers nodes after its seeds
         assert any(len(G) > len(G.seeds) for G in grown)
         for G in grown:

@@ -4,9 +4,9 @@ Seeds are numbered first and in ``structure_key`` order, so on a graph with
 no discovered node (every full graph) the sinks read their members in id
 order and order the sets by least id, and the convergence witness is the
 least straggler id. The sort by key and the reverse search over incoming
-edges that those routes replaced are kept here as references. A graph grown
-from a strict subset of the structures discovers nodes out of key order and
-must keep the key sort: those cases pin the all-seed guard.
+edges that those routes replaced are the references (``oracle.py``). A
+graph grown from a strict subset of the structures discovers nodes out of
+key order and must keep the key sort: those cases pin the all-seed guard.
 """
 
 import random
@@ -20,55 +20,13 @@ from stabledec import (
     enumerate_structures,
     full_domination_graph,
     grow_graph,
-    random_game,
     sink_components,
     singleton_structure,
     structure_key,
 )
 from stabledec.structures import _order_key
-from conftest import GENERATED_GAMES, GENERATED_IDS
-from test_fuzz import FUZZ_GAMES
-from test_pair_games import GAMES as PAIR_GAMES
-
-# roommate games of tests/test_pair_games.py with no stable matching
-NO_STABLE = {label: make for label, make in PAIR_GAMES.items() if label.endswith("-unstable")}
-
-
-def reference_sinks(G):
-    """The sink components sorted by ``structure_key``, whatever the node order."""
-    sinks = []
-    for comp in G.sccs():
-        inside = set(comp)
-        if all(w in inside for v in comp for w, _ in G.adj[v]):
-            members = sorted((G.nodes[v] for v in comp), key=structure_key)
-            sinks.append(AbsorbingSet(tuple(members)))
-    return sorted(sinks, key=lambda a: structure_key(a.members[0]))
-
-
-def reference_stragglers(G):
-    """Ids of the nodes that reach no stable node, by a reverse search from
-    the stable nodes over incoming-edge lists."""
-    incoming = [[] for _ in range(len(G))]
-    for u in range(len(G)):
-        for v, _ in G.adj[u]:
-            incoming[v].append(u)
-    reached = [not out for out in G.adj]
-    frontier = [v for v in range(len(G)) if reached[v]]
-    while frontier:
-        v = frontier.pop()
-        for u in incoming[v]:
-            if not reached[u]:
-                reached[u] = True
-                frontier.append(u)
-    return [v for v in range(len(G)) if not reached[v]]
-
-
-def reference_convergence(G):
-    """The verdict, and the least straggler by ``structure_key`` as witness."""
-    stragglers = reference_stragglers(G)
-    if not stragglers:
-        return True, None
-    return False, min((G.nodes[v] for v in stragglers), key=structure_key)
+from games import FUZZ_GAMES, GENERATED_GAMES, GENERATED_IDS, NO_STABLE, PARTIAL_GAMES, build
+from oracle import reference_convergence, reference_sinks, reference_stragglers
 
 
 def expected_convergence(g, G):
@@ -86,7 +44,7 @@ def check(g, G):
 
 
 def check_full(g):
-    G = full_domination_graph(g)
+    G = build(g).graph
     assert G.key_ordered()
     assert G.nodes == sorted(G.nodes, key=structure_key)
     check(g, G)
@@ -104,36 +62,18 @@ def test_generated_games(front, seed, make):
 
 @pytest.mark.parametrize("label", list(NO_STABLE))
 def test_no_stable_roommate_games(label):
-    g = NO_STABLE[label]()
-    G = full_domination_graph(g)
+    b = build(NO_STABLE[label]())
+    g, G = b.game, b.graph
     check(g, G)
     # no stable node: the witness is the least structure, node 0
     assert converges_to_stability(g, graph=G) == (False, G.nodes[0])
 
 
-def partial_graphs(g):
-    """Graphs grown from strict subsets of the structures: the upper half
-    in key order, the greatest structure alone, and the least alone."""
-    structs = list(enumerate_structures(g))
-    for seeds in (structs[len(structs) // 2 :], structs[-1:], structs[:1]):
-        yield grow_graph(g, seeds)
-
-
-PARTIAL_GAMES = dict(
-    [(f"{front}-{seed}", lambda make=make, seed=seed: make(seed))
-     for front, seed, make in GENERATED_GAMES]
-    + list(NO_STABLE.items())
-    # stable structures and a non-trivial sink: grown from the least
-    # structure, the least straggler by key is not the least straggler id
-    + [("random6-114-mixed", lambda: random_game(6, 0.5, 114))]
-)
-
-
 @pytest.mark.parametrize("label", list(PARTIAL_GAMES))
 def test_partial_graphs_keep_the_key_sort(label):
-    g = PARTIAL_GAMES[label]()
-    for G in partial_graphs(g):
-        check(g, G)
+    b = build(PARTIAL_GAMES[label]())
+    for G in b.partial_graphs:
+        check(b.game, G)
 
 
 def test_partial_graphs_discover_out_of_key_order():
@@ -142,8 +82,7 @@ def test_partial_graphs_discover_out_of_key_order():
     # witness that is not its least straggler id
     unordered_sink = unordered_witness = False
     for make in PARTIAL_GAMES.values():
-        g = make()
-        for G in partial_graphs(g):
+        for G in build(make()).partial_graphs:
             for a in reference_sinks(G):
                 ids = [G.node_id(pi) for pi in a.members]
                 unordered_sink |= ids != sorted(ids)

@@ -12,7 +12,7 @@ matching.
 
 The pruned search for the stable structures (``_stable_matchings``) and the
 memoized structure count are checked against enumeration: the search
-against the enumerate-and-filter it replaced, kept here as a reference.
+against the enumerate-and-filter it replaced, ``oracle.reference_stable``.
 
 Both pair searches branch only on the pairs left in the phase-1 table
 (``absorbing._phase_one``, Irving 1985): each agent proposes to the first
@@ -36,7 +36,6 @@ partitions.
 """
 
 import json
-import random
 
 import pytest
 
@@ -48,7 +47,6 @@ from stabledec import (
     Game,
     LimitExceeded,
     MarriageSpec,
-    StabledecError,
     TrivialAbsorbingSet,
     VerificationFailed,
     all_stable_decompositions,
@@ -57,7 +55,6 @@ from stabledec import (
     enumerate_structures,
     factored_convergence,
     factored_decompositions,
-    full_domination_graph,
     is_stable,
     marriage_to_game,
     members,
@@ -70,101 +67,28 @@ from stabledec import (
 from stabledec.absorbing import factor_games
 from stabledec.cli import main
 from stabledec.structures import _count_structures
-
-from test_fuzz import FUZZ_GAMES
-
-
-def mar(men, women, seed, density=0.7):
-    return marriage_to_game(random_marriage_spec(men, women, density, seed))
-
-
-def room(n, seed, density=0.7):
-    return roommate_to_game(random_roommate_spec(n, density, seed))
-
-
-def has_stable(g: Game) -> bool:
-    return any(is_stable(g, pi) for pi in enumerate_structures(g))
+from games import (
+    FUZZ_GAMES,
+    PAIR_GAMES,
+    TABLE_GAMES,
+    build,
+    mar,
+    no_stable_roommates,
+    pair_game,
+    room,
+    union,
+)
+from oracle import dropped_pairs, outcome, reference_stable, spy
 
 
-def pair_game(n: int, seed: int) -> Game:
-    """A pair-only game whose rankings list unacceptable coalitions: each
-    agent ranks a random set of their pairs with the singleton inserted at
-    a random place, so some listed pairs fall below it, and then every
-    triple they belong to, all below the singleton."""
-    rng = random.Random(seed)
-    rows = {}
-    for i in range(1, n + 1):
-        pairs = [coalition((i, j)) for j in range(1, n + 1) if j != i and rng.random() < 0.8]
-        rng.shuffle(pairs)
-        pairs.insert(rng.randint(0, len(pairs)), coalition((i,)))
-        triples = [
-            coalition((i, j, k))
-            for j in range(1, n + 1)
-            for k in range(j + 1, n + 1)
-            if i not in (j, k)
-        ]
-        rows[i] = pairs + triples
-    return Game(n, rows)
+def stable_matchings(g: Game):
+    return absorbing._stable_matchings(g, absorbing._pair_rows(g))
 
 
-def union(*games: Game) -> Game:
-    """The games side by side on consecutive agent ids."""
-    rows = {}
-    offset = 0
-    for game in games:
-        for i, ranking in enumerate(game.rankings, 1):
-            rows[i + offset] = [c << offset for c in ranking]
-        offset += game.n
-    return Game(offset, rows)
-
-
-def no_stable_roommates(n: int, count: int) -> list[int]:
-    """The first ``count`` seeds of ``random_roommate_spec(n, 0.7)`` with no
-    stable matching."""
-    seeds = []
-    seed = 0
-    while len(seeds) < count:
-        if not has_stable(room(n, seed)):
-            seeds.append(seed)
-        seed += 1
-    return seeds
-
-
-# label -> make; about 4 s in all on a 2-core x86-64 machine
-GAMES = {}
-for (m, w), seeds in {(3, 3): 40, (4, 4): 30, (5, 5): 25, (6, 6): 15, (3, 5): 10}.items():
-    for s in range(1, seeds + 1):
-        GAMES[f"marriage{m}x{w}-{s}"] = lambda m=m, w=w, s=s: mar(m, w, s, 0.6 if m == 6 else 0.7)
-for n, seeds in {5: 20, 6: 20, 7: 15, 8: 10, 9: 5}.items():
-    for s in range(1, seeds + 1):
-        GAMES[f"roommate{n}-{s}"] = lambda n=n, s=s: room(n, s)
-# roommate games with no stable matching, which grow the closure of their
-# P-stable matchings
-for n in (5, 6, 7):
-    for s in no_stable_roommates(n, 5):
-        GAMES[f"roommate{n}-{s}-unstable"] = lambda n=n, s=s: room(n, s)
-for n in (4, 5, 6, 7):
-    for s in range(1, 11):
-        GAMES[f"pairs{n}-{s}"] = lambda n=n, s=s: pair_game(n, s)
-for k, s in enumerate(no_stable_roommates(5, 4) + no_stable_roommates(6, 2)):
-    n = 5 if k < 4 else 6
-    GAMES[f"marriage3x3-{k}+roommate{n}-{s}"] = lambda k=k, n=n, s=s: union(mar(3, 3, k), room(n, s))
-    GAMES[f"roommate{n}-{s}+marriage3x4-{k}"] = lambda k=k, n=n, s=s: union(room(n, s), mar(3, 4, k))
-
-
-def outcome(fn):
-    """The result of ``fn()``, or the library error it raises."""
-    try:
-        return fn()
-    except StabledecError as exc:
-        return type(exc).__name__, str(exc)
-
-
-@pytest.mark.parametrize("label", list(GAMES))
+@pytest.mark.parametrize("label", list(PAIR_GAMES))
 def test_every_section_matches_full_graph(label):
-    g = GAMES[label]()
-    an = Analysis(g)
-    graph = full_domination_graph(g)
+    b = build(PAIR_GAMES[label]())
+    g, an, graph = b.game, b.analysis, b.graph
     sinks = sink_components(graph)
     assert an.structure_count == len(graph)
     # same members in the same order, and the sets in the same order
@@ -183,26 +107,13 @@ def test_every_section_matches_full_graph(label):
     assert factored_convergence(an) == converges_to_stability(g, graph=graph)
 
 
-def reference_stable(g: Game) -> list[tuple[int, ...]]:
-    """Every structure, enumerated, whose AND of ``better`` over its parts
-    is 0: the enumerate-and-filter that ``_stable_matchings`` replaced."""
-    better = g.expansion().better
-    stable = []
-    for pi in enumerate_structures(g):
-        blocking = -1
-        for p in pi:
-            blocking &= better[p]
-        if not blocking:
-            stable.append(pi)
-    return stable
-
-
-@pytest.mark.parametrize("label", list(GAMES))
+@pytest.mark.parametrize("label", list(PAIR_GAMES))
 def test_search_and_count_match_enumeration(label):
-    g = GAMES[label]()
+    b = build(PAIR_GAMES[label]())
+    g = b.game
     # the same structures in the same order, for the game and each factor
-    for game in {g, *(f.game for f in Analysis(g).factors)}:
-        assert absorbing._stable_matchings(game) == reference_stable(game)
+    for game in {g, *(f.game for f in b.analysis.factors)}:
+        assert stable_matchings(game) == reference_stable(game)
     assert _count_structures(g) == sum(1 for _ in enumerate_structures(g))
 
 
@@ -214,13 +125,7 @@ def test_count_matches_enumeration(label):
 
 def test_search_skips_games_with_larger_coalitions():
     g = Game(3, {1: [(1, 2, 3), (1,)], 2: [(1, 2, 3), (2,)], 3: [(1, 2, 3), (3,)]})
-    assert absorbing._stable_matchings(g) is None
-
-
-def dropped_pairs(g: Game) -> set[int]:
-    """The permissible pairs that the phase-1 table drops."""
-    table = absorbing._pair_rows(g).table
-    return {c for c in g.permissible if c.bit_length() not in table[(c & -c).bit_length()]}
+    assert absorbing._pair_rows(g) is None
 
 
 def partner_rows(g: Game) -> list[list[int]]:
@@ -246,21 +151,6 @@ def cyclic_market(k: int) -> Game:
     return marriage_to_game(MarriageSpec(k, k, prefs))
 
 
-# label -> make: games, most with stable matchings and agents the table leaves
-# unmatched, for the two lemmas of the phase-1 table (``absorbing._phase_one``)
-TABLE_GAMES = {}
-for (m, w) in ((2, 5), (3, 5), (5, 3), (4, 6), (6, 4)):
-    for d in (0.7, 0.9):
-        for s in range(1, 7):
-            TABLE_GAMES[f"marriage{m}x{w}-{d}-{s}"] = lambda m=m, w=w, d=d, s=s: mar(m, w, s, d)
-for n in range(4, 11):
-    for s in range(1, 9 if n < 10 else 5):
-        TABLE_GAMES[f"roommate{n}-{s}"] = lambda n=n, s=s: room(n, s)
-for n in (4, 5, 6, 7):
-    for s in range(1, 9):
-        TABLE_GAMES[f"pairs{n}-{s}"] = lambda n=n, s=s: pair_game(n, s)
-
-
 class TestPhaseOneTable:
     """The phase-1 table that both pair searches branch on: a dropped pair
     is in no stable matching (Lemma 1), and an agent whose row is not empty
@@ -276,9 +166,9 @@ class TestPhaseOneTable:
             assert not dropped.intersection(pi)
             assert {i for p in pi if p.bit_count() == 2 for i in members(p)} == kept
 
-    @pytest.mark.parametrize("label", list(TABLE_GAMES) + list(GAMES))
+    @pytest.mark.parametrize("label", list(TABLE_GAMES) + list(PAIR_GAMES))
     def test_table_is_a_fixpoint(self, label):
-        g = (TABLE_GAMES.get(label) or GAMES[label])()
+        g = (TABLE_GAMES.get(label) or PAIR_GAMES[label])()
         rows = absorbing._pair_rows(g)
         table = rows.table
         again = [list(row) for row in table]
@@ -299,9 +189,9 @@ class TestPhaseOneTable:
     def test_table_never_touches_agents_outside_the_factor(self):
         unstable = no_stable_roommates(5, 2)
         for markets in (
-            [mar(3, 3, 0), room(5, unstable[0])],
-            [room(5, unstable[1]), mar(3, 4, 1)],
-            [mar(3, 3, 2), room(6, 3), mar(2, 4, 4)],
+            [mar(3, 3, 0.7, 0), room(5, 0.7, unstable[0])],
+            [room(5, 0.7, unstable[1]), mar(3, 4, 0.7, 1)],
+            [mar(3, 3, 0.7, 2), room(6, 0.7, 3), mar(2, 4, 0.7, 4)],
         ):
             g = union(*markets)
             # each market's table taken alone, on the union's agent ids
@@ -332,7 +222,7 @@ class TestPhaseOneTable:
     @pytest.mark.parametrize("k", [4, 5, 6, 7])
     def test_cyclic_markets(self, k):
         g = cyclic_market(k)
-        stable = absorbing._stable_matchings(g)
+        stable = stable_matchings(g)
         assert len(stable) == k
         assert stable == reference_stable(g)
         # every pair of the market lies on one of the k stable matchings,
@@ -353,14 +243,13 @@ class TestPhaseOneTable:
 
 class TestGateCoverage:
     def test_enough_games(self):
-        assert len(GAMES) >= 200
+        assert len(PAIR_GAMES) >= 200
 
     def test_both_routes_taken(self):
         # factors without a graph, and pair-only factors with a closure
         routes = {"pairs": 0, "graph": 0, "pairs-graph": 0}
-        for label, make in GAMES.items():
-            g = make()
-            for f in Analysis(g).factors:
+        for make in PAIR_GAMES.values():
+            for f in build(make()).analysis.factors:
                 if f.graph is None:
                     routes["pairs"] += 1
                 elif all(c.bit_count() == 2 for c in f.game.permissible):
@@ -380,17 +269,18 @@ class TestGateCoverage:
             assert any(c.bit_count() == 3 for c in listed)
 
     def test_unions_mix_routes(self):
-        g = GAMES["marriage3x3-0+roommate5-" + str(no_stable_roommates(5, 1)[0])]()
-        first, second = Analysis(g).factors
+        g = PAIR_GAMES["marriage3x3-0+roommate5-" + str(no_stable_roommates(5, 1)[0])]()
+        an = build(g).analysis
+        first, second = an.factors
         assert first.graph is None and second.graph is not None
-        ok, witness = factored_convergence(Analysis(g))
+        ok, witness = factored_convergence(an)
         assert not ok and witness is not None
 
 
 class TestPairRoute:
     def test_sets_are_the_stable_structures(self):
-        g = mar(6, 6, 1, 0.6)
-        (f,) = Analysis(g).factors
+        g = mar(6, 6, 0.6, 1)
+        (f,) = build(g).analysis.factors
         assert f.graph is None
         stable = [pi for pi in enumerate_structures(g) if is_stable(g, pi)]
         assert [a.members for a in f.sets] == [(pi,) for pi in stable]
@@ -401,22 +291,21 @@ class TestPairRoute:
         assert [a.members for a in f.sets] == [((1, 2, 4),)]
 
     def test_stability_is_rechecked(self, monkeypatch):
-        g = mar(4, 4, 2)
+        g = mar(4, 4, 0.7, 2)
         # a structure the bitsets call stable but the definition does not
         monkeypatch.setattr(absorbing, "is_stable", lambda g, pi: False)
         with pytest.raises(VerificationFailed):
             Analysis(g)
 
 
-def _counting(monkeypatch, module, name):
+def _spies(monkeypatch, *names):
+    """One list of the calls to each named function of the absorbing,
+    dynamics and structures modules, by name."""
     calls = []
-    real = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
+    for module in (absorbing, dynamics, structures):
+        for name in names:
+            if hasattr(module, name):
+                spy(monkeypatch, calls, module, name)
     return calls
 
 
@@ -431,22 +320,17 @@ def _full_analysis(g):
 
 class TestCounting:
     def test_marriage_grows_no_graph(self, monkeypatch):
-        grows = _counting(monkeypatch, absorbing, "_grow")
-        grows += _counting(monkeypatch, dynamics, "_grow")
-        enumerations = _counting(monkeypatch, absorbing, "_keyed_structures")
-        enumerations += _counting(monkeypatch, structures, "_keyed_structures")
-        enumerations += _counting(monkeypatch, structures, "enumerate_structures")
-        _full_analysis(mar(5, 5, 3))
+        grows = _spies(monkeypatch, "_grow")
+        enumerations = _spies(monkeypatch, "_keyed_structures", "enumerate_structures")
+        _full_analysis(mar(5, 5, 0.7, 3))
         assert grows == []
         assert enumerations == []
 
     def test_unstable_roommates_enumerate_nothing(self, monkeypatch):
         # one growth, of the closure of the P-stable matchings
-        g = room(6, no_stable_roommates(6, 1)[0])
-        enumerations = _counting(monkeypatch, absorbing, "_keyed_structures")
-        enumerations += _counting(monkeypatch, structures, "_keyed_structures")
-        enumerations += _counting(monkeypatch, structures, "enumerate_structures")
-        grows = _counting(monkeypatch, absorbing, "_grow")
+        g = room(6, 0.7, no_stable_roommates(6, 1)[0])
+        enumerations = _spies(monkeypatch, "_keyed_structures", "enumerate_structures")
+        grows = spy(monkeypatch, [], absorbing, "_grow")
         _full_analysis(g)
         assert enumerations == []
         assert grows == ["_grow"]
@@ -454,22 +338,18 @@ class TestCounting:
     def test_limit_raises_before_any_enumeration(self, monkeypatch):
         # about 2.4e10 matchings of 20 agents who all accept each other
         g = roommate_to_game(random_roommate_spec(20, 1.0, 1))
-        calls = _counting(monkeypatch, absorbing, "_keyed_structures")
-        calls += _counting(monkeypatch, structures, "_keyed_structures")
-        calls += _counting(monkeypatch, structures, "enumerate_structures")
-        calls += _counting(monkeypatch, absorbing, "_grow")
-        calls += _counting(monkeypatch, dynamics, "_grow")
+        calls = _spies(monkeypatch, "_keyed_structures", "enumerate_structures", "_grow")
         with pytest.raises(LimitExceeded, match="^more than 1000000 structures$"):
             Analysis(g)
         assert calls == []
 
     def test_union_limit_is_the_product_count(self, monkeypatch):
-        g = GAMES["marriage3x3-0+roommate5-" + str(no_stable_roommates(5, 1)[0])]()
+        g = PAIR_GAMES["marriage3x3-0+roommate5-" + str(no_stable_roommates(5, 1)[0])]()
         count = sum(1 for _ in enumerate_structures(g))
         an = Analysis(g, limit=count)
         assert an.structure_count == count
         assert [f.graph is None for f in an.factors] == [True, False]
-        grows = _counting(monkeypatch, absorbing, "_grow")
+        grows = spy(monkeypatch, [], absorbing, "_grow")
         with pytest.raises(LimitExceeded, match=f"^more than {count - 1} structures$"):
             Analysis(g, limit=count - 1)
         assert grows == []
@@ -478,7 +358,7 @@ class TestCounting:
 class TestLimit:
     @pytest.mark.parametrize("json_form", [False, True])
     def test_limit_one_below_the_count(self, json_form, tmp_path, capsys):
-        g = mar(3, 3, 5)
+        g = mar(3, 3, 0.7, 5)
         count = sum(1 for _ in enumerate_structures(g))
         path = tmp_path / "marriage.json"
         path.write_text(json.dumps(random_marriage_spec(3, 3, 0.7, 5).to_dict()))

@@ -1,10 +1,7 @@
 """Rings, ring extraction from domination cycles, ring components."""
 
-import io
 import json
 import random
-import sys
-from collections import deque
 
 import pytest
 
@@ -22,7 +19,6 @@ from stabledec import (
     check_stable_decomposition,
     canonical_rotation,
     classify_simple,
-    compact_collection,
     component,
     cyclically_equal,
     d_structures,
@@ -34,24 +30,44 @@ from stabledec import (
     is_ring,
     is_ring_component,
     make_party,
-    marriage_to_game,
     maximal_sets,
-    random_game,
-    random_marriage_spec,
-    random_roommate_spec,
     ring_components_of,
-    roommate_to_game,
     sink_components,
-    unanimously_prefers,
 )
 from stabledec import absorbing as absorbing_module
 from stabledec import dynamics as dynamics_module
 from stabledec import rings as rings_module
-from stabledec.cli import main
-from stabledec.rings import _family_search, _ring_families, _ring_from_vias
+from stabledec.rings import _family_search, _ring_families
 from stabledec.structures import _breaking
-from conftest import C, make_structure
-from test_fuzz import FUZZ_GAMES
+from games import (
+    EXTRACTION_GAMES,
+    FUZZ_GAMES,
+    RC7,
+    RC8,
+    REFERENCE_GAMES,
+    ROUTE_GAMES,
+    STEP_GAMES,
+    C,
+    build,
+    make_structure,
+    rnd,
+    room,
+)
+from oracle import (
+    analyze_json,
+    spy,
+    _extract_rings,
+    _family_list,
+    _inlist_family_search,
+    _merged_components,
+    _merged_families,
+    _per_edge_rings,
+    _reference_compact,
+    _reference_is_ring_component,
+    _reference_simple,
+    _reference_step_sccs,
+    _reference_steps,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +86,6 @@ def disjoint_game():
     )
 
 
-RC7 = ("12", "23", "34", "45", "15")
-RC8 = ("145", "12", "23", "356", "46")
 UNION5 = ("14", "34", "36", "16", "35", "25", "24")
 
 
@@ -230,18 +244,18 @@ class TestClassifySimple:
 
 class TestCompactCollection:
     def test_simple_uses_maximal_sets(self, g7):
-        got = compact_collection(g7, [C(t) for t in RC7])
-        assert got == [
+        got = component(g7, [C(t) for t in RC7]).compact
+        assert got == (
             (C("12"), C("34")),
             (C("12"), C("45")),
             (C("23"), C("15")),
             (C("23"), C("45")),
             (C("34"), C("15")),
-        ]
+        )
 
     def test_non_simple_uses_singletons(self, g8):
-        got = compact_collection(g8, [C(t) for t in RC8])
-        assert got == [(c,) for c in sorted(C(t) for t in RC8)]
+        got = component(g8, [C(t) for t in RC8]).compact
+        assert got == tuple((c,) for c in sorted(C(t) for t in RC8))
 
 
 class TestComponent:
@@ -312,158 +326,6 @@ class TestHasProperRing:
         assert not has_proper_ring(g)
 
 
-def _cycle_vias_through(G, u, v, via, inside):
-    """Vias of a cycle through edge ``u -> v``: the edge itself plus a
-    shortest path ``v -> u`` found by BFS inside the component."""
-    parent = {v: None}
-    order = deque([v])
-    while order and u not in parent:
-        x = order.popleft()
-        for w, wv in G.adj[x]:
-            if w in inside and w not in parent:
-                parent[w] = (x, wv)
-                order.append(w)
-    if u not in parent:
-        raise VerificationFailed("absorbing set is not strongly connected")
-    rev = []
-    cur = u
-    while parent[cur] is not None:
-        prev, wv = parent[cur]
-        rev.append(wv)
-        cur = prev
-    return [via] + rev[::-1]
-
-
-def _per_edge_rings(G, absorbing):
-    """Reference extraction: one breadth-first search for every edge inside
-    the absorbing set, stopped at the edge's source."""
-    ids = [G.node_id(pi) for pi in absorbing.members]
-    inside = set(ids)
-    rings = set()
-    for u in ids:
-        for v, via in G.adj[u]:
-            if v not in inside:
-                raise VerificationFailed("absorbing set has an outgoing edge")
-            vias = _cycle_vias_through(G, u, v, via, inside)
-            for s in range(len(vias)):
-                rings.add(canonical_rotation(_ring_from_vias(vias, s)))
-    return rings
-
-
-# Games with a non-trivial absorbing set. Marriage games are absent: a path
-# to stability starts at every matching (Roth and Vande Vate), so all their
-# absorbing sets are trivial; none turned up in 140 seeded 3x3 to 5x5 games.
-EXTRACTION_GAMES = {
-    **{
-        f"roommate9-{s}": (lambda s=s: roommate_to_game(random_roommate_spec(9, 0.7, seed=s)))
-        for s in (2, 6, 21, 25, 26, 32, 33, 35, 42, 46, 48, 49, 57)
-    },
-    **{
-        f"random{n}-{d}-{s}": (lambda n=n, d=d, s=s: random_game(n, d, s))
-        for n, d, s in ((6, 0.5, 45), (6, 0.5, 60), (7, 0.3, 4), (7, 0.4, 36), (8, 0.2, 26))
-    },
-}
-
-
-def _extract_rings(G, absorbing):
-    """Reference extraction, run to the end: the canonical rotations of the
-    rings read off a cycle through every edge inside the absorbing set, one
-    breadth-first search per member, stopped once it has discovered every
-    in-neighbour of that member."""
-    ids = [G.node_id(pi) for pi in absorbing.members]
-    adj = G.adj
-    into_u = {v: [] for v in ids}
-    into_via = {v: [] for v in ids}
-    for u in ids:
-        for v, via in adj[u]:
-            if v not in into_u:
-                raise VerificationFailed("absorbing set has an outgoing edge")
-            into_u[v].append(u)
-            into_via[v].append(via)
-    n = len(G)
-    seen_by = [-1] * n
-    want = [-1] * n
-    prev = [0] * n
-    pvia = [0] * n
-    rings = set()
-    tried = set()
-    for v in ids:
-        left = 0
-        for u in into_u[v]:
-            if want[u] != v:
-                want[u] = v
-                left += 1
-        seen_by[v] = v
-        queue = [v]
-        head = 0
-        while left:
-            if head == len(queue):
-                raise VerificationFailed("absorbing set is not strongly connected")
-            x = queue[head]
-            head += 1
-            for w, wv in adj[x]:
-                if seen_by[w] != v:
-                    seen_by[w] = v
-                    prev[w] = x
-                    pvia[w] = wv
-                    queue.append(w)
-                    if want[w] == v:
-                        left -= 1
-        for u, via in zip(into_u[v], into_via[v]):
-            path = []
-            x = u
-            while x != v:
-                path.append(pvia[x])
-                x = prev[x]
-            path.append(via)
-            vias = tuple(reversed(path))
-            if vias in tried:
-                continue
-            tried.add(vias)
-            for s in range(len(vias)):
-                rings.add(canonical_rotation(rings_module._ring_from_vias(vias, s)))
-    return rings
-
-
-def _merged_components(g, rings, absorbing):
-    """Reference merge: rings merged on shared coalitions to a fixed point,
-    each family kept when it is a ring component; a family that covers
-    every member of the set and is none raises."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ring in sorted(rings):
-        for c in ring:
-            parent.setdefault(c, c)
-        base = find(ring[0])
-        for c in ring[1:]:
-            r = find(c)
-            if r != base:
-                parent[r] = base
-    groups = {}
-    for c in parent:
-        groups.setdefault(find(c), set()).add(c)
-    comps = []
-    for fam in sorted(groups.values(), key=lambda s: tuple(sorted(s))):
-        rc = rings_module._ring_component(g, fam)
-        if rc is not None:
-            comps.append(rc)
-        elif all(fam.intersection(pi) for pi in absorbing.members):
-            raise VerificationFailed("merged ring family fails the ring component test")
-    return comps
-
-
-def _family_list(rings):
-    """The merged families of ``rings`` in the order of their sorted
-    coalitions, as ``_ring_families`` lists them."""
-    return sorted((set(f) for f in _merged_families(rings)), key=lambda f: tuple(sorted(f)))
-
-
 class TestExtractionMatchesPerEdgeSearch:
     """The reference extraction against one search per edge, and the
     library's families and components, whose searches stop early, against
@@ -479,7 +341,7 @@ class TestExtractionMatchesPerEdgeSearch:
 
     @staticmethod
     def _check(g):
-        graph = full_domination_graph(g)
+        graph = build(g).graph
         sinks = [a for a in sink_components(graph) if not a.trivial]
         assert sinks
         for a in sinks:
@@ -497,8 +359,8 @@ class TestRingMergeSeed42:
 
     @pytest.fixture(scope="class")
     def case(self):
-        g = roommate_to_game(random_roommate_spec(9, 0.7, seed=42))
-        graph = full_domination_graph(g)
+        g = room(9, 0.7, 42)
+        graph = build(g).graph
         (sink,) = [a for a in sink_components(graph) if not a.trivial]
         return g, graph, sink
 
@@ -545,18 +407,11 @@ class TestRingMemo:
         assert first is not second
 
     @pytest.mark.parametrize("fixture", ["g6", "g7"])
-    def test_analyze_extracts_once_per_sink(self, fixture, request, monkeypatch, capsys):
+    def test_analyze_extracts_once_per_sink(self, fixture, request, monkeypatch):
         # the ring section and the decompositions share one Analysis
         g = request.getfixturevalue(fixture)
-        calls = []
-
-        def counting(G, absorbing):
-            calls.append(absorbing.members)
-            return _ring_families(G, absorbing)
-
-        monkeypatch.setattr(rings_module, "_ring_families", counting)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(g.to_dict())))
-        assert main(["analyze", "-", "--all", "--json"]) == 0
+        calls = spy(monkeypatch, [], rings_module, "_ring_families", lambda G, a: a.members)
+        analyze_json(g)
         nontrivial = [a.members for a in absorbing_sets(g) if not a.trivial]
         assert nontrivial
         assert sorted(calls) == sorted(nontrivial)
@@ -568,43 +423,22 @@ class TestSearchesStopEarly:
     connected components of two or more coalitions is one family, the
     searches stop."""
 
-    @staticmethod
-    def _count_walks(monkeypatch):
-        # one ring walk per start position of each distinct cycle
-        walks = []
-        real = rings_module._ring_from_vias
-
-        def counting(vias, start_idx):
-            walks.append(vias)
-            return real(vias, start_idx)
-
-        monkeypatch.setattr(rings_module, "_ring_from_vias", counting)
-        return walks
-
     @pytest.mark.parametrize("fixture", ["g6", "g7"])
-    def test_analyze_grows_no_graph_for_rings(self, fixture, request, monkeypatch, capsys):
+    def test_analyze_grows_no_graph_for_rings(self, fixture, request, monkeypatch):
         g = request.getfixturevalue(fixture)
         grown = []
-        real_grow = absorbing_module._grow
-
-        def counting(*args):
-            grown.append(args[0])
-            return real_grow(*args)
-
-        monkeypatch.setattr(absorbing_module, "_grow", counting)
-        monkeypatch.setattr(dynamics_module, "_grow", counting)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(g.to_dict())))
-        assert main(["analyze", "-", "--all", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
+        for module in (absorbing_module, dynamics_module):
+            spy(monkeypatch, grown, module, "_grow", lambda *args: args[0])
+        report = json.loads(analyze_json(g))
         assert report["ring_components"]
         # one graph per factor that needs one, none for the rings
         assert len(grown) == sum(f.graph is not None for f in Analysis(g).factors)
 
     def test_fewer_ring_walks_than_the_full_extraction(self, monkeypatch):
-        g = roommate_to_game(random_roommate_spec(9, 0.7, seed=42))
-        graph = full_domination_graph(g)
+        graph = build(room(9, 0.7, 42)).graph
         (sink,) = [a for a in sink_components(graph) if not a.trivial]
-        walks = self._count_walks(monkeypatch)
+        # one ring walk per start position of each distinct cycle
+        walks = spy(monkeypatch, [], rings_module, "_ring_from_vias", lambda vias, s: vias)
         full = _extract_rings(graph, sink)
         all_walks = len(walks)
         walks.clear()
@@ -617,8 +451,8 @@ class TestSearchesStopEarly:
         # {1,6}, {3,6} and {2,8}, which no ring holds, so it never becomes
         # one family and every member is searched (the ring walks of cycles
         # whose vias already lie in one family are still skipped)
-        g = roommate_to_game(random_roommate_spec(8, 0.9, seed=882))
-        graph = full_domination_graph(g)
+        g = room(8, 0.9, 882)
+        graph = build(g).graph
         (sink,) = [a for a in sink_components(graph) if not a.trivial]
         full = _extract_rings(graph, sink)
         families, searched = _family_search(graph, sink)
@@ -647,8 +481,7 @@ def test_population0_search_counts():
     14 non-trivial sets of population 0, where id order needs 267."""
     got = {}
     for seed in list(range(1, 31)) + [42]:
-        g = roommate_to_game(random_roommate_spec(9, 0.7, seed))
-        for f in Analysis(g).factors:
+        for f in build(room(9, 0.7, seed)).analysis.factors:
             for a in f.sets:
                 if a.trivial:
                     continue
@@ -662,49 +495,12 @@ def test_population0_search_counts():
     assert (sum(c[1] for c in counts), sum(c[2] for c in counts)) == (42, 267)
 
 
-# Games where the strongly connected components of the unanimous-improvement
-# digraph over the coalitions held in a non-trivial absorbing set differ from
-# its ring families, found by a sweep over random_game(n, p, seed) and
-# random_roommate_spec(8, 0.9, seed): an extra component no ring reaches, or a
-# component that swallows a coalition no ring holds and then fails the test.
-COALITION_SCC_COUNTEREXAMPLES = (
-    (6, 0.5, 8909), (6, 0.7, 8149), (6, 0.9, 942), (7, 0.5, 4100), (7, 0.5, 14642),
-    (7, 0.5, 17190), (7, 0.65, 14454), (7, 0.8, 6594), (7, 0.8, 7726), (7, 0.8, 15053),
-    (8, 0.4, 710),
-)
-ROOMMATE_SCC_COUNTEREXAMPLES = (59, 1423, 1661, 1876)
-
-# label -> make: every fuzz game, roommate games (n = 9) of the benchmark's
-# first two populations and seed 42, a slice of random seven-agent games, and
-# the counterexamples above; about 10 s in all on a 2-core x86-64 machine
-ROUTE_GAMES = {
-    **FUZZ_GAMES,
-    **{
-        f"roommate9-{s}": (lambda s=s: roommate_to_game(random_roommate_spec(9, 0.7, s)))
-        for s in list(range(1, 61)) + [42]
-    },
-    **{
-        f"random7-{p}-{s}": (lambda p=p, s=s: random_game(7, p, s))
-        for p in (0.35, 0.5, 0.65, 0.8)
-        for s in range(2001, 2101)
-    },
-    **{
-        f"random{n}-{p}-{s}": (lambda n=n, p=p, s=s: random_game(n, p, s))
-        for n, p, s in COALITION_SCC_COUNTEREXAMPLES
-    },
-    **{
-        f"roommate8-0.9-{s}": (lambda s=s: roommate_to_game(random_roommate_spec(8, 0.9, s)))
-        for s in ROOMMATE_SCC_COUNTEREXAMPLES + (882,)
-    },
-}
-
-
 @pytest.mark.parametrize("label", list(ROUTE_GAMES))
 def test_components_match_the_full_extraction(label):
     """The ring components, whose searches stop early, equal the reference
     extraction's, content and order, on every non-trivial absorbing set."""
-    g = ROUTE_GAMES[label]()
-    graph = full_domination_graph(g)
+    b = build(ROUTE_GAMES[label]())
+    g, graph = b.game, b.graph
     for a in sink_components(graph):
         if a.trivial:
             continue
@@ -717,107 +513,15 @@ def test_components_match_the_full_extraction(label):
             assert ring_components_of(g, a, graph) == want
 
 
-def _reference_steps(G, absorbing):
-    """The step digraph by the parts loop that the key read replaced: on
-    every edge ``u -> v`` inside the set, each non-single part of ``u`` that
-    meets the via steps to it. Each via with its sources."""
-    steps = {}
-    for pi in absorbing.members:
-        u = G.node_id(pi)
-        parts = [x for x in G.nodes[u] if x & (x - 1)]
-        for v, via in G.adj[u]:
-            for x in parts:
-                if x & via:
-                    steps.setdefault(via, set()).add(x)
-    return steps
-
-
-def _inlist_family_search(G, absorbing, roots=None):
-    """Reference for ``_family_search``: in-lists for every member, each
-    search run until it has discovered every in-neighbour of its root, every
-    ring walk of every new cycle taken, and the stop checked only between
-    searches. The families and the members searched from, in order."""
-    ids = [G.node_id(pi) for pi in absorbing.members]
-    adj, keys = G.adj, G.keys
-    into = {v: [] for v in ids}
-    sources, via_of = {}, {}
-    for u in ids:
-        for v, via in adj[u]:
-            if v not in into:
-                raise VerificationFailed("absorbing set has an outgoing edge")
-            into[v].append(u)
-            sources[via] = sources.get(via, 0) | keys[u] & ~keys[v]
-            via_of[keys[v] & ~keys[u]] = via
-    formed = sorted(sources)
-    index = {c: i for i, c in enumerate(formed)}
-    back = [[(index[x],) for b, x in via_of.items() if sources[c] & b] for c in formed]
-    unmerged = [
-        {formed[i] for i in comp} for comp in dynamics_module._tarjan(back) if len(comp) > 1
-    ]
-    if roots is None:
-        roots = sorted(ids, key=lambda v: (-len(into[v]), v))
-    family = {}
-    tried = set()
-    searched = []
-    for v in roots:
-        if not unmerged:
-            break
-        searched.append(v)
-        want = set(into[v])
-        prev, pvia = {v: None}, {}
-        queue = deque([v])
-        while want:
-            if not queue:
-                raise VerificationFailed("absorbing set is not strongly connected")
-            x = queue.popleft()
-            for w, wv in adj[x]:
-                if w not in prev:
-                    prev[w], pvia[w] = x, wv
-                    queue.append(w)
-                    want.discard(w)
-        for u in into[v]:
-            path = []
-            x = u
-            while x != v:
-                path.append(pvia[x])
-                x = prev[x]
-            path.append(via_of[keys[v] & ~keys[u]])
-            vias = tuple(reversed(path))
-            if vias in tried:
-                continue
-            tried.add(vias)
-            for s in range(len(vias)):
-                ring = _ring_from_vias(vias, s)
-                merged = set(ring).union(*(family.get(c, ()) for c in ring))
-                for c in merged:
-                    family[c] = merged
-        unmerged = [comp for comp in unmerged if family.get(min(comp)) != comp]
-    groups = {id(f): f for f in family.values()}
-    return sorted(groups.values(), key=lambda f: tuple(sorted(f))), searched
-
-
-# label -> make: the fuzz games, roommate games (n = 9) seeds 1-60 and 42,
-# roommate (8, 0.9) seed 882, and the 15 sets where the coalition-digraph
-# route was refuted; about 3 s in all on a 2-core x86-64 machine
-STEP_GAMES = {
-    **FUZZ_GAMES,
-    **{label: make for label, make in ROUTE_GAMES.items() if label.startswith("roommate")},
-    **{
-        f"random{n}-{p}-{s}": (lambda n=n, p=p, s=s: random_game(n, p, s))
-        for n, p, s in COALITION_SCC_COUNTEREXAMPLES
-    },
-}
-
-
 @pytest.mark.parametrize("label", list(STEP_GAMES))
 def test_steps_and_search_order(label):
     """The steps read off the node keys equal the parts loop; the searches,
     which start at the members with the most in-edges, give the families
     that id order gives; and both equal the in-list reference search."""
-    g = STEP_GAMES[label]()
+    b = build(STEP_GAMES[label]())
+    g, graph = b.game, b.graph
     ks = g.permissible
     bit = g.expansion().bit
-    graph = full_domination_graph(g)
     for a in sink_components(graph):
         if a.trivial:
             continue
@@ -842,33 +546,6 @@ def test_steps_and_search_order(label):
         assert _inlist_family_search(graph, a, sorted(ids)) == (by_id, searched_by_id)
 
 
-def _reference_step_sccs(G, absorbing):
-    """The strongly connected components of two or more coalitions of the
-    set's step digraph (``_reference_steps``), by reachability, each sorted,
-    in sorted order."""
-    succ = {}
-    for via, xs in _reference_steps(G, absorbing).items():
-        for x in xs:
-            succ.setdefault(x, set()).add(via)
-
-    def reach(x):
-        seen, todo = set(), [x]
-        while todo:
-            for y in succ.get(todo.pop(), ()):
-                if y not in seen:
-                    seen.add(y)
-                    todo.append(y)
-        return seen
-
-    reached = {x: reach(x) for x in succ}
-    comps = {
-        tuple(sorted(y for y in reached[x] if x in reached.get(y, ())))
-        for x in succ
-        if x in reached[x]
-    }
-    return sorted(c for c in comps if len(c) > 1)
-
-
 class TestStepSccsAreNotTheComponents:
     """The ring components are not the step-digraph components that pass
     the ring component test, so the search cannot be replaced by them:
@@ -891,8 +568,7 @@ class TestStepSccsAreNotTheComponents:
     def test_components_are_extracted_not_read_off_the_step_sccs(self, case):
         kind, sizes, passing_sizes = self.CASES[case]
         n, p, seed = case
-        g = roommate_to_game(random_roommate_spec(n, p, seed))
-        (f,) = [f for f in Analysis(g).factors if any(not a.trivial for a in f.sets)]
+        (f,) = [f for f in build(room(n, p, seed)).analysis.factors if any(not a.trivial for a in f.sets)]
         (sink,) = [a for a in f.sets if not a.trivial]
         got = [rc.coalitions for rc in ring_components_of(f.game, sink, f.graph)]
         want = _merged_components(f.game, _extract_rings(f.graph, sink), sink)
@@ -919,8 +595,8 @@ class TestCoalitionSccsAreNotTheComponents:
 
     @staticmethod
     def _case(n, p, seed):
-        g = random_game(n, p, seed)
-        graph = full_domination_graph(g)
+        b = build(rnd(n, p, seed))
+        g, graph = b.game, b.graph
         (sink,) = [a for a in sink_components(graph) if not a.trivial]
         held = sorted({c for pi in sink.members for c in pi if c.bit_count() >= 2})
         sccs = [
@@ -951,75 +627,6 @@ class TestCoalitionSccsAreNotTheComponents:
         assert tuple(sorted(family)) in [rc.coalitions for rc in ring_components_of(g, sink, graph)]
 
 
-def _reference_is_ring_component(g, coalitions):
-    """Condition (i) as mutual reachability in the in-collection improvement
-    digraph, condition (ii) over every maximal set; no shared code with
-    the library's SCC routine."""
-    B = sorted(set(coalitions))
-    if len(B) < 3 or any(c not in g.permissible for c in B):
-        return False
-
-    def reach(forward):
-        seen, todo = {B[0]}, [B[0]]
-        while todo:
-            d = todo.pop()
-            for e in B:
-                a, b = (d, e) if forward else (e, d)
-                if e not in seen and a & b and unanimously_prefers(g, b, a):
-                    seen.add(e)
-                    todo.append(e)
-        return len(seen) == len(B)
-
-    if not (reach(True) and reach(False)):
-        return False
-    for mset in maximal_sets(B):
-        inside = set(mset)
-        if not any(breaks_maximal_set(g, r, mset) for r in B if r not in inside):
-            return False
-    return True
-
-
-def _reference_simple(g, coalitions):
-    B = sorted(set(coalitions))
-    for mset in maximal_sets(B):
-        inside = set(mset)
-        for r in B:
-            if r in inside or not breaks_maximal_set(g, r, mset):
-                continue
-            if sum(1 for m in mset if m & r) != 1:
-                return False
-    return True
-
-
-def _reference_compact(g, coalitions):
-    B = sorted(set(coalitions))
-    if _reference_simple(g, B):
-        return maximal_sets(B)
-    return [(r,) for r in B]
-
-
-def _merged_families(rings):
-    """Rings merged on shared coalitions, one set at a time."""
-    fams: list[set] = []
-    for ring in rings:
-        merged = set(ring)
-        rest = []
-        for f in fams:
-            if f & merged:
-                merged |= f
-            else:
-                rest.append(f)
-        fams = rest + [merged]
-    return sorted(frozenset(f) for f in fams)
-
-
-REFERENCE_GAMES = {
-    name: EXTRACTION_GAMES[name]
-    for name in ("roommate9-2", "roommate9-6", "roommate9-42", "random6-0.5-45",
-                 "random6-0.5-60", "random7-0.3-4", "random8-0.2-26")
-}
-
-
 KNOWN_COMPONENTS = {"g6": [("12", "23", "13"), ("45", "46", "56")], "g7": [RC7], "g8": [RC8]}
 
 
@@ -1036,7 +643,7 @@ class TestRingComponentMatchesReference:
     @pytest.mark.parametrize("name", ["g6", "g7", "g8"] + sorted(REFERENCE_GAMES))
     def test_extracted_components(self, name, request):
         g = _reference_game(name, request)
-        graph = full_domination_graph(g)
+        graph = build(g).graph
         comps = [
             rc
             for a in sink_components(graph)
@@ -1052,7 +659,6 @@ class TestRingComponentMatchesReference:
             assert list(rc.compact) == _reference_compact(g, B)
             assert component(g, B) == rc
             assert classify_simple(g, B) == rc.simple
-            assert compact_collection(g, B) == list(rc.compact)
 
     @pytest.mark.parametrize("name", ["g6", "g7", "g8", "mar33", "random6-0.5-45",
                                       "random7-0.3-4"])
@@ -1072,9 +678,9 @@ class TestRingComponentMatchesReference:
             assert is_ring_component(g, pick) == want
             if want:
                 assert classify_simple(g, pick) == _reference_simple(g, pick)
-                assert compact_collection(g, pick) == _reference_compact(g, pick)
+                assert list(component(g, pick).compact) == _reference_compact(g, pick)
             else:
-                for f in (component, classify_simple, compact_collection):
+                for f in (component, classify_simple):
                     with pytest.raises(NotARingComponent):
                         f(g, pick)
         assert seen[False]
@@ -1104,7 +710,7 @@ class TestOneAnalysisPerFamily:
     @pytest.mark.parametrize("name", ["g6", "g7", "g8"] + sorted(REFERENCE_GAMES))
     def test_ring_components_of(self, name, request, monkeypatch):
         g = _reference_game(name, request)
-        graph = full_domination_graph(g)
+        graph = build(g).graph
         sinks = [a for a in sink_components(graph) if not a.trivial]
         families = sorted(f for a in sinks for f in _merged_families(_extract_rings(graph, a)))
         tests, msets = self._count(monkeypatch)
@@ -1148,7 +754,7 @@ def test_breaking_bits_match_the_definition(label):
     ``breaks_maximal_set`` says break it."""
     g = FUZZ_GAMES[label]()
     ks = g.permissible
-    for f in Analysis(g).factors:
+    for f in build(g).analysis.factors:
         for a in f.sets:
             if a.trivial:
                 continue

@@ -3,8 +3,9 @@
 ``dynamics._tarjan`` carries every graph-route factor's sinks and
 convergence verdict, each ring step digraph and condition (i) of every ring
 candidate, so its output must stay list-identical to the pointer-based
-iterative Tarjan kept here as the reference: the same components, in the
-same reverse topological order, each with its members in stack-pop order.
+iterative Tarjan of ``oracle.reference_tarjan``: the same components, in
+the same reverse topological order, each with its members in stack-pop
+order.
 ``transitively_dominates`` is checked against a repeated one-step
 expansion of the adjacency.
 """
@@ -13,18 +14,12 @@ import random
 
 import pytest
 
-from stabledec import (
-    enumerate_structures,
-    full_domination_graph,
-    grow_graph,
-    transitively_dominates,
-    unanimously_prefers,
-)
+from stabledec import transitively_dominates, unanimously_prefers
 from stabledec.dynamics import _tarjan
 from stabledec.rings import _pref_digraph_sccs
 from stabledec.structures import _count_structures
-from conftest import GENERATED_GAMES
-from test_fuzz import FUZZ_GAMES
+from games import FUZZ_GAMES, GENERATED_GAMES, build
+from oracle import reference_reach, reference_tarjan
 
 GAMES = dict(
     list(FUZZ_GAMES.items())
@@ -45,56 +40,6 @@ WALK_GAMES = [
 ]
 
 
-def reference_tarjan(adj):
-    """Iterative Tarjan lowlink that re-pushes ``(node, edge pointer)`` on
-    every descent and rescans ``adj[v]`` from that pointer on resume."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on = [False] * n
-    stack = []
-    comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on[v] = True
-            descended = False
-            out = adj[v]
-            for k in range(ptr, len(out)):
-                w = out[k][0]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    return comps
-
-
 def check_sccs(adj):
     comps = _tarjan(adj)
     assert comps == reference_tarjan(adj)
@@ -107,29 +52,17 @@ def check_sccs(adj):
     return comps
 
 
-def reference_reach(adj, b):
-    """Nodes at the end of a path of length >= 1 from ``b``, by repeated
-    one-step expansion until nothing new is added."""
-    reached = {w for w, _ in adj[b]}
-    while True:
-        more = reached | {w for v in reached for w, _ in adj[v]}
-        if more == reached:
-            return reached
-        reached = more
-
-
 class TestTarjanOnGraphs:
     @pytest.mark.parametrize("label", list(GAMES))
     def test_full_graph(self, label):
-        check_sccs(full_domination_graph(GAMES[label]()).adj)
+        check_sccs(build(GAMES[label]()).graph.adj)
 
     @pytest.mark.parametrize("label", list(GAMES))
     def test_closures_of_strict_subsets(self, label):
         # the upper half in key order and the greatest structure alone
-        g = GAMES[label]()
-        structs = list(enumerate_structures(g))
-        for seeds in (structs[len(structs) // 2 :], structs[-1:]):
-            check_sccs(grow_graph(g, seeds).adj)
+        b = build(GAMES[label]())
+        for k in (0, 1):
+            check_sccs(b.partial_graph(k).adj)
 
     @pytest.mark.parametrize("label", list(GAMES))
     def test_improvement_digraph_over_the_permissible_set(self, label):
@@ -180,7 +113,7 @@ class TestTarjanOnDigraphs:
 
 @pytest.mark.parametrize("label", WALK_GAMES)
 def test_transitively_dominates_against_expansion(label):
-    G = full_domination_graph(GAMES[label]())
+    G = build(GAMES[label]()).graph
     assert len(G) <= MAX_WALK_NODES
     for b in range(len(G)):
         reach = reference_reach(G.adj, b)

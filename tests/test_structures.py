@@ -6,7 +6,6 @@ import pytest
 
 from stabledec import (
     AgentIdOutOfRange,
-    Analysis,
     EmptyCollection,
     Game,
     LimitExceeded,
@@ -20,16 +19,13 @@ from stabledec import (
     maximal_sets,
     members,
     random_game,
-    random_roommate_spec,
     render_structure,
-    roommate_to_game,
     singleton_structure,
     structure_from_parts,
     structure_key,
 )
 from stabledec.rings import _ring_families
-from conftest import GENERATED_GAMES, GENERATED_IDS, C, make_structure, parts
-from test_fuzz import FUZZ_GAMES
+from games import FUZZ_GAMES, GENERATED_GAMES, GENERATED_IDS, C, build, make_structure, parts, room
 
 
 def disjoint_families(coalitions):
@@ -144,8 +140,7 @@ class TestMaximalSets:
     def test_large_ring_families(self, seed, size, count):
         # the one ring family of each of these roommate games, too large for
         # the brute force above
-        g = roommate_to_game(random_roommate_spec(9, 0.7, seed=seed))
-        (f,) = [f for f in Analysis(g).factors if f.graph is not None]
+        (f,) = [f for f in build(room(9, 0.7, seed)).analysis.factors if f.graph is not None]
         families = [fam for a in f.sets if not a.trivial for fam in _ring_families(f.graph, a)]
         assert [len(fam) for fam in families] == [size]
         assert len(_checked_maximal_sets(families[0])) == count
