@@ -62,7 +62,7 @@ class RoommateSpec:
     preferences: Mapping[int, Sequence[int]]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise MalformedSpec("agent count must be a positive integer")
         object.__setattr__(self, "preferences", _check_pref_table(self.n, self.preferences))
 

@@ -25,6 +25,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from gettext import gettext
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -481,8 +482,27 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, with one parser pass when ``argv``
+    starts with a subcommand: the top-level parser would hand the rest to
+    that subcommand's parser and report what it leaves over, so this does
+    both directly. Any other ``argv`` goes through the top-level parser."""
+    parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extra))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.run(args)
     except LimitExceeded as exc:

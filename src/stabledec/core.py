@@ -216,29 +216,31 @@ class Game:
             ks = self.permissible
             bit = {c: 1 << j for j, c in enumerate(ks)}
             full = (1 << len(ks)) - 1
-            holding = [0] * (self.n + 1)
-            for c, b in bit.items():
-                for i in members(c):
-                    holding[i] |= b
+            # holding[i]: the K-bits of the coalitions containing agent i + 1
+            holding = []
             better: dict[int, int] = {}
-            for i, ranking in enumerate(self.rankings, 1):
-                # best-first walk: every K-coalition containing i is listed
-                # above their singleton, so the walk ends there
-                outside = full & ~holding[i]
-                above = 0
-                for c in ranking:
+            for i, ranking in enumerate(self.rankings):
+                own = 1 << i
+                # every K-coalition of the agent is listed above their
+                # singleton, so one worst-first walk of that prefix finds
+                # them all; ``held`` gathers those ranked at or below ``c``,
+                # the ones the agent does not rank strictly above it
+                held = 0
+                for c in reversed(ranking[: self._pos[i][own]]):
                     b = bit.get(c)
-                    if b is None and c != singleton(i):
-                        continue
-                    better[c] = better.get(c, full) & (above | outside)
-                    if b is None:
-                        break
-                    above |= b
+                    if b is not None:
+                        held |= b
+                        better[c] = better.get(c, full) & ~held
+                holding.append(held)
+                # alone, the agent ranks every K-coalition of theirs higher
+                better[own] = full
             meets = []
             for c in ks:
                 m = 0
-                for i in members(c):
-                    m |= holding[i]
+                while c:
+                    low = c & -c
+                    m |= holding[low.bit_length() - 1]
+                    c ^= low
                 meets.append(m)
             self._expansion = Expansion(bit, better, tuple(meets))
         return self._expansion

@@ -204,13 +204,14 @@ def _prevention(g: Game, D: StableDecomposition) -> list[tuple[Party, int]]:
     ``d``: ``bit[c]`` lies in ``meets[j(d)] & ~better[d]``. A single party
     prevents what its coalition dissents from, a ring party what some
     coalition of each compact set dissents from; neither prevents its own
-    coalitions.
+    coalitions. Without a coalition party, the expansion is not built.
     """
+    parties = [p for p in D.parties if p.kind != POOL]
+    if not parties:
+        return []
     bit, better, meets = g.expansion()
     out = []
-    for party in D.parties:
-        if party.kind == POOL:
-            continue
+    for party in parties:
         own = reach = 0
         for c in party.coalitions:
             b = _kbit(bit, c)

@@ -190,7 +190,35 @@ def blocks(g: Game, c: int, pi: tuple[int, ...]) -> bool:
 
 
 def is_stable(g: Game, pi: tuple[int, ...]) -> bool:
-    return not any(blocks(g, c, pi) for c in g.permissible)
+    """Whether no permissible coalition blocks ``pi`` (``blocks``), read
+    from the rankings: each agent's part is looked up once, and ``c``
+    blocks when every member lists it above their part. A member's
+    permissible coalition is listed; an unlisted part ranks below it."""
+    pos = g._pos
+    missing = (1 << g.n) - 1
+    # held[i]: where agent i + 1 ranks their part, past the end if unlisted
+    held = [0] * g.n
+    for p in pi:
+        rest = p & missing
+        missing ^= rest
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            held[i] = pos[i].get(p, len(pos[i]))
+    if missing:
+        raise AgentIdOutOfRange(f"agent {lowest_agent(missing)} is not covered by the structure")
+    for c in g.permissible:
+        rest = c
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            if pos[i][c] >= held[i]:
+                break
+        else:
+            return False
+    return True
 
 
 def _parts_by_agent(g: Game) -> list[list[int]]:

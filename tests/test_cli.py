@@ -735,6 +735,12 @@ class TestBooleansAreNotAgentIds:
         assert main(["analyze", str(p)]) == 2
         assert capsys.readouterr().err == "error: side sizes must be integers\n"
 
+    def test_roommate_agent_count(self, tmp_path, capsys):
+        p = tmp_path / "rm.json"
+        p.write_text('{"n": true, "preferences": {}}')
+        assert main(["analyze", str(p)]) == 2
+        assert capsys.readouterr().err == "error: agent count must be a positive integer\n"
+
 
 JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f \u00e9\u2028\ud800\U0001f600ab')
 JSON_SCALARS = (
@@ -830,6 +836,60 @@ class TestParserBuiltOnce:
             assert cli._parser.cache_info().misses == 1
         finally:
             cli._parser.cache_clear()
+
+
+# argv cases for the parser parity check; GAME stands for the six-agent game
+PARITY_CASES = {
+    "analyze": ["analyze", "GAME", "--all", "--json"],
+    "generate": ["generate", "marriage", "--men", "2", "--seed", "4"],
+    "verify": ["verify", "GAME", "--decomposition", "{{1,2,3},{45,46,56}}"],
+    "help": ["-h"],
+    "analyze-help": ["analyze", "-h"],
+    "no-arguments": [],
+    "unknown-command": ["frobnicate", "GAME"],
+    "analyze-stray": ["analyze", "GAME", "--foo"],
+    "generate-stray": ["generate", "random", "--foo", "x"],
+    "verify-stray": ["verify", "GAME", "--decomposition", "{{1,2,3},{45,46,56}}", "--foo"],
+    "limit-zero": ["analyze", "GAME", "--limit", "0"],
+    "verify-no-decomposition": ["verify", "GAME"],
+    "separator": ["analyze", "--json", "--", "GAME"],
+    "separator-stray": ["verify", "GAME", "--decomposition", "{{123},{456}}", "--", "x"],
+    "separator-first": ["--", "analyze", "GAME"],
+}
+
+
+class TestParserParity:
+    """``main`` hands the arguments after a subcommand to its parser
+    directly; exit code, stdout and stderr must be those of a parse
+    through the top-level parser."""
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        err = "".join(line for line in err.splitlines(True) if "analysis time" not in line)
+        return code, out, err
+
+    @pytest.mark.parametrize("argv", PARITY_CASES.values(), ids=PARITY_CASES)
+    def test_matches_the_top_level_parser(self, argv, g6_file, capsys, monkeypatch):
+        argv = [g6_file if a == "GAME" else a for a in argv]
+        got = self.run(argv, capsys)
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+        assert got == self.run(argv, capsys)
+
+    def test_direct_dispatch_skips_the_top_level_parse(self, g6_file, monkeypatch):
+        parser = cli._parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed")
+
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        args = cli._parse(["analyze", g6_file, "--json"])
+        assert (args.command, args.input, args.json, args.run) == (
+            "analyze", g6_file, True, cli._cmd_analyze)
 
 
 class TestGenerate:

@@ -35,7 +35,7 @@ from stabledec import (
 )
 from stabledec.cli import load_game
 
-from games import FUZZ_GAMES, GENERATED_GAMES, C, parts
+from games import FUZZ_GAMES, GENERATED_GAMES, PAIR_GAMES, C, parts
 from oracle import (
     _reference_from_dict,
     _reference_pair_tables,
@@ -192,6 +192,39 @@ class TestPermissibleSet:
         for _, seed, make in GENERATED_GAMES:
             g = make(seed)
             assert g.permissible == _reference_permissible(g)
+
+
+def check_expansion(g: Game) -> None:
+    """``Game.expansion`` against its definition, from ``prefers``."""
+    bit, better, meets = g.expansion()
+    ks = g.permissible
+    assert list(bit.items()) == [(c, 1 << j) for j, c in enumerate(ks)]
+    for j, c in enumerate(ks):
+        assert meets[j] == sum(bit[d] for d in ks if d & c)
+    held = [singleton(i) for i in range(1, g.n + 1)] + list(ks)
+    assert sorted(better) == sorted(held)
+    for p in held:
+        for c in ks:
+            want = all(not contains(c, i) or prefers(g, i, c, p) for i in members(p))
+            assert bool(better[p] & bit[c]) == want, (render_coalition(p), render_coalition(c))
+
+
+class TestExpansion:
+    """``bit`` in K order, ``meets[j]`` the K-coalitions meeting
+    ``permissible[j]``, and ``better[p] & bit[c]`` set exactly when each
+    agent of the part ``p`` is outside ``c`` or prefers ``c``."""
+
+    def test_fuzz_games(self):
+        for make in FUZZ_GAMES.values():
+            check_expansion(make())
+
+    def test_pair_games(self):
+        for make in PAIR_GAMES.values():
+            check_expansion(make())
+
+    def test_worked_examples(self, g6, g7, g8, mar33, rm10):
+        for g in (g6, g7, g8, mar33, rm10):
+            check_expansion(g)
 
 
 class TestPrefers:

@@ -325,6 +325,13 @@ class TestCheckStableDecomposition:
         assert [v.code for v in got] == ["pool-blocks"]
         assert d.render(9) not in {x.render(9) for x in all_stable_decompositions(g)}
 
+    def test_pool_alone_builds_no_expansion(self):
+        # no coalition party: nothing to protect, so no K-bitsets
+        g = roommate_to_game(random_roommate_spec(9, 0.7, seed=3))
+        d = decomposition([Party(POOL, tuple(1 << b for b in range(9)))])
+        assert [v.code for v in check_stable_decomposition(g, d)] == ["pool-blocks"]
+        assert g._expansion is None
+
     def test_ring_decomposition_with_a_party_in_its_pool(self):
         # the listed {{12},{35,37,57,367,3567},{4}} with {12} dissolved: the
         # ring stays protected, and the closure of the D-structure forms 12

@@ -251,6 +251,20 @@ class TestIsStable:
         assert g.permissible == ()
         assert is_stable(g, singleton_structure(4))
 
+    @pytest.mark.parametrize("front, seed, make", GENERATED_GAMES, ids=GENERATED_IDS)
+    def test_matches_blocks(self, front, seed, make):
+        g = make(seed)
+        for pi in enumerate_structures(g):
+            assert is_stable(g, pi) == (not any(blocks(g, c, pi) for c in g.permissible))
+
+    @pytest.mark.parametrize("structure", ["12", "3", "1 3", "1", ""])
+    def test_structure_missing_an_agent(self, structure):
+        # agent 3 is in no permissible coalition and {1,2} blocks no
+        # structure holding it, so no blocking test reaches a missing agent
+        g = Game(3, {1: [(1, 2), (1,)], 2: [(1, 2), (2,)]})
+        with pytest.raises(AgentIdOutOfRange, match="is not covered by the structure"):
+            is_stable(g, tuple(C(p) for p in structure.split()))
+
 
 class TestEnumerateStructures:
     def test_counts(self, g7, g8, g6, mar33):
