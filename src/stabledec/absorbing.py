@@ -83,11 +83,9 @@ never offers the others their singleton.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import deque, namedtuple
 
-from .core import Game, lowest_agent, members
+from .core import Game, _Frozen, _setattr, lowest_agent, members
 from .errors import LimitExceeded, TrivialAbsorbingSet, VerificationFailed
 from .structures import (
     DEFAULT_LIMIT,
@@ -101,9 +99,34 @@ from .dynamics import DominationEdge, DominationGraph, _grow, grow_graph
 from .rings import RingComponent, ring_components_of
 
 
-@dataclass(frozen=True)
-class AbsorbingSet:
-    members: tuple[tuple[int, ...], ...]
+class AbsorbingSet(_Frozen):
+    """The members of an absorbing set, in canonical order. Its hash is
+    computed on first use and kept: a large set is hashed several times
+    per analysis, as part of memo keys."""
+
+    __slots__ = ("members", "_hash")
+
+    def __init__(self, members: tuple[tuple[int, ...], ...]) -> None:
+        _setattr(self, "members", members)
+        _setattr(self, "_hash", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.members == other.members
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.members,))
+            _setattr(self, "_hash", h)
+        return h
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(members={self.members!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.members,)
 
     @property
     def trivial(self) -> bool:
@@ -214,7 +237,7 @@ def factor_games(g: Game) -> list[Game]:
     return [Game._restricted(g, m) for m in comps]
 
 
-class Factor(NamedTuple):
+class Factor(namedtuple("Factor", "game sets graph")):
     """A factor's sub-game, its absorbing sets in ``sink_components``
     order, and its graph:
 
@@ -235,12 +258,13 @@ class Factor(NamedTuple):
     empty is matched in every stable matching (Lemma 2).
     """
 
+    __slots__ = ()
     game: Game
     sets: tuple[AbsorbingSet, ...]
     graph: DominationGraph | None
 
 
-class _PairRows(NamedTuple):
+class _PairRows(namedtuple("_PairRows", "agents holding table envy")):
     """The rows of a pair-only factor, built once and shared by
     ``_stable_matchings`` and ``_stable_partitions``. Lists are indexed by
     agent; an agent outside ``agents`` holds no permissible pair and has an
@@ -256,6 +280,7 @@ class _PairRows(NamedTuple):
       every partner above their singleton.
     """
 
+    __slots__ = ()
     agents: int
     holding: list[int]
     table: list[list[int]]

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
-from .core import Game
+from .core import Game, _Frozen, _is_list_like, _setattr
 from .errors import MalformedSpec, VerificationFailed
 from .structures import DEFAULT_LIMIT, singleton_structure, structure_key
 from .absorbing import Analysis, sink_components
@@ -38,6 +37,8 @@ def _check_pref_table(n: int, preferences: Mapping) -> dict[int, list[int]]:
             raise MalformedSpec(f"agent id {agent} is out of range")
         if agent in table:
             raise MalformedSpec(f"agent {agent} listed twice")
+        if type(partners) is not list and not _is_list_like(partners):
+            raise MalformedSpec(f"agent {agent}'s partners must be a list")
         row = []
         for p in partners:
             if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= n:
@@ -53,18 +54,33 @@ def _check_pref_table(n: int, preferences: Mapping) -> dict[int, list[int]]:
     return table
 
 
-@dataclass(frozen=True)
-class RoommateSpec:
+class RoommateSpec(_Frozen):
     """Pairwise matching among ``n`` agents; each lists acceptable partners
-    in strictly descending order of preference."""
+    in strictly descending order of preference. Checked when built;
+    ``preferences`` is then a dict of partner lists with a row for every
+    agent."""
 
-    n: int
-    preferences: Mapping[int, Sequence[int]]
+    __slots__ = ("n", "preferences")
 
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+    def __init__(self, n: int, preferences: Mapping[int, Sequence[int]]) -> None:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise MalformedSpec("agent count must be a positive integer")
-        object.__setattr__(self, "preferences", _check_pref_table(self.n, self.preferences))
+        _setattr(self, "n", n)
+        _setattr(self, "preferences", _check_pref_table(n, preferences))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.preferences) == (other.n, other.preferences)
+        return NotImplemented
+
+    # unhashable, as the preferences dict is
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(n={self.n!r}, preferences={self.preferences!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.n, self.preferences)
 
     def to_dict(self) -> dict:
         return {
@@ -73,29 +89,47 @@ class RoommateSpec:
         }
 
 
-@dataclass(frozen=True)
-class MarriageSpec:
+class MarriageSpec(_Frozen):
     """Two-sided matching: men are agents ``1..men``, women are agents
-    ``men+1..men+women``; partners must come from the opposite side."""
+    ``men+1..men+women``; partners must come from the opposite side.
+    Checked when built, as ``RoommateSpec`` is."""
 
-    men: int
-    women: int
-    preferences: Mapping[int, Sequence[int]]
+    __slots__ = ("men", "women", "preferences")
 
-    def __post_init__(self):
-        if any(isinstance(k, bool) or not isinstance(k, int) for k in (self.men, self.women)):
+    def __init__(self, men: int, women: int, preferences: Mapping[int, Sequence[int]]) -> None:
+        if any(isinstance(k, bool) or not isinstance(k, int) for k in (men, women)):
             raise MalformedSpec("side sizes must be integers")
-        if self.men < 1 or self.women < 1:
+        if men < 1 or women < 1:
             raise MalformedSpec("both sides need at least one agent")
-        n = self.men + self.women
-        table = _check_pref_table(n, self.preferences)
+        table = _check_pref_table(men + women, preferences)
         for agent, row in table.items():
             for p in row:
-                if (agent <= self.men) == (p <= self.men):
+                if (agent <= men) == (p <= men):
                     raise MalformedSpec(
                         f"agent {agent} lists partner {p} from its own side"
                     )
-        object.__setattr__(self, "preferences", table)
+        _setattr(self, "men", men)
+        _setattr(self, "women", women)
+        _setattr(self, "preferences", table)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.men, self.women, self.preferences) == (
+                other.men, other.women, other.preferences
+            )
+        return NotImplemented
+
+    # unhashable, as the preferences dict is
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(men={self.men!r}, women={self.women!r}, "
+            f"preferences={self.preferences!r})"
+        )
+
+    def __reduce__(self):
+        return self.__class__, (self.men, self.women, self.preferences)
 
     @property
     def n(self) -> int:

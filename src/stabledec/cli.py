@@ -24,10 +24,8 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from gettext import gettext
 from json.encoder import encode_basestring_ascii as _json_str
-from pathlib import Path
 
 from .core import Game, compact_coalition, game_from_dict, parse_game_dsl, render_coalition
 from .errors import LimitExceeded, MalformedInput, MalformedParty, StabledecError
@@ -60,7 +58,8 @@ def _read_input(source: str) -> str:
     if source == "-":
         return sys.stdin.read()
     try:
-        return Path(source).read_text()
+        with open(source) as f:
+            return f.read()
     except OSError as exc:
         raise MalformedInput(f"cannot read {source}: {exc.strerror or exc}") from None
 
@@ -139,27 +138,64 @@ def _write_dot(g: Game, args, sinks) -> None:
     graph = full_domination_graph(g, limit=args.limit)
     marked = [graph.node_id(pi) for a in sinks for pi in a.members]
     try:
-        Path(args.dot).write_text(to_dot(graph, marked))
+        with open(args.dot, "w") as f:
+            f.write(to_dot(graph, marked))
     except OSError as exc:
         raise MalformedInput(f"cannot write {args.dot}: {exc.strerror or exc}") from None
     print(f"wrote {args.dot}", file=sys.stderr)
 
 
-@dataclass
 class Report:
-    """The sections of one analysis. A section is ``None`` when it was not
-    asked for or the exploration limit ended the analysis before it."""
+    """The sections of one analysis, filled in by ``analyze``. A section is
+    ``None`` when it was not asked for or the exploration limit ended the
+    analysis before it.
 
-    game: Game
-    structures: int | None = None
-    absorbing_sets: list[AbsorbingSet] | None = None
-    # (absorbing set index, ring component) pairs
-    rings: list[tuple[int, RingComponent]] | None = None
-    # (decomposition, protection walk, D-structures) triples, as the
-    # re-check built them
-    decompositions: list[tuple[StableDecomposition, list, list]] | None = None
-    converges: tuple[bool, tuple[int, ...] | None] | None = None
-    limit_exceeded: str | None = None
+    - ``rings``: (absorbing set index, ring component) pairs;
+    - ``decompositions``: (decomposition, protection walk, D-structures)
+      triples, as the re-check built them.
+    """
+
+    __slots__ = (
+        "game", "structures", "absorbing_sets", "rings", "decompositions", "converges",
+        "limit_exceeded",
+    )
+
+    def __init__(
+        self,
+        game: Game,
+        structures: int | None = None,
+        absorbing_sets: list[AbsorbingSet] | None = None,
+        rings: list[tuple[int, RingComponent]] | None = None,
+        decompositions: list[tuple[StableDecomposition, list, list]] | None = None,
+        converges: tuple[bool, tuple[int, ...] | None] | None = None,
+        limit_exceeded: str | None = None,
+    ) -> None:
+        self.game = game
+        self.structures = structures
+        self.absorbing_sets = absorbing_sets
+        self.rings = rings
+        self.decompositions = decompositions
+        self.converges = converges
+        self.limit_exceeded = limit_exceeded
+
+    def _fields(self) -> tuple:
+        return (
+            self.game, self.structures, self.absorbing_sets, self.rings, self.decompositions,
+            self.converges, self.limit_exceeded,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    # mutable, so unhashable
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        names = self.__slots__
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields()))
+        return f"{self.__class__.__qualname__}({body})"
 
 
 def analyze(g: Game, rings: bool, decompositions: bool, converge: bool, limit: int) -> Report:

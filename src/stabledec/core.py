@@ -8,8 +8,8 @@ the canonical order of coalitions is numeric order of the masks.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from typing import NamedTuple
 
 from .errors import (
     AgentIdOutOfRange,
@@ -21,6 +21,25 @@ from .errors import (
 # Coalition masks are unbounded Python ints, so the representation needs no
 # cap; this one only bounds the size of accepted input.
 MAX_AGENTS = 63
+
+# The records are plain ``__slots__`` classes: each sets its fields once in
+# ``__init__`` through ``_setattr`` and spells out its own ``__eq__``,
+# ``__hash__``, ``__repr__`` and ``__reduce__``; importing ``dataclasses``
+# would cost every command more start-up than the records cost to write.
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable records: assigning or deleting a field raises
+    ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def coalition(agents: Iterable[int]) -> int:
@@ -72,7 +91,7 @@ def compact_coalition(mask: int, n: int) -> str:
     return render_coalition(mask)
 
 
-class Expansion(NamedTuple):
+class Expansion(namedtuple("Expansion", "bit better meets")):
     """Per-game bitsets over the permissible set K that drive successor
     expansion; bit ``j`` stands for ``permissible[j]``.
 
@@ -91,6 +110,7 @@ class Expansion(NamedTuple):
     ``meets[j(d)] & ~better[d]`` (``decomposition._prevention``).
     """
 
+    __slots__ = ()
     bit: dict[int, int]
     better: dict[int, int]
     meets: tuple[int, ...]
@@ -293,6 +313,8 @@ def game_from_dict(obj) -> Game:
             raise MalformedInput(f"preference key {key!r} is not an agent id") from None
         if not 1 <= agent <= (n if n >= 1 else 0):
             raise AgentIdOutOfRange(f"preference key {agent} is out of range 1..{n}")
+        if agent in rankings:
+            raise MalformedInput(f"agent {agent} listed twice")
         if type(ranking) is not list and not _is_list_like(ranking):
             raise MalformedInput(f"agent {agent}'s ranking must be a list")
         entries = []

@@ -26,11 +26,13 @@ absorbing set whose parties are the decomposition's own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .core import (
     Game,
+    _Frozen,
+    _setattr,
     coalition,
     compact_coalition,
     lowest_agent,
@@ -56,16 +58,46 @@ SINGLE = "single_coalition"
 RING = "ring_component"
 
 
-@dataclass(frozen=True)
-class Party:
-    kind: str
-    coalitions: tuple[int, ...]
-    # compact sets of the ring component; empty for the other kinds
-    compact: tuple[tuple[int, ...], ...] = field(default=())
-    # breakers of the ring component (``RingComponent.breakers``), which
-    # follow from the coalitions; None for the other kinds and for a party
-    # built by hand, whose breakers are then computed
-    breakers: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+class Party(_Frozen):
+    """A party of a decomposition: its kind and coalitions, and ``compact``,
+    the compact sets of a ring component (empty for the other kinds).
+    ``breakers`` are the ring component's (``RingComponent.breakers``),
+    which follow from the coalitions; None for the other kinds and for a
+    party built by hand, whose breakers are then computed. Equality, the
+    hash and the repr leave them out."""
+
+    __slots__ = ("kind", "coalitions", "compact", "breakers")
+
+    def __init__(
+        self,
+        kind: str,
+        coalitions: tuple[int, ...],
+        compact: tuple[tuple[int, ...], ...] = (),
+        breakers: tuple[int, ...] | None = None,
+    ) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "coalitions", coalitions)
+        _setattr(self, "compact", compact)
+        _setattr(self, "breakers", breakers)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.coalitions, self.compact) == (
+                other.kind, other.coalitions, other.compact
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.coalitions, self.compact))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(kind={self.kind!r}, "
+            f"coalitions={self.coalitions!r}, compact={self.compact!r})"
+        )
+
+    def __reduce__(self):
+        return self.__class__, (self.kind, self.coalitions, self.compact, self.breakers)
 
     @property
     def agents(self) -> int:
@@ -110,9 +142,28 @@ def make_party(g: Game, coalitions: Iterable) -> Party:
     return Party(RING, masks, rc.compact, rc.breakers)
 
 
-@dataclass(frozen=True)
-class StableDecomposition:
-    parties: tuple[Party, ...]
+class StableDecomposition(_Frozen):
+    """The parties of a decomposition, in canonical order
+    (``decomposition``)."""
+
+    __slots__ = ("parties",)
+
+    def __init__(self, parties: tuple[Party, ...]) -> None:
+        _setattr(self, "parties", parties)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parties == other.parties
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parties,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(parties={self.parties!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.parties,)
 
     def pool(self) -> Party | None:
         for p in self.parties:
@@ -260,7 +311,8 @@ def is_protected(g: Game, party: Party, D: StableDecomposition) -> bool:
     return not unprevented_breakers(g, party, D)
 
 
-class Violation(NamedTuple):
+class Violation(namedtuple("Violation", "code party coalition")):
+    __slots__ = ()
     code: str
     party: Party | None
     coalition: int | None
@@ -498,7 +550,8 @@ def _checked_decompositions(an: Analysis) -> list[tuple]:
     return out
 
 
-class DStructure(NamedTuple):
+class DStructure(namedtuple("DStructure", "structure chosen")):
+    __slots__ = ()
     structure: tuple[int, ...]
     # (ring party, chosen compact set) pairs, aligned with the ring parties
     chosen: tuple[tuple[Party, tuple[int, ...]], ...]

@@ -9,7 +9,8 @@ structure tuple.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .core import Game, compact_coalition, lowest_agent, members, render_coalition
 from .errors import LimitExceeded, NodeNotInGraph, NotBlocking
@@ -23,7 +24,8 @@ from .structures import (
 )
 
 
-class DominationEdge(NamedTuple):
+class DominationEdge(namedtuple("DominationEdge", "source target via")):
+    __slots__ = ()
     source: tuple[int, ...]
     target: tuple[int, ...]
     via: int

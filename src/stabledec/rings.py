@@ -13,10 +13,9 @@ digraph is one merged family (``_ring_families``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-from .core import Game, intersects, render_coalition, unanimously_prefers
+from .core import Game, _Frozen, _setattr, intersects, render_coalition, unanimously_prefers
 from .dynamics import DominationGraph, _tarjan, dominate_via
 from .errors import (
     NotACycle,
@@ -145,15 +144,49 @@ def _pref_digraph_sccs(g: Game, masks: Sequence[int]) -> list[list[int]]:
     return _tarjan(adj)
 
 
-@dataclass(frozen=True)
-class RingComponent:
-    coalitions: tuple[int, ...]
-    simple: bool
-    maximal: tuple[tuple[int, ...], ...]
-    compact: tuple[tuple[int, ...], ...]
-    # the coalitions outside it that break one of its maximal sets,
-    # ascending; masks, which mean the same in every game holding them
-    breakers: tuple[int, ...] = field(compare=False, repr=False)
+class RingComponent(_Frozen):
+    """A ring component: its coalitions, whether it is simple, its maximal
+    sets and its compact sets. ``breakers`` are the coalitions outside it
+    that break one of its maximal sets, ascending; masks, which mean the
+    same in every game holding them. They follow from the rest, so
+    equality, the hash and the repr leave them out."""
+
+    __slots__ = ("coalitions", "simple", "maximal", "compact", "breakers")
+
+    def __init__(
+        self,
+        coalitions: tuple[int, ...],
+        simple: bool,
+        maximal: tuple[tuple[int, ...], ...],
+        compact: tuple[tuple[int, ...], ...],
+        breakers: tuple[int, ...],
+    ) -> None:
+        _setattr(self, "coalitions", coalitions)
+        _setattr(self, "simple", simple)
+        _setattr(self, "maximal", maximal)
+        _setattr(self, "compact", compact)
+        _setattr(self, "breakers", breakers)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.coalitions, self.simple, self.maximal, self.compact) == (
+                other.coalitions, other.simple, other.maximal, other.compact
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coalitions, self.simple, self.maximal, self.compact))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(coalitions={self.coalitions!r}, "
+            f"simple={self.simple!r}, maximal={self.maximal!r}, compact={self.compact!r})"
+        )
+
+    def __reduce__(self):
+        return self.__class__, (
+            self.coalitions, self.simple, self.maximal, self.compact, self.breakers
+        )
 
 
 def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:

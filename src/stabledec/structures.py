@@ -7,7 +7,7 @@ sorted by least member, which doubles as the canonical form.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .core import (
     Game,

@@ -834,6 +834,8 @@ def _reference_from_dict(obj):
             raise MalformedInput(f"preference key {key!r} is not an agent id") from None
         if not 1 <= agent <= (n if n >= 1 else 0):
             raise AgentIdOutOfRange(f"preference key {agent} is out of range 1..{n}")
+        if agent in rankings:
+            raise MalformedInput(f"agent {agent} listed twice")
         if not isinstance(ranking, Sequence) or isinstance(ranking, (str, bytes)):
             raise MalformedInput(f"agent {agent}'s ranking must be a list")
         entries = []

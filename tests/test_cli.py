@@ -742,6 +742,37 @@ class TestBooleansAreNotAgentIds:
         assert capsys.readouterr().err == "error: agent count must be a positive integer\n"
 
 
+class TestMalformedRows:
+    """A partner row that is not a list, and two preference keys naming one
+    agent, are malformed input (exit 2) in every schema, not a traceback
+    (exit 1, the limit's code) or a row read some other way."""
+
+    @pytest.mark.parametrize("row", ["2", "null", '"2"', '{"2": 1}'])
+    @pytest.mark.parametrize(
+        "head", ['"n": 2', '"men": 1, "women": 1'], ids=["roommate", "marriage"]
+    )
+    def test_partner_row_not_a_list(self, tmp_path, head, row, capsys):
+        p = tmp_path / "spec.json"
+        p.write_text(f'{{{head}, "preferences": {{"1": {row}}}}}')
+        assert main(["analyze", str(p)]) == 2
+        assert capsys.readouterr().err == "error: agent 1's partners must be a list\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"agents": 2, "preferences": {"1": [[1]], "01": [[1, 2], [1]]}}',
+            '{"n": 2, "preferences": {"1": [2], "01": [2]}}',
+            '{"men": 1, "women": 1, "preferences": {"1": [2], "01": [2]}}',
+        ],
+        ids=["game", "roommate", "marriage"],
+    )
+    def test_agent_named_by_two_keys(self, tmp_path, text, capsys):
+        p = tmp_path / "game.json"
+        p.write_text(text)
+        assert main(["analyze", str(p)]) == 2
+        assert capsys.readouterr().err == "error: agent 1 listed twice\n"
+
+
 JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f \u00e9\u2028\ud800\U0001f600ab')
 JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70) | JSON_TEXT

@@ -420,6 +420,9 @@ MALFORMED_GAMES = [
      "at most 63 agents are supported, got 64"),
     ({"agents": 64, "preferences": {"1": [[1, None], [1]]}}, MalformedInput,
      "agent id None is not an integer"),
+    # two keys naming one agent, as the spec schemas reject them
+    ({"agents": 2, "preferences": {"1": [[0]], "01": [[1, 2], [1]], "2": [[1, 2], [2]]}},
+     MalformedInput, "agent 1 listed twice"),
 ]
 
 # game objects both loaders accept
@@ -427,8 +430,8 @@ ACCEPTED_GAMES = [
     {"agents": 2, "preferences": {"1": [(1, 2), (1,)], "2": ((2, 1), [2])}},
     {"agents": 2, "preferences": {"1": [[_Agent.ONE, _Agent.TWO], [_Agent.ONE]],
                                   "2": [[2, _Agent.ONE], [_Agent.TWO]]}},
-    # the row of "1" is replaced by the row of "01" before any ranking check
-    {"agents": 2, "preferences": {"1": [[0]], "01": [[1, 2], [1]], "2": [[1, 2], [2]]}},
+    # a key need not be the agent's canonical id string
+    {"agents": 2, "preferences": {"01": [[1, 2], [1]], "2": [[1, 2], [2]]}},
     {"agents": 3, "preferences": {"3": [], "2": [[2, 3, 3], [2, 2]]}},
     {"agents": 1},
 ]

@@ -1,4 +1,6 @@
-"""The package is pure Python: no numerical runtime is imported."""
+"""The package is pure Python: no numerical runtime is imported, and the
+command line starts without the stdlib modules it used only for
+convenience."""
 
 import os
 import subprocess
@@ -20,6 +22,25 @@ def test_no_numpy_or_numba_imported():
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_convenience_modules_imported():
+    # ``-S`` skips ``site`` and its ``.pth`` hooks, which may load any of
+    # these themselves; the records are plain classes, the named tuples
+    # come from ``collections`` and files are read with ``open``
+    src = str(Path(stabledec.__file__).resolve().parent.parent)
+    code = (
+        "import sys, stabledec, stabledec.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
         check=True,
     )
     assert proc.stdout.strip() == "[]"
