@@ -41,6 +41,7 @@ from .core import (
     render_coalition,
 )
 from .errors import (
+    AgentIdOutOfRange,
     DisjointParty,
     MalformedParty,
     PartyIsSingletonPool,
@@ -121,6 +122,11 @@ def make_party(g: Game, coalitions: Iterable) -> Party:
         mask = c if isinstance(c, int) else coalition(c)
         if mask <= 0:
             raise MalformedParty("parties cannot contain an empty coalition")
+        above = mask >> g.n
+        if above:
+            raise AgentIdOutOfRange(
+                f"agent id {g.n + (above & -above).bit_length()} is out of range"
+            )
         masks.append(mask)
     masks = tuple(sorted(set(masks)))
     if not masks:

@@ -6,9 +6,11 @@ collection of permissible coalitions that (i) pairwise transitively prefer
 each other within the collection and (ii) break every one of their own
 maximal sets from within. Ring components are recovered from a non-trivial
 absorbing set by extracting a ring from a cycle through every edge, closed
-by a shortest path back, and merging rings that share a coalition. The
-searches stop once every strongly connected component of the set's step
-digraph is one merged family (``_ring_families``).
+by a shortest path back, and merging rings that share a coalition; the
+walks from every start of a cycle share one table of next meeting vias
+(``_walk_table``). The searches stop once every strongly connected
+component of the set's step digraph, folded per member off the node keys
+(``_in_degrees_and_steps``), is one merged family (``_ring_families``).
 """
 
 from __future__ import annotations
@@ -71,31 +73,41 @@ def _via_between(g: Game, prev, nxt) -> int:
     )
 
 
-def _ring_from_vias(vias: Sequence[int], start_idx: int) -> tuple[int, ...]:
-    """Walk the via-coalitions of a cycle: from the current coalition jump to
-    the nearest later via sharing an agent; stop at the first repeated value
-    and return the segment strictly between the repeats."""
+def _walk_table(vias: Sequence[int]) -> list[int | None]:
+    """For each position of a cycle's vias, the nearest later position,
+    cyclically, whose via shares an agent with it; ``None`` where no other
+    via does. One table serves the walks from every start position."""
     J = len(vias)
+    twice = [*vias, *vias]
+    table: list[int | None] = []
+    for j, cur in enumerate(vias):
+        nxt = None
+        for t in range(j + 1, j + J):
+            if twice[t] & cur:
+                nxt = t - J if t >= J else t
+                break
+        table.append(nxt)
+    return table
+
+
+def _ring_from_vias(
+    vias: Sequence[int], start_idx: int, table: Sequence[int | None]
+) -> tuple[int, ...]:
+    """Walk the via-coalitions of a cycle on its ``_walk_table``: from the
+    current coalition jump to the nearest later via sharing an agent; stop
+    at the first repeated value and return the segment strictly between the
+    repeats. The selected values are distinct vias, so a value repeats
+    within as many jumps as the cycle has vias."""
     sel: list[int] = [vias[start_idx]]
     j = start_idx
     while True:
-        cur = vias[j]
-        nxt = None
-        for r in range(1, J):
-            t = (j + r) % J
-            if vias[t] & cur:
-                nxt = t
-                break
-        if nxt is None:
+        j = table[j]
+        if j is None:
             raise NotACycle("a formed coalition is never met again along the cycle")
-        val = vias[nxt]
+        val = vias[j]
         if val in sel:
-            s = sel.index(val)
-            return tuple(sel[s + 1 :] + [val])
+            return tuple(sel[sel.index(val) + 1 :] + [val])
         sel.append(val)
-        j = nxt
-        if len(sel) > J:
-            raise NotACycle("ring extraction failed to close")
 
 
 def extract_ring(g: Game, cycle: Sequence[tuple[int, ...]], start: int) -> tuple[int, ...]:
@@ -111,7 +123,7 @@ def extract_ring(g: Game, cycle: Sequence[tuple[int, ...]], start: int) -> tuple
     vias = [_via_between(g, cycle[j - 1], cycle[j]) for j in range(J)]
     if start not in vias:
         raise StartNotInCycle(f"{render_coalition(start)} never forms along the cycle")
-    return _ring_from_vias(vias, vias.index(start))
+    return _ring_from_vias(vias, vias.index(start), _walk_table(vias))
 
 
 def _pref_digraph_sccs(g: Game, masks: Sequence[int]) -> list[list[int]]:
@@ -258,58 +270,67 @@ def classify_simple(g: Game, coalitions: Iterable[int]) -> bool:
 
 def _in_degrees_and_steps(
     G: DominationGraph, ids: Sequence[int]
-) -> tuple[list[int], dict[int, int], dict[int, int]]:
+) -> tuple[list[int], int, dict[int, int]]:
     """One pass over the edges of a set of nodes closed under domination:
-    the in-degree of each member (``-1`` off the set), and its step digraph,
-    as each via's sources (the K-bits of the parts that forming it
-    dissolves, ``keys[u] & ~keys[v]`` for an edge ``u -> v``) together with
-    the via of each K-bit that forms on some edge."""
+    the in-degree of each member (``-1`` off the set), the K-bits of every
+    via formed on an edge, and the step digraph folded per member.
+
+    An edge ``u -> v`` forms one via and dissolves the parts of ``u`` that
+    meet it, so ``keys[v] & ~keys[u]`` is the via's K-bit. Per edge the pass
+    only counts the in-degree and ORs ``keys[v]`` into ``acc``; then
+    ``acc & ~keys[u]`` holds the vias formed from ``u``, and it is folded
+    into ``fold[d]`` for each K-bit ``d`` of ``keys[u]``. A coalition ``d``
+    steps to a via ``c`` (``d`` is dissolved where ``c`` forms) exactly when
+    ``c`` is in ``fold[d] & meets[j(d)]``: some member holds ``d`` and forms
+    ``c``, and ``c`` meets ``d``."""
     adj, keys = G.adj, G.keys
     indegree = [-1] * len(G)
     for v in ids:
         indegree[v] = 0
-    sources: dict[int, int] = {}
-    via_of: dict[int, int] = {}
+    formed = 0
+    fold: dict[int, int] = {}
     for u in ids:
-        key = keys[u]
-        for v, via in adj[u]:
+        acc = 0
+        for v, _ in adj[u]:
             d = indegree[v]
             if d < 0:
                 raise VerificationFailed("absorbing set has an outgoing edge")
             indegree[v] = d + 1
-            kv = keys[v]
-            found = sources.get(via)
-            if found is None:
-                via_of[kv & ~key] = via
-                found = 0
-            sources[via] = found | key & ~kv
-    return indegree, sources, via_of
+            acc |= keys[v]
+        key = keys[u]
+        acc &= ~key
+        formed |= acc
+        while key:
+            low = key & -key
+            key ^= low
+            fold[low] = fold.get(low, 0) | acc
+    return indegree, formed, fold
 
 
-def _ring_families(G: DominationGraph, absorbing) -> list[set[int]]:
+def _ring_families(g: Game, G: DominationGraph, absorbing) -> list[set[int]]:
     """The rings read off the absorbing set's cycles, merged on shared
     coalitions, in the order of their sorted coalitions.
 
     Every edge ``u -> v`` inside the set closes a cycle with the shortest
     path ``v -> u`` that breadth-first search from ``v`` finds; a ring is
-    extracted from every start position of that cycle. One search from each
-    member ``v`` serves all the edges into ``v``: expanding a node ``u``
-    with an edge to ``v`` closes that edge's cycle, and the search stops
-    once it has closed as many as ``v`` has in-edges. Since a node's
-    search-tree parent is fixed when it is first discovered, each path
-    equals the one a search from ``v`` stopping at that single in-neighbour
-    would find.
+    extracted from every start position of that cycle, all walks on one
+    ``_walk_table``. One search from each member ``v`` serves all the edges
+    into ``v``: expanding a node ``u`` with an edge to ``v`` closes that
+    edge's cycle, and the search stops once it has closed as many as ``v``
+    has in-edges. Since a node's search-tree parent is fixed when it is
+    first discovered, each path equals the one a search from ``v`` stopping
+    at that single in-neighbour would find.
 
     A ring steps from a coalition to the first later via meeting it, and
     the coalition stands until then: each step goes from a coalition of a
-    member ``u`` to the via of an edge ``u -> v`` that meets it. Those
-    coalitions are the parts that forming the via dissolves, read off the
-    node keys as ``G.keys[u] & ~G.keys[v]``. So every ring is a cycle of
-    this step digraph, inside one of its strongly connected components, and
-    once each component of two or more coalitions is one family, no further
-    ring can change a family, and the searches stop, mid-search if need
-    be. A ring is also a subset of its cycle's vias, so the rings of a
-    cycle whose vias all lie in one family are not walked.
+    member ``u`` to the via of an edge ``u -> v`` that meets it, one that
+    forming the via dissolves (``_in_degrees_and_steps``). So every ring is
+    a cycle of this step digraph, inside one of its strongly connected
+    components, and once each component of two or more coalitions is one
+    family, no further ring can change a family, and the searches stop,
+    mid-search if need be. A ring is also a subset of its cycle's vias, so
+    the rings of a cycle whose vias all lie in one family are not walked,
+    and a ring whose coalitions already share one family is not merged.
 
     The searches start at the members with the most in-edges, ties broken
     by id. The order does not change the families: if the searches stop,
@@ -317,36 +338,42 @@ def _ring_families(G: DominationGraph, absorbing) -> list[set[int]]:
     searched and every ring that can change a family read. So every order
     stops or none does.
     """
-    return _family_search(G, absorbing)[0]
+    return _family_search(g, G, absorbing)[0]
 
 
 def _family_search(
-    G: DominationGraph, absorbing, roots: Iterable[int] | None = None
+    g: Game, G: DominationGraph, absorbing, roots: Iterable[int] | None = None
 ) -> tuple[list[set[int]], list[int]]:
     """``_ring_families``' families, and the members it searched from, in
     order; ``roots``, an order of all the members, replaces the default."""
     ids = [G.node_id(pi) for pi in absorbing.members]
     adj = G.adj
-    indegree, sources, via_of = _in_degrees_and_steps(G, ids)
-    # the step digraph reversed, via to source, has the same components; a
-    # source that is never a via has no step into it and is left out
-    formed = sorted(sources)
-    index = {c: i for i, c in enumerate(formed)}
-    back = []
-    for c in formed:
+    indegree, formed, fold = _in_degrees_and_steps(G, ids)
+    # the step digraph over the vias, in K order, the order of their masks;
+    # a coalition that is never a via has no step into it and is left out
+    ks = g.permissible
+    meets = g.expansion().meets
+    order = []
+    bits = formed
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        order.append(low)
+    index = {d: i for i, d in enumerate(order)}
+    steps = []
+    for d in order:
         out = []
-        bits = sources[c]
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            x = via_of.get(low)
-            if x is not None:
-                out.append((index[x],))
-        back.append(out)
+        succ = fold[d] & meets[d.bit_length() - 1] & formed
+        while succ:
+            low = succ & -succ
+            succ ^= low
+            out.append((index[low],))
+        steps.append(out)
+    masks = [ks[d.bit_length() - 1] for d in order]
     # each component of two or more coalitions not yet one family, with
     # its least coalition
     unmerged = [
-        (formed[min(comp)], {formed[i] for i in comp}) for comp in _tarjan(back) if len(comp) > 1
+        (masks[min(comp)], {masks[i] for i in comp}) for comp in _tarjan(steps) if len(comp) > 1
     ]
     if roots is None:
         roots = sorted(ids, key=lambda v: (-indegree[v], v))
@@ -387,7 +414,9 @@ def _family_search(
                     pvia[w] = wv
                     queue.append(w)
 
-    # coalition -> its family, one set shared by all of the family's coalitions
+    # coalition -> its family, one set shared by all of the family's
+    # coalitions; the families are disjoint, so coalitions share one family
+    # exactly when they all lie in the family of one of them
     family: dict[int, set[int]] = {}
     tried: set[tuple[int, ...]] = set()
     searched: list[int] = []
@@ -399,19 +428,27 @@ def _family_search(
             # a ring lies within its cycle's vias, so a cycle whose vias are
             # all in one family already cannot change a family
             settled = family.get(vias[0])
-            if settled is not None and all(family.get(c) is settled for c in vias):
+            if settled is not None and settled.issuperset(vias):
                 continue
             if vias in tried:
                 continue
             tried.add(vias)
+            table = _walk_table(vias)
+            merges = False
             for s in range(len(vias)):
-                ring = _ring_from_vias(vias, s)
+                ring = _ring_from_vias(vias, s, table)
+                # a ring merged before, or inside one family, changes nothing
+                held = family.get(ring[0])
+                if held is not None and held.issuperset(ring):
+                    continue
                 merged = set(ring).union(*(family.get(c, ()) for c in ring))
                 for c in merged:
                     family[c] = merged
-            unmerged = [(c, comp) for c, comp in unmerged if family.get(c) != comp]
-            if not unmerged:
-                break
+                merges = True
+            if merges:
+                unmerged = [(c, comp) for c, comp in unmerged if family.get(c) != comp]
+                if not unmerged:
+                    break
     groups = {id(f): f for f in family.values()}
     return sorted(groups.values(), key=lambda f: tuple(sorted(f))), searched
 
@@ -427,7 +464,7 @@ def ring_components_of(g: Game, absorbing, G: DominationGraph) -> list[RingCompo
     if absorbing.trivial:
         raise TrivialAbsorbingSet("trivial absorbing sets carry no ring component")
     comps = []
-    for fam in _ring_families(G, absorbing):
+    for fam in _ring_families(g, G, absorbing):
         rc = _ring_component(g, fam)
         if rc is not None:
             comps.append(rc)

@@ -4,8 +4,7 @@ Each reference is built on ``successors()``, the public definition
 functions (``prefers``, ``unanimously_prefers``, ``breaks``,
 ``breaks_maximal_set``, ``maximal_sets``) or plain loops over a graph's
 nodes and edges. Where one borrows a library helper
-(``rings._ring_from_vias``, ``rings._ring_component``), that helper is not
-the routine it checks. The test modules and sweeps import their references
+(``rings._ring_component``), that helper is not the routine it checks. The test modules and sweeps import their references
 and harness from here and their games from ``games.py``.
 """
 
@@ -30,6 +29,7 @@ from stabledec import (
     Game,
     InconsistentRanking,
     MalformedInput,
+    NotACycle,
     Party,
     StabledecError,
     VerificationFailed,
@@ -333,6 +333,33 @@ def assert_routes_agree(g: Game, an: Analysis) -> None:
 # --- rings ------------------------------------------------------------------
 
 
+def _reference_ring_from_vias(vias, start_idx):
+    """Reference for ``rings._ring_from_vias`` on its ``_walk_table``: the
+    walk that scans forward for the next via meeting the current one at
+    every jump, with no table."""
+    J = len(vias)
+    sel = [vias[start_idx]]
+    j = start_idx
+    while True:
+        cur = vias[j]
+        nxt = None
+        for r in range(1, J):
+            t = (j + r) % J
+            if vias[t] & cur:
+                nxt = t
+                break
+        if nxt is None:
+            raise NotACycle("a formed coalition is never met again along the cycle")
+        val = vias[nxt]
+        if val in sel:
+            s = sel.index(val)
+            return tuple(sel[s + 1 :] + [val])
+        sel.append(val)
+        j = nxt
+        if len(sel) > J:
+            raise NotACycle("ring extraction failed to close")
+
+
 def _cycle_vias_through(G, u, v, via, inside):
     """Vias of a cycle through edge ``u -> v``: the edge itself plus a
     shortest path ``v -> u`` found by BFS inside the component."""
@@ -367,7 +394,7 @@ def _per_edge_rings(G, absorbing):
                 raise VerificationFailed("absorbing set has an outgoing edge")
             vias = _cycle_vias_through(G, u, v, via, inside)
             for s in range(len(vias)):
-                found.add(canonical_rotation(rings._ring_from_vias(vias, s)))
+                found.add(canonical_rotation(_reference_ring_from_vias(vias, s)))
     return found
 
 
@@ -439,7 +466,7 @@ def _extract_rings(G, absorbing):
     breadth-first search per member (``_root_cycles``)."""
     into = _in_edges(G, absorbing)
     return {
-        canonical_rotation(rings._ring_from_vias(vias, s))
+        canonical_rotation(_reference_ring_from_vias(vias, s))
         for _, cycles in _root_cycles(G, into, list(into))
         for vias in cycles
         for s in range(len(vias))
@@ -496,6 +523,24 @@ def _reference_steps(G, absorbing):
     return steps
 
 
+def _folded_steps(g, G, absorbing):
+    """The steps that ``rings._in_degrees_and_steps`` folds per member, in
+    the shape of ``_reference_steps``: each via with the coalitions that
+    step to it, ``x`` stepping to ``c`` when ``c`` is in
+    ``fold[x] & meets[j(x)]``."""
+    ks = g.permissible
+    bit, _, meets = g.expansion()
+    ids = [G.node_id(pi) for pi in absorbing.members]
+    _, formed, fold = rings._in_degrees_and_steps(G, ids)
+    steps = {}
+    for j, c in enumerate(ks):
+        if formed >> j & 1:
+            xs = {x for i, x in enumerate(ks) if bit[c] & fold.get(bit[x], 0) & meets[i]}
+            if xs:
+                steps[c] = xs
+    return steps
+
+
 def _inlist_family_search(G, absorbing, roots=None):
     """Reference for ``_family_search``: in-lists for every member, the
     searches of ``_root_cycles``, every ring walk of every new cycle taken,
@@ -512,7 +557,7 @@ def _inlist_family_search(G, absorbing, roots=None):
         searched.append(v)
         for vias in cycles:
             for s in range(len(vias)):
-                ring = rings._ring_from_vias(vias, s)
+                ring = _reference_ring_from_vias(vias, s)
                 merged = set(ring).union(*(family.get(c, ()) for c in ring))
                 for c in merged:
                     family[c] = merged

@@ -7,7 +7,8 @@ families and search the same members, in the same order, as
 ``_inlist_family_search`` of ``oracle.py``: in-lists for every member,
 each search run until it has discovered every in-neighbour of its root,
 every ring walk taken, and the stop checked only between searches. The
-sweep also counts the sets where some strongly connected component of two
+steps folded per member (``rings._in_degrees_and_steps``, read by
+``_folded_steps``) must equal the parts loop of ``_reference_steps``. The sweep also counts the sets where some strongly connected component of two
 or more coalitions of the step digraph (``_reference_step_sccs``) is not
 one of the families, where the components could not stand in for the
 search. Too slow for the test suite; run it by hand:
@@ -16,7 +17,7 @@ search. Too slow for the test suite; run it by hand:
 
 It prints each set that disagrees or has a step component that is no
 family, one line per family of games and a total, and exits non-zero if any
-set disagrees.
+set disagrees on the search or the steps.
 """
 
 from __future__ import annotations
@@ -31,7 +32,12 @@ from stabledec import Analysis  # noqa: E402
 from stabledec.rings import _family_search  # noqa: E402
 
 from games import rnd, room  # noqa: E402
-from oracle import _inlist_family_search, _reference_step_sccs  # noqa: E402
+from oracle import (  # noqa: E402
+    _folded_steps,
+    _inlist_family_search,
+    _reference_step_sccs,
+    _reference_steps,
+)
 
 # label -> (make a game from a seed, seeds)
 FAMILIES = {
@@ -54,10 +60,13 @@ def main() -> int:
                     if a.trivial:
                         continue
                     sets += 1
-                    got = _family_search(f.graph, a)
+                    got = _family_search(f.game, f.graph, a)
                     if got != _inlist_family_search(f.graph, a):
                         bad += 1
                         print(f"{label} seed {s}: the searches disagree", flush=True)
+                    if _folded_steps(f.game, f.graph, a) != _reference_steps(f.graph, a):
+                        bad += 1
+                        print(f"{label} seed {s}: the folded steps disagree", flush=True)
                     families = sorted(tuple(sorted(fam)) for fam in got[0])
                     if any(c not in families for c in _reference_step_sccs(f.graph, a)):
                         split += 1

@@ -712,6 +712,18 @@ class TestVerify:
     def test_malformed_decomposition_exit_code(self, g6_file, capsys):
         assert main(["verify", g6_file, "--decomposition", "{{oops}}"]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[[[1],[2],[3],[4],[5],[6]]]", "{{1},{2},{3},{4},{5},{6}}", "[[[1,2]],[[3,4],[4,6]]]"],
+    )
+    def test_agent_id_above_n(self, tmp_path, capsys, text):
+        # a coalition naming agent 6 of a five-agent game is no coalition
+        # of the game, in the JSON and the text form
+        p = tmp_path / "rm5.json"
+        p.write_text('{"n": 5, "preferences": {"1": [2], "2": [1]}}')
+        assert main(["verify", str(p), "--decomposition", text]) == 2
+        assert capsys.readouterr() == ("", "error: agent id 6 is out of range\n")
+
 
 class TestBooleansAreNotAgentIds:
     """JSON ``true`` and ``false`` compare equal to 1 and 0 in Python; no

@@ -39,6 +39,7 @@ from stabledec import dynamics as dynamics_module
 from stabledec import rings as rings_module
 from stabledec.rings import _family_search, _ring_families
 from stabledec.structures import _breaking
+import oracle
 from games import (
     EXTRACTION_GAMES,
     FUZZ_GAMES,
@@ -58,15 +59,19 @@ from oracle import (
     spy,
     _extract_rings,
     _family_list,
+    _folded_steps,
+    _in_edges,
     _inlist_family_search,
     _merged_components,
     _merged_families,
     _per_edge_rings,
     _reference_compact,
     _reference_is_ring_component,
+    _reference_ring_from_vias,
     _reference_simple,
     _reference_step_sccs,
     _reference_steps,
+    _root_cycles,
 )
 
 
@@ -347,7 +352,7 @@ class TestExtractionMatchesPerEdgeSearch:
         for a in sinks:
             rings = _per_edge_rings(graph, a)
             assert _extract_rings(graph, a) == rings
-            assert _ring_families(graph, a) == _family_list(rings)
+            assert _ring_families(g, graph, a) == _family_list(rings)
             assert ring_components_of(g, a, graph) == _merged_components(g, rings, a)
 
 
@@ -365,12 +370,12 @@ class TestRingMergeSeed42:
         return g, graph, sink
 
     def test_raw_rings(self, case):
-        _, graph, sink = case
+        g, graph, sink = case
         assert _extract_rings(graph, sink) == {
             canonical_rotation(tuple(C(t) for t in ring))
             for ring in (("14", "15", "45"), ("47", "49", "79"), ("57", "59", "79"))
         }
-        assert _ring_families(graph, sink) == [
+        assert _ring_families(g, graph, sink) == [
             {C(t) for t in ("14", "15", "45")},
             {C(t) for t in ("47", "49", "79", "57", "59")},
         ]
@@ -410,7 +415,7 @@ class TestRingMemo:
     def test_analyze_extracts_once_per_sink(self, fixture, request, monkeypatch):
         # the ring section and the decompositions share one Analysis
         g = request.getfixturevalue(fixture)
-        calls = spy(monkeypatch, [], rings_module, "_ring_families", lambda G, a: a.members)
+        calls = spy(monkeypatch, [], rings_module, "_ring_families", lambda g, G, a: a.members)
         analyze_json(g)
         nontrivial = [a.members for a in absorbing_sets(g) if not a.trivial]
         assert nontrivial
@@ -435,16 +440,16 @@ class TestSearchesStopEarly:
         assert len(grown) == sum(f.graph is not None for f in Analysis(g).factors)
 
     def test_fewer_ring_walks_than_the_full_extraction(self, monkeypatch):
-        graph = build(room(9, 0.7, 42)).graph
+        g = room(9, 0.7, 42)
+        graph = build(g).graph
         (sink,) = [a for a in sink_components(graph) if not a.trivial]
         # one ring walk per start position of each distinct cycle
-        walks = spy(monkeypatch, [], rings_module, "_ring_from_vias", lambda vias, s: vias)
+        all_walks = spy(monkeypatch, [], oracle, "_reference_ring_from_vias", lambda vias, s: vias)
         full = _extract_rings(graph, sink)
-        all_walks = len(walks)
-        walks.clear()
-        families = _ring_families(graph, sink)
+        walks = spy(monkeypatch, [], rings_module, "_ring_from_vias", lambda vias, s, t: vias)
+        families = _ring_families(g, graph, sink)
         assert families == _family_list(full)
-        assert 0 < len(walks) < all_walks
+        assert 0 < len(walks) < len(all_walks)
 
     def test_a_component_no_family_fills_runs_every_search(self):
         # roommate (8, 0.9) seed 882: one step-digraph component also holds
@@ -455,7 +460,7 @@ class TestSearchesStopEarly:
         graph = build(g).graph
         (sink,) = [a for a in sink_components(graph) if not a.trivial]
         full = _extract_rings(graph, sink)
-        families, searched = _family_search(graph, sink)
+        families, searched = _family_search(g, graph, sink)
         assert sorted(searched) == sorted(graph.node_id(pi) for pi in sink.members)
         assert families == _family_list(full)
         assert not {C("16"), C("36"), C("28")} & set().union(*families)
@@ -486,8 +491,8 @@ def test_population0_search_counts():
                 if a.trivial:
                     continue
                 ids = sorted(f.graph.node_id(pi) for pi in a.members)
-                families, searched = _family_search(f.graph, a)
-                by_id, searched_by_id = _family_search(f.graph, a, ids)
+                families, searched = _family_search(f.game, f.graph, a)
+                by_id, searched_by_id = _family_search(f.game, f.graph, a, ids)
                 assert families == by_id
                 got.setdefault(seed, []).append((len(a), len(searched), len(searched_by_id)))
     assert got == POPULATION0_SEARCHES
@@ -515,35 +520,63 @@ def test_components_match_the_full_extraction(label):
 
 @pytest.mark.parametrize("label", list(STEP_GAMES))
 def test_steps_and_search_order(label):
-    """The steps read off the node keys equal the parts loop; the searches,
-    which start at the members with the most in-edges, give the families
-    that id order gives; and both equal the in-list reference search."""
+    """The steps folded per member off the node keys equal the parts loop;
+    the searches, which start at the members with the most in-edges, give
+    the families that id order gives; and both equal the in-list reference
+    search."""
     b = build(STEP_GAMES[label]())
     g, graph = b.game, b.graph
     ks = g.permissible
-    bit = g.expansion().bit
     for a in sink_components(graph):
         if a.trivial:
             continue
         ids = [graph.node_id(pi) for pi in a.members]
-        counted, sources, via_of = rings_module._in_degrees_and_steps(graph, ids)
-        read = {c: {x for j, x in enumerate(ks) if mask >> j & 1} for c, mask in sources.items()}
-        assert {c: xs for c, xs in read.items() if xs} == _reference_steps(graph, a)
-        assert via_of == {bit[c]: c for c in sources}
+        counted, formed, _ = rings_module._in_degrees_and_steps(graph, ids)
+        vias = {c for j, c in enumerate(ks) if formed >> j & 1}
+        assert vias == {via for u in ids for _, via in graph.adj[u]}
+        assert _folded_steps(g, graph, a) == _reference_steps(graph, a)
         indegree = dict.fromkeys(ids, 0)
         for u in ids:
             for v, _ in graph.adj[u]:
                 indegree[v] += 1
         assert {v: counted[v] for v in ids} == indegree
         assert all(counted[v] == -1 for v in set(range(len(graph))) - set(ids))
-        families, searched = _family_search(graph, a)
-        by_id, searched_by_id = _family_search(graph, a, sorted(ids))
+        families, searched = _family_search(g, graph, a)
+        by_id, searched_by_id = _family_search(g, graph, a, sorted(ids))
         assert families == by_id
         order = sorted(ids, key=lambda v: (-indegree[v], v))
         assert searched == order[: len(searched)]
         assert searched_by_id == sorted(ids)[: len(searched_by_id)]
         assert _inlist_family_search(graph, a) == (families, searched)
         assert _inlist_family_search(graph, a, sorted(ids)) == (by_id, searched_by_id)
+
+
+@pytest.mark.parametrize("label", list(STEP_GAMES))
+def test_table_walks_match_the_scanning_walk(label, monkeypatch):
+    """From every start of every cycle that the searches close, the walk on
+    the cycle's one ``_walk_table`` gives the ring of the walk that scans
+    for each next via; and the search builds tables only on those cycles."""
+    b = build(STEP_GAMES[label]())
+    g, graph = b.game, b.graph
+    walk_table = rings_module._walk_table
+    tabled = spy(monkeypatch, [], rings_module, "_walk_table", lambda vias: vias)
+    for a in sink_components(graph):
+        if a.trivial:
+            continue
+        tabled.clear()
+        _, searched = _family_search(g, graph, a)
+        closed = {
+            vias
+            for _, cycles in _root_cycles(graph, _in_edges(graph, a), searched)
+            for vias in cycles
+        }
+        assert set(tabled) <= closed
+        for vias in closed:
+            table = walk_table(vias)
+            for s in range(len(vias)):
+                assert rings_module._ring_from_vias(vias, s, table) == (
+                    _reference_ring_from_vias(vias, s)
+                )
 
 
 class TestStepSccsAreNotTheComponents:
@@ -758,7 +791,7 @@ def test_breaking_bits_match_the_definition(label):
         for a in f.sets:
             if a.trivial:
                 continue
-            for fam in _ring_families(f.graph, a):
+            for fam in _ring_families(f.game, f.graph, a):
                 for mset in maximal_sets(fam):
                     found = _breaking(g, mset)
                     got = [c for j, c in enumerate(ks) if found >> j & 1]

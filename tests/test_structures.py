@@ -141,7 +141,7 @@ class TestMaximalSets:
         # the one ring family of each of these roommate games, too large for
         # the brute force above
         (f,) = [f for f in build(room(9, 0.7, seed)).analysis.factors if f.graph is not None]
-        families = [fam for a in f.sets if not a.trivial for fam in _ring_families(f.graph, a)]
+        families = [fam for a in f.sets if not a.trivial for fam in _ring_families(f.game, f.graph, a)]
         assert [len(fam) for fam in families] == [size]
         assert len(_checked_maximal_sets(families[0])) == count
 
