@@ -105,15 +105,11 @@ class AbsorbingSet(_Frozen):
     per analysis, as part of memo keys."""
 
     __slots__ = ("members", "_hash")
+    _fields = ("members",)
 
     def __init__(self, members: tuple[tuple[int, ...], ...]) -> None:
         _setattr(self, "members", members)
         _setattr(self, "_hash", None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.members == other.members
-        return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
@@ -121,12 +117,6 @@ class AbsorbingSet(_Frozen):
             h = hash((self.members,))
             _setattr(self, "_hash", h)
         return h
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(members={self.members!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.members,)
 
     @property
     def trivial(self) -> bool:

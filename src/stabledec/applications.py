@@ -60,27 +60,15 @@ class RoommateSpec(_Frozen):
     ``preferences`` is then a dict of partner lists with a row for every
     agent."""
 
-    __slots__ = ("n", "preferences")
+    __slots__ = _fields = ("n", "preferences")
+    # unhashable, as the preferences dict is
+    __hash__ = None
 
     def __init__(self, n: int, preferences: Mapping[int, Sequence[int]]) -> None:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise MalformedSpec("agent count must be a positive integer")
         _setattr(self, "n", n)
         _setattr(self, "preferences", _check_pref_table(n, preferences))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.preferences) == (other.n, other.preferences)
-        return NotImplemented
-
-    # unhashable, as the preferences dict is
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(n={self.n!r}, preferences={self.preferences!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.n, self.preferences)
 
     def to_dict(self) -> dict:
         return {
@@ -94,7 +82,9 @@ class MarriageSpec(_Frozen):
     ``men+1..men+women``; partners must come from the opposite side.
     Checked when built, as ``RoommateSpec`` is."""
 
-    __slots__ = ("men", "women", "preferences")
+    __slots__ = _fields = ("men", "women", "preferences")
+    # unhashable, as the preferences dict is
+    __hash__ = None
 
     def __init__(self, men: int, women: int, preferences: Mapping[int, Sequence[int]]) -> None:
         if any(isinstance(k, bool) or not isinstance(k, int) for k in (men, women)):
@@ -111,25 +101,6 @@ class MarriageSpec(_Frozen):
         _setattr(self, "men", men)
         _setattr(self, "women", women)
         _setattr(self, "preferences", table)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.men, self.women, self.preferences) == (
-                other.men, other.women, other.preferences
-            )
-        return NotImplemented
-
-    # unhashable, as the preferences dict is
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"{self.__class__.__qualname__}(men={self.men!r}, women={self.women!r}, "
-            f"preferences={self.preferences!r})"
-        )
-
-    def __reduce__(self):
-        return self.__class__, (self.men, self.women, self.preferences)
 
     @property
     def n(self) -> int:

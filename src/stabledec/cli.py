@@ -27,7 +27,9 @@ import time
 from gettext import gettext
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .core import Game, compact_coalition, game_from_dict, parse_game_dsl, render_coalition
+from .core import (
+    Game, _Record, compact_coalition, game_from_dict, parse_game_dsl, render_coalition,
+)
 from .errors import LimitExceeded, MalformedInput, MalformedParty, StabledecError
 from .structures import DEFAULT_LIMIT
 from .dynamics import to_dot
@@ -145,7 +147,7 @@ def _write_dot(g: Game, args, sinks) -> None:
     print(f"wrote {args.dot}", file=sys.stderr)
 
 
-class Report:
+class Report(_Record):
     """The sections of one analysis, filled in by ``analyze``. A section is
     ``None`` when it was not asked for or the exploration limit ended the
     analysis before it.
@@ -155,10 +157,12 @@ class Report:
       triples, as the re-check built them.
     """
 
-    __slots__ = (
+    __slots__ = _fields = (
         "game", "structures", "absorbing_sets", "rings", "decompositions", "converges",
         "limit_exceeded",
     )
+    # mutable, so unhashable
+    __hash__ = None
 
     def __init__(
         self,
@@ -177,25 +181,6 @@ class Report:
         self.decompositions = decompositions
         self.converges = converges
         self.limit_exceeded = limit_exceeded
-
-    def _fields(self) -> tuple:
-        return (
-            self.game, self.structures, self.absorbing_sets, self.rings, self.decompositions,
-            self.converges, self.limit_exceeded,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    # mutable, so unhashable
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        names = self.__slots__
-        body = ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields()))
-        return f"{self.__class__.__qualname__}({body})"
 
 
 def analyze(g: Game, rings: bool, decompositions: bool, converge: bool, limit: int) -> Report:

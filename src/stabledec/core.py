@@ -22,14 +22,45 @@ from .errors import (
 # cap; this one only bounds the size of accepted input.
 MAX_AGENTS = 63
 
-# The records are plain ``__slots__`` classes: each sets its fields once in
-# ``__init__`` through ``_setattr`` and spells out its own ``__eq__``,
-# ``__hash__``, ``__repr__`` and ``__reduce__``; importing ``dataclasses``
-# would cost every command more start-up than the records cost to write.
+# The records are plain ``__slots__`` classes on one base, ``_Record``: each
+# keeps its own ``__init__``, which sets every field once through
+# ``_setattr``, and names its constructor parameters in ``_fields``; the base
+# derives equality, the hash, the repr and pickling from that tuple.
+# Importing ``dataclasses`` would cost every command more start-up than the
+# base costs to write.
 _setattr = object.__setattr__
 
 
-class _Frozen:
+class _Record:
+    """Base of the records. ``_fields`` names the constructor's parameters
+    in order, and pickling passes every one of them back to it. Equality,
+    the hash and the repr read the first ``_shown`` of them (all when
+    ``None``); equality holds only between records of one class."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _shown: int | None = None
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, k) for k in self._fields[: self._shown]])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields[: self._shown])
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, k) for k in self._fields])
+
+
+class _Frozen(_Record):
     """Base of the immutable records: assigning or deleting a field raises
     ``AttributeError``."""
 
@@ -43,10 +74,12 @@ class _Frozen:
 
 
 def coalition(agents: Iterable[int]) -> int:
-    """Build a coalition mask from agent ids."""
+    """Build a coalition mask from agent ids, each an ``int`` and not a
+    ``bool``."""
     mask = 0
     for a in agents:
-        a = int(a)
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise MalformedInput(f"agent id {a!r} is not an integer")
         if a < 1:
             raise AgentIdOutOfRange(f"agent id {a} is out of range")
         mask |= 1 << (a - 1)
@@ -55,6 +88,8 @@ def coalition(agents: Iterable[int]) -> int:
 
 def members(mask: int) -> tuple[int, ...]:
     """Agent ids of a coalition, ascending."""
+    if mask < 0:
+        raise MalformedInput(f"coalition mask {mask} is negative")
     out = []
     while mask:
         low = mask & -mask
@@ -172,7 +207,9 @@ class Game:
             for entry in raw:
                 if type(entry) is not int and not isinstance(entry, int):
                     entry = coalition(entry)
-                if entry == 0:
+                if entry <= 0:
+                    if entry:
+                        raise MalformedInput(f"agent {i} ranked negative mask {entry}")
                     raise InconsistentRanking(f"agent {i} ranked an empty coalition")
                 if entry & outside:
                     raise AgentIdOutOfRange(

@@ -67,7 +67,8 @@ class Party(_Frozen):
     party built by hand, whose breakers are then computed. Equality, the
     hash and the repr leave them out."""
 
-    __slots__ = ("kind", "coalitions", "compact", "breakers")
+    __slots__ = _fields = ("kind", "coalitions", "compact", "breakers")
+    _shown = 3
 
     def __init__(
         self,
@@ -80,25 +81,6 @@ class Party(_Frozen):
         _setattr(self, "coalitions", coalitions)
         _setattr(self, "compact", compact)
         _setattr(self, "breakers", breakers)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.coalitions, self.compact) == (
-                other.kind, other.coalitions, other.compact
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.coalitions, self.compact))
-
-    def __repr__(self) -> str:
-        return (
-            f"{self.__class__.__qualname__}(kind={self.kind!r}, "
-            f"coalitions={self.coalitions!r}, compact={self.compact!r})"
-        )
-
-    def __reduce__(self):
-        return self.__class__, (self.kind, self.coalitions, self.compact, self.breakers)
 
     @property
     def agents(self) -> int:
@@ -152,24 +134,10 @@ class StableDecomposition(_Frozen):
     """The parties of a decomposition, in canonical order
     (``decomposition``)."""
 
-    __slots__ = ("parties",)
+    __slots__ = _fields = ("parties",)
 
     def __init__(self, parties: tuple[Party, ...]) -> None:
         _setattr(self, "parties", parties)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parties == other.parties
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parties,))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(parties={self.parties!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.parties,)
 
     def pool(self) -> Party | None:
         for p in self.parties:

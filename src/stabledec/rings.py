@@ -163,7 +163,8 @@ class RingComponent(_Frozen):
     same in every game holding them. They follow from the rest, so
     equality, the hash and the repr leave them out."""
 
-    __slots__ = ("coalitions", "simple", "maximal", "compact", "breakers")
+    __slots__ = _fields = ("coalitions", "simple", "maximal", "compact", "breakers")
+    _shown = 4
 
     def __init__(
         self,
@@ -178,27 +179,6 @@ class RingComponent(_Frozen):
         _setattr(self, "maximal", maximal)
         _setattr(self, "compact", compact)
         _setattr(self, "breakers", breakers)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.coalitions, self.simple, self.maximal, self.compact) == (
-                other.coalitions, other.simple, other.maximal, other.compact
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coalitions, self.simple, self.maximal, self.compact))
-
-    def __repr__(self) -> str:
-        return (
-            f"{self.__class__.__qualname__}(coalitions={self.coalitions!r}, "
-            f"simple={self.simple!r}, maximal={self.maximal!r}, compact={self.compact!r})"
-        )
-
-    def __reduce__(self):
-        return self.__class__, (
-            self.coalitions, self.simple, self.maximal, self.compact, self.breakers
-        )
 
 
 def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:

@@ -33,7 +33,9 @@ def structure_from_parts(g: Game, parts) -> tuple[int, ...]:
     masks = []
     for p in parts:
         mask = p if isinstance(p, int) else coalition(p)
-        if mask == 0:
+        if mask <= 0:
+            if mask:
+                raise MalformedInput(f"part mask {mask} is negative")
             raise MalformedInput("structures cannot contain an empty part")
         masks.append(mask)
     union = 0

@@ -1,6 +1,9 @@
 """Coalition masks, game construction, preference queries."""
 
 import json
+import os
+import subprocess
+import sys
 from enum import IntEnum
 
 import pytest
@@ -82,6 +85,48 @@ class TestCoalitionMasks:
     @settings(max_examples=60, deadline=None)
     def test_members_roundtrip(self, agents):
         assert set(members(coalition(agents))) == agents
+
+    def test_non_integer_ids_rejected(self):
+        for agents, shown in (([2.7], "2.7"), ([1, True], "True"), ("12", "'1'")):
+            assert outcome(lambda: coalition(agents)) == (
+                "MalformedInput", f"agent id {shown} is not an integer"
+            )
+        # a truncated 2.9 would rank {1,2}
+        g = lambda: Game(3, {1: [(1, 2.9), (1,)], 2: [(1, 2), (2,)]})  # noqa: E731
+        assert outcome(g) == ("MalformedInput", "agent id 2.9 is not an integer")
+        assert coalition([_Agent.ONE, _Agent.TWO]) == C("12")
+
+
+# Negative masks were not rejected: all but the last call looped forever, so
+# each runs in a child process with a timeout, and a hang fails its test, not
+# the suite.
+NEGATIVE_MASK_CALLS = [
+    ("Game(3, {1: [-1, 1]})", "MalformedInput: agent 1 ranked negative mask -1"),
+    ("members(-1)", "MalformedInput: coalition mask -1 is negative"),
+    ("render_coalition(-1)", "MalformedInput: coalition mask -1 is negative"),
+    ("blocks(Game(3, {}), -1, (1, 2, 4))", "MalformedInput: coalition mask -1 is negative"),
+    ("structure_from_parts(Game(2, {}), [-4, 3])", "MalformedInput: part mask -4 is negative"),
+]
+
+
+@pytest.mark.parametrize(("call", "error"), NEGATIVE_MASK_CALLS)
+def test_negative_masks_rejected(call, error):
+    import stabledec
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stabledec.__file__)))
+    code = (
+        "from stabledec import *\n"
+        f"try:\n    {call}\n"
+        "except StabledecError as exc:\n    print(f'{type(exc).__name__}: {exc}')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, error), proc.stderr
 
 
 class TestGameConstruction:

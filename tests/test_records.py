@@ -25,6 +25,7 @@ from stabledec import (
     make_party,
     successors,
 )
+from stabledec import core
 from stabledec.cli import Report
 from games import C, RC7, SEVEN, make_structure
 
@@ -48,6 +49,40 @@ FIELDS = {
     "roommate_spec": "n",
     "marriage_spec": "men",
 }
+
+# every constructor parameter of each, in order
+CONSTRUCTOR_FIELDS = {
+    "absorbing_set": ("members",),
+    "ring_component": ("coalitions", "simple", "maximal", "compact", "breakers"),
+    "party": ("kind", "coalitions", "compact", "breakers"),
+    "decomposition": ("parties",),
+    "roommate_spec": ("n", "preferences"),
+    "marriage_spec": ("men", "women", "preferences"),
+}
+_MAXIMAL7 = "((3, 12), (3, 24), (6, 17), (6, 24), (12, 17))"
+_RING7 = (
+    f"RingComponent(coalitions=(3, 6, 12, 17, 24), simple=True, maximal={_MAXIMAL7}, "
+    f"compact={_MAXIMAL7})"
+)
+_PARTY7 = f"Party(kind='ring_component', coalitions=(3, 6, 12, 17, 24), compact={_MAXIMAL7})"
+REPRS = {
+    "absorbing_set": "AbsorbingSet(members=((3, 12, 16, 96),))",
+    "ring_component": _RING7,
+    "party": _PARTY7,
+    "decomposition": (
+        f"StableDecomposition(parties=({_PARTY7}, "
+        "Party(kind='singleton_pool', coalitions=(32, 64), compact=())))"
+    ),
+    "roommate_spec": "RoommateSpec(n=3, preferences={1: [2, 3], 2: [1], 3: [1]})",
+    "marriage_spec": "MarriageSpec(men=1, women=2, preferences={1: [3, 2], 2: [1], 3: []})",
+}
+
+
+def _filled_report():
+    return Report(
+        SEVEN, 32, [RECORDS["absorbing_set"]], [(0, RING7)], [], (False, (3, 12, 16, 96)),
+        "limit",
+    )
 
 
 def test_breakers_stay_out_of_eq_hash_and_repr():
@@ -161,3 +196,57 @@ def test_named_tuples_stay_tuples():
         assert type(record._replace()) is type(record)
         assert pickle.loads(pickle.dumps(record)) == record
         assert repr(record).startswith(type(record).__name__ + "(")
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_repr_is_pinned(name):
+    assert repr(RECORDS[name]) == REPRS[name]
+
+
+def test_filled_report_repr_is_pinned():
+    assert repr(_filled_report()) == (
+        "Report(game=Game(n=7, |K|=8), structures=32, "
+        "absorbing_sets=[AbsorbingSet(members=((3, 12, 16, 96),))], "
+        f"rings=[(0, {_RING7})], decompositions=[], converges=(False, (3, 12, 16, 96)), "
+        "limit_exceeded='limit')"
+    )
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_reduce_passes_every_constructor_field(name):
+    record = RECORDS[name]
+    fields = tuple(getattr(record, f) for f in CONSTRUCTOR_FIELDS[name])
+    assert record.__reduce__() == (type(record), fields)
+
+
+def test_report_reduces_to_its_constructor_fields():
+    report = _filled_report()
+    assert report.__reduce__() == (Report, (
+        report.game, report.structures, report.absorbing_sets, report.rings,
+        report.decompositions, report.converges, report.limit_exceeded,
+    ))
+    assert pickle.loads(pickle.dumps(report)) == report
+
+
+def _record_classes():
+    out, todo = [], [core._Record]
+    while todo:
+        cls = todo.pop()
+        for sub in cls.__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("stabledec."):
+                out.append(sub)
+    return out
+
+
+def test_record_fields_are_the_constructor_parameters():
+    classes = [cls for cls in _record_classes() if cls is not core._Frozen]
+    assert {cls.__name__ for cls in classes} == {
+        "AbsorbingSet", "RingComponent", "Party", "StableDecomposition", "RoommateSpec",
+        "MarriageSpec", "Report",
+    }
+    for cls in classes:
+        code = cls.__init__.__code__
+        assert cls._fields == code.co_varnames[1:code.co_argcount], cls.__name__
+        # the base alone compares, shows and pickles a record
+        assert not {"__eq__", "__repr__", "__reduce__"} & vars(cls).keys(), cls.__name__
