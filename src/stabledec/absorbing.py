@@ -144,43 +144,25 @@ def full_domination_graph(g: Game, limit: int = DEFAULT_LIMIT) -> DominationGrap
 
 
 def sink_components(G: DominationGraph) -> list[AbsorbingSet]:
-    """Sink SCCs of the graph as absorbing sets, canonically ordered: the
-    members of each set by ``structure_key``, and the sets by their least
-    member.
+    """Sink SCCs of the graph (``DominationGraph.sinks``, from its one
+    Tarjan pass) as absorbing sets, canonically ordered: the members of
+    each set by ``structure_key``, and the sets by their least member.
 
     On a graph whose node ids are in ``structure_key`` order
     (``DominationGraph.key_ordered``), such as every full graph, that is
     id order, and no key is computed; on any other graph the members are
     sorted by the graph's ``order``: as plain tuples when no coalition of
     its game has three or more agents, which is that order, and by
-    ``structure_key`` otherwise (``structures._order_key``). Computed once
-    per graph and memoized on it; each call returns a new list.
+    ``structure_key`` otherwise (``structures._order_key``). Each call
+    builds a new list of new sets.
     """
-    if G._sinks is None:
-        G._sinks = _scan_sinks(G)
-    return list(G._sinks)
-
-
-def _scan_sinks(G: DominationGraph) -> list[AbsorbingSet]:
-    comps = G.sccs()
-    comp_of = G._comp_of
-    has_out = [False] * len(comps)
-    for v, out in enumerate(G.adj):
-        cv = comp_of[v]
-        if has_out[cv]:
-            continue
-        for w, _ in out:
-            if comp_of[w] != cv:
-                has_out[cv] = True
-                break
-    sinks = [comp for ci, comp in enumerate(comps) if not has_out[ci]]
     nodes = G.nodes
     if G.key_ordered():
-        # each component is sorted by id, so its least id comes first
-        sinks.sort(key=lambda comp: comp[0])
+        # sorted disjoint id lists fall in order of their least ids
+        sinks = sorted(sorted(comp) for comp in G.sinks())
         return [AbsorbingSet(tuple(nodes[v] for v in comp)) for comp in sinks]
     order = G.order
-    sets = [AbsorbingSet(tuple(sorted((nodes[v] for v in comp), key=order))) for comp in sinks]
+    sets = [AbsorbingSet(tuple(sorted((nodes[v] for v in comp), key=order))) for comp in G.sinks()]
     if order is None:
         return sorted(sets, key=lambda a: a.members[0])
     return sorted(sets, key=lambda a: order(a.members[0]))

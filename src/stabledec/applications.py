@@ -18,10 +18,10 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping, Sequence
 
-from .core import Game, _Frozen, _is_list_like, _setattr
+from .core import Game, _agent_key, _Frozen, _is_list_like, _setattr
 from .errors import MalformedSpec, VerificationFailed
 from .structures import DEFAULT_LIMIT, singleton_structure, structure_key
-from .absorbing import Analysis, sink_components
+from .absorbing import Analysis
 
 
 def _check_pref_table(n: int, preferences: Mapping) -> dict[int, list[int]]:
@@ -29,10 +29,9 @@ def _check_pref_table(n: int, preferences: Mapping) -> dict[int, list[int]]:
         raise MalformedSpec("preferences must map agents to partner lists")
     table: dict[int, list[int]] = {}
     for key, partners in preferences.items():
-        try:
-            agent = int(key)
-        except (TypeError, ValueError):
-            raise MalformedSpec(f"bad agent id {key!r}") from None
+        agent = _agent_key(key)
+        if agent is None:
+            raise MalformedSpec(f"bad agent id {key!r}")
         if not 1 <= agent <= n:
             raise MalformedSpec(f"agent id {agent} is out of range")
         if agent in table:
@@ -141,11 +140,12 @@ def converges_to_stability(
     structure, by ``structure_key``, from which no stable structure is
     reachable. On a graph with no stable structure that is all agents
     single, the least structure, whether or not the graph holds it, as a
-    closure need not. Otherwise the memoized SCCs are walked once in Tarjan's
-    reverse topological order: a component reaches a stable structure when
-    it holds one or has an edge into a component that reaches one. The
-    verdict is cross-checked against triviality of the sink components; the
-    two routes must agree.
+    closure need not. Otherwise the graph's memoized SCCs are walked once in
+    Tarjan's reverse topological order: a component reaches a stable
+    structure when it holds one or has an edge into a component that
+    reaches one. The verdict is cross-checked against the sinks of the same
+    Tarjan pass (``DominationGraph.sinks``): it holds exactly when every
+    sink has one member.
 
     Without ``graph`` the verdict comes from ``factored_convergence``, per
     factor; with it, from that graph. A graph that holds a stable structure
@@ -160,7 +160,7 @@ def converges_to_stability(
         stragglers = range(len(graph))
     else:
         comps = graph.sccs()
-        comp_of = graph._comp_of
+        comp_of = graph.comp_of()
         good = [False] * len(comps)
         # every edge leaving a component points at a lower index
         for ci, comp in enumerate(comps):
@@ -170,8 +170,7 @@ def converges_to_stability(
         stragglers = [v for v in range(len(graph)) if not good[comp_of[v]]]
     verdict = not stragglers
 
-    trivial_sinks = all(a.trivial for a in sink_components(graph))
-    if verdict != trivial_sinks:
+    if verdict != all(len(comp) == 1 for comp in graph.sinks()):
         raise VerificationFailed(
             "reverse reachability disagrees with sink triviality"
         )

@@ -86,6 +86,30 @@ def coalition(agents: Iterable[int]) -> int:
     return mask
 
 
+def _entry_mask(entry) -> int:
+    """A coalition entry as its mask: an ``int`` mask that is not a
+    ``bool``, or an iterable of agent ids (``coalition``)."""
+    if isinstance(entry, int) and not isinstance(entry, bool):
+        return entry
+    try:
+        ids = iter(entry)
+    except TypeError:
+        raise MalformedInput(
+            f"coalition entry {entry!r} is not a mask or a list of agent ids"
+        ) from None
+    return coalition(ids)
+
+
+def _agent_key(key) -> int | None:
+    """The agent id a preference key names: an ``int`` that is not a
+    ``bool``, or a string of ASCII digits; ``None`` for any other key."""
+    if isinstance(key, str):
+        return int(key) if key.isascii() and key.isdigit() else None
+    if isinstance(key, int) and not isinstance(key, bool):
+        return int(key)
+    return None
+
+
 def members(mask: int) -> tuple[int, ...]:
     """Agent ids of a coalition, ascending."""
     if mask < 0:
@@ -180,13 +204,13 @@ class Game:
     def _normalize(n, rankings):
         """The rankings as mask tuples, their position tables and the
         permissible set, from one pass that checks each entry once. An entry
-        is a mask or an iterable of agent ids."""
+        is a mask or an iterable of agent ids (``_entry_mask``)."""
         if isinstance(rankings, Mapping):
             items = dict(rankings)
         else:
             items = {i + 1: rankings[i] for i in range(len(rankings))}
         for agent in items:
-            if not (isinstance(agent, int) and 1 <= agent <= n):
+            if isinstance(agent, bool) or not (isinstance(agent, int) and 1 <= agent <= n):
                 raise AgentIdOutOfRange(f"ranking row for agent {agent!r} is out of range 1..{n}")
         outside = ~((1 << n) - 1)
         out = []
@@ -205,8 +229,8 @@ class Game:
             pos: dict[int, int] = {}
             above = True
             for entry in raw:
-                if type(entry) is not int and not isinstance(entry, int):
-                    entry = coalition(entry)
+                if type(entry) is not int:
+                    entry = _entry_mask(entry)
                 if entry <= 0:
                     if entry:
                         raise MalformedInput(f"agent {i} ranked negative mask {entry}")
@@ -344,10 +368,9 @@ def game_from_dict(obj) -> Game:
     # first; the Sequence and isinstance tests decide what they do not pass.
     rankings: dict[int, list] = {}
     for key, ranking in prefs.items():
-        try:
-            agent = int(key)
-        except (TypeError, ValueError):
-            raise MalformedInput(f"preference key {key!r} is not an agent id") from None
+        agent = _agent_key(key)
+        if agent is None:
+            raise MalformedInput(f"preference key {key!r} is not an agent id")
         if not 1 <= agent <= (n if n >= 1 else 0):
             raise AgentIdOutOfRange(f"preference key {agent} is out of range 1..{n}")
         if agent in rankings:

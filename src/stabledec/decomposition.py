@@ -31,9 +31,9 @@ from collections.abc import Iterable
 
 from .core import (
     Game,
+    _entry_mask,
     _Frozen,
     _setattr,
-    coalition,
     compact_coalition,
     lowest_agent,
     members,
@@ -101,7 +101,7 @@ def make_party(g: Game, coalitions: Iterable) -> Party:
     """
     masks = []
     for c in coalitions:
-        mask = c if isinstance(c, int) else coalition(c)
+        mask = _entry_mask(c)
         if mask <= 0:
             raise MalformedParty("parties cannot contain an empty coalition")
         above = mask >> g.n

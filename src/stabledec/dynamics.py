@@ -69,19 +69,25 @@ def successors(g: Game, pi: tuple[int, ...]) -> list[DominationEdge]:
     return out
 
 
-def _tarjan(adj) -> list[list[int]]:
+def _tarjan(adj) -> tuple[list[list[int]], list[int], list[bool]]:
     """Strongly connected components of a digraph, iterative Tarjan lowlink.
 
     ``adj[v]`` lists out-edges whose first item is the target index. Each
     component lists its nodes in the order they leave the Tarjan stack;
-    components come out in reverse topological order.
+    components come out in reverse topological order. Returns them, each
+    node's component index and a sink flag per component. An index is
+    ``-1`` until its component closes, so an edge into a node with one, or
+    a tree edge into a child that closed, leaves the open component:
+    ``leaves`` marks that node and its ancestors up to the component root.
     """
     n = len(adj)
     index = [-1] * n
     low = [0] * n
-    on = [False] * n
+    comp_of = [-1] * n
+    leaves = [False] * n
     stack: list[int] = []
     comps: list[list[int]] = []
+    sink: list[bool] = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
@@ -89,7 +95,6 @@ def _tarjan(adj) -> list[list[int]]:
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on[root] = True
         work = [(root, iter(adj[root]))]
         while work:
             v, edges = work[-1]
@@ -99,10 +104,11 @@ def _tarjan(adj) -> list[list[int]]:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on[w] = True
                     work.append((w, iter(adj[w])))
                     break
-                if on[w] and index[w] < low[v]:
+                if comp_of[w] != -1:
+                    leaves[v] = True
+                elif index[w] < low[v]:
                     low[v] = index[w]
             else:
                 work.pop()
@@ -111,14 +117,17 @@ def _tarjan(adj) -> list[list[int]]:
                     w = -1
                     while w != v:
                         w = stack.pop()
-                        on[w] = False
+                        comp_of[w] = len(comps)
                         comp.append(w)
                     comps.append(comp)
+                    sink.append(not leaves[v])
                 if work:
                     u = work[-1][0]
                     if low[v] < low[u]:
                         low[u] = low[v]
-    return comps
+                    if leaves[v] or comp_of[v] != -1:
+                        leaves[u] = True
+    return comps, comp_of, sink
 
 
 class DominationGraph:
@@ -129,9 +138,10 @@ class DominationGraph:
     non-single parts, which identifies the structure within its game. For
     an edge ``u -> v`` via ``c``, ``keys[v] & ~keys[u]`` is the bit of ``c``
     and ``keys[u] & ~keys[v]`` the bits of the parts of ``u`` that meet
-    ``c``, which its formation dissolves. Strongly connected components and
-    the sink components (``absorbing.sink_components``) are computed once
-    on demand and memoized.
+    ``c``, which its formation dissolves. One Tarjan pass, run on demand
+    and memoized, gives the strongly connected components (``sccs``), each
+    node's component (``comp_of``) and the sink components (``sinks``),
+    which are the absorbing sets (``absorbing.sink_components``).
 
     Seeds are numbered first, in ``structure_key`` order, and discovered
     nodes after them. So when every node is a seed (``key_ordered``), as on
@@ -153,9 +163,6 @@ class DominationGraph:
         self.order = order
         self._index = {pi: v for v, pi in enumerate(nodes)}
         self._comps = None
-        self._comp_of = None
-        # the absorbing sets, filled by absorbing.py
-        self._sinks = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -178,19 +185,24 @@ class DominationGraph:
         return sum(len(a) for a in self.adj)
 
     def sccs(self) -> list[list[int]]:
-        """Strongly connected components, each sorted, in reverse topological
-        order: every edge leaving a component points at a lower component
-        index.
-        """
+        """Strongly connected components in reverse topological order: every
+        edge leaving a component points at a lower component index. Each
+        lists its nodes in Tarjan stack-pop order, not sorted."""
         if self._comps is None:
-            comps = [sorted(comp) for comp in _tarjan(self.adj)]
-            comp_of = [-1] * len(self.nodes)
-            for ci, comp in enumerate(comps):
-                for v in comp:
-                    comp_of[v] = ci
+            comps, self._comp_of, sink = _tarjan(self.adj)
+            self._sinks = [comp for comp, s in zip(comps, sink) if s]
             self._comps = comps
-            self._comp_of = comp_of
         return self._comps
+
+    def comp_of(self) -> list[int]:
+        """Each node's component index in ``sccs()``."""
+        self.sccs()
+        return self._comp_of
+
+    def sinks(self) -> list[list[int]]:
+        """The components that no edge leaves, in ``sccs()`` order."""
+        self.sccs()
+        return self._sinks
 
 
 def transitively_dominates(G: DominationGraph, a, b, strict_self: bool = False) -> bool:

@@ -153,7 +153,7 @@ def _pref_digraph_sccs(g: Game, masks: Sequence[int]) -> list[list[int]]:
             succ ^= low
             out.append((index[low],))
         adj.append(out)
-    return _tarjan(adj)
+    return _tarjan(adj)[0]
 
 
 class RingComponent(_Frozen):
@@ -353,7 +353,7 @@ def _family_search(
     # each component of two or more coalitions not yet one family, with
     # its least coalition
     unmerged = [
-        (masks[min(comp)], {masks[i] for i in comp}) for comp in _tarjan(steps) if len(comp) > 1
+        (masks[min(comp)], {masks[i] for i in comp}) for comp in _tarjan(steps)[0] if len(comp) > 1
     ]
     if roots is None:
         roots = sorted(ids, key=lambda v: (-indegree[v], v))

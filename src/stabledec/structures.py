@@ -11,7 +11,7 @@ from collections.abc import Iterable, Iterator
 
 from .core import (
     Game,
-    coalition,
+    _entry_mask,
     lowest_agent,
     members,
     prefers,
@@ -32,7 +32,7 @@ def structure_from_parts(g: Game, parts) -> tuple[int, ...]:
     """Validate and canonicalize a partition given as masks or member lists."""
     masks = []
     for p in parts:
-        mask = p if isinstance(p, int) else coalition(p)
+        mask = p if type(p) is int else _entry_mask(p)
         if mask <= 0:
             if mask:
                 raise MalformedInput(f"part mask {mask} is negative")

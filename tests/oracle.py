@@ -14,6 +14,7 @@ import contextlib
 import io
 import itertools
 import json
+import re
 import sys
 from collections import deque
 from collections.abc import Mapping, Sequence
@@ -815,7 +816,7 @@ def _reference_tables(n, rankings):
     else:
         items = {i + 1: rankings[i] for i in range(len(rankings))}
     for agent in items:
-        if not (isinstance(agent, int) and 1 <= agent <= n):
+        if type(agent) is bool or not (isinstance(agent, int) and 1 <= agent <= n):
             raise AgentIdOutOfRange(f"ranking row for agent {agent!r} is out of range 1..{n}")
     full = (1 << n) - 1
     out = []
@@ -827,6 +828,12 @@ def _reference_tables(n, rankings):
         ranking = []
         seen = set()
         for entry in raw:
+            # an int mask that is not a bool, or an iterable of agent ids
+            iterable = hasattr(entry, "__iter__")
+            if type(entry) is bool or not (isinstance(entry, int) or iterable):
+                raise MalformedInput(
+                    f"coalition entry {entry!r} is not a mask or a list of agent ids"
+                )
             mask = entry if isinstance(entry, int) else coalition(entry)
             if mask == 0:
                 raise InconsistentRanking(f"agent {i} ranked an empty coalition")
@@ -873,10 +880,13 @@ def _reference_from_dict(obj):
         raise MalformedInput("'preferences' must be a mapping")
     rankings = {}
     for key, ranking in prefs.items():
-        try:
+        # a key is an int that is not a bool, or a string of ASCII digits
+        if isinstance(key, str) and re.fullmatch("[0-9]+", key):
             agent = int(key)
-        except (TypeError, ValueError):
-            raise MalformedInput(f"preference key {key!r} is not an agent id") from None
+        elif isinstance(key, int) and type(key) is not bool:
+            agent = key
+        else:
+            raise MalformedInput(f"preference key {key!r} is not an agent id")
         if not 1 <= agent <= (n if n >= 1 else 0):
             raise AgentIdOutOfRange(f"preference key {agent} is out of range 1..{n}")
         if agent in rankings:

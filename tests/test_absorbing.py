@@ -114,9 +114,13 @@ class TestSinkMemo:
         assert sink_components(graph) == second
 
     def test_analyze_scans_sinks_once(self, g7, monkeypatch):
-        calls = spy(monkeypatch, [], absorbing_module, "_scan_sinks")
+        # one SCC pass per domination graph gives its components and sinks;
+        # the rings' digraphs call the routine through their own name
+        built = spy(monkeypatch, [], dynamics_module, "DominationGraph", lambda *a: a[1])
+        passes = spy(monkeypatch, [], dynamics_module, "_tarjan", lambda adj: adj)
         report = json.loads(analyze_json(g7))
-        assert len(calls) == 1
+        assert len(built) == len(passes) == 1
+        assert passes[0] is built[0]
         assert len(report["absorbing_sets"]) == 4
 
 

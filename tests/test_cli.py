@@ -755,9 +755,10 @@ class TestBooleansAreNotAgentIds:
 
 
 class TestMalformedRows:
-    """A partner row that is not a list, and two preference keys naming one
-    agent, are malformed input (exit 2) in every schema, not a traceback
-    (exit 1, the limit's code) or a row read some other way."""
+    """A partner row that is not a list, two preference keys naming one
+    agent, and a key that is not ASCII digits are malformed input (exit 2)
+    in every schema, not a traceback (exit 1, the limit's code) or a row
+    read some other way."""
 
     @pytest.mark.parametrize("row", ["2", "null", '"2"', '{"2": 1}'])
     @pytest.mark.parametrize(
@@ -783,6 +784,24 @@ class TestMalformedRows:
         p.write_text(text)
         assert main(["analyze", str(p)]) == 2
         assert capsys.readouterr().err == "error: agent 1 listed twice\n"
+
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ('{"agents": 10, "preferences": {"10": [[10]], "1_0": [[10]]}}',
+             "preference key '1_0' is not an agent id"),
+            ('{"n": 10, "preferences": {"1_0": [10]}}', "bad agent id '1_0'"),
+            ('{"men": 1, "women": 1, "preferences": {"\\u0661": [2]}}',
+             "bad agent id '\u0661'"),
+        ],
+        ids=["game", "roommate", "marriage"],
+    )
+    def test_key_not_ascii_digits(self, tmp_path, text, error, capsys):
+        # int() read "1_0" as agent 10 and "\u0661" (Arabic-Indic) as agent 1
+        p = tmp_path / "game.json"
+        p.write_text(text, encoding="utf-8")
+        assert main(["analyze", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f \u00e9\u2028\ud800\U0001f600ab')

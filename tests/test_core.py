@@ -16,6 +16,7 @@ from stabledec import (
     Game,
     InconsistentRanking,
     MalformedInput,
+    MarriageSpec,
     RoommateSpec,
     coalition,
     compact_coalition,
@@ -23,6 +24,7 @@ from stabledec import (
     game_from_dict,
     intersects,
     lowest_agent,
+    make_party,
     marriage_to_game,
     members,
     parse_game_dsl,
@@ -33,6 +35,7 @@ from stabledec import (
     render_coalition,
     roommate_to_game,
     singleton,
+    structure_from_parts,
     transitively_prefers,
     unanimously_prefers,
 )
@@ -95,6 +98,44 @@ class TestCoalitionMasks:
         g = lambda: Game(3, {1: [(1, 2.9), (1,)], 2: [(1, 2), (2,)]})  # noqa: E731
         assert outcome(g) == ("MalformedInput", "agent id 2.9 is not an integer")
         assert coalition([_Agent.ONE, _Agent.TWO]) == C("12")
+
+
+class TestEntriesAndKeys:
+    """A coalition entry is an ``int`` mask that is not a ``bool``, or an
+    iterable of agent ids; a spec's agent key is an ``int`` that is not a
+    ``bool``, or a string of ASCII digits."""
+
+    ENTRY = "coalition entry {} is not a mask or a list of agent ids"
+
+    @pytest.mark.parametrize("entry", [True, 2.5, None])
+    def test_mask_entries(self, entry):
+        error = ("MalformedInput", self.ENTRY.format(entry))
+        g = Game(2, {})
+        assert outcome(lambda: Game(2, {1: [entry, 3, 1]})) == error
+        assert outcome(lambda: structure_from_parts(g, [entry, 2])) == error
+        assert outcome(lambda: make_party(g, [entry, 2])) == error
+        assert outcome(lambda: make_party(g, [entry])) == error
+
+    def test_mask_and_id_entries_still_accepted(self):
+        g = Game(2, {1: [C("12"), (1,)], 2: [[1, 2], C("2")]})
+        assert g.permissible == (C("12"),)
+        assert structure_from_parts(g, [(2, 1)]) == structure_from_parts(g, [C("12")])
+        assert make_party(g, [(1,), C("2")]).coalitions == (C("1"), C("2"))
+
+    def test_bool_row_key(self):
+        assert outcome(lambda: Game(2, {True: [3, 1], 2: [3, 2]})) == (
+            "AgentIdOutOfRange", "ranking row for agent True is out of range 1..2"
+        )
+
+    @pytest.mark.parametrize("key", [1.7, True, "1_0", "\u0661", "+1", ""])
+    def test_spec_keys(self, key):
+        error = ("MalformedSpec", f"bad agent id {key!r}")
+        assert outcome(lambda: RoommateSpec(10, {key: [2]})) == error
+        assert outcome(lambda: MarriageSpec(5, 5, {key: [6]})) == error
+
+    def test_spec_keys_still_accepted(self):
+        spec = RoommateSpec(2, {"01": [2], 2: [1]})
+        assert spec.preferences == RoommateSpec(2, {1: [2], 2: [1]}).preferences
 
 
 # Negative masks were not rejected: all but the last call looped forever, so
@@ -468,6 +509,19 @@ MALFORMED_GAMES = [
     # two keys naming one agent, as the spec schemas reject them
     ({"agents": 2, "preferences": {"1": [[0]], "01": [[1, 2], [1]], "2": [[1, 2], [2]]}},
      MalformedInput, "agent 1 listed twice"),
+    # a key is an int that is not a bool, or a string of ASCII digits:
+    # int() read "1_0" as 10, "\u0661" (an Arabic-Indic one) as 1, and
+    # truncated 1.7 to 1
+    ({"agents": 10, "preferences": {"10": [[10]], "1_0": [[10]]}}, MalformedInput,
+     "preference key '1_0' is not an agent id"),
+    ({"agents": 2, "preferences": {"\u0661": [[1]]}}, MalformedInput,
+     "preference key '\u0661' is not an agent id"),
+    ({"agents": 2, "preferences": {1.7: [[1]]}}, MalformedInput,
+     "preference key 1.7 is not an agent id"),
+    ({"agents": 2, "preferences": {True: [[1]]}}, MalformedInput,
+     "preference key True is not an agent id"),
+    ({"agents": 2, "preferences": {" 1": [[1]]}}, MalformedInput,
+     "preference key ' 1' is not an agent id"),
 ]
 
 # game objects both loaders accept
@@ -475,8 +529,9 @@ ACCEPTED_GAMES = [
     {"agents": 2, "preferences": {"1": [(1, 2), (1,)], "2": ((2, 1), [2])}},
     {"agents": 2, "preferences": {"1": [[_Agent.ONE, _Agent.TWO], [_Agent.ONE]],
                                   "2": [[2, _Agent.ONE], [_Agent.TWO]]}},
-    # a key need not be the agent's canonical id string
+    # a key need not be the agent's canonical id string, nor a string
     {"agents": 2, "preferences": {"01": [[1, 2], [1]], "2": [[1, 2], [2]]}},
+    {"agents": 2, "preferences": {1: [[1, 2], [1]], _Agent.TWO: [[1, 2], [2]]}},
     {"agents": 3, "preferences": {"3": [], "2": [[2, 3, 3], [2, 2]]}},
     {"agents": 1},
 ]
@@ -533,6 +588,9 @@ class TestLoader:
             [[0b1], [0b11]],
             [[0b1], [0b10], [0b100], [0b1]],
             [[(1, 0)], [(2, "x")]],
+            {True: [0b1], 2: [0b10]},
+            {1: [True, 0b1]},
+            {1: [0b1], 2: [2.5, 0b10]},
         ],
     )
     def test_direct_rankings(self, rankings):

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from stabledec import (
-    AbsorbingSet,
+    DominationGraph,
     VerificationFailed,
     converges_to_stability,
     enumerate_structures,
@@ -120,9 +120,10 @@ def test_empty_graph_converges(g7):
     assert converges_to_stability(g7, graph=G) == (True, None)
 
 
-def test_cross_check_still_fires(g7):
-    # the sinks route stays independent of the SCC walk
+def test_cross_check_still_fires(g7, monkeypatch):
+    # the sink flags stay independent of the SCC walk: sinks that disagree
+    # with it raise
     G = full_domination_graph(g7)
-    G._sinks = [AbsorbingSet((pi,)) for pi in G.nodes[:1]]
+    monkeypatch.setattr(DominationGraph, "sinks", lambda self: [[0]])
     with pytest.raises(VerificationFailed, match="disagrees with sink triviality"):
         converges_to_stability(g7, graph=G)

@@ -2,10 +2,11 @@
 
 ``dynamics._tarjan`` carries every graph-route factor's sinks and
 convergence verdict, each ring step digraph and condition (i) of every ring
-candidate, so its output must stay list-identical to the pointer-based
+candidate, so its components must stay list-identical to the pointer-based
 iterative Tarjan of ``oracle.reference_tarjan``: the same components, in
 the same reverse topological order, each with its members in stack-pop
-order.
+order. Each node's component index must name its component, and a
+component must be flagged a sink exactly when no edge leaves it.
 ``transitively_dominates`` is checked against a repeated one-step
 expansion of the adjacency.
 """
@@ -41,28 +42,43 @@ WALK_GAMES = [
 
 
 def check_sccs(adj):
-    comps = _tarjan(adj)
+    comps, comp_of, sink = _tarjan(adj)
     assert comps == reference_tarjan(adj)
     assert sorted(v for comp in comps for v in comp) == list(range(len(adj)))
-    # reverse topological: every edge leaving component i points below i
-    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    # each node's index names its component
+    named = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    assert comp_of == [named[v] for v in range(len(adj))]
+    # reverse topological: every edge leaving component i points below i;
+    # a component is a sink exactly when no edge leaves it
+    left = [False] * len(comps)
     for v, out in enumerate(adj):
         for e in out:
-            assert comp_of[e[0]] <= comp_of[v]
+            assert named[e[0]] <= named[v]
+            if named[e[0]] != named[v]:
+                left[named[v]] = True
+    assert sink == [not x for x in left]
     return comps
+
+
+def check_graph(G):
+    # the graph keeps the one pass's components, node indices and sinks
+    comps, comp_of, sink = _tarjan(G.adj)
+    assert G.sccs() == check_sccs(G.adj)
+    assert G.comp_of() == comp_of
+    assert G.sinks() == [comp for comp, s in zip(comps, sink) if s]
 
 
 class TestTarjanOnGraphs:
     @pytest.mark.parametrize("label", list(GAMES))
     def test_full_graph(self, label):
-        check_sccs(build(GAMES[label]()).graph.adj)
+        check_graph(build(GAMES[label]()).graph)
 
     @pytest.mark.parametrize("label", list(GAMES))
     def test_closures_of_strict_subsets(self, label):
         # the upper half in key order and the greatest structure alone
         b = build(GAMES[label]())
         for k in (0, 1):
-            check_sccs(b.partial_graph(k).adj)
+            check_graph(b.partial_graph(k))
 
     @pytest.mark.parametrize("label", list(GAMES))
     def test_improvement_digraph_over_the_permissible_set(self, label):
