@@ -702,7 +702,7 @@ def reaches_absorbing(
     for a in sinks:
         for m in a.members:
             sink_of[G.node_id(m)] = a
-    parent: dict[int, tuple[int, int] | None] = {start: None}
+    parent: dict[int, int | None] = {start: None}
     order = deque([start])
     while order:
         v = order.popleft()
@@ -710,13 +710,13 @@ def reaches_absorbing(
             path: list[DominationEdge] = []
             cur = v
             while parent[cur] is not None:
-                prev, via = parent[cur]
-                path.append(DominationEdge(G.nodes[prev], G.nodes[cur], via))
+                prev = parent[cur]
+                path.append(DominationEdge(G.nodes[prev], G.nodes[cur], G.via(prev, cur)))
                 cur = prev
             path.reverse()
             return sink_of[v], path
-        for w, via in G.adj[v]:
+        for w in G.succ[v]:
             if w not in parent:
-                parent[w] = (v, via)
+                parent[w] = v
                 order.append(w)
     raise VerificationFailed("no absorbing set reachable; the graph is finite, so this is a bug")

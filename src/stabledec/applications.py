@@ -154,8 +154,8 @@ def converges_to_stability(
     """
     if graph is None:
         return factored_convergence(Analysis(g, limit))
-    adj = graph.adj
-    stuck = bool(graph.nodes) and all(adj)
+    succ = graph.succ
+    stuck = bool(graph.nodes) and all(succ)
     if stuck:
         stragglers = range(len(graph))
     else:
@@ -165,7 +165,7 @@ def converges_to_stability(
         # every edge leaving a component points at a lower index
         for ci, comp in enumerate(comps):
             good[ci] = any(
-                not adj[v] or any(good[comp_of[w]] for w, _ in adj[v]) for v in comp
+                not succ[v] or any(good[comp_of[w]] for w in succ[v]) for v in comp
             )
         stragglers = [v for v in range(len(graph)) if not good[comp_of[v]]]
     verdict = not stragglers

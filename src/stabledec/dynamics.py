@@ -69,22 +69,26 @@ def successors(g: Game, pi: tuple[int, ...]) -> list[DominationEdge]:
     return out
 
 
-def _tarjan(adj) -> tuple[list[list[int]], list[int], list[bool]]:
+def _tarjan(adj) -> tuple[list[list[int]], list[int], list[bool], list[int]]:
     """Strongly connected components of a digraph, iterative Tarjan lowlink.
 
-    ``adj[v]`` lists out-edges whose first item is the target index. Each
-    component lists its nodes in the order they leave the Tarjan stack;
-    components come out in reverse topological order. Returns them, each
-    node's component index and a sink flag per component. An index is
-    ``-1`` until its component closes, so an edge into a node with one, or
-    a tree edge into a child that closed, leaves the open component:
-    ``leaves`` marks that node and its ancestors up to the component root.
+    ``adj[v]`` lists the target ids of ``v``'s out-edges. Each component
+    lists its nodes in the order they leave the Tarjan stack; components
+    come out in reverse topological order. Returns them, each node's
+    component index, a sink flag per component and each node's in-degree
+    from its own component. An index is ``-1`` until its component closes,
+    so an edge into a node with one, or a tree edge into a child that
+    closed, leaves the open component: ``leaves`` marks that node and its
+    ancestors up to the component root. Every other edge, into a node
+    still on the stack or a tree edge into a child whose component did not
+    close, joins two nodes of one component and is counted.
     """
     n = len(adj)
     index = [-1] * n
     low = [0] * n
     comp_of = [-1] * n
     leaves = [False] * n
+    indegree = [0] * n
     stack: list[int] = []
     comps: list[list[int]] = []
     sink: list[bool] = []
@@ -98,8 +102,7 @@ def _tarjan(adj) -> tuple[list[list[int]], list[int], list[bool]]:
         work = [(root, iter(adj[root]))]
         while work:
             v, edges = work[-1]
-            for e in edges:
-                w = e[0]
+            for w in edges:
                 if index[w] == -1:
                     index[w] = low[w] = counter
                     counter += 1
@@ -108,8 +111,10 @@ def _tarjan(adj) -> tuple[list[list[int]], list[int], list[bool]]:
                     break
                 if comp_of[w] != -1:
                     leaves[v] = True
-                elif index[w] < low[v]:
-                    low[v] = index[w]
+                else:
+                    indegree[w] += 1
+                    if index[w] < low[v]:
+                        low[v] = index[w]
             else:
                 work.pop()
                 if low[v] == index[v]:
@@ -125,23 +130,32 @@ def _tarjan(adj) -> tuple[list[list[int]], list[int], list[bool]]:
                     u = work[-1][0]
                     if low[v] < low[u]:
                         low[u] = low[v]
-                    if leaves[v] or comp_of[v] != -1:
+                    if comp_of[v] != -1:
                         leaves[u] = True
-    return comps, comp_of, sink
+                    else:
+                        indegree[v] += 1
+                        if leaves[v]:
+                            leaves[u] = True
+    return comps, comp_of, sink, indegree
 
 
 class DominationGraph:
     """Immutable domination digraph over a set of structures.
 
-    ``adj[v]`` lists ``(target_id, via_mask)`` pairs in ascending via order.
-    ``keys[v]`` is node ``v``'s key: the K-bitset (``Game.expansion``) of its
-    non-single parts, which identifies the structure within its game. For
-    an edge ``u -> v`` via ``c``, ``keys[v] & ~keys[u]`` is the bit of ``c``
-    and ``keys[u] & ~keys[v]`` the bits of the parts of ``u`` that meet
-    ``c``, which its formation dissolves. One Tarjan pass, run on demand
-    and memoized, gives the strongly connected components (``sccs``), each
-    node's component (``comp_of``) and the sink components (``sinks``),
-    which are the absorbing sets (``absorbing.sink_components``).
+    ``succ[v]`` lists the target ids of node ``v``'s out-edges in ascending
+    via order, and ``via_bits[v]`` is the K-bitset (``Game.expansion``) of
+    their vias, the coalitions that block ``v``. ``keys[v]`` is node
+    ``v``'s key: the K-bitset of its non-single parts, which identifies the
+    structure within its game. For an edge ``u -> v`` via ``c``,
+    ``keys[v] & ~keys[u]`` is the bit of ``c``, so no via is stored per
+    edge (``via``), and ``keys[u] & ~keys[v]`` the bits of the parts of
+    ``u`` that meet ``c``, which its formation dissolves. ``adj[v]`` lists
+    ``(target_id, via_mask)`` pairs; it is built on first use. One Tarjan
+    pass, run on demand and memoized, gives the strongly connected
+    components (``sccs``), each node's component (``comp_of``), the sink
+    components (``sinks``), which are the absorbing sets
+    (``absorbing.sink_components``), and each node's in-degree from its own
+    component (``in_degrees``).
 
     Seeds are numbered first, in ``structure_key`` order, and discovered
     nodes after them. So when every node is a seed (``key_ordered``), as on
@@ -152,16 +166,20 @@ class DominationGraph:
     """
 
     __slots__ = (
-        "nodes", "adj", "keys", "seeds", "order", "_index", "_comps", "_comp_of", "_sinks",
+        "nodes", "succ", "via_bits", "keys", "seeds", "order", "_permissible", "_index",
+        "_adj", "_comps", "_comp_of", "_sink", "_sinks", "_in_degrees",
     )
 
-    def __init__(self, nodes, adj, keys, seeds, order):
+    def __init__(self, nodes, succ, via_bits, keys, seeds, order, permissible):
         self.nodes: list[tuple[int, ...]] = nodes
-        self.adj: list[list[tuple[int, int]]] = adj
+        self.succ: list[list[int]] = succ
+        self.via_bits: list[int] = via_bits
         self.keys: list[int] = keys
         self.seeds: tuple[int, ...] = tuple(seeds)
         self.order = order
+        self._permissible: tuple[int, ...] = permissible
         self._index = {pi: v for v, pi in enumerate(nodes)}
+        self._adj = None
         self._comps = None
 
     def __len__(self) -> int:
@@ -182,15 +200,27 @@ class DominationGraph:
         return len(self.seeds) == len(self.nodes)
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj)
+        return sum(len(out) for out in self.succ)
+
+    def via(self, u: int, v: int) -> int:
+        """The via coalition of the edge ``u -> v``, read off the keys."""
+        return self._permissible[(self.keys[v] & ~self.keys[u]).bit_length() - 1]
+
+    @property
+    def adj(self) -> list[list[tuple[int, int]]]:
+        """``(target_id, via_mask)`` pairs per node, in ascending via order."""
+        if self._adj is None:
+            via = self.via
+            self._adj = [[(w, via(u, w)) for w in out] for u, out in enumerate(self.succ)]
+        return self._adj
 
     def sccs(self) -> list[list[int]]:
         """Strongly connected components in reverse topological order: every
         edge leaving a component points at a lower component index. Each
         lists its nodes in Tarjan stack-pop order, not sorted."""
         if self._comps is None:
-            comps, self._comp_of, sink = _tarjan(self.adj)
-            self._sinks = [comp for comp, s in zip(comps, sink) if s]
+            comps, self._comp_of, self._sink, self._in_degrees = _tarjan(self.succ)
+            self._sinks = [comp for comp, s in zip(comps, self._sink) if s]
             self._comps = comps
         return self._comps
 
@@ -199,10 +229,22 @@ class DominationGraph:
         self.sccs()
         return self._comp_of
 
+    def is_sink(self, ci: int) -> bool:
+        """Whether no edge leaves component ``ci`` of ``sccs()``."""
+        self.sccs()
+        return self._sink[ci]
+
     def sinks(self) -> list[list[int]]:
         """The components that no edge leaves, in ``sccs()`` order."""
         self.sccs()
         return self._sinks
+
+    def in_degrees(self) -> list[int]:
+        """Each node's in-degree from its own component: the edges into it
+        whose source lies in its component. On a sink component these are
+        all its edges."""
+        self.sccs()
+        return self._in_degrees
 
 
 def transitively_dominates(G: DominationGraph, a, b, strict_self: bool = False) -> bool:
@@ -218,7 +260,7 @@ def transitively_dominates(G: DominationGraph, a, b, strict_self: bool = False) 
     seen = {ib}
     todo = [ib]
     while todo:
-        for w, _ in G.adj[todo.pop()]:
+        for w in G.succ[todo.pop()]:
             if w == ia:
                 return True
             if w not in seen:
@@ -264,7 +306,8 @@ def _grow(g: Game, keyed_seeds: Iterable, limit: int) -> DominationGraph:
     if len(nodes) > limit:
         raise LimitExceeded(f"domination graph exceeds {limit} nodes")
     index = dict(zip(keys, range(len(keys))))
-    adj: list[list[tuple[int, int]]] = []
+    succ: list[list[int]] = []
+    via_bits: list[int] = []
     seed_ids = range(len(nodes))
 
     v = 0
@@ -274,8 +317,9 @@ def _grow(g: Game, keyed_seeds: Iterable, limit: int) -> DominationGraph:
         blocking = -1
         for p in pi:
             blocking &= better[p]
+        via_bits.append(blocking)
         out = []
-        adj.append(out)
+        succ.append(out)
         # set bits low to high are the blocking coalitions in mask order
         while blocking:
             low = blocking & -blocking
@@ -290,9 +334,9 @@ def _grow(g: Game, keyed_seeds: Iterable, limit: int) -> DominationGraph:
                 nodes.append(_form(pi, c, lowest))
                 keys.append(key2)
                 index[key2] = w
-            out.append((w, c))
+            out.append(w)
         v += 1
-    return DominationGraph(nodes, adj, keys, seed_ids, _order_key(g))
+    return DominationGraph(nodes, succ, via_bits, keys, seed_ids, _order_key(g), g.permissible)
 
 
 def to_dot(G: DominationGraph, highlight: Iterable[int] = ()) -> str:

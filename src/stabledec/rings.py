@@ -8,9 +8,14 @@ maximal sets from within. Ring components are recovered from a non-trivial
 absorbing set by extracting a ring from a cycle through every edge, closed
 by a shortest path back, and merging rings that share a coalition; the
 walks from every start of a cycle share one table of next meeting vias
-(``_walk_table``). The searches stop once every strongly connected
-component of the set's step digraph, folded per member off the node keys
-(``_in_degrees_and_steps``), is one merged family (``_ring_families``).
+(``_walk_table``). The graph stores its edges as target ids, and every via
+is read off the node keys. The set's in-degrees come from the graph's one
+Tarjan pass, and its step digraph is folded per member off the keys and the
+via bits (``_in_degrees_and_steps``), so no edge is walked outside the
+searches. One breadth-first search per member closes the cycle of each
+in-edge as its source is discovered, recognised from the keys. The
+searches stop once every strongly connected component of the step digraph
+is one merged family (``_ring_families``).
 """
 
 from __future__ import annotations
@@ -151,7 +156,7 @@ def _pref_digraph_sccs(g: Game, masks: Sequence[int]) -> list[list[int]]:
         while succ:
             low = succ & -succ
             succ ^= low
-            out.append((index[low],))
+            out.append(index[low])
         adj.append(out)
     return _tarjan(adj)[0]
 
@@ -251,40 +256,40 @@ def classify_simple(g: Game, coalitions: Iterable[int]) -> bool:
 def _in_degrees_and_steps(
     G: DominationGraph, ids: Sequence[int]
 ) -> tuple[list[int], int, dict[int, int]]:
-    """One pass over the edges of a set of nodes closed under domination:
-    the in-degree of each member (``-1`` off the set), the K-bits of every
-    via formed on an edge, and the step digraph folded per member.
+    """For a set of nodes that is exactly one sink component of ``G``: each
+    node's in-degree from its own component (``DominationGraph.in_degrees``),
+    the K-bits of every via formed from a member, and the step digraph
+    folded per member. No edge is walked.
 
     An edge ``u -> v`` forms one via and dissolves the parts of ``u`` that
-    meet it, so ``keys[v] & ~keys[u]`` is the via's K-bit. Per edge the pass
-    only counts the in-degree and ORs ``keys[v]`` into ``acc``; then
-    ``acc & ~keys[u]`` holds the vias formed from ``u``, and it is folded
-    into ``fold[d]`` for each K-bit ``d`` of ``keys[u]``. A coalition ``d``
-    steps to a via ``c`` (``d`` is dissolved where ``c`` forms) exactly when
-    ``c`` is in ``fold[d] & meets[j(d)]``: some member holds ``d`` and forms
-    ``c``, and ``c`` meets ``d``."""
-    adj, keys = G.adj, G.keys
-    indegree = [-1] * len(G)
-    for v in ids:
-        indegree[v] = 0
+    meet it, so ``via_bits[u]`` holds the vias formed from ``u``, and it is
+    folded into ``fold[d]`` for each K-bit ``d`` of ``keys[u]``. A coalition
+    ``d`` steps to a via ``c`` (``d`` is dissolved where ``c`` forms)
+    exactly when ``c`` is in ``fold[d] & meets[j(d)]``: some member holds
+    ``d`` and forms ``c``, and ``c`` meets ``d``. A set that is not one sink
+    component, such as a strict part of one or a union of several, raises
+    ``VerificationFailed``."""
+    comp_of = G.comp_of()
+    ci = comp_of[ids[0]] if ids else -1
+    if not (
+        ids
+        and G.is_sink(ci)
+        and len(G.sccs()[ci]) == len(ids) == len(set(ids))
+        and all(comp_of[v] == ci for v in ids)
+    ):
+        raise VerificationFailed("absorbing set is not one sink component of the graph")
+    via_bits, keys = G.via_bits, G.keys
     formed = 0
     fold: dict[int, int] = {}
     for u in ids:
-        acc = 0
-        for v, _ in adj[u]:
-            d = indegree[v]
-            if d < 0:
-                raise VerificationFailed("absorbing set has an outgoing edge")
-            indegree[v] = d + 1
-            acc |= keys[v]
-        key = keys[u]
-        acc &= ~key
+        acc = via_bits[u]
         formed |= acc
+        key = keys[u]
         while key:
             low = key & -key
             key ^= low
             fold[low] = fold.get(low, 0) | acc
-    return indegree, formed, fold
+    return G.in_degrees(), formed, fold
 
 
 def _ring_families(g: Game, G: DominationGraph, absorbing) -> list[set[int]]:
@@ -295,11 +300,13 @@ def _ring_families(g: Game, G: DominationGraph, absorbing) -> list[set[int]]:
     path ``v -> u`` that breadth-first search from ``v`` finds; a ring is
     extracted from every start position of that cycle, all walks on one
     ``_walk_table``. One search from each member ``v`` serves all the edges
-    into ``v``: expanding a node ``u`` with an edge to ``v`` closes that
-    edge's cycle, and the search stops once it has closed as many as ``v``
-    has in-edges. Since a node's search-tree parent is fixed when it is
-    first discovered, each path equals the one a search from ``v`` stopping
-    at that single in-neighbour would find.
+    into ``v``: discovering a node ``u`` with an edge to ``v``, recognised
+    from the keys, closes that edge's cycle, and the search stops once it
+    has closed as many as ``v`` has in-edges. Since a node's search-tree
+    parent is fixed when it is first discovered, each path equals the one a
+    search from ``v`` stopping at that single in-neighbour would find, and
+    the queue is first in, first out, so the cycles come in the order in
+    which a search closing them on expansion would close them.
 
     A ring steps from a coalition to the first later via meeting it, and
     the coalition stands until then: each step goes from a coalition of a
@@ -327,7 +334,6 @@ def _family_search(
     """``_ring_families``' families, and the members it searched from, in
     order; ``roots``, an order of all the members, replaces the default."""
     ids = [G.node_id(pi) for pi in absorbing.members]
-    adj = G.adj
     indegree, formed, fold = _in_degrees_and_steps(G, ids)
     # the step digraph over the vias, in K order, the order of their masks;
     # a coalition that is never a via has no step into it and is left out
@@ -347,7 +353,7 @@ def _family_search(
         while succ:
             low = succ & -succ
             succ ^= low
-            out.append((index[low],))
+            out.append(index[low])
         steps.append(out)
     masks = [ks[d.bit_length() - 1] for d in order]
     # each component of two or more coalitions not yet one family, with
@@ -358,16 +364,21 @@ def _family_search(
     if roots is None:
         roots = sorted(ids, key=lambda v: (-indegree[v], v))
     # per-node search state, stamped with the search root instead of reset
-    n = len(G)
-    seen_by = [-1] * n
-    prev = [0] * n
-    pvia = [0] * n
+    targets, via_bits, keys, via = G.succ, G.via_bits, G.keys, G.via
+    seen_by = [-1] * len(G)
+    prev = [0] * len(G)
 
     def cycles(v: int):
         """The vias of the cycle each edge into ``v`` closes, aligned with
         the cycle (v, ..., u): first the edge into v, then the path steps in
-        forward order; no two edges join the same pair of structures."""
+        forward order; no two edges join the same pair of structures.
+
+        A node ``u`` is an in-neighbour of ``v`` exactly when
+        ``b = keys[v] & ~keys[u]`` is one K-bit, a via that ``u`` forms,
+        whose formation turns ``keys[u]`` into ``keys[v]``; so each cycle is
+        closed as ``u`` is discovered, where its tree path is fixed."""
         left = indegree[v]
+        kv = keys[v]
         seen_by[v] = v
         queue = [v]
         head = 0
@@ -376,23 +387,29 @@ def _family_search(
                 raise VerificationFailed("absorbing set is not strongly connected")
             x = queue[head]
             head += 1
-            for w, wv in adj[x]:
-                if w == v:
+            for u in targets[x]:
+                if seen_by[u] == v:
+                    continue
+                seen_by[u] = v
+                prev[u] = x
+                queue.append(u)
+                b = kv & ~keys[u]
+                if (
+                    b & via_bits[u]
+                    and not b & (b - 1)
+                    and keys[u] & ~meets[b.bit_length() - 1] | b == kv
+                ):
                     path = []
-                    u = x
-                    while u != v:
-                        path.append(pvia[u])
-                        u = prev[u]
-                    path.append(wv)
+                    w = u
+                    while w != v:
+                        p = prev[w]
+                        path.append(via(p, w))
+                        w = p
+                    path.append(ks[b.bit_length() - 1])
                     yield tuple(reversed(path))
                     left -= 1
                     if not left:
                         return
-                elif seen_by[w] != v:
-                    seen_by[w] = v
-                    prev[w] = x
-                    pvia[w] = wv
-                    queue.append(w)
 
     # coalition -> its family, one set shared by all of the family's
     # coalitions; the families are disjoint, so coalitions share one family

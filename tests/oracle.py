@@ -109,7 +109,8 @@ def reference_graph(g, seeds):
 
 def reference_tarjan(adj):
     """Iterative Tarjan lowlink that re-pushes ``(node, edge pointer)`` on
-    every descent and rescans ``adj[v]`` from that pointer on resume."""
+    every descent and rescans ``adj[v]``, a list of target ids, from that
+    pointer on resume."""
     n = len(adj)
     index = [-1] * n
     low = [0] * n
@@ -131,7 +132,7 @@ def reference_tarjan(adj):
             descended = False
             out = adj[v]
             for k in range(ptr, len(out)):
-                w = out[k][0]
+                w = out[k]
                 if index[w] == -1:
                     work[-1] = (v, k + 1)
                     work.append((w, 0))
@@ -157,13 +158,26 @@ def reference_tarjan(adj):
     return comps
 
 
+def reference_in_degrees(adj):
+    """Each node's in-degree from its own component: the edges of ``adj``
+    (lists of target ids) into it whose source lies in its component, the
+    components taken from ``reference_tarjan``."""
+    comp = {v: ci for ci, members in enumerate(reference_tarjan(adj)) for v in members}
+    degree = [0] * len(adj)
+    for v, out in enumerate(adj):
+        for w in out:
+            if comp[v] == comp[w]:
+                degree[w] += 1
+    return degree
+
+
 def reference_reach(adj, b):
-    """Nodes at the end of a path of length >= 1 from ``b``, by repeated
-    one-step expansion of the nodes added last, until nothing new is
-    added."""
-    reached = new = {w for w, _ in adj[b]}
+    """Nodes at the end of a path of length >= 1 from ``b`` in ``adj``
+    (lists of target ids), by repeated one-step expansion of the nodes
+    added last, until nothing new is added."""
+    reached = new = set(adj[b])
     while new:
-        new = {w for v in new for w, _ in adj[v]} - reached
+        new = {w for v in new for w in adj[v]} - reached
         reached = reached | new
     return reached
 

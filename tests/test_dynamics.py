@@ -168,7 +168,8 @@ class TestNodeKeys:
     """``G.keys[v]`` is the K-bitset (``Game.expansion``) of node ``v``'s
     non-single parts, for seeds and discovered nodes alike; on an edge
     ``u -> v`` via ``c``, ``keys[v] & ~keys[u]`` is the bit of ``c`` and
-    ``keys[u] & ~keys[v]`` the parts of ``u`` that meet ``c``."""
+    ``keys[u] & ~keys[v]`` the parts of ``u`` that meet ``c``; and
+    ``G.via_bits[u]`` holds the bits of the vias of ``u``'s out-edges."""
 
     @staticmethod
     def _check(g, G):
@@ -177,6 +178,7 @@ class TestNodeKeys:
         for v, pi in enumerate(G.nodes):
             assert G.keys[v] == sum(bit[p] for p in pi if p.bit_count() >= 2)
         for u, out in enumerate(G.adj):
+            assert G.via_bits[u] == sum(bit[via] for _, via in out)
             for v, via in out:
                 assert G.keys[v] & ~G.keys[u] == bit[via]
                 met = sum(bit[p] for p in G.nodes[u] if p.bit_count() >= 2 and p & via)

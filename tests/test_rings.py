@@ -6,6 +6,7 @@ import random
 import pytest
 
 from stabledec import (
+    AbsorbingSet,
     Analysis,
     Game,
     NotACycle,
@@ -38,7 +39,7 @@ from stabledec import absorbing as absorbing_module
 from stabledec import dynamics as dynamics_module
 from stabledec import rings as rings_module
 from stabledec.rings import _family_search, _ring_families
-from stabledec.structures import _breaking
+from stabledec.structures import _breaking, structure_key
 import oracle
 from games import (
     EXTRACTION_GAMES,
@@ -56,6 +57,7 @@ from games import (
 )
 from oracle import (
     analyze_json,
+    reference_in_degrees,
     spy,
     _extract_rings,
     _family_list,
@@ -313,6 +315,24 @@ class TestRingComponentsOf:
         with pytest.raises(TrivialAbsorbingSet):
             ring_components_of(g7, trivial, graph)
 
+    def test_set_must_be_one_sink_component(self):
+        # random_game(6, 0.5, 114): one 3-member non-trivial sink, carrying
+        # the ring {1,3},{2,3,5},{1,5,6}, and the stable structure
+        # {1,2,3,5} {4} {6}. A strict part of the sink has an edge out; the
+        # union with the stable structure is closed but not strongly
+        # connected. Neither is an absorbing set
+        g = rnd(6, 0.5, 114)
+        graph = full_domination_graph(g)
+        (big,) = [a for a in sink_components(graph) if not a.trivial]
+        stable = make_structure(g, "1235 4 6")
+        assert AbsorbingSet((stable,)) in sink_components(graph)
+        (rc,) = ring_components_of(g, big, graph)
+        assert rc.coalitions == (C("13"), C("235"), C("156"))
+        union = AbsorbingSet(tuple(sorted((*big.members, stable), key=structure_key)))
+        for members in (big.members[:2], union.members):
+            with pytest.raises(VerificationFailed, match="not one sink component"):
+                ring_components_of(g, AbsorbingSet(members), graph)
+
 
 class TestHasProperRing:
     def test_examples(self, g7, g8, g6, mar33):
@@ -540,7 +560,7 @@ def test_steps_and_search_order(label):
             for v, _ in graph.adj[u]:
                 indegree[v] += 1
         assert {v: counted[v] for v in ids} == indegree
-        assert all(counted[v] == -1 for v in set(range(len(graph))) - set(ids))
+        assert counted == reference_in_degrees(graph.succ)
         families, searched = _family_search(g, graph, a)
         by_id, searched_by_id = _family_search(g, graph, a, sorted(ids))
         assert families == by_id

@@ -5,10 +5,11 @@ convergence verdict, each ring step digraph and condition (i) of every ring
 candidate, so its components must stay list-identical to the pointer-based
 iterative Tarjan of ``oracle.reference_tarjan``: the same components, in
 the same reverse topological order, each with its members in stack-pop
-order. Each node's component index must name its component, and a
-component must be flagged a sink exactly when no edge leaves it.
-``transitively_dominates`` is checked against a repeated one-step
-expansion of the adjacency.
+order. Each node's component index must name its component, a component
+must be flagged a sink exactly when no edge leaves it, and each node's
+in-degree must count the edges into it from its own component
+(``oracle.reference_in_degrees``). ``transitively_dominates`` is checked
+against a repeated one-step expansion of the adjacency.
 """
 
 import random
@@ -20,7 +21,7 @@ from stabledec.dynamics import _tarjan
 from stabledec.rings import _pref_digraph_sccs
 from stabledec.structures import _count_structures
 from games import FUZZ_GAMES, GENERATED_GAMES, build
-from oracle import reference_reach, reference_tarjan
+from oracle import reference_in_degrees, reference_reach, reference_tarjan
 
 GAMES = dict(
     list(FUZZ_GAMES.items())
@@ -42,7 +43,7 @@ WALK_GAMES = [
 
 
 def check_sccs(adj):
-    comps, comp_of, sink = _tarjan(adj)
+    comps, comp_of, sink, in_degrees = _tarjan(adj)
     assert comps == reference_tarjan(adj)
     assert sorted(v for comp in comps for v in comp) == list(range(len(adj)))
     # each node's index names its component
@@ -52,20 +53,25 @@ def check_sccs(adj):
     # a component is a sink exactly when no edge leaves it
     left = [False] * len(comps)
     for v, out in enumerate(adj):
-        for e in out:
-            assert named[e[0]] <= named[v]
-            if named[e[0]] != named[v]:
+        for w in out:
+            assert named[w] <= named[v]
+            if named[w] != named[v]:
                 left[named[v]] = True
     assert sink == [not x for x in left]
+    assert in_degrees == reference_in_degrees(adj)
     return comps
 
 
 def check_graph(G):
-    # the graph keeps the one pass's components, node indices and sinks
-    comps, comp_of, sink = _tarjan(G.adj)
-    assert G.sccs() == check_sccs(G.adj)
+    # the graph keeps the one pass's components, node indices, sinks and
+    # in-degrees, and its pairs list the same targets
+    assert [[w for w, _ in out] for out in G.adj] == G.succ
+    comps, comp_of, sink, in_degrees = _tarjan(G.succ)
+    assert G.sccs() == check_sccs(G.succ)
     assert G.comp_of() == comp_of
+    assert [G.is_sink(ci) for ci in range(len(comps))] == sink
     assert G.sinks() == [comp for comp, s in zip(comps, sink) if s]
+    assert G.in_degrees() == in_degrees
 
 
 class TestTarjanOnGraphs:
@@ -85,7 +91,7 @@ class TestTarjanOnGraphs:
         g = GAMES[label]()
         ks = g.permissible
         adj = [
-            [(b, ks[b]) for b in range(len(ks))
+            [b for b in range(len(ks))
              if a != b and ks[a] & ks[b] and unanimously_prefers(g, ks[b], ks[a])]
             for a in range(len(ks))
         ]
@@ -100,7 +106,7 @@ class TestTarjanOnDigraphs:
         assert check_sccs([[], [], []]) == [[0], [1], [2]]
 
     def test_parallel_edges_and_self_loops(self):
-        adj = [[(1,), (1,), (0,)], [(0,), (2,), (2,)], [(2,)]]
+        adj = [[1, 1, 0], [0, 2, 2], [2]]
         assert check_sccs(adj) == [[2], [1, 0]]
 
     @pytest.mark.parametrize("seed", range(200))
@@ -111,19 +117,19 @@ class TestTarjanOnDigraphs:
         if n:
             # sparse to dense; repeated draws give parallel edges and loops
             for _ in range(rng.randrange(0, 3 * n + 1)):
-                adj[rng.randrange(n)].append((rng.randrange(n), 0))
+                adj[rng.randrange(n)].append(rng.randrange(n))
         check_sccs(adj)
 
     # long enough that a recursive routine would pass Python's default
     # recursion limit
     def test_long_path(self):
         n = 5000
-        adj = [[(v + 1,)] for v in range(n - 1)] + [[]]
+        adj = [[v + 1] for v in range(n - 1)] + [[]]
         assert check_sccs(adj) == [[v] for v in reversed(range(n))]
 
     def test_long_cycle(self):
         n = 5000
-        adj = [[((v + 1) % n,)] for v in range(n)]
+        adj = [[(v + 1) % n] for v in range(n)]
         assert check_sccs(adj) == [list(reversed(range(n)))]
 
 
@@ -132,7 +138,7 @@ def test_transitively_dominates_against_expansion(label):
     G = build(GAMES[label]()).graph
     assert len(G) <= MAX_WALK_NODES
     for b in range(len(G)):
-        reach = reference_reach(G.adj, b)
+        reach = reference_reach(G.succ, b)
         pb = G.nodes[b]
         among = range(len(G)) if len(G) <= MAX_PAIR_NODES else (b,)
         for a in among:
