@@ -84,13 +84,14 @@ from __future__ import annotations
 
 import itertools
 from collections import deque, namedtuple
+from collections.abc import Iterator
 
 from .core import Game, _Frozen, _setattr, lowest_agent, members
 from .errors import LimitExceeded, TrivialAbsorbingSet, VerificationFailed
 from .structures import (
     DEFAULT_LIMIT,
     _count_structures,
-    _keyed_structures,
+    enumerate_structures,
     is_stable,
     render_structure,
     structure_key,
@@ -132,15 +133,13 @@ class AbsorbingSet(_Frozen):
 def full_domination_graph(g: Game, limit: int = DEFAULT_LIMIT) -> DominationGraph:
     """The domination graph over every coalition structure of the game.
 
-    Structures stream in lazily; domination never leaves the structure
-    space, so seeding growth with all of them yields the complete graph.
-    Enumeration already yields each valid structure once, canonical, in
-    ``structure_key`` order and with its key, so the seeds skip
-    ``grow_graph``'s validation, sort and keying; nodes and edges come out
-    the same. Every node is a seed, so node ids are in ``structure_key``
-    order.
+    Domination never leaves the structure space, so seeding growth with
+    every structure yields the complete graph. Enumeration already yields
+    each valid structure once, canonical and in ``structure_key`` order, so
+    the seeds skip ``grow_graph``'s validation and sort; ``_grow`` keys
+    them, and nodes and edges come out the same.
     """
-    return _grow(g, _keyed_structures(g, limit), limit)
+    return _grow(g, enumerate_structures(g, limit), limit)
 
 
 def sink_components(G: DominationGraph) -> list[AbsorbingSet]:
@@ -148,19 +147,12 @@ def sink_components(G: DominationGraph) -> list[AbsorbingSet]:
     Tarjan pass) as absorbing sets, canonically ordered: the members of
     each set by ``structure_key``, and the sets by their least member.
 
-    On a graph whose node ids are in ``structure_key`` order
-    (``DominationGraph.key_ordered``), such as every full graph, that is
-    id order, and no key is computed; on any other graph the members are
-    sorted by the graph's ``order``: as plain tuples when no coalition of
-    its game has three or more agents, which is that order, and by
-    ``structure_key`` otherwise (``structures._order_key``). Each call
-    builds a new list of new sets.
+    Both sorts go through the graph's ``order``: as plain tuples when no
+    coalition of its game has three or more agents, which is that order,
+    and by ``structure_key`` otherwise (``structures._order_key``). Each
+    call builds a new list of new sets.
     """
     nodes = G.nodes
-    if G.key_ordered():
-        # sorted disjoint id lists fall in order of their least ids
-        sinks = sorted(sorted(comp) for comp in G.sinks())
-        return [AbsorbingSet(tuple(nodes[v] for v in comp)) for comp in sinks]
     order = G.order
     sets = [AbsorbingSet(tuple(sorted((nodes[v] for v in comp), key=order))) for comp in G.sinks()]
     if order is None:
@@ -518,14 +510,13 @@ def _stable_partitions(g: Game, rows: _PairRows) -> list[tuple[tuple[int, ...], 
     return found
 
 
-def _p_stable_matchings(g: Game, partitions) -> list[tuple[tuple[int, ...], int]]:
-    """The P-stable matchings of the stable partitions, distinct, sorted by
-    ``structure_key`` and each with its key, as ``dynamics._grow`` takes
-    seeds. A cycle of length 2 is a pair, an even cycle of length 4 or more
-    gives its two alternating matchings, and an odd cycle of length ``k``
-    gives ``k``: one per agent left single, the others paired along it."""
-    bit = g.expansion().bit
-    keyed: dict[int, tuple[int, ...]] = {}
+def _p_stable_matchings(partitions) -> Iterator[list[int]]:
+    """The P-stable matchings of the stable partitions, each as a list of
+    its parts, for ``grow_graph`` to validate, dedup and sort: two
+    partitions can give one matching. A cycle of length 2 is a pair, an
+    even cycle of length 4 or more gives its two alternating matchings, and
+    an odd cycle of length ``k`` gives ``k``: one per agent left single, the
+    others paired along it."""
     for partition in partitions:
         options = []
         for cyc in partition:
@@ -546,11 +537,7 @@ def _p_stable_matchings(g: Game, partitions) -> list[tuple[tuple[int, ...], int]
                     ]
                 )
         for choice in itertools.product(*options):
-            parts = [p for chosen in choice for p in chosen]
-            key = sum(bit[p] for p in parts if p & (p - 1))
-            if key not in keyed:
-                keyed[key] = tuple(sorted(parts, key=lowest_agent))
-    return sorted(((pi, key) for key, pi in keyed.items()), key=lambda e: structure_key(e[0]))
+            yield [p for chosen in choice for p in chosen]
 
 
 def _factor(g: Game, limit: int) -> Factor:
@@ -569,7 +556,7 @@ def _factor(g: Game, limit: int) -> Factor:
         partitions = _stable_partitions(g, rows)
         if not partitions:
             raise VerificationFailed("no stable partition found; every game has one")
-        graph = _grow(g, _p_stable_matchings(g, partitions), limit)
+        graph = grow_graph(g, _p_stable_matchings(partitions), limit)
     return Factor(g, tuple(sink_components(graph)), graph)
 
 

@@ -150,7 +150,7 @@ def converges_to_stability(
     Without ``graph`` the verdict comes from ``factored_convergence``, per
     factor; with it, from that graph. A graph that holds a stable structure
     is taken to hold every structure: the witness is the least of its own
-    nodes that reach none.
+    nodes that reach none, by the graph's ``order``.
     """
     if graph is None:
         return factored_convergence(Analysis(g, limit))
@@ -178,9 +178,7 @@ def converges_to_stability(
         return True, None
     if stuck:
         return False, singleton_structure(g.n)
-    if graph.key_ordered():
-        return False, graph.nodes[stragglers[0]]
-    return False, min((graph.nodes[v] for v in stragglers), key=structure_key)
+    return False, min((graph.nodes[v] for v in stragglers), key=graph.order)
 
 
 def factored_convergence(an: Analysis) -> tuple[bool, tuple[int, ...] | None]:
@@ -207,14 +205,26 @@ def factored_convergence(an: Analysis) -> tuple[bool, tuple[int, ...] | None]:
     return False, min(witnesses, key=structure_key)
 
 
+def _check_density(density) -> None:
+    """Raise ``MalformedSpec`` unless ``density`` is a real number, not a
+    bool, in [0, 1]."""
+    # imported here: only the generators need it, and the command line
+    # starts without it
+    from numbers import Real
+
+    if isinstance(density, bool) or not isinstance(density, Real):
+        raise MalformedSpec("density must be a real number")
+    if not 0.0 <= density <= 1.0:
+        raise MalformedSpec("density must lie in [0, 1]")
+
+
 def random_game(n: int, density: float = 0.35, seed: int | None = None) -> Game:
     """A random game: each coalition of two or more agents is permitted with
     probability ``density``, then every member ranks the chosen coalitions in
     an independently shuffled order with the singleton inserted uniformly."""
-    if not isinstance(n, int) or not 1 <= n <= 16:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 16:
         raise MalformedSpec("random games support 1..16 agents")
-    if not 0.0 <= density <= 1.0:
-        raise MalformedSpec("density must lie in [0, 1]")
+    _check_density(density)
     rng = random.Random(seed)
     chosen = [
         mask
@@ -236,10 +246,9 @@ def random_roommate_spec(
     """Each unordered pair is mutually acceptable with probability
     ``density``; every agent ranks their acceptable partners in a random
     order."""
-    if not isinstance(n, int) or not 1 <= n <= 63:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 63:
         raise MalformedSpec("roommate specs support 1..63 agents")
-    if not 0.0 <= density <= 1.0:
-        raise MalformedSpec("density must lie in [0, 1]")
+    _check_density(density)
     rng = random.Random(seed)
     partners: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
     for i in range(1, n + 1):
@@ -257,12 +266,11 @@ def random_marriage_spec(
 ) -> MarriageSpec:
     """Each man-woman pair is mutually acceptable with probability
     ``density``; both sides rank their acceptable partners randomly."""
-    if not isinstance(men, int) or not isinstance(women, int):
+    if any(isinstance(k, bool) or not isinstance(k, int) for k in (men, women)):
         raise MalformedSpec("side sizes must be integers")
     if not (1 <= men and 1 <= women and men + women <= 63):
         raise MalformedSpec("side sizes must be positive with at most 63 agents")
-    if not 0.0 <= density <= 1.0:
-        raise MalformedSpec("density must lie in [0, 1]")
+    _check_density(density)
     rng = random.Random(seed)
     partners: dict[int, list[int]] = {i: [] for i in range(1, men + women + 1)}
     for m in range(1, men + 1):

@@ -47,9 +47,7 @@ from .errors import (
     PartyIsSingletonPool,
     VerificationFailed,
 )
-from .structures import (
-    DEFAULT_LIMIT, _breaking, maximal_sets, structure_from_parts, structure_key,
-)
+from .structures import DEFAULT_LIMIT, _breaking, maximal_sets, structure_from_parts
 from .dynamics import grow_graph
 from .absorbing import AbsorbingSet, Analysis, sink_components
 from . import rings as _rings
@@ -103,6 +101,8 @@ def make_party(g: Game, coalitions: Iterable) -> Party:
     for c in coalitions:
         mask = _entry_mask(c)
         if mask <= 0:
+            if mask:
+                raise MalformedParty(f"coalition mask {mask} is negative")
             raise MalformedParty("parties cannot contain an empty coalition")
         above = mask >> g.n
         if above:
@@ -566,7 +566,7 @@ def generated_set(g: Game, pi_d, limit: int = DEFAULT_LIMIT) -> AbsorbingSet:
         raise VerificationFailed("generated set is not absorbing")
     if len(G) == 2:
         raise VerificationFailed("absorbing sets never have exactly two members")
-    return AbsorbingSet(tuple(sorted(G.nodes, key=structure_key)))
+    return sink_components(G)[0]
 
 
 def all_stable_decompositions(

@@ -157,12 +157,12 @@ class DominationGraph:
     (``absorbing.sink_components``), and each node's in-degree from its own
     component (``in_degrees``).
 
-    Seeds are numbered first, in ``structure_key`` order, and discovered
-    nodes after them. So when every node is a seed (``key_ordered``), as on
-    every full graph, node ids are in ``structure_key`` order, and the least
-    id of a set of nodes is its least structure. Otherwise ``order`` sorts
-    structures in that order: ``None`` for plain tuples, when no coalition
-    of the game has three or more agents (``structures._order_key``).
+    Every graph is grown by ``_grow``, which keys the seeds. Seeds are
+    numbered first, in ``structure_key`` order, and discovered nodes after
+    them, so node ids need not follow that order. ``order`` sorts
+    structures in it, and every sink order and convergence witness is read
+    through it: ``None`` for plain tuples, when no coalition of the game has
+    three or more agents (``structures._order_key``).
     """
 
     __slots__ = (
@@ -193,11 +193,6 @@ class DominationGraph:
             return self._index[pi]
         except KeyError:
             raise NodeNotInGraph(f"{render_structure(pi)} is not in the graph") from None
-
-    def key_ordered(self) -> bool:
-        """Whether node ids follow ``structure_key`` order: true when every
-        node is a seed."""
-        return len(self.seeds) == len(self.nodes)
 
     def edge_count(self) -> int:
         return sum(len(out) for out in self.succ)
@@ -273,36 +268,31 @@ def grow_graph(g: Game, seeds: Iterable, limit: int = DEFAULT_LIMIT) -> Dominati
     """Breadth-first closure of ``seeds`` under domination.
 
     Each seed is validated and canonicalized (``structure_from_parts``),
-    duplicates are dropped and the rest sorted by ``structure_key``. Nodes
-    are numbered by discovery order starting from those seeds, and each
-    keeps its key (``DominationGraph.keys``); successor edges per node come
-    in ascending via order.
+    duplicates are dropped and the rest sorted by ``structure_key``; then
+    ``_grow`` numbers them, keys them and grows their closure.
     """
     seed_structs = sorted(
         {structure_from_parts(g, pi) for pi in seeds}, key=structure_key
     )
-    bit = g.expansion().bit
-    keyed = ((pi, sum(bit[p] for p in pi if p & (p - 1))) for pi in seed_structs)
-    return _grow(g, keyed, limit)
+    return _grow(g, seed_structs, limit)
 
 
-def _grow(g: Game, keyed_seeds: Iterable, limit: int) -> DominationGraph:
+def _grow(g: Game, seeds: Iterable, limit: int) -> DominationGraph:
     """``grow_graph`` for seeds that are already valid, canonical, distinct
-    and sorted by ``structure_key``, each paired with its key: the K-bitset
-    of its non-single parts, which identifies a structure here. They are
-    taken as given."""
-    _, better, meets = g.expansion()
+    and sorted by ``structure_key``. They are taken as given. Every graph is
+    grown here, and here alone each seed gets its key: the K-bitset of its
+    non-single parts (``Game.expansion``), which identifies a structure in
+    its game. Nodes are numbered by discovery order starting from the
+    seeds, and successor edges per node come in ascending via order."""
+    bit, better, meets = g.expansion()
     # per K-coalition: the coalition and the key bits its formation keeps
     table = [(c, ~m) for c, m in zip(g.permissible, meets)]
     # every part's lowest bit, so that _form sorts with a C-level key
     low_bit = {c: c & -c for c in g.permissible}
     low_bit.update((1 << b, 1 << b) for b in range(g.n))
     lowest = low_bit.__getitem__
-    nodes: list[tuple[int, ...]] = []
-    keys: list[int] = []
-    for pi, key in keyed_seeds:
-        nodes.append(pi)
-        keys.append(key)
+    nodes: list[tuple[int, ...]] = list(seeds)
+    keys = [sum(bit[p] for p in pi if p & (p - 1)) for pi in nodes]
     if len(nodes) > limit:
         raise LimitExceeded(f"domination graph exceeds {limit} nodes")
     index = dict(zip(keys, range(len(keys))))

@@ -241,33 +241,21 @@ def enumerate_structures(g: Game, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[
     The walk assigns the least unassigned agent a part: its singleton
     first, then each disjoint permissible coalition in member order. So no
     structure is produced twice, no dedup set is needed, and no sort
-    either: ``full_domination_graph`` relies on that order. Raises
-    ``LimitExceeded`` before yielding structure ``limit + 1``.
-    """
-    for pi, _ in _keyed_structures(g, limit):
-        yield pi
-
-
-def _keyed_structures(
-    g: Game, limit: int = DEFAULT_LIMIT
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """``enumerate_structures`` with each structure's key: the K-bitset of
-    its non-single parts (``Game.expansion``), which identifies it in
-    ``dynamics._grow``.
+    either: ``full_domination_graph`` relies on that order, and hands the
+    structures to ``dynamics._grow`` unvalidated. Raises ``LimitExceeded``
+    before yielding structure ``limit + 1``.
 
     One iterative walk: a frame per part being placed holds its remaining
-    options, the agents placed before it and their key.
+    options and the agents placed before it.
     """
     full = (1 << g.n) - 1
-    bit = g.expansion().bit
-    # (part, its K-bit) per agent; a singleton has none
-    options = [[(c, bit.get(c, 0)) for c in own] for own in _parts_by_agent(g)]
+    options = _parts_by_agent(g)
     count = 0
     parts: list[int] = []
-    frames = [(iter(options[1]), 0, 0)]
+    frames = [(iter(options[1]), 0)]
     while frames:
-        todo, used, key = frames[-1]
-        for c, b in todo:
+        todo, used = frames[-1]
+        for c in todo:
             if c & used:
                 continue
             placed = used | c
@@ -277,11 +265,11 @@ def _keyed_structures(
                 if count > limit:
                     raise LimitExceeded(f"more than {limit} structures")
                 # parts were added in least-member order, already canonical
-                yield tuple(parts), key | b
+                yield tuple(parts)
                 parts.pop()
                 continue
             free = ~placed & full
-            frames.append((iter(options[(free & -free).bit_length()]), placed, key | b))
+            frames.append((iter(options[(free & -free).bit_length()]), placed))
             break
         else:
             # every option of this frame is done: undo the part that led here

@@ -8,7 +8,6 @@ from stabledec import (
     LimitExceeded,
     MalformedInput,
     absorbing_sets,
-    converges_to_stability,
     dominate_via,
     enumerate_structures,
     full_domination_graph,
@@ -20,10 +19,7 @@ from stabledec import (
     sink_components,
     structure_key,
 )
-from stabledec import absorbing as absorbing_module
-from stabledec import applications as applications_module
 from stabledec import dynamics as dynamics_module
-from stabledec import structures as structures_module
 from games import GENERATED_GAMES, GENERATED_IDS, make_structure, parts
 from oracle import analyze_json, spy
 
@@ -66,28 +62,22 @@ class TestTrustedSeeds:
 
     def test_full_graph_skips_validation_and_sort(self, g7, monkeypatch):
         calls = spy(monkeypatch, [], dynamics_module, "structure_from_parts")
-        for module in (dynamics_module, absorbing_module, applications_module):
-            spy(monkeypatch, calls, module, "structure_key")
+        spy(monkeypatch, calls, dynamics_module, "structure_key")
         graph = full_domination_graph(g7)
         assert len(graph) == 32
         assert calls == []
-        # node ids are in key order, so the sinks and the witness need no key
-        assert len(sink_components(graph)) == 4
-        assert converges_to_stability(g7, graph=graph)[0] is False
-        assert calls == []
         grow_graph(g7, [singleton_structure(7)])
-        assert calls.count("structure_from_parts") == 1
+        assert calls == ["structure_from_parts", "structure_key"]
 
     @pytest.mark.parametrize("front,seed,make", GENERATED_GAMES, ids=GENERATED_IDS)
     def test_keyed_enumeration(self, front, seed, make):
-        # the key of each structure is the K-bitset of its non-single parts
+        # the enumerated structures are the nodes, and each gets its key in
+        # _grow: the K-bitset of its non-single parts
         g = make(seed)
         bit = g.expansion().bit
-        keyed = list(structures_module._keyed_structures(g))
-        assert [pi for pi, _ in keyed] == list(enumerate_structures(g))
-        assert [key for _, key in keyed] == [
-            sum(bit[p] for p in pi if p & (p - 1)) for pi, _ in keyed
-        ]
+        graph = full_domination_graph(g)
+        assert graph.nodes == list(enumerate_structures(g))
+        assert graph.keys == [sum(bit[p] for p in pi if p & (p - 1)) for pi in graph.nodes]
 
     @pytest.mark.parametrize(
         "seed,message",

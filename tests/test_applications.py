@@ -22,6 +22,10 @@ from stabledec import (
 from games import C, make_structure
 
 
+# densities that are no real number, or a bool
+BAD_DENSITIES = ("x", None, True, False, 0.5j)
+
+
 class TestSpecs:
     def test_roommate_round_trip(self, rm10_spec):
         d = rm10_spec.to_dict()
@@ -165,6 +169,11 @@ class TestRandomGenerators:
             random_game(17)
         with pytest.raises(MalformedSpec):
             random_game(5, density=1.5)
+        with pytest.raises(MalformedSpec):
+            random_game(True)
+        for density in BAD_DENSITIES:
+            with pytest.raises(MalformedSpec, match="^density must be a real number$"):
+                random_game(5, density=density)
 
     def test_random_roommate_spec(self):
         spec = random_roommate_spec(8, density=0.6, seed=4)
@@ -174,6 +183,11 @@ class TestRandomGenerators:
                 assert i in spec.preferences[p]
         with pytest.raises(MalformedSpec):
             random_roommate_spec(64)
+        with pytest.raises(MalformedSpec):
+            random_roommate_spec(True)
+        for density in BAD_DENSITIES:
+            with pytest.raises(MalformedSpec, match="^density must be a real number$"):
+                random_roommate_spec(5, density=density)
 
     def test_random_marriage_spec(self):
         spec = random_marriage_spec(4, 3, density=0.7, seed=9)
@@ -182,6 +196,13 @@ class TestRandomGenerators:
             assert all(p > 4 for p in spec.preferences[m])
         with pytest.raises(MalformedSpec):
             random_marriage_spec(0, 3)
+        with pytest.raises(MalformedSpec):
+            random_marriage_spec(True, 3)
+        with pytest.raises(MalformedSpec):
+            random_marriage_spec(3, True)
+        for density in BAD_DENSITIES:
+            with pytest.raises(MalformedSpec, match="^density must be a real number$"):
+                random_marriage_spec(2, 2, density=density)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_roommate_pipeline(self, seed):

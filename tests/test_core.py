@@ -138,15 +138,16 @@ class TestEntriesAndKeys:
         assert spec.preferences == RoommateSpec(2, {1: [2], 2: [1]}).preferences
 
 
-# Negative masks were not rejected: all but the last call looped forever, so
+# Negative masks were not rejected: the first four calls looped forever, so
 # each runs in a child process with a timeout, and a hang fails its test, not
-# the suite.
+# the suite. Every entry point names the mask as negative.
 NEGATIVE_MASK_CALLS = [
     ("Game(3, {1: [-1, 1]})", "MalformedInput: agent 1 ranked negative mask -1"),
     ("members(-1)", "MalformedInput: coalition mask -1 is negative"),
     ("render_coalition(-1)", "MalformedInput: coalition mask -1 is negative"),
     ("blocks(Game(3, {}), -1, (1, 2, 4))", "MalformedInput: coalition mask -1 is negative"),
     ("structure_from_parts(Game(2, {}), [-4, 3])", "MalformedInput: part mask -4 is negative"),
+    ("make_party(Game(2, {}), [-3])", "MalformedParty: coalition mask -3 is negative"),
 ]
 
 

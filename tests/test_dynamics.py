@@ -16,7 +16,16 @@ from stabledec import (
     to_dot,
     transitively_dominates,
 )
-from games import EQUIVALENCE_GAMES, FUZZ_GAMES, PARTIAL_GAMES, C, build, make_structure
+from games import (
+    EQUIVALENCE_GAMES,
+    FUZZ_GAMES,
+    NO_STABLE,
+    PARTIAL_GAMES,
+    TRIANGLE,
+    C,
+    build,
+    make_structure,
+)
 from oracle import reference_graph
 
 
@@ -198,6 +207,16 @@ class TestNodeKeys:
         assert any(len(G) > len(G.seeds) for G in grown)
         for G in grown:
             self._check(g, G)
+
+    @pytest.mark.parametrize("label", ["triangle", *NO_STABLE])
+    def test_p_stable_closures(self, label):
+        # the closure of the P-stable matchings, seeded with plain
+        # matchings that only _grow keys
+        g = TRIANGLE if label == "triangle" else NO_STABLE[label]()
+        grown = [f for f in build(g).analysis.factors if f.graph is not None]
+        assert grown
+        for f in grown:
+            self._check(f.game, f.graph)
 
 
 class TestDot:

@@ -1,12 +1,13 @@
-"""Graphs whose every node is a seed: node order is ``structure_key`` order.
+"""Sink order and convergence witnesses read through the graph's ``order``.
 
-Seeds are numbered first and in ``structure_key`` order, so on a graph with
-no discovered node (every full graph) the sinks read their members in id
-order and order the sets by least id, and the convergence witness is the
-least straggler id. The sort by key and the reverse search over incoming
-edges that those routes replaced are the references (``oracle.py``). A
-graph grown from a strict subset of the structures discovers nodes out of
-key order and must keep the key sort: those cases pin the all-seed guard.
+Seeds are numbered first and in ``structure_key`` order, so on a full graph
+node ids follow that order, while a graph grown from a strict subset of the
+structures discovers nodes out of it. On both, ``sink_components`` sorts
+each sink's members and the sets by the graph's ``order``, and
+``converges_to_stability`` takes the least straggler by it. The sort by
+key and the reverse search over incoming edges are the references
+(``oracle.py``); the partial graphs pin the cases where id order is not
+key order.
 """
 
 import random
@@ -45,7 +46,6 @@ def check(g, G):
 
 def check_full(g):
     G = build(g).graph
-    assert G.key_ordered()
     assert G.nodes == sorted(G.nodes, key=structure_key)
     check(g, G)
 
@@ -77,9 +77,9 @@ def test_partial_graphs_keep_the_key_sort(label):
 
 
 def test_partial_graphs_discover_out_of_key_order():
-    # the inputs above exercise the guard: some partial graph has a sink
-    # whose members are not in id order, and some with a stable node has a
-    # witness that is not its least straggler id
+    # the inputs above pin the sort by ``order``: some partial graph has a
+    # sink whose members are not in id order, and some with a stable node
+    # has a witness that is not its least straggler id
     unordered_sink = unordered_witness = False
     for make in PARTIAL_GAMES.values():
         for G in build(make()).partial_graphs:

@@ -33,6 +33,9 @@ from stabledec import (
     coalition,
     converges_to_stability,
     factored_convergence,
+    grow_graph,
+    structure_from_parts,
+    structure_key,
 )
 from stabledec.absorbing import factor_games
 from games import (
@@ -90,13 +93,20 @@ def test_partition_search_covers_odd_cycles():
     assert len(odd) < len(SMALL_GAMES) - 10
 
 
+def p_stable_seeds(g: Game, partitions):
+    # the P-stable matchings as grow_graph seeds them: canonical, distinct
+    # and sorted
+    found = absorbing._p_stable_matchings(partitions)
+    return sorted({structure_from_parts(g, m) for m in found}, key=structure_key)
+
+
 class TestPStableMatchings:
     # every pair of 5 agents accepted by both
     FULL5 = Game(5, {i: [coalition((i, j)) for j in range(1, 6) if j != i] + [1 << (i - 1)]
                      for i in range(1, 6)})
 
     def matchings(self, partition):
-        return [pi for pi, _ in absorbing._p_stable_matchings(self.FULL5, [partition])]
+        return p_stable_seeds(self.FULL5, [partition])
 
     def test_even_cycle_gives_its_two_alternating_matchings(self):
         got = self.matchings(((1, 2, 3, 4), (5,)))
@@ -119,21 +129,18 @@ class TestPStableMatchings:
             (coalition((1, 2)), coalition((3, 4)), coalition((5,)))
         ]
 
-    def test_keys_and_duplicates(self):
-        g = self.FULL5
-        bit = g.expansion().bit
+    def test_duplicates_seeded_once(self):
         # the 2-cycles give one of the 4-cycle's matchings again
-        seeds = absorbing._p_stable_matchings(
-            g, [((1, 2, 3, 4), (5,)), ((1, 2), (3, 4), (5,))]
+        found = list(
+            absorbing._p_stable_matchings([((1, 2, 3, 4), (5,)), ((1, 2), (3, 4), (5,))])
         )
-        assert len(seeds) == 2
-        for pi, key in seeds:
-            assert key == sum(bit[p] for p in pi if p.bit_count() == 2)
+        assert len(found) == 3
+        G = grow_graph(self.FULL5, found)
+        assert [G.nodes[v] for v in G.seeds] == self.matchings(((1, 2, 3, 4), (5,)))
 
     def test_triangle_seeds_its_absorbing_set(self):
         (f,) = Analysis(TRIANGLE).factors
-        seeds = [pi for pi, _ in absorbing._p_stable_matchings(TRIANGLE, partitions(TRIANGLE))]
-        assert seeds == list(f.sets[0].members)
+        assert p_stable_seeds(TRIANGLE, partitions(TRIANGLE)) == list(f.sets[0].members)
         assert len(f.graph) == 3
 
 
