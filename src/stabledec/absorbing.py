@@ -101,23 +101,13 @@ from .rings import RingComponent, ring_components_of
 
 
 class AbsorbingSet(_Frozen):
-    """The members of an absorbing set, in canonical order. Its hash is
-    computed on first use and kept: a large set is hashed several times
-    per analysis, as part of memo keys."""
+    """The members of an absorbing set, in canonical order."""
 
-    __slots__ = ("members", "_hash")
+    __slots__ = ("members",)
     _fields = ("members",)
 
     def __init__(self, members: tuple[tuple[int, ...], ...]) -> None:
         _setattr(self, "members", members)
-        _setattr(self, "_hash", None)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.members,))
-            _setattr(self, "_hash", h)
-        return h
 
     @property
     def trivial(self) -> bool:
@@ -603,7 +593,7 @@ class Analysis:
     Every domination step changes one factor, so the game's structures are
     the products of factor structures, its absorbing sets the products of
     factor absorbing sets, and the ring components of a product set those
-    of its non-trivial factor sets (``factor_rings``, worked out once each):
+    of its non-trivial factor sets (``factor_rings``, kept by position):
     a shortest path back along a cycle never leaves the factor that the
     cycle's edge changes, and coalitions of different factors are disjoint.
     The stable decompositions (``decomposition.factored_decompositions``)
@@ -625,20 +615,21 @@ class Analysis:
             raise LimitExceeded(f"more than {limit} structures")
         self.structure_count = count
         self.factors = [_factor(sub, limit) for sub in subs]
-        self._sets: list[tuple[AbsorbingSet, tuple[AbsorbingSet, ...]]] | None = None
-        self._rings: dict[tuple[int, AbsorbingSet], list[RingComponent]] = {}
+        self._sets: list[tuple[AbsorbingSet, tuple[int, ...]]] | None = None
+        # the ring components of each factor's sets, by position
+        self._rings: list[list] = [[None] * len(f.sets) for f in self.factors]
 
-    def _products(self) -> list[tuple[AbsorbingSet, tuple[AbsorbingSet, ...]]]:
-        # (absorbing set, its factor absorbing sets) pairs in report order
+    def _products(self) -> list[tuple[AbsorbingSet, tuple[int, ...]]]:
+        # (absorbing set, its factor sets' positions) pairs in report order
         if self._sets is None:
             per = [f.sets for f in self.factors]
             if len(per) == 1:
-                self._sets = [(a, (a,)) for a in per[0]]
+                self._sets = [(a, (k,)) for k, a in enumerate(per[0])]
             else:
                 full = (1 << self.game.n) - 1
                 sets = []
-                for combo in itertools.product(*per):
-                    product = itertools.product(*(a.members for a in combo))
+                for combo in itertools.product(*(range(len(s)) for s in per)):
+                    product = itertools.product(*(s[k].members for s, k in zip(per, combo)))
                     structures = sorted((_merge(full, pis) for pis in product), key=structure_key)
                     sets.append((AbsorbingSet(tuple(structures)), combo))
                 sets.sort(key=lambda e: structure_key(e[0].members[0]))
@@ -650,18 +641,19 @@ class Analysis:
         orders them on the full graph; each call returns a new list."""
         return [a for a, _ in self._products()]
 
-    def factor_sets(self, idx: int) -> tuple[AbsorbingSet, ...]:
-        """The absorbing set of each factor whose product is absorbing set
-        ``idx``, aligned with ``factors``."""
+    def factor_sets(self, idx: int) -> tuple[int, ...]:
+        """The positions in ``Factor.sets`` of the factor absorbing sets
+        whose product is absorbing set ``idx``, aligned with ``factors``."""
         return self._products()[idx][1]
 
-    def factor_rings(self, fi: int, fa: AbsorbingSet) -> list[RingComponent]:
-        """The ring components of factor ``fi``'s absorbing set ``fa`` (none
-        for a trivial one), worked out once per set."""
-        if (fi, fa) not in self._rings:
+    def factor_rings(self, fi: int, k: int) -> list[RingComponent]:
+        """The ring components of factor ``fi``'s absorbing set ``sets[k]``
+        (none for a trivial one), worked out once per position."""
+        rings = self._rings[fi]
+        if rings[k] is None:
             f = self.factors[fi]
-            self._rings[(fi, fa)] = [] if fa.trivial else ring_components_of(f.game, fa, f.graph)
-        return self._rings[(fi, fa)]
+            rings[k] = [] if f.sets[k].trivial else ring_components_of(f.game, f.sets[k], f.graph)
+        return rings[k]
 
     def ring_components(self, idx: int) -> list[RingComponent]:
         """The ring components of absorbing set ``idx``, sorted by
@@ -669,7 +661,7 @@ class Analysis:
         a, combo = self._products()[idx]
         if a.trivial:
             raise TrivialAbsorbingSet("trivial absorbing sets carry no ring component")
-        comps = [rc for fi, fa in enumerate(combo) for rc in self.factor_rings(fi, fa)]
+        comps = [rc for fi, k in enumerate(combo) for rc in self.factor_rings(fi, k)]
         return sorted(comps, key=lambda rc: rc.coalitions)
 
 

@@ -75,7 +75,8 @@ def load_game(text: str) -> Game:
         return parse_game_dsl(text)
     try:
         obj = json.loads(stripped)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level
         raise MalformedInput(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise MalformedInput("JSON input must be an object")
@@ -103,7 +104,7 @@ def parse_decomposition(g: Game, text: str):
     if s.startswith("["):
         try:
             obj = json.loads(s)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedParty(f"invalid JSON decomposition: {exc}") from None
         if not isinstance(obj, list) or not all(isinstance(p, list) for p in obj):
             raise MalformedParty("JSON decomposition must be a list of parties")

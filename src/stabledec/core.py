@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AgentIdOutOfRange,
@@ -75,15 +75,26 @@ class _Frozen(_Record):
 
 def coalition(agents: Iterable[int]) -> int:
     """Build a coalition mask from agent ids, each an ``int`` and not a
-    ``bool``."""
+    ``bool``, in ``1..MAX_AGENTS``: an id far above any game is refused
+    before the mask is shifted by it."""
     mask = 0
     for a in agents:
         if not isinstance(a, int) or isinstance(a, bool):
             raise MalformedInput(f"agent id {a!r} is not an integer")
-        if a < 1:
+        if not 0 < a <= MAX_AGENTS:
             raise AgentIdOutOfRange(f"agent id {a} is out of range")
         mask |= 1 << (a - 1)
     return mask
+
+
+def _entry_ids(entry) -> Iterator:
+    """The items of a coalition entry that is not a mask, unchecked."""
+    try:
+        return iter(entry)
+    except TypeError:
+        raise MalformedInput(
+            f"coalition entry {entry!r} is not a mask or a list of agent ids"
+        ) from None
 
 
 def _entry_mask(entry) -> int:
@@ -91,13 +102,7 @@ def _entry_mask(entry) -> int:
     ``bool``, or an iterable of agent ids (``coalition``)."""
     if isinstance(entry, int) and not isinstance(entry, bool):
         return entry
-    try:
-        ids = iter(entry)
-    except TypeError:
-        raise MalformedInput(
-            f"coalition entry {entry!r} is not a mask or a list of agent ids"
-        ) from None
-    return coalition(ids)
+    return coalition(_entry_ids(entry))
 
 
 def _agent_key(key) -> int | None:
@@ -230,7 +235,14 @@ class Game:
             above = True
             for entry in raw:
                 if type(entry) is not int:
-                    entry = _entry_mask(entry)
+                    ids = list(_entry_ids(entry))
+                    entry = coalition(a for a in ids if type(a) is not int or a <= n)
+                    if any(type(a) is int and a > n for a in ids):
+                        # shown from the ids: one may be above the cap of coalition
+                        shown = ",".join(map(str, sorted({int(a) for a in ids})))
+                        raise AgentIdOutOfRange(
+                            f"agent {i} ranked coalition {{{shown}}} with ids above {n}"
+                        )
                 if entry <= 0:
                     if entry:
                         raise MalformedInput(f"agent {i} ranked negative mask {entry}")

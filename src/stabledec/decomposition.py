@@ -501,18 +501,18 @@ def _checked_decompositions(an: Analysis) -> list[tuple]:
     # as the re-check built them
     g = an.game
     full = (1 << g.n) - 1
-    # (factor index, factor absorbing set) -> its coalition parties
-    memo: dict = {}
+    # the coalition parties of each factor's sets, by position
+    memo = [[None] * len(f.sets) for f in an.factors]
     out = []
     for idx, absorbing in enumerate(an.absorbing_sets()):
         parties: list[Party] = []
         covered = 0
-        for fi, (f, fa) in enumerate(zip(an.factors, an.factor_sets(idx))):
-            own = memo.get((fi, fa))
+        for fi, (f, k) in enumerate(zip(an.factors, an.factor_sets(idx))):
+            own = memo[fi][k]
             if own is None:
-                own = memo[(fi, fa)] = [
+                own = memo[fi][k] = [
                     p
-                    for p in _absorbing_parties(f.game, fa, an.factor_rings(fi, fa), f.graph)
+                    for p in _absorbing_parties(f.game, f.sets[k], an.factor_rings(fi, k), f.graph)
                     if p.kind != POOL
                 ]
             for p in own:

@@ -505,4 +505,12 @@ UNLISTED_BUT_ACCEPTED = {
     # a proper sub-collection of the one listed party
     # {12,23,14,24,34,25,16,36,56}, with no pool
     "roommate6-41": (lambda: room(6, 0.7, 41), "{{12,23,14,24,34,25,16,36}}"),
+    # seeds of random_roommate_spec(5, 0.7), each a single party with no pool
+    "roommate5-21": (lambda: room(5, 0.7, 21), "{{12,13,23,14,34,15,45}}"),
+    "roommate5-72": (lambda: room(5, 0.7, 72), "{{12,13,24,34,15,35}}"),
+    "roommate5-86": (lambda: room(5, 0.7, 86), "{{13,23,24,34,15,25}}"),
+    "roommate5-183": (lambda: room(5, 0.7, 183), "{{12,23,14,34,15,25}}"),
+    "roommate5-267a": (lambda: room(5, 0.7, 267), "{{12,23,24,34,15,35,45}}"),
+    "roommate5-267b": (lambda: room(5, 0.7, 267), "{{12,13,23,24,34,15,35,45}}"),
+    "roommate5-285": (lambda: room(5, 0.7, 285), "{{12,13,23,14,34,25,35,45}}"),
 }

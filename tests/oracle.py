@@ -848,7 +848,18 @@ def _reference_tables(n, rankings):
                 raise MalformedInput(
                     f"coalition entry {entry!r} is not a mask or a list of agent ids"
                 )
-            mask = entry if isinstance(entry, int) else coalition(entry)
+            if isinstance(entry, int):
+                mask = entry
+            else:
+                # an id above n is shown from the ids: it may be far above
+                # the cap that coalition holds every id to
+                ids = tuple(entry)
+                mask = coalition(a for a in ids if type(a) is not int or a <= n)
+                if any(type(a) is int and a > n for a in ids):
+                    shown = ",".join(map(str, sorted({int(a) for a in ids})))
+                    raise AgentIdOutOfRange(
+                        f"agent {i} ranked coalition {{{shown}}} with ids above {n}"
+                    )
             if mask == 0:
                 raise InconsistentRanking(f"agent {i} ranked an empty coalition")
             if mask & ~full:

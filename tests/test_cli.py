@@ -724,6 +724,15 @@ class TestVerify:
         assert main(["verify", str(p), "--decomposition", text]) == 2
         assert capsys.readouterr() == ("", "error: agent id 6 is out of range\n")
 
+    @pytest.mark.parametrize("big", [10**20, 2**64])
+    def test_agent_id_far_above_any_game(self, tmp_path, capsys, big):
+        # refused before a mask is shifted by it, not a traceback
+        p = tmp_path / "rm3.json"
+        p.write_text('{"n": 3, "preferences": {"1": [2], "2": [1]}}')
+        text = f"[[[1,{big}]],[[2]],[[3]]]"
+        assert main(["verify", str(p), "--decomposition", text]) == 2
+        assert capsys.readouterr() == ("", f"error: agent id {big} is out of range\n")
+
 
 class TestBooleansAreNotAgentIds:
     """JSON ``true`` and ``false`` compare equal to 1 and 0 in Python; no
@@ -802,6 +811,29 @@ class TestMalformedRows:
         p.write_text(text, encoding="utf-8")
         assert main(["analyze", str(p)]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
+
+
+class TestDeeplyNestedJson:
+    """JSON nested too deep for the decoder is invalid JSON (exit 2, one
+    line), not a RecursionError traceback (exit 1, the limit's code)."""
+
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    def test_game(self, tmp_path, capsys):
+        p = tmp_path / "game.json"
+        p.write_text('{"agents": 2, "preferences": ' + self.DEEP + "}")
+        assert main(["analyze", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: invalid JSON: ")
+        assert err.count("\n") == 1
+
+    def test_decomposition(self, tmp_path, capsys):
+        p = tmp_path / "rm2.json"
+        p.write_text('{"n": 2, "preferences": {"1": [2], "2": [1]}}')
+        assert main(["verify", str(p), "--decomposition", self.DEEP]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: invalid JSON decomposition: ")
+        assert err.count("\n") == 1
 
 
 JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f \u00e9\u2028\ud800\U0001f600ab')

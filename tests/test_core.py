@@ -122,6 +122,18 @@ class TestEntriesAndKeys:
         assert structure_from_parts(g, [(2, 1)]) == structure_from_parts(g, [C("12")])
         assert make_party(g, [(1,), C("2")]).coalitions == (C("1"), C("2"))
 
+    @pytest.mark.parametrize("big", [10**20, 2**64])
+    def test_ids_far_above_any_game(self, big):
+        # shifting by such an id asked for gigabytes or overflowed
+        g = Game(3, {})
+        error = ("AgentIdOutOfRange", f"agent id {big} is out of range")
+        assert outcome(lambda: coalition([1, big])) == error
+        assert outcome(lambda: make_party(g, [(1, big)])) == error
+        assert outcome(lambda: structure_from_parts(g, [(1, big), 2, 4])) == error
+        assert outcome(lambda: Game(3, {1: [(1, big), (1,)]})) == (
+            "AgentIdOutOfRange", f"agent 1 ranked coalition {{1,{big}}} with ids above 3"
+        )
+
     def test_bool_row_key(self):
         assert outcome(lambda: Game(2, {True: [3, 1], 2: [3, 2]})) == (
             "AgentIdOutOfRange", "ranking row for agent True is out of range 1..2"
@@ -523,6 +535,11 @@ MALFORMED_GAMES = [
      "preference key True is not an agent id"),
     ({"agents": 2, "preferences": {" 1": [[1]]}}, MalformedInput,
      "preference key ' 1' is not an agent id"),
+    # ids far above any game, refused before a mask is shifted by them
+    ({"agents": 3, "preferences": {"1": [[1, 10**20], [1]]}}, AgentIdOutOfRange,
+     "agent 1 ranked coalition {1,100000000000000000000} with ids above 3"),
+    ({"agents": 3, "preferences": {"1": [[2**64, 1], [1]]}}, AgentIdOutOfRange,
+     "agent 1 ranked coalition {1,18446744073709551616} with ids above 3"),
 ]
 
 # game objects both loaders accept
