@@ -16,8 +16,11 @@ structure needs no graph: from every matching some sequence of blocking
 pairs reaches a stable one (Roth and Vande Vate 1990 for two-sided games,
 Diamantoudi, Miyagawa and Xue 2004 for roommate games), so its absorbing
 sets are exactly its stable structures. A pruned search finds them without
-enumerating the group's structures, and a memoized count, not enumeration,
-holds each group to the structure limit.
+enumerating the group's structures, and a count, not enumeration, holds
+each group to the structure limit: a dynamic programme over the agents in
+id order, one integer per layer with a slot for each set of frontier
+agents already placed, or the walk memoized on the placed agents when the
+frontier is too wide for layers (``structures._count_structures``).
 
 A pair-only group without a stable structure grows only the closure of its
 P-stable matchings. A stable partition (Tan 1991) is a permutation ``pi``
@@ -568,11 +571,12 @@ class Analysis:
     a game, worked out per factor (``factor_games``) and never on the
     product graph.
 
-    Each factor's structures are first counted, memoized on the agents
-    already placed (``structures._count_structures``), and the limit is
-    checked before any factor is searched, enumerated or grown; the limit
-    counts structures on every route. A factor whose permissible coalitions
-    are all pairs and which has a stable structure takes its stable
+    Each factor's structures are first counted, in layers over the agents
+    in id order or, past a frontier width, by the walk memoized on the
+    agents already placed (``structures._count_structures``), and the limit
+    is checked before any factor is searched, enumerated or grown; the
+    limit counts structures on every route. A factor whose permissible
+    coalitions are all pairs and which has a stable structure takes its stable
     structures, found by a pruned search (``_stable_matchings``), as its
     absorbing sets, and neither enumerates its structures nor builds a
     graph: from every matching some sequence of blocking pairs reaches a

@@ -18,13 +18,17 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping, Sequence
 
-from .core import Game, _agent_key, _Frozen, _is_list_like, _setattr
+from .core import MAX_AGENTS, Game, _agent_key, _Frozen, _is_list_like, _setattr
 from .errors import MalformedSpec, VerificationFailed
 from .structures import DEFAULT_LIMIT, singleton_structure, structure_key
 from .absorbing import Analysis
 
 
 def _check_pref_table(n: int, preferences: Mapping) -> dict[int, list[int]]:
+    # the table gets a row for every agent: refuse a count beyond the cap
+    # before building any
+    if n > MAX_AGENTS:
+        raise MalformedSpec(f"at most {MAX_AGENTS} agents are supported, got {n}")
     if not isinstance(preferences, Mapping):
         raise MalformedSpec("preferences must map agents to partner lists")
     table: dict[int, list[int]] = {}

@@ -278,15 +278,105 @@ def enumerate_structures(g: Game, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[
                 parts.pop()
 
 
+# a frontier wider than this is counted by the walk: a layer holds 2**width
+# slots whether or not they are reached, and the walk visits only the
+# placed-agent sets it reaches (the crossover is measured in CHANGES.md)
+_LAYER_CAP = 12
+
+
 def _count_structures(g: Game, limit: int = DEFAULT_LIMIT) -> int:
     """The number of coalition structures, without enumerating them.
 
-    The walk of ``enumerate_structures`` as a recursion, memoized on the
-    set of agents already placed: the structures completing that set
-    depend on it alone. Raises ``LimitExceeded`` as soon as one set has
-    more than ``limit`` completions; each set it reaches is placed by some
-    structure, and its completions give that many distinct structures of
-    the game.
+    A dynamic programme over the agents in id order, one Python ``int``
+    per layer. The frontier agents are those a coalition can place before
+    their own turn: the members of a permissible coalition other than its
+    least. After agent ``a``, the layer holds one ``B``-bit slot for each
+    set of later frontier agents already placed, counting the ways agents
+    ``1..a`` can take their parts and place that set. Agent ``a`` folds the
+    slots where they were already placed down onto the ones where they were
+    free, and each permissible coalition whose least member is ``a`` adds
+    the free slots, shifted to the slot that also places its other members:
+    a few big-int operations a step, not a call per placed-agent set. The
+    count is slot 0 after the last agent.
+
+    Raises ``LimitExceeded`` as soon as a slot exceeds ``limit``, checked
+    across all slots at once: each placement a slot counts completes, with
+    the rest single, to a distinct structure. A step adds at most ``2 +``
+    (its coalitions) slots of at most ``limit`` each into one slot, and
+    ``B`` holds that sum with a bit to spare for the compare. A frontier
+    wider than ``_LAYER_CAP`` is counted by ``_walk_count``.
+    """
+    # others[i]: each permissible coalition whose least member is agent
+    # i + 1, without that member
+    others: list[list[int]] = [[] for _ in range(g.n)]
+    front = 0
+    for c in g.permissible:
+        rest = c & (c - 1)
+        others[(c ^ rest).bit_length() - 1].append(rest)
+        front |= rest
+    width = front.bit_count()
+    if width > _LAYER_CAP:
+        return _walk_count(g, limit)
+    B = limit.bit_length() + (max(map(len, others)) + 2).bit_length() + 1
+    total = B << width
+    # by a frontier agent's bit: at, where the slot of the set of that
+    # agent alone starts, in bits (a set's slot starts at the sum over its
+    # agents); free, every slot whose set does not hold the agent
+    at: dict[int, int] = {}
+    free: dict[int, int] = {}
+    rest = front
+    run = B
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        at[low] = run
+        free[low] = _repeat((1 << run) - 1, run << 1, total)
+        run <<= 1
+    ones = _repeat(1, B, total)
+    high = ones << B - 1
+    over = ones * ((1 << B - 1) - 1 - limit)
+    layer = 1
+    for i, opts in enumerate(others):
+        bit = 1 << i
+        if bit & front:
+            empty = layer & free[bit]
+            layer = empty + ((layer ^ empty) >> at[bit])
+        elif opts:
+            empty = layer
+        else:
+            continue
+        for rest in opts:
+            if rest in at:
+                layer += (empty & free[rest]) << at[rest]
+                continue
+            shift, mask = 0, -1
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                shift += at[low]
+                mask &= free[low]
+            layer += (empty & mask) << shift
+        if (layer + over) & high:
+            raise LimitExceeded(f"more than {limit} structures")
+    return layer
+
+
+def _repeat(x: int, period: int, total: int) -> int:
+    """``x`` repeated every ``period`` bits up to ``total`` bits, where
+    ``total`` is ``period`` times a power of two."""
+    while period < total:
+        x |= x << period
+        period <<= 1
+    return x
+
+
+def _walk_count(g: Game, limit: int) -> int:
+    """The count of ``_count_structures`` by the walk of
+    ``enumerate_structures`` as a recursion, memoized on the set of agents
+    already placed: the structures completing that set depend on it alone.
+    Raises ``LimitExceeded`` as soon as one set has more than ``limit``
+    completions; each set it reaches is placed by some structure, and its
+    completions give that many distinct structures of the game.
     """
     full = (1 << g.n) - 1
     by_agent = _parts_by_agent(g)

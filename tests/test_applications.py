@@ -54,6 +54,21 @@ class TestSpecs:
         with pytest.raises(MalformedSpec):
             RoommateSpec(3, {"x": [2]})
 
+    @pytest.mark.parametrize("n", [64, 10**20], ids=["64", "10**20"])
+    def test_agent_count_above_the_cap(self, n):
+        # refused before a row is built for each agent: 10**20 rows hung
+        message = f"^at most 63 agents are supported, got {n}$"
+        with pytest.raises(MalformedSpec, match=message):
+            RoommateSpec(n, {})
+        with pytest.raises(MalformedSpec, match=message):
+            MarriageSpec(n - 1, 1, {})
+        with pytest.raises(MalformedSpec, match=message):
+            MarriageSpec(1, n - 1, {})
+
+    def test_agent_count_at_the_cap(self):
+        assert len(RoommateSpec(63, {}).preferences) == 63
+        assert len(MarriageSpec(62, 1, {}).preferences) == 63
+
     def test_marriage_rejects_same_side_partners(self):
         with pytest.raises(MalformedSpec):
             MarriageSpec(2, 2, {1: [2]})

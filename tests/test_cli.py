@@ -813,6 +813,30 @@ class TestMalformedRows:
         assert capsys.readouterr().err == f"error: {error}\n"
 
 
+class TestAgentCountAboveTheCap:
+    """A matching spec naming more agents than the cap is refused before its
+    table is built (exit 2, one line), as a game of 64 agents is; a count
+    of 10**20 built a row per agent until memory ran out."""
+
+    @pytest.mark.parametrize(
+        "text,got",
+        [
+            ('{"n": 64}', 64),
+            ('{"n": 100000000000000000000}', 10**20),
+            ('{"men": 63, "women": 1}', 64),
+            ('{"men": 100000000000000000000, "women": 1}', 10**20 + 1),
+            ('{"men": 1, "women": 100000000000000000000}', 10**20 + 1),
+        ],
+        ids=["roommate-64", "roommate-10**20", "marriage-64", "men-10**20", "women-10**20"],
+    )
+    def test_refused(self, tmp_path, text, got, capsys):
+        p = tmp_path / "spec.json"
+        p.write_text(text)
+        assert main(["analyze", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: at most 63 agents are supported, got {got}\n"
+
+
 class TestDeeplyNestedJson:
     """JSON nested too deep for the decoder is invalid JSON (exit 2, one
     line), not a RecursionError traceback (exit 1, the limit's code)."""

@@ -11,8 +11,9 @@ disjoint unions of a marriage game with a roommate game that has no stable
 matching.
 
 The pruned search for the stable structures (``_stable_matchings``) and the
-memoized structure count are checked against enumeration: the search
-against the enumerate-and-filter it replaced, ``oracle.reference_stable``.
+structure count, in layers or by the walk past the cap on the frontier
+width, are checked against enumeration: the search against the
+enumerate-and-filter it replaced, ``oracle.reference_stable``.
 
 Both pair searches branch only on the pairs left in the phase-1 table
 (``absorbing._phase_one``, Irving 1985): each agent proposes to the first
@@ -47,6 +48,7 @@ from stabledec import (
     Game,
     LimitExceeded,
     MarriageSpec,
+    RoommateSpec,
     TrivialAbsorbingSet,
     VerificationFailed,
     all_stable_decompositions,
@@ -373,3 +375,45 @@ class TestLimit:
             assert out == '{"schema_version": 1, "limit_exceeded": "%s"}\n' % message
         else:
             assert out == f"partial report: limit exceeded ({message})\n"
+
+
+def _star(others: int) -> Game:
+    # agent 1 accepts each of the others, who accept only agent 1: every
+    # other agent is on the frontier
+    partners = {1: list(range(2, others + 2)), **{j: [1] for j in range(2, others + 2)}}
+    return roommate_to_game(RoommateSpec(others + 1, partners))
+
+
+class TestLayeredCount:
+    """The count's layers against enumeration, on both sides of the cap on
+    the frontier width: a 6x6 marriage game (width 6) is counted in
+    layers, a star of 20 pairs (width 20) by the walk."""
+
+    GAMES = {"marriage6x6": lambda: mar(6, 6, 0.6, 1), "star20": lambda: _star(20)}
+
+    @pytest.mark.parametrize("label", list(GAMES))
+    def test_count_and_limit_boundary(self, label, monkeypatch):
+        g = self.GAMES[label]()
+        walks = _spies(monkeypatch, "_walk_count")
+        count = sum(1 for _ in enumerate_structures(g))
+        assert _count_structures(g) == count
+        assert _count_structures(g, limit=count) == count
+        with pytest.raises(LimitExceeded, match=f"^more than {count - 1} structures$"):
+            _count_structures(g, limit=count - 1)
+        assert walks == ([] if label == "marriage6x6" else ["_walk_count"] * 3)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_marriage_markets_never_walk(self, seed, monkeypatch):
+        walks = _spies(monkeypatch, "_walk_count")
+        _full_analysis(mar(6, 6, 0.6, seed))
+        assert walks == []
+
+    def test_huge_limit_changes_no_report(self, tmp_path, capsys):
+        path = tmp_path / "marriage.json"
+        path.write_text(json.dumps(random_marriage_spec(6, 6, 0.6, 2).to_dict()))
+        args = ["analyze", str(path), "--all", "--json"]
+        assert main(args) == 0
+        default = capsys.readouterr().out
+        assert main(args + ["--limit", str(10**30)]) == 0
+        assert capsys.readouterr().out == default
+        assert json.loads(default)["structures"] > 1
