@@ -7,13 +7,20 @@ proposed decomposition. Reports are deterministic; timing goes to stderr.
 ``analyze`` works each section out once into a ``Report``, which the text
 and the JSON form only render: each decomposition comes with the protection
 walk and the D-structures its re-check built, and the JSON certificates add
-only the witnesses of prevented breakers.
+only the witnesses of prevented breakers. The JSON report is written in one
+pass, byte for byte what ``json.dumps(doc, indent=2)`` prints for the
+document it describes.
+
+A command line that names a subcommand, then its positional, then exact
+long options with values not starting with ``-`` is read without an
+argparse pass; argparse parses every other one and writes every usage
+message, error and help text.
 
 Exit codes: 0 on success (the verify verdict, positive or negative, is
 printed); 1 when the exploration limit is exceeded (``analyze`` prints a
-partial report); 2 on malformed input, an unreadable input file, a
-``--dot`` path that cannot be written, or a ``--limit`` that is not a
-positive integer.
+partial report); 2 on malformed input, an input file that cannot be read or
+is not text in the locale's encoding, a ``--dot`` path that cannot be
+written, or a ``--limit`` that is not a positive integer.
 """
 
 from __future__ import annotations
@@ -57,13 +64,15 @@ SCHEMA_VERSION = 1
 
 
 def _read_input(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
     try:
+        if source == "-":
+            return sys.stdin.read()
         with open(source) as f:
             return f.read()
     except OSError as exc:
         raise MalformedInput(f"cannot read {source}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"cannot read {source}: {exc}") from None
 
 
 def load_game(text: str) -> Game:
@@ -253,148 +262,125 @@ def _render_text(report: Report, args) -> None:
     print("\n".join(out))
 
 
+# ``json.dumps(indent=2)`` starts each line at depth d with ``_NL[d]`` and
+# separates the items of a list or object at depth d with ``_SEP[d]``
+_NL = tuple("\n" + "  " * d for d in range(10))
+_SEP = tuple("," + nl for nl in _NL)
+_BOOL = {True: "true", False: "false"}
+
+
+def _array(depth: int, items: list[str]) -> str:
+    # a JSON list as json.dumps(indent=2) writes it, its items already
+    # written for ``depth``
+    if not items:
+        return "[]"
+    return "[" + _NL[depth] + _SEP[depth].join(items) + _NL[depth - 1] + "]"
+
+
+def _object(depth: int, *fields: str) -> str:
+    # a JSON object as json.dumps(indent=2) writes it, its fields already
+    # written as '"key": value' for ``depth``
+    return "{" + _NL[depth] + _SEP[depth].join(fields) + _NL[depth - 1] + "}"
+
+
 def _render_json(report: Report, args) -> None:
+    """Print the report as ``json.dumps(doc, indent=2)`` prints the document
+    that ``tests/oracle.py::reference_report_doc`` builds, written in one
+    pass: each coalition and singleton name is quoted once per game, each
+    structure name once where it is written."""
     if report.limit_exceeded is not None:
         partial = {"schema_version": SCHEMA_VERSION, "limit_exceeded": report.limit_exceeded}
         print(json.dumps(partial))
         return
     g = report.game
     sinks = report.absorbing_sets
-    # every part of a structure is a singleton or a permissible coalition:
-    # render each once, not once per structure holding it
+    # every coalition a report names is permissible or a singleton, and so
+    # is every part of a structure
     names = {c: render_coalition(c) for c in g.permissible}
     names.update((1 << b, f"{{{b + 1}}}") for b in range(g.n))
+    quoted = {c: _json_str(s) for c, s in names.items()}.__getitem__
 
-    def structure_name(pi) -> str:
-        return " ".join([names[p] for p in pi])
+    def structure(pi) -> str:
+        return _json_str(" ".join([names[p] for p in pi]))
 
-    def name(c: int) -> str:
-        # any other coalition, such as a witness's, is rendered on demand
-        found = names.get(c)
-        return render_coalition(c) if found is None else found
+    def coalitions(depth: int, cs) -> str:
+        return _array(depth, list(map(quoted, cs)))
 
-    doc: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "agents": g.n,
-        "permissible": [names[c] for c in g.permissible],
-        "structures": report.structures,
-        "stable": [structure_name(a.members[0]) for a in sinks if a.trivial],
-    }
+    def breaker(b: dict) -> str:
+        by = b["prevented_by"]
+        witnesses = [_array(9, [quoted(cp), str(agent)]) for cp, agent in b["witnesses"]]
+        return _object(
+            7,
+            '"breaker": ' + quoted(b["coalition"]),
+            '"prevented_by": ' + ("null" if by is None else coalitions(8, by.coalitions)),
+            '"witnesses": ' + _array(8, witnesses),
+        )
+
+    fields = [
+        f'"schema_version": {SCHEMA_VERSION}',
+        f'"agents": {g.n}',
+        '"permissible": ' + coalitions(2, g.permissible),
+        f'"structures": {report.structures}',
+        '"stable": ' + _array(2, [structure(a.members[0]) for a in sinks if a.trivial]),
+    ]
     if args.absorbing:
-        doc["absorbing_sets"] = [
-            {
-                "trivial": a.trivial,
-                "size": len(a),
-                "structures": [structure_name(pi) for pi in a.members],
-            }
+        sets = [
+            _object(
+                3,
+                '"trivial": ' + _BOOL[a.trivial],
+                f'"size": {len(a)}',
+                '"structures": ' + _array(4, list(map(structure, a.members))),
+            )
             for a in sinks
         ]
+        fields.append('"absorbing_sets": ' + _array(2, sets))
     if report.rings is not None:
-        doc["ring_components"] = [
-            {
-                "absorbing_set": idx,
-                "coalitions": [name(c) for c in rc.coalitions],
-                "simple": rc.simple,
-                "maximal": [[name(c) for c in E] for E in rc.maximal],
-                "compact": [[name(c) for c in E] for E in rc.compact],
-            }
+        rings = [
+            _object(
+                3,
+                f'"absorbing_set": {idx}',
+                '"coalitions": ' + coalitions(4, rc.coalitions),
+                '"simple": ' + _BOOL[rc.simple],
+                '"maximal": ' + _array(4, [coalitions(5, E) for E in rc.maximal]),
+                '"compact": ' + _array(4, [coalitions(5, E) for E in rc.compact]),
+            )
             for idx, rc in report.rings
         ]
+        fields.append('"ring_components": ' + _array(2, rings))
     if report.decompositions is not None:
-        doc["decompositions"] = [
-            {
-                "parties": [
-                    {"kind": p.kind, "coalitions": [name(c) for c in p.coalitions]}
-                    for p in d.parties
-                ],
-                "certificates": _certificates_json(g, walk, name),
-                "d_structures": [structure_name(ds.structure) for ds in induced],
-                "generated_size": len(a),
-            }
-            for (d, walk, induced), a in zip(report.decompositions, sinks)
-        ]
+        decompositions = []
+        for (d, walk, induced), a in zip(report.decompositions, sinks):
+            parties = [
+                _object(
+                    5,
+                    '"kind": ' + _json_str(p.kind),
+                    '"coalitions": ' + coalitions(6, p.coalitions),
+                )
+                for p in d.parties
+            ]
+            certificates = [
+                _object(
+                    5,
+                    '"party": ' + coalitions(6, entry["party"].coalitions),
+                    '"breakers": ' + _array(6, list(map(breaker, entry["breakers"]))),
+                )
+                for entry in _certificates(g, walk)
+            ]
+            decompositions.append(
+                _object(
+                    3,
+                    '"parties": ' + _array(4, parties),
+                    '"certificates": ' + _array(4, certificates),
+                    '"d_structures": ' + _array(4, [structure(ds.structure) for ds in induced]),
+                    f'"generated_size": {len(a)}',
+                )
+            )
+        fields.append('"decompositions": ' + _array(2, decompositions))
     if report.converges is not None:
         ok, witness = report.converges
-        doc["converges"] = ok
-        doc["witness"] = None if ok else structure_name(witness)
-    print(_indented_json(doc))
-
-
-def _indented_json(obj) -> str:
-    """``json.dumps(obj, indent=2)`` for the types reports hold: dicts with
-    str keys, lists, str, int, bool and None. With any indent the stdlib
-    encodes in Python, not C; this writer quotes strings with its C string
-    encoder and joins a list of strings in one call."""
-    out: list[str] = []
-    _write_json(obj, "\n", out)
-    return "".join(out)
-
-
-def _write_json(obj, newline: str, out: list[str]) -> None:
-    # ``newline`` breaks the line and indents to the level holding ``obj``
-    kind = type(obj)
-    if kind is str:
-        out.append(_json_str(obj))
-    elif kind is list:
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "," + inner
-        if type(obj[0]) is str and type(obj[-1]) is str:
-            try:
-                out.append("[" + inner + sep.join(map(_json_str, obj)) + newline + "]")
-                return
-            except TypeError:
-                pass  # a non-string inside: write item by item
-        out.append("[")
-        for k, item in enumerate(obj):
-            out.append(sep if k else inner)
-            _write_json(item, inner, out)
-        out.append(newline + "]")
-    elif kind is dict:
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "," + inner
-        out.append("{")
-        for k, (key, value) in enumerate(obj.items()):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append((sep if k else inner) + _json_str(key) + ": ")
-            _write_json(value, inner, out)
-        out.append(newline + "}")
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif kind is int:
-        out.append(int.__repr__(obj))
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-def _certificates_json(g: Game, walk, name) -> list[dict]:
-    # ``name`` renders a coalition mask
-    return [
-        {
-            "party": [name(c) for c in entry["party"].coalitions],
-            "breakers": [
-                {
-                    "breaker": name(b["coalition"]),
-                    "prevented_by": None
-                    if b["prevented_by"] is None
-                    else [name(c) for c in b["prevented_by"].coalitions],
-                    "witnesses": [[name(cp), agent] for cp, agent in b["witnesses"]],
-                }
-                for b in entry["breakers"]
-            ],
-        }
-        for entry in _certificates(g, walk)
-    ]
+        fields.append('"converges": ' + _BOOL[ok])
+        fields.append('"witness": ' + ("null" if ok else structure(witness)))
+    print(_object(1, *fields))
 
 
 def _cmd_analyze(args) -> int:
@@ -421,7 +407,7 @@ def _cmd_generate(args) -> int:
         obj = random_roommate_spec(args.agents, seed=args.seed, **given).to_dict()
     else:
         obj = random_marriage_spec(args.men, args.women, seed=args.seed, **given).to_dict()
-    print(_indented_json(obj))
+    print(json.dumps(obj, indent=2))
     return 0
 
 
@@ -504,11 +490,81 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _quick_table(command: argparse.ArgumentParser):
+    """What ``_quick_parse`` reads of a subcommand parser: its long options
+    that store one value or ``True``, by exact name; its one positional;
+    the actions argparse requires; and the namespace argparse starts from,
+    the actions' defaults then the parser's own (``run``)."""
+    options = {}
+    positional = None
+    for action in command._actions:
+        kind = type(action)
+        if not action.option_strings:
+            positional = action
+        elif kind is argparse._StoreTrueAction or (
+            kind is argparse._StoreAction and action.nargs is None
+        ):
+            options.update((name, action) for name in action.option_strings if name[:2] == "--")
+    start = {
+        a.dest: a.default
+        for a in command._actions
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS
+    }
+    for dest, value in command._defaults.items():
+        start.setdefault(dest, value)
+    required = {a for a in command._actions if a.required}
+    return options, positional, required, start
+
+
+def _quick_parse(command: argparse.ArgumentParser, argv: list[str]):
+    """The namespace ``command.parse_known_args(argv)`` returns, with no
+    argument left over, when ``argv`` is the positional (``-`` or a value
+    not starting with ``-``) followed by exact long option names, each
+    given once, with a value not starting with ``-`` where the option
+    takes one, and every required option given. ``None`` for any other
+    ``argv``, and when a value fails its ``type`` or ``choices``, so that
+    argparse parses it and reports what it reports."""
+    options, positional, required, start = _quick_table(command)
+    if not argv or (argv[0][:1] == "-" and argv[0] != "-"):
+        return None
+    given = {positional: argv[0]}
+    k, end = 1, len(argv)
+    while k < end:
+        action = options.get(argv[k])
+        if action is None or action in given:
+            return None
+        if action.nargs == 0:
+            given[action] = None
+            k += 1
+        elif k + 1 < end and argv[k + 1][:1] != "-":
+            given[action] = argv[k + 1]
+            k += 2
+        else:
+            return None
+    if not required <= given.keys():
+        return None
+    values = dict(start)
+    for action, text in given.items():
+        if text is None:
+            values[action.dest] = action.const
+            continue
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def _parse(argv) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, with one parser pass when ``argv``
-    starts with a subcommand: the top-level parser would hand the rest to
-    that subcommand's parser and report what it leaves over, so this does
-    both directly. Any other ``argv`` goes through the top-level parser."""
+    """``_parser().parse_args(argv)``. When ``argv`` starts with a
+    subcommand, the rest is read by ``_quick_parse`` without an argparse
+    pass, or else parsed by that subcommand's parser: the top-level parser
+    would hand it the rest and report what it leaves over, so this does both
+    directly. Any other ``argv`` goes through the top-level parser."""
     parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -516,9 +572,11 @@ def _parse(argv) -> argparse.Namespace:
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error(gettext("unrecognized arguments: %s") % " ".join(extra))
+    args = _quick_parse(command, argv[1:])
+    if args is None:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(gettext("unrecognized arguments: %s") % " ".join(extra))
     args.command = argv[0]
     return args
 

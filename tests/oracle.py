@@ -4,7 +4,8 @@ Each reference is built on ``successors()``, the public definition
 functions (``prefers``, ``unanimously_prefers``, ``breaks``,
 ``breaks_maximal_set``, ``maximal_sets``) or plain loops over a graph's
 nodes and edges. Where one borrows a library helper
-(``rings._ring_component``), that helper is not the routine it checks. The test modules and sweeps import their references
+(``rings._ring_component``, ``decomposition._certificates``), that helper
+is not the routine it checks. The test modules and sweeps import their references
 and harness from here and their games from ``games.py``.
 """
 
@@ -58,7 +59,8 @@ from stabledec import (
 )
 from stabledec import rings
 from stabledec.absorbing import Factor
-from stabledec.cli import main
+from stabledec.cli import SCHEMA_VERSION, main
+from stabledec.decomposition import _certificates
 
 
 def outcome(fn):
@@ -939,3 +941,83 @@ def _reference_pair_tables(spec):
         for i in range(1, spec.n + 1)
     }
     return _reference_tables(spec.n, rankings)
+
+
+# --- the JSON report --------------------------------------------------------
+
+
+def reference_report_doc(report, args) -> dict:
+    """The document of ``stabledec analyze --json`` for a ``cli.Report`` and
+    the parsed arguments, built as a tree of dicts and lists: the command
+    prints ``json.dumps(doc, indent=2)`` of it, and the limit-exceeded
+    document with compact ``json.dumps``."""
+    if report.limit_exceeded is not None:
+        return {"schema_version": SCHEMA_VERSION, "limit_exceeded": report.limit_exceeded}
+    g = report.game
+    sinks = report.absorbing_sets
+
+    def structure_name(pi) -> str:
+        return " ".join(render_coalition(p) for p in pi)
+
+    doc: dict = {
+        "schema_version": SCHEMA_VERSION,
+        "agents": g.n,
+        "permissible": [render_coalition(c) for c in g.permissible],
+        "structures": report.structures,
+        "stable": [structure_name(a.members[0]) for a in sinks if a.trivial],
+    }
+    if args.absorbing:
+        doc["absorbing_sets"] = [
+            {
+                "trivial": a.trivial,
+                "size": len(a),
+                "structures": [structure_name(pi) for pi in a.members],
+            }
+            for a in sinks
+        ]
+    if report.rings is not None:
+        doc["ring_components"] = [
+            {
+                "absorbing_set": idx,
+                "coalitions": [render_coalition(c) for c in rc.coalitions],
+                "simple": rc.simple,
+                "maximal": [[render_coalition(c) for c in E] for E in rc.maximal],
+                "compact": [[render_coalition(c) for c in E] for E in rc.compact],
+            }
+            for idx, rc in report.rings
+        ]
+    if report.decompositions is not None:
+        doc["decompositions"] = [
+            {
+                "parties": [
+                    {"kind": p.kind, "coalitions": [render_coalition(c) for c in p.coalitions]}
+                    for p in d.parties
+                ],
+                "certificates": [
+                    {
+                        "party": [render_coalition(c) for c in entry["party"].coalitions],
+                        "breakers": [
+                            {
+                                "breaker": render_coalition(b["coalition"]),
+                                "prevented_by": None
+                                if b["prevented_by"] is None
+                                else [render_coalition(c) for c in b["prevented_by"].coalitions],
+                                "witnesses": [
+                                    [render_coalition(cp), agent] for cp, agent in b["witnesses"]
+                                ],
+                            }
+                            for b in entry["breakers"]
+                        ],
+                    }
+                    for entry in _certificates(g, walk)
+                ],
+                "d_structures": [structure_name(ds.structure) for ds in induced],
+                "generated_size": len(a),
+            }
+            for (d, walk, induced), a in zip(report.decompositions, sinks)
+        ]
+    if report.converges is not None:
+        ok, witness = report.converges
+        doc["converges"] = ok
+        doc["witness"] = None if ok else structure_name(witness)
+    return doc

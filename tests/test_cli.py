@@ -1,13 +1,13 @@
 """Command line behavior: loading, reports, verify, generate, exit codes."""
 
+import argparse
 import io
 import json
+import locale
 import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from stabledec import (
     Game,
@@ -24,7 +24,8 @@ from stabledec import (
 )
 from stabledec import cli
 from stabledec.cli import load_game, main, parse_decomposition
-from games import split_market
+from games import EIGHT, FUZZ_GAMES, SEVEN, SIX, TRIANGLE, room, split_market, union
+from oracle import reference_report_doc, spy
 
 G7_DSL = """\
 agents: 7
@@ -837,6 +838,41 @@ class TestAgentCountAboveTheCap:
         assert out == "" and err == f"error: at most 63 agents are supported, got {got}\n"
 
 
+class TestUndecodableInput:
+    """Input bytes that are not UTF-8 are an input that cannot be read: one
+    error line and exit 2 from both commands, not a traceback."""
+
+    @staticmethod
+    def argv(command, source):
+        if command == "verify":
+            return [command, source, "--decomposition", "{{1,2,3},{45,46,56}}"]
+        return [command, source]
+
+    @pytest.mark.skipif(
+        locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+        reason="files are read in the locale's encoding",
+    )
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_file(self, tmp_path, command, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(self.argv(command, str(bad))) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_stdin(self, command, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(self.argv(command, "-")) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot read -: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+
 class TestDeeplyNestedJson:
     """JSON nested too deep for the decoder is invalid JSON (exit 2, one
     line), not a RecursionError traceback (exit 1, the limit's code)."""
@@ -860,17 +896,6 @@ class TestDeeplyNestedJson:
         assert err.count("\n") == 1
 
 
-JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f \u00e9\u2028\ud800\U0001f600ab')
-JSON_SCALARS = (
-    st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70) | JSON_TEXT
-)
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.lists(inner) | st.lists(JSON_TEXT) | st.dictionaries(JSON_TEXT, inner),
-    max_leaves=25,
-)
-
-
 SEEDED_INPUTS = (
     [(f"random-{s}", lambda s=s: json.dumps(random_game(6, 0.5, s).to_dict())) for s in range(4)]
     + [(f"roommate-{s}", lambda s=s: json.dumps(random_roommate_spec(9, 0.7, s).to_dict()))
@@ -882,19 +907,8 @@ SEEDED_INPUTS = (
 
 
 class TestIndentedJson:
-    """The report writer against ``json.dumps(obj, indent=2)``."""
-
-    @given(JSON_VALUES)
-    @example(["a", 1, "b"])
-    @example({"": [[], {}, [""], None, False, -0]})
-    @settings(max_examples=100, deadline=None)
-    def test_matches_the_stdlib(self, obj):
-        assert cli._indented_json(obj) == json.dumps(obj, indent=2)
-
-    @pytest.mark.parametrize("bad", [1.5, (1,), {1: "a"}, b"x"])
-    def test_rejects_other_types(self, bad):
-        with pytest.raises(TypeError):
-            cli._indented_json([bad])
+    """Printed JSON against ``json.dumps(obj, indent=2)`` of the document it
+    holds."""
 
     @pytest.mark.parametrize("label, make", SEEDED_INPUTS, ids=[k for k, _ in SEEDED_INPUTS])
     def test_reports(self, label, make, capsys, monkeypatch):
@@ -920,6 +934,59 @@ class TestIndentedJson:
         assert main(["generate", *argv]) == 0
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# the flag sets under which each report below is checked
+REPORT_FLAGS = {
+    "all": ["--all", "--json"],
+    "plain": ["--json"],
+    "rings": ["--json", "--rings"],
+    "decompositions": ["--json", "--decompositions"],
+    "converge-absorbing": ["--json", "--converge", "--absorbing"],
+    "all-limit-50": ["--all", "--json", "--limit", "50"],
+}
+
+# label -> make: the worked examples, the roommate games of the CI ring
+# checks and a game of two factors
+REPORT_GAMES = {
+    "seven": lambda: SEVEN,
+    "eight": lambda: EIGHT,
+    "six": lambda: SIX,
+    "triangle": lambda: TRIANGLE,
+    "roommate10": lambda: load_game(ROOMMATE_JSON),
+    "marriage33": lambda: load_game(MARRIAGE_JSON),
+    **{f"roommate9-{s}": (lambda s=s: room(9, 0.7, s)) for s in (22, 23, 42)},
+    "two-factor": lambda: union(SEVEN, TRIANGLE),
+}
+
+
+class TestReportWriter:
+    """``analyze --json`` prints ``json.dumps(doc, indent=2)`` of the
+    reference document of its report, and compact ``json.dumps`` of it when
+    the limit is exceeded."""
+
+    @staticmethod
+    def check(g, flags, monkeypatch, capsys):
+        calls = spy(monkeypatch, [], cli, "_render_json", lambda report, args: (report, args))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(g.to_dict())))
+        code = main(["analyze", "-", *flags])
+        ((report, args),) = calls
+        doc = reference_report_doc(report, args)
+        partial = report.limit_exceeded is not None
+        want = json.dumps(doc) if partial else json.dumps(doc, indent=2)
+        assert capsys.readouterr().out == want + "\n"
+        assert code == (1 if partial else 0)
+
+    @pytest.mark.parametrize("flags", REPORT_FLAGS.values(), ids=REPORT_FLAGS)
+    @pytest.mark.parametrize("label", REPORT_GAMES)
+    def test_examples(self, label, flags, monkeypatch, capsys):
+        self.check(REPORT_GAMES[label](), flags, monkeypatch, capsys)
+
+    # --all writes every section the other flag sets write; all six flag
+    # sets on every fuzz game would add about 10 s to the suite
+    @pytest.mark.parametrize("label", FUZZ_GAMES)
+    def test_fuzz_games(self, label, monkeypatch, capsys):
+        self.check(FUZZ_GAMES[label](), ["--all", "--json"], monkeypatch, capsys)
 
 
 class TestParserBuiltOnce:
@@ -973,6 +1040,26 @@ PARITY_CASES = {
     "separator": ["analyze", "--json", "--", "GAME"],
     "separator-stray": ["verify", "GAME", "--decomposition", "{{123},{456}}", "--", "x"],
     "separator-first": ["--", "analyze", "GAME"],
+    # argparse reads these: an abbreviation, an attached value, a value
+    # starting with "-", an option given twice (argparse converts both
+    # values), an option before the positional, two positionals, and values
+    # that the option's type or choices refuse
+    "abbreviation": ["verify", "GAME", "--dec", "{{1,2,3},{45,46,56}}"],
+    "attached-value": ["analyze", "GAME", "--limit=5"],
+    "dash-value": ["verify", "GAME", "--decomposition", "-{{123},{456}}"],
+    "twice": ["analyze", "GAME", "--limit", "0", "--json", "--limit", "5"],
+    "option-first": ["analyze", "--json", "GAME"],
+    "two-positionals": ["analyze", "GAME", "GAME", "--json"],
+    "verify-limit-zero": [
+        "verify", "GAME", "--decomposition", "{{1,2,3},{45,46,56}}", "--limit", "0"
+    ],
+    "generate-not-an-int": ["generate", "random", "--agents", "x"],
+    "generate-unknown-kind": ["generate", "lottery"],
+    # the benchmark's shapes, which the quick reader reads
+    "bench-analyze": ["analyze", "-", "--all", "--json"],
+    "bench-verify": [
+        "verify", "-", "--decomposition", "[[[1],[2],[3],[4],[5],[6]]]", "--limit", "20000"
+    ],
 }
 
 
@@ -982,7 +1069,9 @@ class TestParserParity:
     through the top-level parser."""
 
     @staticmethod
-    def run(argv, capsys):
+    def run(argv, capsys, monkeypatch):
+        # "-" reads the six-agent game from stdin
+        monkeypatch.setattr(sys, "stdin", io.StringIO(G6_DSL))
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -994,9 +1083,9 @@ class TestParserParity:
     @pytest.mark.parametrize("argv", PARITY_CASES.values(), ids=PARITY_CASES)
     def test_matches_the_top_level_parser(self, argv, g6_file, capsys, monkeypatch):
         argv = [g6_file if a == "GAME" else a for a in argv]
-        got = self.run(argv, capsys)
+        got = self.run(argv, capsys, monkeypatch)
         monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
-        assert got == self.run(argv, capsys)
+        assert got == self.run(argv, capsys, monkeypatch)
 
     def test_direct_dispatch_skips_the_top_level_parse(self, g6_file, monkeypatch):
         parser = cli._parser()
@@ -1008,6 +1097,23 @@ class TestParserParity:
         args = cli._parse(["analyze", g6_file, "--json"])
         assert (args.command, args.input, args.json, args.run) == (
             "analyze", g6_file, True, cli._cmd_analyze)
+
+    def test_benchmark_shapes_take_no_argparse_pass(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an argparse parser parsed")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        args = cli._parse(["analyze", "-", "--all", "--json"])
+        assert vars(args) == {
+            "input": "-", "absorbing": False, "rings": False, "decompositions": False,
+            "converge": False, "all": True, "json": True, "dot": None,
+            "limit": cli.DEFAULT_LIMIT, "run": cli._cmd_analyze, "command": "analyze",
+        }
+        args = cli._parse(["verify", "-", "--decomposition", "{{123}}", "--limit", "20000"])
+        assert vars(args) == {
+            "input": "-", "decomposition": "{{123}}", "limit": 20000,
+            "run": cli._cmd_verify, "command": "verify",
+        }
 
 
 class TestGenerate:
