@@ -84,8 +84,9 @@ def load_game(text: str) -> Game:
         return parse_game_dsl(text)
     try:
         obj = json.loads(stripped)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # the decoder recurses once per nesting level
+    except (ValueError, RecursionError) as exc:
+        # the decoder recurses once per nesting level, and int() refuses a
+        # literal past sys.get_int_max_str_digits() with a plain ValueError
         raise MalformedInput(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise MalformedInput("JSON input must be an object")
@@ -113,7 +114,7 @@ def parse_decomposition(g: Game, text: str):
     if s.startswith("["):
         try:
             obj = json.loads(s)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedParty(f"invalid JSON decomposition: {exc}") from None
         if not isinstance(obj, list) or not all(isinstance(p, list) for p in obj):
             raise MalformedParty("JSON decomposition must be a list of parties")
@@ -139,7 +140,7 @@ def parse_decomposition(g: Game, text: str):
     collections = []
     for p in parties:
         tokens = p.split(",") if p else []
-        if any(not t.isdigit() for t in tokens):
+        if any(not (t.isascii() and t.isdigit()) for t in tokens):
             raise MalformedParty(f"unparseable party: {{{p}}}")
         collections.append([tuple(int(ch) for ch in t) for t in tokens])
     return decomposition_from_collections(g, collections)

@@ -109,7 +109,12 @@ def _agent_key(key) -> int | None:
     """The agent id a preference key names: an ``int`` that is not a
     ``bool``, or a string of ASCII digits; ``None`` for any other key."""
     if isinstance(key, str):
-        return int(key) if key.isascii() and key.isdigit() else None
+        if not (key.isascii() and key.isdigit()):
+            return None
+        try:
+            return int(key)
+        except ValueError:  # more digits than int() converts: no agent's id
+            return None
     if isinstance(key, int) and not isinstance(key, bool):
         return int(key)
     return None
@@ -413,8 +418,8 @@ def _is_list_like(obj) -> bool:
     return isinstance(obj, Sequence) and not isinstance(obj, (str, bytes))
 
 
-_DSL_HEADER = re.compile(r"^agents\s*:\s*(\d+)\s*$")
-_DSL_LINE = re.compile(r"^(\d)\s*:(.*)$")
+_DSL_HEADER = re.compile(r"^agents\s*:\s*(\d+)\s*$", re.ASCII)
+_DSL_LINE = re.compile(r"^(\d)\s*:(.*)$", re.ASCII)
 
 
 def parse_game_dsl(text: str) -> Game:
@@ -429,9 +434,12 @@ def parse_game_dsl(text: str) -> Game:
     header = _DSL_HEADER.match(lines[0])
     if not header:
         raise MalformedInput("game text must start with an 'agents: n' line")
-    n = int(header.group(1))
-    if not 1 <= n <= 9:
+    # one significant digit: int() refuses a count of more than
+    # sys.get_int_max_str_digits() digits with a plain ValueError
+    digits = header.group(1).lstrip("0")
+    if len(digits) != 1:
         raise MalformedInput("the text form supports 1..9 agents")
+    n = int(digits)
     rankings: dict[int, list] = {}
     for ln in lines[1:]:
         m = _DSL_LINE.match(ln)
@@ -445,7 +453,7 @@ def parse_game_dsl(text: str) -> Game:
             token = token.strip()
             if not token:
                 raise MalformedInput(f"empty coalition in line: {ln!r}")
-            if not token.isdigit():
+            if not (token.isascii() and token.isdigit()):
                 raise MalformedInput(f"coalition {token!r} is not a digit string")
             entries.append(tuple(int(ch) for ch in token))
         rankings[agent] = entries

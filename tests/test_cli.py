@@ -838,15 +838,17 @@ class TestAgentCountAboveTheCap:
         assert out == "" and err == f"error: at most 63 agents are supported, got {got}\n"
 
 
+def reading(command, source):
+    """An ``analyze`` or ``verify`` command line that reads a game from
+    ``source``."""
+    if command == "verify":
+        return [command, source, "--decomposition", "{{1,2,3},{45,46,56}}"]
+    return [command, source]
+
+
 class TestUndecodableInput:
     """Input bytes that are not UTF-8 are an input that cannot be read: one
     error line and exit 2 from both commands, not a traceback."""
-
-    @staticmethod
-    def argv(command, source):
-        if command == "verify":
-            return [command, source, "--decomposition", "{{1,2,3},{45,46,56}}"]
-        return [command, source]
 
     @pytest.mark.skipif(
         locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
@@ -856,7 +858,7 @@ class TestUndecodableInput:
     def test_file(self, tmp_path, command, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{}")
-        assert main(self.argv(command, str(bad))) == 2
+        assert main(reading(command, str(bad))) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
@@ -866,7 +868,7 @@ class TestUndecodableInput:
     def test_stdin(self, command, capsys, monkeypatch):
         stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
         monkeypatch.setattr(sys, "stdin", stdin)
-        assert main(self.argv(command, "-")) == 2
+        assert main(reading(command, "-")) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: cannot read -: 'utf-8' codec can't decode byte 0xff")
@@ -894,6 +896,71 @@ class TestDeeplyNestedJson:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: invalid JSON decomposition: ")
         assert err.count("\n") == 1
+
+
+BIG = "1" + "0" * 4999  # past int()'s default limit of 4,300 digits
+
+
+class TestOversizedIntegers:
+    """An integer of more digits than int() converts is malformed input
+    (exit 2, one line) in both commands, not a ValueError traceback (exit
+    1): JSON gets the decoder's line, and a key or the text form's header
+    the line a smaller bad value gets."""
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ('{"agents": %s}' % BIG, "error: invalid JSON: "),
+            ('{"n": 2, "preferences": {"1": [%s]}}' % BIG, "error: invalid JSON: "),
+            (f"agents: {BIG}\n", "error: the text form supports 1..9 agents\n"),
+            ('{"agents": 2, "preferences": {"%s": [[1]]}}' % BIG,
+             f"error: preference key '{BIG}' is not an agent id\n"),
+            ('{"n": 2, "preferences": {"%s": [1]}}' % BIG, f"error: bad agent id '{BIG}'\n"),
+        ],
+        ids=["agents", "roommate-partner", "text-header", "game-key", "roommate-key"],
+    )
+    def test_game(self, tmp_path, command, text, error, capsys):
+        p = tmp_path / "game"
+        p.write_text(text)
+        assert main(reading(command, str(p))) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(error) and err.count("\n") == 1
+
+    def test_decomposition(self, g6_file, capsys):
+        assert main(["verify", g6_file, "--decomposition", f"[[[{BIG}]]]"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: invalid JSON decomposition: ")
+        assert err.count("\n") == 1
+
+
+class TestNonAsciiDigits:
+    """The text forms read ASCII digits only, as JSON keys do: a superscript
+    two passed str.isdigit() and then failed int() with a traceback, and
+    Arabic-Indic digits were read as agents."""
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ("agents: 2\n1: 1\u00b2 | 1\n", "coalition '1\u00b2' is not a digit string"),
+            ("agents: 2\n\u0661: \u0661\u0662 | 1\n",
+             "unparseable ranking line: '\u0661: \u0661\u0662 | 1'"),
+            ("agents: 2\n1: \u0661\u0662 | 1\n", "coalition '\u0661\u0662' is not a digit string"),
+            ("agents: \u0662\n1: 12 | 1\n", "game text must start with an 'agents: n' line"),
+        ],
+        ids=["superscript", "arabic-line", "arabic-coalition", "arabic-header"],
+    )
+    def test_game(self, tmp_path, command, text, error, capsys):
+        p = tmp_path / "game.txt"
+        p.write_text(text, encoding="utf-8")
+        assert main(reading(command, str(p))) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    @pytest.mark.parametrize("party", ["1\u00b2", "\u0661"], ids=["superscript", "arabic"])
+    def test_decomposition(self, g6_file, party, capsys):
+        assert main(["verify", g6_file, "--decomposition", "{{%s},{3}}" % party]) == 2
+        assert capsys.readouterr() == ("", f"error: unparseable party: {{{party}}}\n")
 
 
 SEEDED_INPUTS = (
