@@ -79,8 +79,18 @@ the table exact:
    rank above ``w``. Either way ``v`` is matched, and every agent with a
    non-empty row is the first partner of one.
 
-So the matching search places every agent with an empty row single and
-never offers the others their singleton.
+Lemma 2 carries over to stable partitions: an agent whose row is not empty
+is on a cycle of length 2 or more in every stable partition ``pi``. Let
+``w`` have a non-empty row with first partner ``v``, and suppose ``v`` is
+single. Then ``v`` ranks ``w`` above their predecessor, themself. By Lemma
+1, ``pi^-1(w)`` is ``w`` or a partner left in ``w``'s row, and it is not
+``v``, so ``w`` ranks ``v`` above it: ``{w, v}`` violates T2. So the first
+partner of every agent with a non-empty row is on a longer cycle, and every
+agent with a non-empty row is the first partner of one. An agent with an
+empty row is single in every stable partition, by Lemma 1.
+
+So both searches place every agent with an empty row single and never
+offer the others their singleton.
 """
 
 from __future__ import annotations
@@ -212,7 +222,8 @@ class Factor(namedtuple("Factor", "game sets graph")):
     its phase-1 table (``_phase_one``), built once with its rows
     (``_pair_rows``): a dropped pair is adjacent in no stable partition,
     hence in no stable matching (Lemma 1), and an agent whose row is not
-    empty is matched in every stable matching (Lemma 2).
+    empty is matched in every stable matching (Lemma 2) and on a cycle of
+    length 2 or more in every stable partition.
     """
 
     __slots__ = ()
@@ -418,19 +429,29 @@ def _stable_partitions(g: Game, rows: _PairRows) -> list[tuple[tuple[int, ...], 
     permissible pair they would rather hold (``envy``), every pair without
     them included, and a branch is dropped once the AND of those masks keeps
     a pair both of whose agents have known predecessors. Agents outside the
-    factor are single from the start.
+    factor and agents with an empty row are single from the start; every
+    other agent is on a cycle of length 2 or more (the module docstring,
+    after Lemma 2), so the search never offers them their singleton.
     """
     holding, partners, envy = rows.holding, rows.table, rows.envy
     agents = rows.agents
     n = g.n
-    # each partner's position in the table row
-    rank: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for i in members(agents):
-        rank[i] = {j: k for k, j in enumerate(partners[i])}
     # the agents outside the factor, each a cycle of length 1
     outside = [(b + 1,) for b in range(n) if not agents >> b & 1]
     succ = [0] * (n + 1)
     found = []
+    # each partner's position in the table row. An agent with an empty row
+    # is single, with an envy mask of -1; no pair joins two of them (see the
+    # module docstring), so ``within`` starts at 0
+    rank: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    cycling = held = 0
+    for i in members(agents):
+        if partners[i]:
+            rank[i] = {j: k for k, j in enumerate(partners[i])}
+            cycling |= 1 << (i - 1)
+        else:
+            succ[i] = i
+            held |= holding[i]
 
     def cycles() -> tuple[tuple[int, ...], ...]:
         out = list(outside)
@@ -461,11 +482,6 @@ def _stable_partitions(g: Game, rows: _PairRows) -> list[tuple[tuple[int, ...], 
         low = free & -free
         a = low.bit_length()
         free ^= low
-        # a single: T1 holds and their envy mask is -1
-        inside = within | holding[a] & held
-        if not blocking & inside:
-            succ[a] = a
-            start(free, blocking, inside, held | holding[a])
         for y in partners[a]:
             if free >> (y - 1) & 1:
                 succ[a] = y
@@ -499,7 +515,7 @@ def _stable_partitions(g: Game, rows: _PairRows) -> list[tuple[tuple[int, ...], 
         if not blocking & within:
             start(free, blocking, within, held | holding[a])
 
-    start(agents, -1, 0, 0)
+    start(cycling, -1, 0, held)
     return found
 
 

@@ -11,10 +11,11 @@ only the witnesses of prevented breakers. The JSON report is written in one
 pass, byte for byte what ``json.dumps(doc, indent=2)`` prints for the
 document it describes.
 
-A command line that names a subcommand, then its positional, then exact
-long options with values not starting with ``-`` is read without an
-argparse pass; argparse parses every other one and writes every usage
-message, error and help text.
+The command line is declared once, in ``_COMMANDS``. A command line that
+names a subcommand, then its positional, then exact long options with
+values not starting with ``-`` is read from that table without importing
+argparse; argparse, built from the same table, parses every other one and
+writes every usage message, error and help text.
 
 Exit codes: 0 on success (the verify verdict, positive or negative, is
 printed); 1 when the exploration limit is exceeded (``analyze`` prints a
@@ -25,13 +26,12 @@ written, or a ``--limit`` that is not a positive integer.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
 import time
-from gettext import gettext
+import types
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .core import (
@@ -75,6 +75,18 @@ def _read_input(source: str) -> str:
         raise MalformedInput(f"cannot read {source}: {exc}") from None
 
 
+def _loads(text: str, error: type[StabledecError], what: str):
+    """``json.loads(text)``, raising ``error`` with one line for input it
+    refuses. ``int()`` refuses a literal past the interpreter's digit limit
+    with a plain ``ValueError`` whose message asks for a Python call."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        if type(exc) is ValueError:
+            exc = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+        raise error(f"{what}: {exc}") from None
+
+
 def load_game(text: str) -> Game:
     """Game from JSON (game, roommate or marriage schema) or the text form."""
     stripped = text.lstrip()
@@ -82,12 +94,7 @@ def load_game(text: str) -> Game:
         raise MalformedInput("empty input")
     if not stripped.startswith("{"):
         return parse_game_dsl(text)
-    try:
-        obj = json.loads(stripped)
-    except (ValueError, RecursionError) as exc:
-        # the decoder recurses once per nesting level, and int() refuses a
-        # literal past sys.get_int_max_str_digits() with a plain ValueError
-        raise MalformedInput(f"invalid JSON: {exc}") from None
+    obj = _loads(stripped, MalformedInput, "invalid JSON")
     if not isinstance(obj, dict):
         raise MalformedInput("JSON input must be an object")
     if "men" in obj:
@@ -112,10 +119,7 @@ def parse_decomposition(g: Game, text: str):
     (list of parties, each a list of coalitions as agent lists)."""
     s = "".join(text.split())
     if s.startswith("["):
-        try:
-            obj = json.loads(s)
-        except (ValueError, RecursionError) as exc:
-            raise MalformedParty(f"invalid JSON decomposition: {exc}") from None
+        obj = _loads(s, MalformedParty, "invalid JSON decomposition")
         if not isinstance(obj, list) or not all(isinstance(p, list) for p in obj):
             raise MalformedParty("JSON decomposition must be a list of parties")
         collections = []
@@ -429,156 +433,151 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+_INPUT = {"help": "game file (JSON or text form), '-' for stdin"}
+_LIMIT = {
+    "type": _positive_int,
+    "default": DEFAULT_LIMIT,
+    "help": "exploration cap, a positive integer (default %(default)s)",
+}
+
+# The command line, declared once. Per subcommand: its help line, the
+# function that runs it, and its arguments as name -> ``add_argument``
+# keywords: first the positional, then the long options, each a flag
+# (``store_true``) or an option taking one value. ``_quick_parse`` reads the
+# command lines it accepts from this table, and ``_parser`` builds argparse
+# from it for every other one.
+_COMMANDS = {
+    "analyze": ("analyze a game", _cmd_analyze, {
+        "input": _INPUT,
+        "--absorbing": {"action": "store_true", "help": "list absorbing sets"},
+        "--rings": {"action": "store_true", "help": "list ring components"},
+        "--decompositions": {"action": "store_true", "help": "list stable decompositions"},
+        "--converge": {"action": "store_true", "help": "decide convergence to stability"},
+        "--all": {"action": "store_true", "help": "enable every section"},
+        "--json": {"action": "store_true", "help": "emit a JSON report"},
+        "--dot": {"metavar": "PATH", "help": "write the domination graph as DOT"},
+        "--limit": _LIMIT,
+    }),
+    "generate": ("emit a random game or matching spec as JSON", _cmd_generate, {
+        "kind": {"choices": ["random", "roommate", "marriage"]},
+        "--agents": {"type": int, "default": 6, "help": "agent count (random, roommate)"},
+        "--men": {"type": int, "default": 3, "help": "left side size (marriage)"},
+        "--women": {"type": int, "default": 3, "help": "right side size (marriage)"},
+        "--density": {"type": float, "default": None, "help": "inclusion probability"},
+        "--seed": {"type": int, "default": None, "help": "RNG seed"},
+    }),
+    "verify": ("check a proposed stable decomposition", _cmd_verify, {
+        "input": _INPUT,
+        "--decomposition": {
+            "required": True,
+            "help": "candidate, e.g. '{{12,23,13},{45,46,56}}' or JSON party lists",
+        },
+        "--limit": _LIMIT,
+    }),
+}
+
+
+@functools.cache
+def _parser():
+    """The top-level parser and the subcommand parsers by name, built from
+    ``_COMMANDS`` once per process, for the command lines ``_quick_parse``
+    declines: building them costs about ten times a parse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="stabledec",
         description="Coalition formation: absorbing sets, rings and stable decompositions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="analyze a game")
-    analyze.add_argument("input", help="game file (JSON or text form), '-' for stdin")
-    analyze.add_argument("--absorbing", action="store_true", help="list absorbing sets")
-    analyze.add_argument("--rings", action="store_true", help="list ring components")
-    analyze.add_argument(
-        "--decompositions", action="store_true", help="list stable decompositions"
-    )
-    analyze.add_argument(
-        "--converge", action="store_true", help="decide convergence to stability"
-    )
-    analyze.add_argument("--all", action="store_true", help="enable every section")
-    analyze.add_argument("--json", action="store_true", help="emit a JSON report")
-    analyze.add_argument("--dot", metavar="PATH", help="write the domination graph as DOT")
-    analyze.add_argument(
-        "--limit",
-        type=_positive_int,
-        default=DEFAULT_LIMIT,
-        help="exploration cap, a positive integer (default %(default)s)",
-    )
-    analyze.set_defaults(run=_cmd_analyze)
-
-    gen = sub.add_parser("generate", help="emit a random game or matching spec as JSON")
-    gen.add_argument("kind", choices=["random", "roommate", "marriage"])
-    gen.add_argument("--agents", type=int, default=6, help="agent count (random, roommate)")
-    gen.add_argument("--men", type=int, default=3, help="left side size (marriage)")
-    gen.add_argument("--women", type=int, default=3, help="right side size (marriage)")
-    gen.add_argument("--density", type=float, default=None, help="inclusion probability")
-    gen.add_argument("--seed", type=int, default=None, help="RNG seed")
-    gen.set_defaults(run=_cmd_generate)
-
-    verify = sub.add_parser("verify", help="check a proposed stable decomposition")
-    verify.add_argument("input", help="game file (JSON or text form), '-' for stdin")
-    verify.add_argument(
-        "--decomposition",
-        required=True,
-        help="candidate, e.g. '{{12,23,13},{45,46,56}}' or JSON party lists",
-    )
-    verify.add_argument(
-        "--limit",
-        type=_positive_int,
-        default=DEFAULT_LIMIT,
-        help="exploration cap, a positive integer (default %(default)s)",
-    )
-    verify.set_defaults(run=_cmd_verify)
-    return parser
+    commands = {}
+    for name, (summary, run, arguments) in _COMMANDS.items():
+        command = commands[name] = sub.add_parser(name, help=summary)
+        for argument, kw in arguments.items():
+            command.add_argument(argument, **kw)
+        command.set_defaults(run=run)
+    return parser, commands
 
 
-# one parser per process: building it costs about ten times a parse
-_parser = functools.cache(build_parser)
-
-
-@functools.cache
-def _quick_table(command: argparse.ArgumentParser):
-    """What ``_quick_parse`` reads of a subcommand parser: its long options
-    that store one value or ``True``, by exact name; its one positional;
-    the actions argparse requires; and the namespace argparse starts from,
-    the actions' defaults then the parser's own (``run``)."""
-    options = {}
-    positional = None
-    for action in command._actions:
-        kind = type(action)
-        if not action.option_strings:
-            positional = action
-        elif kind is argparse._StoreTrueAction or (
-            kind is argparse._StoreAction and action.nargs is None
-        ):
-            options.update((name, action) for name in action.option_strings if name[:2] == "--")
-    start = {
-        a.dest: a.default
-        for a in command._actions
-        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS
-    }
-    for dest, value in command._defaults.items():
-        start.setdefault(dest, value)
-    required = {a for a in command._actions if a.required}
-    return options, positional, required, start
-
-
-def _quick_parse(command: argparse.ArgumentParser, argv: list[str]):
-    """The namespace ``command.parse_known_args(argv)`` returns, with no
-    argument left over, when ``argv`` is the positional (``-`` or a value
-    not starting with ``-``) followed by exact long option names, each
-    given once, with a value not starting with ``-`` where the option
-    takes one, and every required option given. ``None`` for any other
-    ``argv``, and when a value fails its ``type`` or ``choices``, so that
-    argparse parses it and reports what it reports."""
-    options, positional, required, start = _quick_table(command)
+def _quick_parse(name: str, argv: list[str]):
+    """The namespace that subcommand ``name``'s parser returns for ``argv``,
+    with no argument left over, when ``argv`` is the positional (``-`` or a
+    value not starting with ``-``) followed by exact long option names, each
+    given once, with a value not starting with ``-`` where the option takes
+    one, and every required option given. ``None`` for any other ``argv``,
+    and when a value fails its ``type`` or ``choices``, so that argparse
+    parses it and reports what it reports."""
+    _, run, arguments = _COMMANDS[name]
     if not argv or (argv[0][:1] == "-" and argv[0] != "-"):
         return None
-    given = {positional: argv[0]}
+    # argument name -> its text, None for a flag; the positional is given,
+    # so its bare name is refused as an option
+    given = {next(iter(arguments)): argv[0]}
     k, end = 1, len(argv)
     while k < end:
-        action = options.get(argv[k])
-        if action is None or action in given:
+        option = argv[k]
+        kw = arguments.get(option)
+        if kw is None or option in given:
             return None
-        if action.nargs == 0:
-            given[action] = None
+        if kw.get("action") == "store_true":
+            given[option] = None
             k += 1
         elif k + 1 < end and argv[k + 1][:1] != "-":
-            given[action] = argv[k + 1]
+            given[option] = argv[k + 1]
             k += 2
         else:
             return None
-    if not required <= given.keys():
-        return None
-    values = dict(start)
-    for action, text in given.items():
+    # argparse starts from every default in declaration order, then ``run``
+    values = {}
+    for argument, kw in arguments.items():
+        if kw.get("required") and argument not in given:
+            return None
+        flag = kw.get("action") == "store_true"
+        values[argument.lstrip("-")] = kw.get("default", False if flag else None)
+    values["run"] = run
+    for argument, text in given.items():
+        kw = arguments[argument]
         if text is None:
-            values[action.dest] = action.const
-            continue
-        try:
-            value = text if action.type is None else action.type(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
-    return argparse.Namespace(**values)
+            value = True
+        else:
+            try:
+                value = kw.get("type", str)(text)
+            except Exception:
+                # argparse converts it again and reports the failure;
+                # ``_positive_int`` raises argparse's ArgumentTypeError
+                return None
+            choices = kw.get("choices")
+            if choices is not None and value not in choices:
+                return None
+        values[argument.lstrip("-")] = value
+    return types.SimpleNamespace(**values)
 
 
-def _parse(argv) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``. When ``argv`` starts with a
-    subcommand, the rest is read by ``_quick_parse`` without an argparse
-    pass, or else parsed by that subcommand's parser: the top-level parser
-    would hand it the rest and report what it leaves over, so this does both
-    directly. Any other ``argv`` goes through the top-level parser."""
-    parser = _parser()
+def _parse(argv):
+    """``_parser()[0].parse_args(argv)``. When ``argv`` starts with a
+    subcommand, the rest is read by ``_quick_parse`` without argparse, or
+    else parsed by that subcommand's parser: the top-level parser would hand
+    it the rest and report what it leaves over, so this does both directly.
+    Any other ``argv`` goes through the top-level parser."""
     if argv is None:
         argv = sys.argv[1:]
-    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _quick_parse(command, argv[1:])
+    name = argv[0] if argv else None
+    args = _quick_parse(name, argv[1:]) if name in _COMMANDS else None
     if args is None:
-        args, extra = command.parse_known_args(argv[1:])
+        parser, commands = _parser()
+        if name not in commands:
+            return parser.parse_args(argv)
+        args, extra = commands[name].parse_known_args(argv[1:])
         if extra:
+            from gettext import gettext
+
             parser.error(gettext("unrecognized arguments: %s") % " ".join(extra))
-    args.command = argv[0]
+    args.command = name
     return args
 
 

@@ -1,7 +1,8 @@
 """The ``stabledec`` console script, run as a user runs it.
 
 Every test runs the ``stabledec`` found on PATH in a subprocess, and fails
-(it does not skip) when there is none. The name has no ``test_`` prefix, so
+(it does not skip) when there is none; the import check also runs this
+interpreter on the package it imports. The name has no ``test_`` prefix, so
 the full suite does not collect this module; pytest runs it when it is
 named. Against an installed package::
 
@@ -20,6 +21,7 @@ import json
 import re
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -278,55 +280,111 @@ def test_pool_supports_protected_party(path):
 
 
 BIG = "1" + "0" * 4999  # past int()'s default limit of 4,300 digits
+TOO_LONG = "an integer has more than 4300 digits"
 
 # Games that both commands read: "verify -" reads its game from stdin too.
+# Name -> (game text, the error line after "error: ").
 MALFORMED_GAMES = {
-    "agents 10**4999": '{"agents": %s}' % BIG,
-    "roommate partner 10**4999": '{"n": 2, "preferences": {"1": [%s]}}' % BIG,
-    "text header agents 10**4999": f"agents: {BIG}\n",
-    "key 10**4999": '{"agents": 2, "preferences": {"%s": [[1]]}}' % BIG,
-    "superscript digit": "agents: 2\n1: 1² | 1\n",
-    "Arabic-Indic digits": "agents: 2\n١: ١٢ | 1\n",
+    "agents 10**4999": ('{"agents": %s}' % BIG, f"invalid JSON: {TOO_LONG}"),
+    "roommate partner 10**4999": (
+        '{"n": 2, "preferences": {"1": [%s]}}' % BIG, f"invalid JSON: {TOO_LONG}"
+    ),
+    "text header agents 10**4999": (f"agents: {BIG}\n", "the text form supports 1..9 agents"),
+    "key 10**4999": (
+        '{"agents": 2, "preferences": {"%s": [[1]]}}' % BIG,
+        f"preference key '{BIG}' is not an agent id",
+    ),
+    "superscript digit": ("agents: 2\n1: 1² | 1\n", "coalition '1²' is not a digit string"),
+    "Arabic-Indic digits": ("agents: 2\n١: ١٢ | 1\n", "unparseable ranking line: '١: ١٢ | 1'"),
 }
 
 # Malformed input far outside any game, JSON nested 200,000 deep, agent ids
 # of 10**20 and of 5,000 digits, matching specs of 10**20 agents, digits that
-# are not ASCII and a file that is not UTF-8. A name after the command names
-# a file of ``path``.
+# are not ASCII and a file that is not UTF-8: (argv, stdin, the error line
+# after "error: "), the line None where the interpreter words it. A name
+# after the command names a file of ``path``.
 MALFORMED = {
     "analyze, deep JSON": (
         ("analyze", "-"),
         '{"agents": 2, "preferences": ' + "[" * 200_000 + "]" * 200_000 + "}",
+        None,
     ),
     "verify, id 10**20": (
         ("verify", "roommate6", "--decomposition",
          "[[[1,%d]],[[2]],[[3]],[[4]],[[5]],[[6]]]" % 10**20),
         "",
+        "agent id 100000000000000000000 is out of range",
     ),
-    "analyze, roommate n 10**20": (("analyze", "-"), '{"n": %d}' % 10**20),
-    "analyze, marriage men 10**20": (("analyze", "-"), '{"men": %d, "women": 1}' % 10**20),
-    "analyze, not UTF-8": (("analyze", "not-utf8"), ""),
-    "verify, not UTF-8": (("verify", "not-utf8", "--decomposition", "{{1}}"), ""),
-    "verify, id 10**4999": (("verify", "roommate6", "--decomposition", f"[[[{BIG}]]]"), ""),
-    "verify, superscript digit": (("verify", "roommate6", "--decomposition", "{{1²},{3}}"), ""),
+    "analyze, roommate n 10**20": (
+        ("analyze", "-"), '{"n": %d}' % 10**20,
+        "at most 63 agents are supported, got 100000000000000000000",
+    ),
+    "analyze, marriage men 10**20": (
+        ("analyze", "-"), '{"men": %d, "women": 1}' % 10**20,
+        "at most 63 agents are supported, got 100000000000000000001",
+    ),
+    "analyze, not UTF-8": (("analyze", "not-utf8"), "", None),
+    "verify, not UTF-8": (("verify", "not-utf8", "--decomposition", "{{1}}"), "", None),
+    "verify, id 10**4999": (
+        ("verify", "roommate6", "--decomposition", f"[[[{BIG}]]]"), "",
+        f"invalid JSON decomposition: {TOO_LONG}",
+    ),
+    "verify, superscript digit in the decomposition": (
+        ("verify", "roommate6", "--decomposition", "{{1²},{3}}"), "",
+        "unparseable party: {1²}",
+    ),
     **{
-        f"{argv[0]}, {name}": (argv, text)
-        for name, text in MALFORMED_GAMES.items()
+        f"{argv[0]}, {name}": (argv, text, line)
+        for name, (text, line) in MALFORMED_GAMES.items()
         for argv in [("analyze", "-"), ("verify", "-", "--decomposition", "{{1}}")]
     },
 }
 
 
-@pytest.mark.parametrize("argv,stdin", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_is_one_error_line(argv, stdin, path):
-    """Each run exits 2 with one error line and no traceback, and a hang
-    fails it."""
+@pytest.mark.parametrize("argv,stdin,line", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_one_error_line(argv, stdin, line, path):
+    """Each run exits 2 with one error line, the one the row names, and no
+    traceback, and a hang fails it."""
     command, source, *rest = argv
     proc = run(command, source if source == "-" else path(source), *rest, stdin=stdin)
     lines = proc.stderr.splitlines()
     assert proc.returncode == 2, proc.stderr
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert line is None or lines[0] == f"error: {line}"
     assert "Traceback" not in proc.stderr
+
+
+def test_installed_package_imports_only_what_it_uses(path):
+    """Importing ``stabledec.cli`` loads no dataclasses, inspect, typing or
+    pathlib, and the benchmark's two command shapes, run in process, then
+    load no argparse or gettext either. Only what they add counts: with
+    ``site`` on, a ``.pth`` hook may have loaded any of them already. The
+    interpreter is the one running this module, which imports the package
+    that its console script runs."""
+    code = (
+        "import io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "import stabledec.cli\n"
+        "convenience = {'dataclasses', 'inspect', 'typing', 'pathlib'}\n"
+        "imported = sorted(convenience & (set(sys.modules) - before))\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "codes = [stabledec.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "sys.stdout = out\n"
+        "ran = sorted((convenience | {'argparse', 'gettext'}) & (set(sys.modules) - before))\n"
+        "print(json.dumps([stabledec.cli.__file__, codes, imported, ran]))\n"
+    )
+    game = path("roommate6")
+    argvs = [
+        ["analyze", game, "--all", "--json"],
+        ["verify", game, "--decomposition", ALL_SINGLETONS, "--limit", "20000"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    where, codes, imported, ran = json.loads(proc.stdout)
+    assert (codes, imported, ran) == ([0, 0], [], []), where
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,19 @@ def test_table_drops_no_pair_of_a_stable_partition(label):
                 assert not dropped & {coalition((a, b)) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
 
 
+@pytest.mark.parametrize("label", list(SMALL_GAMES))
+def test_single_exactly_when_the_row_is_empty(label):
+    # Lemma 2 carried over to stable partitions (``absorbing`` module
+    # docstring), against the brute force: an agent with a non-empty row in
+    # the phase-1 table is on a cycle of length 2 or more, and one with an
+    # empty row is single
+    g = SMALL_GAMES[label]()
+    table = absorbing._pair_rows(g).table
+    empty = {i for i in range(1, g.n + 1) if not table[i]}
+    for partition in brute_partitions(g):
+        assert {cyc[0] for cyc in partition if len(cyc) == 1} == empty
+
+
 def test_table_drops_pairs_of_small_games():
     # the lemma above is tested on games where the table drops pairs, with
     # and without a stable matching
