@@ -21,13 +21,16 @@ Exit codes: 0 on success (the verify verdict, positive or negative, is
 printed); 1 when the exploration limit is exceeded (``analyze`` prints a
 partial report); 2 on malformed input, an input file that cannot be read or
 is not text in the locale's encoding, a ``--dot`` path that cannot be
-written, or a ``--limit`` that is not a positive integer.
+written, or a ``--limit`` that is not a positive integer; 141
+(``EXIT_PIPE_CLOSED``) when the reader of standard output closes it before
+the output is written, with nothing more printed.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -116,8 +119,13 @@ _PARTY_BODY = re.compile(r"\{([^{}]*)\}")
 
 def parse_decomposition(g: Game, text: str):
     """A decomposition from ``{{12,23,13},{45,46,56}}`` or the JSON form
-    (list of parties, each a list of coalitions as agent lists)."""
+    (list of parties, each a list of coalitions as agent lists).
+
+    A coalition whose ids all lie in ``1..n`` is read straight to its mask,
+    repeated ids ORed together as ``coalition`` does. Any other one stays a
+    tuple of its ids, so that ``make_party`` refuses it in its own words."""
     s = "".join(text.split())
+    n = g.n
     if s.startswith("["):
         obj = _loads(s, MalformedParty, "invalid JSON decomposition")
         if not isinstance(obj, list) or not all(isinstance(p, list) for p in obj):
@@ -126,11 +134,18 @@ def parse_decomposition(g: Game, text: str):
         for party in obj:
             coals = []
             for c in party:
-                if not isinstance(c, list) or not all(
-                    isinstance(a, int) and not isinstance(a, bool) for a in c
-                ):
+                if not isinstance(c, list):
                     raise MalformedParty("coalitions must be lists of agent ids")
-                coals.append(tuple(c))
+                mask, agents = 0, True
+                for a in c:
+                    # JSON numbers load as int, bool or float
+                    if type(a) is not int:
+                        raise MalformedParty("coalitions must be lists of agent ids")
+                    if 0 < a <= n:
+                        mask |= 1 << a - 1
+                    else:
+                        agents = False
+                coals.append(mask if agents else tuple(c))
             collections.append(coals)
         return decomposition_from_collections(g, collections)
     if not (s.startswith("{") and s.endswith("}")):
@@ -141,12 +156,24 @@ def parse_decomposition(g: Game, text: str):
     parties = _PARTY_BODY.findall(body)
     if ",".join("{" + p + "}" for p in parties) != body:
         raise MalformedParty(f"unparseable decomposition: {text!r}")
+    # each id's digit -> its bit
+    bits = {str(a): 1 << a - 1 for a in range(1, n + 1)}
     collections = []
     for p in parties:
         tokens = p.split(",") if p else []
         if any(not (t.isascii() and t.isdigit()) for t in tokens):
             raise MalformedParty(f"unparseable party: {{{p}}}")
-        collections.append([tuple(int(ch) for ch in t) for t in tokens])
+        coals = []
+        for t in tokens:
+            mask = 0
+            for ch in t:
+                if ch not in bits:
+                    coals.append(tuple(map(int, t)))
+                    break
+                mask |= bits[ch]
+            else:
+                coals.append(mask)
+        collections.append(coals)
     return decomposition_from_collections(g, collections)
 
 
@@ -581,10 +608,27 @@ def _parse(argv):
     return args
 
 
+# the exit code when the reader of standard output closes it early, as a
+# shell reports a program that SIGPIPE ends (128 + 13)
+EXIT_PIPE_CLOSED = 141
+
+
 def main(argv=None) -> int:
     args = _parse(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        # output still buffered fails here, not in the interpreter's exit;
+        # print, unlike a bare flush, also takes a missing standard output
+        print(end="", flush=True)
+        return code
+    except BrokenPipeError:
+        # nothing more can be written: point standard output at the null
+        # device, so that the interpreter's final flush prints nothing
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
+        return EXIT_PIPE_CLOSED
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -174,7 +174,7 @@ class Expansion(namedtuple("Expansion", "bit better meets")):
     For K-coalitions ``c`` and ``m`` that share an agent, ``better[m] &
     bit[c]`` is nonzero exactly when ``unanimously_prefers(g, c, m)``. So
     the breakers of a maximal set are the AND of ``better`` over it, met
-    with the OR of its ``meets`` (``structures._breaking``), and a
+    with the OR of its ``meets`` (``structures._bron_kerbosch``), and a
     coalition ``d`` dissents from ``c`` exactly when ``bit[c]`` lies in
     ``meets[j(d)] & ~better[d]`` (``decomposition._prevention``).
     """

@@ -47,7 +47,7 @@ from .errors import (
     PartyIsSingletonPool,
     VerificationFailed,
 )
-from .structures import DEFAULT_LIMIT, _breaking, maximal_sets, structure_from_parts
+from .structures import DEFAULT_LIMIT, _maximal_search, structure_from_parts
 from .dynamics import grow_graph
 from .absorbing import AbsorbingSet, Analysis, sink_components
 from . import rings as _rings
@@ -204,20 +204,23 @@ def _breakers(g: Game, party: Party) -> int:
     """The K-bits (``Game.expansion``) of the party's breakers: the
     coalitions outside it that break one of its maximal sets. A ring
     party built from its ring component carries them; a single coalition
-    is its only maximal set; otherwise the maximal sets are computed once."""
+    is its only maximal set, broken by the coalitions it meets that beat
+    it; otherwise one maximal-set search (``structures._maximal_search``)
+    finds them."""
     ks = [x for x in party.coalitions if x.bit_count() >= 2]
     if not ks:
         return 0
-    bit = g.expansion().bit
+    bit, better, meets = g.expansion()
     own = found = 0
     for c in ks:
         own |= _kbit(bit, c)
     if party.breakers is not None:
         for c in party.breakers:
             found |= bit[c]
+    elif own & (own - 1):
+        found = _maximal_search(g, own)[1]
     else:
-        for mset in maximal_sets(ks) if len(ks) > 1 else (ks,):
-            found |= _breaking(g, mset)
+        found = better[ks[0]] & meets[own.bit_length() - 1]
     return found & ~own
 
 

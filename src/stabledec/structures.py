@@ -93,62 +93,114 @@ def maximal_sets(collection: Iterable[int]) -> list[tuple[int, ...]]:
     """All inclusion-maximal pairwise-disjoint subsets of the non-single
     coalitions in ``collection``, each in ascending order, sorted.
 
-    Enumerated as the maximal cliques of the disjointness graph by
-    Bron-Kerbosch with Tomita's pivot (Tomita, Tanaka and Takahashi 2006),
-    on bitsets over the coalitions' indices, so each family is produced
-    exactly once. Each call branches only on the candidates that share an
-    agent with the pivot: the candidate or excluded coalition with the most
-    candidates disjoint from it.
+    They are the leaves of ``_bron_kerbosch`` over the coalitions' indices:
+    Bron-Kerbosch whose pivot is the lowest candidate or excluded
+    coalition, which keeps the search exact (Cazals and Karande 2008) and
+    costs no scan, where Tomita's pivot (Tomita, Tanaka and Takahashi 2006)
+    scans them all. Each coalition's disjoint ones are one int, built from
+    one mask per agent. There is no game, so there are no breakers to carry.
     """
     ks = sorted({c for c in collection if c.bit_count() >= 2})
     if not ks:
         raise EmptyCollection("collection has no non-single coalition")
-    # apart[i]: the indices of the coalitions disjoint from ks[i]
     holding: dict[int, int] = {}
     for i, c in enumerate(ks):
         for a in members(c):
             holding[a] = holding.get(a, 0) | 1 << i
     full = (1 << len(ks)) - 1
-    apart = []
+    rows = []
     for c in ks:
         meets = 0
         for a in members(c):
             meets |= holding[a]
-        apart.append(full & ~meets)
-    out: list[tuple[int, ...]] = []
+        rows.append((full & ~meets, 0, 0))
+    return _bron_kerbosch(ks, rows, full)[0]
 
-    def expand(chosen: int, cand: int, excl: int) -> None:
+
+def _maximal_search(g: Game, inside: int, within: int = 0):
+    """``_bron_kerbosch`` over the K-coalitions whose K-bits
+    (``Game.expansion``) are ``inside``, carrying their breakers."""
+    _, better, meets = g.expansion()
+    ks = g.permissible
+    rows = {}
+    rest = inside
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        j = low.bit_length() - 1
+        hit = meets[j]
+        rows[j] = (inside & ~hit, better[ks[j]], hit)
+    return _bron_kerbosch(ks, rows, inside, within)
+
+
+def _bron_kerbosch(ks, rows, cand: int, within: int = 0):
+    """The library's one search for maximal sets: the maximal cliques of
+    the disjointness graph, each produced exactly once, found by
+    Bron-Kerbosch with a pivot on bitsets over positions.
+
+    ``cand`` holds the positions of the collection. ``ks[j]`` is the
+    coalition at position ``j``. ``rows[j]`` is ``(apart, better, meets)``:
+    the positions of the collection disjoint from it, and the bitsets whose
+    AND and OR give a set's breakers (``Game.expansion``).
+
+    Each call branches only on the candidates that share an agent with the
+    pivot. Any pivot taken from the candidates and the excluded coalitions
+    keeps the search exact (Cazals and Karande 2008). Tomita's pivot
+    (Tomita, Tanaka and Takahashi 2006), the one with the most candidates
+    disjoint from it, costs a scan per call. So the pivot is the lowest
+    position of the two, which costs none.
+
+    Each branch carries four values down the recursion: the AND of
+    ``better`` over its chosen coalitions, the OR of their ``meets``, and
+    the coalitions meeting at least one of them and at least two. So each
+    maximal set's breakers, the coalitions beating every member they meet
+    that meet some member, come with the set, and so do those of them that
+    meet two members. A member never breaks its own set.
+
+    Returns the maximal sets, ascending each and sorted; the OR of their
+    breakers; and the OR of their breakers that meet two members of the set.
+    With ``within`` nonzero, it returns ``None`` as soon as a set has no
+    breaker in ``within``.
+    """
+    out: list[tuple[int, ...]] = []
+    breakers = clash = 0
+
+    def expand(chosen, cand, excl, beats, hit, once, twice) -> bool:
+        # True stops the search
+        nonlocal breakers, clash
         if not cand:
             if not excl:
-                found = []
+                found = beats & hit
+                if within and not found & within:
+                    return True
+                breakers |= found
+                clash |= found & twice
+                mset = []
                 while chosen:
                     low = chosen & -chosen
                     chosen ^= low
-                    found.append(ks[low.bit_length() - 1])
-                out.append(tuple(found))
-            return
-        # every maximal set below holds the pivot or a candidate meeting
-        # it, so only those candidates are branched on
-        most, skip = -1, 0
+                    mset.append(ks[low.bit_length() - 1])
+                out.append(tuple(mset))
+            return False
+        # every maximal set below holds the pivot or a candidate meeting it,
+        # so only those candidates are branched on
         rest = cand | excl
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            left = apart[low.bit_length() - 1]
-            k = (cand & left).bit_count()
-            if k > most:
-                most, skip = k, left
-        todo = cand & ~skip
+        todo = cand & ~rows[(rest & -rest).bit_length() - 1][0]
         while todo:
             low = todo & -todo
             todo ^= low
-            left = apart[low.bit_length() - 1]
-            expand(chosen | low, cand & left, excl & left)
+            left, better, meets = rows[low.bit_length() - 1]
+            if expand(chosen | low, cand & left, excl & left, beats & better, hit | meets,
+                      once | meets, twice | once & meets):
+                return True
             cand ^= low
             excl |= low
+        return False
 
-    expand(0, full, 0)
-    return sorted(out)
+    if expand(0, cand, 0, -1, 0, 0, 0):
+        return None
+    out.sort()
+    return out, breakers, clash
 
 
 def breaks_maximal_set(g: Game, c: int, mset: Iterable[int]) -> bool:
@@ -161,19 +213,6 @@ def breaks_maximal_set(g: Game, c: int, mset: Iterable[int]) -> bool:
             if not unanimously_prefers(g, c, m):
                 return False
     return hit
-
-
-def _breaking(g: Game, mset: Iterable[int]) -> int:
-    """The K-bits (``Game.expansion``) of every coalition breaking the
-    maximal set of K-coalitions: those beating each member they meet
-    (the AND of ``better``) that meet some member (the OR of ``meets``).
-    A member never breaks its own set."""
-    bit, better, meets = g.expansion()
-    beats, hit = -1, 0
-    for m in mset:
-        beats &= better[m]
-        hit |= meets[bit[m].bit_length() - 1]
-    return beats & hit
 
 
 def breaks(g: Game, c: int, collection: Iterable[int]) -> bool:
@@ -246,10 +285,14 @@ def enumerate_structures(g: Game, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[
     before yielding structure ``limit + 1``.
 
     One iterative walk: a frame per part being placed holds its remaining
-    options and the agents placed before it.
+    options and the agents placed before it. An agent other than the first
+    in no permissible coalition, single in every structure (as the agents
+    outside a factor are in its game), gets no frame: it is placed single
+    with the part before it, once every agent below it is placed.
     """
     full = (1 << g.n) - 1
     options = _parts_by_agent(g)
+    lone = sum(own[0] for own in options[2:] if len(own) == 1)
     count = 0
     parts: list[int] = []
     frames = [(iter(options[1]), 0)]
@@ -260,22 +303,30 @@ def enumerate_structures(g: Game, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[
                 continue
             placed = used | c
             parts.append(c)
-            if placed == full:
-                count += 1
-                if count > limit:
-                    raise LimitExceeded(f"more than {limit} structures")
-                # parts were added in least-member order, already canonical
-                yield tuple(parts)
-                parts.pop()
-                continue
-            free = ~placed & full
-            frames.append((iter(options[(free & -free).bit_length()]), placed))
-            break
+            if placed != full:
+                free = ~placed & full
+                low = free & -free
+                while low & lone:
+                    parts.append(low)
+                    placed |= low
+                    free ^= low
+                    low = free & -free
+                if free:
+                    frames.append((iter(options[low.bit_length()]), placed))
+                    break
+            count += 1
+            if count > limit:
+                raise LimitExceeded(f"more than {limit} structures")
+            # parts were added in least-member order, already canonical
+            yield tuple(parts)
+            # undo the part, and the single agents placed with it
+            while parts.pop() & lone:
+                pass
         else:
-            # every option of this frame is done: undo the part that led here
+            # every option of this frame is done: undo the parts that led here
             frames.pop()
-            if parts:
-                parts.pop()
+            while parts and parts.pop() & lone:
+                pass
 
 
 # a frontier wider than this is counted by the walk: a layer holds 2**width

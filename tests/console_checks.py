@@ -397,3 +397,26 @@ def test_printed_json_is_json_dumps(command, name):
     json.dumps(..., indent=2) prints, on each Python it runs on."""
     text = game(name) if command == "generate" else report_text(name)
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze", "-", "--all", "--json"), ("analyze", "-", "--all"),
+     ("verify", "-", "--decomposition", "{{1}}")],
+)
+def test_closed_pipe_ends_quietly(argv):
+    """A reader that closes the pipe before the output comes, as ``| head``
+    does on a long report: exit 141, and nothing on stderr but the timing
+    line of ``analyze``. The game goes in on stdin only once the pipe is
+    closed, so no output can reach the pipe before."""
+    command = shutil.which("stabledec")
+    assert command, "no stabledec on PATH: install the package (pip install .)"
+    proc = subprocess.Popen(
+        [command, *argv], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(game("roommate23"), timeout=60)
+    assert proc.returncode == 141, err
+    timing = ["analysis time"] if argv[0] == "analyze" else []
+    assert [line.split(":")[0] for line in err.splitlines()] == timing

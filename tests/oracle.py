@@ -2,8 +2,8 @@
 
 Each reference is built on ``successors()``, the public definition
 functions (``prefers``, ``unanimously_prefers``, ``breaks``,
-``breaks_maximal_set``, ``maximal_sets``) or plain loops over a graph's
-nodes and edges. Where one borrows a library helper
+``breaks_maximal_set``), ``reference_maximal_sets`` or plain loops over a
+graph's nodes and edges. Where one borrows a library helper
 (``rings._ring_component``, ``decomposition._certificates``), that helper
 is not the routine it checks. The test modules and sweeps import their references
 and harness from here and their games from ``games.py``.
@@ -28,9 +28,11 @@ from stabledec import (
     AbsorbingSet,
     AgentIdOutOfRange,
     Analysis,
+    EmptyCollection,
     Game,
     InconsistentRanking,
     MalformedInput,
+    MalformedParty,
     NotACycle,
     Party,
     StabledecError,
@@ -42,11 +44,11 @@ from stabledec import (
     contains,
     converges_to_stability,
     decomposition,
+    make_party,
     enumerate_structures,
     factored_convergence,
     full_domination_graph,
     is_protected,
-    maximal_sets,
     members,
     prefers,
     render_coalition,
@@ -612,6 +614,92 @@ def _reference_step_sccs(G, absorbing):
     return sorted(c for c in comps if len(c) > 1)
 
 
+def reference_maximal_sets(collection):
+    """``structures.maximal_sets`` as Bron-Kerbosch with Tomita's pivot
+    (Tomita, Tanaka and Takahashi 2006): each call scans the candidate and
+    excluded coalitions for the one with the most candidates disjoint from
+    it and branches only on the candidates that share an agent with it."""
+    ks = sorted({c for c in collection if c.bit_count() >= 2})
+    if not ks:
+        raise EmptyCollection("collection has no non-single coalition")
+    # apart[i]: the indices of the coalitions disjoint from ks[i]
+    full = (1 << len(ks)) - 1
+    apart = [sum(1 << j for j, d in enumerate(ks) if not c & d) for c in ks]
+    out = []
+
+    def expand(chosen, cand, excl):
+        if not cand:
+            if not excl:
+                out.append(tuple(ks[j] for j in range(len(ks)) if chosen >> j & 1))
+            return
+        most, skip = -1, 0
+        rest = cand | excl
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            left = apart[low.bit_length() - 1]
+            k = (cand & left).bit_count()
+            if k > most:
+                most, skip = k, left
+        todo = cand & ~skip
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            left = apart[low.bit_length() - 1]
+            expand(chosen | low, cand & left, excl & left)
+            cand ^= low
+            excl |= low
+
+    expand(0, full, 0)
+    return sorted(out)
+
+
+def reference_breaking(g, mset):
+    """The K-bits (``Game.expansion``) of the coalitions breaking the
+    maximal set of K-coalitions, set by set: the AND of ``better`` over
+    its members met with the OR of their ``meets``."""
+    bit, better, meets = g.expansion()
+    beats, hit = -1, 0
+    for m in mset:
+        beats &= better[m]
+        hit |= meets[bit[m].bit_length() - 1]
+    return beats & hit
+
+
+def reference_ring_component(g, coalitions):
+    """``rings._ring_component`` in three passes: the SCCs of the
+    improvement digraph (``rings._pref_digraph_sccs``), the maximal sets
+    (``reference_maximal_sets``), then ``reference_breaking`` on each set,
+    which condition (ii), simpleness and the breakers read."""
+    B = tuple(sorted(set(coalitions)))
+    if len(B) < 3 or any(c not in g._kset for c in B):
+        return None
+    if len(rings._pref_digraph_sccs(g, B)) != 1:
+        return None
+    bit, _, meets = g.expansion()
+    inside = 0
+    for c in B:
+        inside |= bit[c]
+    maximal = tuple(reference_maximal_sets(B))
+    simple = True
+    outside = 0
+    for mset in maximal:
+        found = reference_breaking(g, mset)
+        outside |= found
+        found &= inside
+        if not found:
+            return None
+        once = twice = 0
+        for m in mset:
+            hit = meets[bit[m].bit_length() - 1]
+            twice |= once & hit
+            once |= hit
+        simple = simple and not found & twice
+    breakers = tuple(c for c in g.permissible if bit[c] & outside & ~inside)
+    compact = maximal if simple else tuple((r,) for r in B)
+    return rings.RingComponent(B, simple, maximal, compact, breakers)
+
+
 def _reference_is_ring_component(g, coalitions):
     """Condition (i) as mutual reachability in the in-collection improvement
     digraph, condition (ii) over every maximal set; no shared code with
@@ -633,7 +721,7 @@ def _reference_is_ring_component(g, coalitions):
 
     if not (reach(True) and reach(False)):
         return False
-    for mset in maximal_sets(B):
+    for mset in reference_maximal_sets(B):
         inside = set(mset)
         if not any(breaks_maximal_set(g, r, mset) for r in B if r not in inside):
             return False
@@ -642,7 +730,7 @@ def _reference_is_ring_component(g, coalitions):
 
 def _reference_simple(g, coalitions):
     B = sorted(set(coalitions))
-    for mset in maximal_sets(B):
+    for mset in reference_maximal_sets(B):
         inside = set(mset)
         for r in B:
             if r in inside or not breaks_maximal_set(g, r, mset):
@@ -655,7 +743,7 @@ def _reference_simple(g, coalitions):
 def _reference_compact(g, coalitions):
     B = sorted(set(coalitions))
     if _reference_simple(g, B):
-        return maximal_sets(B)
+        return reference_maximal_sets(B)
     return [(r,) for r in B]
 
 
@@ -724,7 +812,7 @@ def _defined_breakers(g, coalitions):
         c
         for c in g.permissible
         if c not in coalitions
-        and any(breaks_maximal_set(g, c, mset) for mset in maximal_sets(coalitions))
+        and any(breaks_maximal_set(g, c, mset) for mset in reference_maximal_sets(coalitions))
     ]
 
 
@@ -941,6 +1029,47 @@ def _reference_pair_tables(spec):
         for i in range(1, spec.n + 1)
     }
     return _reference_tables(spec.n, rankings)
+
+
+# --- the decomposition reader ----------------------------------------------
+
+
+def reference_parse_decomposition(g, text):
+    """``cli.parse_decomposition`` with every coalition kept as the tuple
+    of its ids, so that ``make_party`` reads each one through
+    ``coalition``."""
+    s = "".join(text.split())
+    if s.startswith("["):
+        try:
+            obj = json.loads(s)
+        except (ValueError, RecursionError) as exc:
+            if type(exc) is ValueError:
+                exc = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+            raise MalformedParty(f"invalid JSON decomposition: {exc}") from None
+        if not isinstance(obj, list) or not all(isinstance(p, list) for p in obj):
+            raise MalformedParty("JSON decomposition must be a list of parties")
+        for party in obj:
+            for c in party:
+                if not isinstance(c, list) or not all(
+                    isinstance(a, int) and not isinstance(a, bool) for a in c
+                ):
+                    raise MalformedParty("coalitions must be lists of agent ids")
+        return decomposition([make_party(g, [tuple(c) for c in party]) for party in obj])
+    if not (s.startswith("{") and s.endswith("}")):
+        raise MalformedParty(f"unparseable decomposition: {text!r}")
+    if g.n > 9:
+        raise MalformedParty("the text form supports 1..9 agents; use the JSON form")
+    body = s[1:-1]
+    parties = re.findall(r"\{([^{}]*)\}", body)
+    if ",".join("{" + p + "}" for p in parties) != body:
+        raise MalformedParty(f"unparseable decomposition: {text!r}")
+    collections = []
+    for p in parties:
+        tokens = p.split(",") if p else []
+        if any(not (t.isascii() and t.isdigit()) for t in tokens):
+            raise MalformedParty(f"unparseable party: {{{p}}}")
+        collections.append([tuple(int(ch) for ch in t) for t in tokens])
+    return decomposition([make_party(g, c) for c in collections])
 
 
 # --- the JSON report --------------------------------------------------------

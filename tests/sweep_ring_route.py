@@ -11,13 +11,15 @@ steps folded per member (``rings._in_degrees_and_steps``, read by
 ``_folded_steps``) must equal the parts loop of ``_reference_steps``. The sweep also counts the sets where some strongly connected component of two
 or more coalitions of the step digraph (``_reference_step_sccs``) is not
 one of the families, where the components could not stand in for the
-search. Too slow for the test suite; run it by hand:
+search. Each family's ring component analysis (``rings._ring_component``,
+all five fields and the ``None`` verdicts) must equal the three-pass
+``reference_ring_component``. Too slow for the test suite; run it by hand:
 
     PYTHONPATH=src python tests/sweep_ring_route.py
 
 It prints each set that disagrees or has a step component that is no
 family, one line per family of games and a total, and exits non-zero if any
-set disagrees on the search or the steps.
+set disagrees on the search, the steps or a ring component.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from stabledec import Analysis  # noqa: E402
-from stabledec.rings import _family_search  # noqa: E402
+from stabledec.rings import _family_search, _ring_component  # noqa: E402
 
 from games import rnd, room  # noqa: E402
 from oracle import (  # noqa: E402
@@ -37,6 +39,7 @@ from oracle import (  # noqa: E402
     _inlist_family_search,
     _reference_step_sccs,
     _reference_steps,
+    reference_ring_component,
 )
 
 # label -> (make a game from a seed, seeds)
@@ -49,11 +52,11 @@ FAMILIES = {
 
 
 def main() -> int:
-    total = mismatches = differ = 0
+    total = mismatches = differ = families = components = 0
     started = time.perf_counter()
     for label, (make, seeds) in FAMILIES.items():
         t = time.perf_counter()
-        sets = bad = split = 0
+        sets = bad = split = fams = other = 0
         for s in seeds:
             for f in Analysis(make(s)).factors:
                 for a in f.sets:
@@ -67,19 +70,30 @@ def main() -> int:
                     if _folded_steps(f.game, f.graph, a) != _reference_steps(f.graph, a):
                         bad += 1
                         print(f"{label} seed {s}: the folded steps disagree", flush=True)
-                    families = sorted(tuple(sorted(fam)) for fam in got[0])
-                    if any(c not in families for c in _reference_step_sccs(f.graph, a)):
+                    for fam in got[0]:
+                        fams += 1
+                        rc = _ring_component(f.game, fam)
+                        want = reference_ring_component(f.game, fam)
+                        if rc != want or rc is not None and rc.breakers != want.breakers:
+                            other += 1
+                            print(f"{label} seed {s}: the ring components differ", flush=True)
+                    listed = sorted(tuple(sorted(fam)) for fam in got[0])
+                    if any(c not in listed for c in _reference_step_sccs(f.graph, a)):
                         split += 1
                         print(f"{label} seed {s}: a step component is no family", flush=True)
         total += sets
         mismatches += bad
         differ += split
+        families += fams
+        components += other
         print(f"{label}, seeds {seeds.start}-{seeds.stop - 1}: {sets} non-trivial sets, "
               f"{bad} mismatches, {split} with a step component that is no family, "
+              f"{fams} families, {other} RingComponent differences, "
               f"{time.perf_counter() - t:.1f} s", flush=True)
     print(f"total: {total} sets, {mismatches} mismatches, {differ} with a step component "
-          f"that is no family; {time.perf_counter() - started:.1f} s")
-    return 1 if mismatches else 0
+          f"that is no family, {families} families, {components} RingComponent "
+          f"differences; {time.perf_counter() - started:.1f} s")
+    return 1 if mismatches or components else 0
 
 
 if __name__ == "__main__":

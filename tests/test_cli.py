@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import locale
+import random
 import subprocess
 import sys
 
@@ -25,7 +26,7 @@ from stabledec import (
 from stabledec import cli
 from stabledec.cli import load_game, main, parse_decomposition
 from games import EIGHT, FUZZ_GAMES, SEVEN, SIX, TRIANGLE, room, split_market, union
-from oracle import reference_report_doc, spy
+from oracle import outcome, reference_parse_decomposition, reference_report_doc, spy
 
 G7_DSL = """\
 agents: 7
@@ -146,6 +147,125 @@ class TestParseDecomposition:
                 parse_decomposition(g6, bad)
         with pytest.raises(StabledecError):
             parse_decomposition(g6, "[[[0]]]")
+
+
+# the JSON ids of a coalition that the mask path must leave to make_party,
+# by name, as functions of the agent count
+BAD_IDS = {
+    "true": lambda n: "true",
+    "1.5": lambda n: "1.5",
+    "0": lambda n: "0",
+    "-1": lambda n: "-1",
+    "n+1": lambda n: str(n + 1),
+    "64": lambda n: "64",
+    "10**20": lambda n: str(10**20),
+    "string": lambda n: '"1"',
+    "nested list": lambda n: "[1]",
+}
+
+
+def _reading(g, text):
+    """What reading the decomposition gives, by the mask path and by the
+    tuple path: ``"ok"``, its rendering and each party's breakers, or the
+    library error it raises."""
+
+    def read(parse):
+        def run():
+            d = parse(g, text)
+            return "ok", d.render(g.n), [p.breakers for p in d.parties]
+
+        return outcome(run)
+
+    return read(parse_decomposition), read(reference_parse_decomposition)
+
+
+class TestDecompositionMasks:
+    """Coalitions read straight to masks give every reading of the tuple
+    path (``oracle.reference_parse_decomposition``: ``make_party`` on the id
+    tuples), malformed ones the same error type and message, on a table
+    and on seeded fuzz of the JSON and the text form."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_IDS))
+    @pytest.mark.parametrize("where", ["first", "last", "with n+1"])
+    def test_bad_id(self, name, where, g6):
+        bad = BAD_IDS[name](6)
+        coalition = {"first": f"[{bad},1]", "last": f"[1,{bad}]", "with n+1": f"[7,{bad}]"}[where]
+        text = f"[[[2],[3]],[[4,5],[4,6],[5,6]],[{coalition}]]"
+        got, want = _reading(g6, text)
+        assert got == want and got[0] != "ok"
+
+    @pytest.mark.parametrize("text", [
+        "[[[1],[2],[3]],[[4,5,5],[4,6],[6,5]]]",  # duplicate ids
+        "[[[1],[2],[3]],[[4,5],[4,6],[4,5],[5,6]]]",  # a repeated coalition
+        "[[[1],[2],[3]],[[4,5],[],[5,6]]]",  # an empty coalition
+        "[[[1],[2],[3]],[]]",  # an empty party
+        "[[[1],[2],[3,4]],[[5],[6]]]",  # singletons mixed with a pair
+        "[[[1],[2],[3]],[[4,5],[4,6],[5,6]],[[7,8]]]",  # agents above n
+        "[[[1],[2],[3]],[[4,5],[4,6],[5,6]],[[7],[64]]]",
+    ])
+    def test_table(self, text, g6):
+        got, want = _reading(g6, text)
+        assert got == want
+
+    @pytest.mark.parametrize("text", [
+        "{{1,2,3},{45,46,56}}", "{{1,2,3},{45,455,56}}", "{{1,2,3},{45,46,56},{7}}",
+        "{{0,1,2,3},{45,46,56}}", "{{1,2,3},{}}", "{{1,2,34},{5,6}}", "{{1,2,3},{45,46,56},{99}}",
+    ])
+    def test_text_table(self, text, g6):
+        got, want = _reading(g6, text)
+        assert got == want
+
+    @pytest.mark.parametrize("name", ["g6", "g7"])
+    def test_fuzz_json(self, name, request):
+        g = request.getfixturevalue(name)
+        n = g.n
+        rng = random.Random(f"json-{name}")
+        atoms = [str(a) for a in range(1, n + 1)] * 3 + [f(n) for f in BAD_IDS.values()]
+        seen = set()
+        for _ in range(400):
+            parties = [
+                [
+                    "[" + ",".join(rng.choice(atoms) for _ in range(rng.choice([0, 1, 1, 2, 2, 3])))
+                    + "]"
+                    for _ in range(rng.randint(1, 4))
+                ]
+                for _ in range(rng.randint(1, 3))
+            ]
+            text = "[" + ",".join("[" + ",".join(p) + "]" for p in parties) + "]"
+            got, want = _reading(g, text)
+            assert got == want, text
+            seen.add(got[:2] if got[0] != "ok" else "ok")
+        assert "ok" in seen and len(seen) >= 6
+
+    @pytest.mark.parametrize("name", ["g6", "g7"])
+    def test_fuzz_text(self, name, request):
+        g = request.getfixturevalue(name)
+        rng = random.Random(f"text-{name}")
+        seen = set()
+        for _ in range(400):
+            parties = [
+                ",".join(
+                    "".join(rng.choice("0123456789" + "1234567"[: g.n] * 2)
+                            for _ in range(rng.randint(1, 3)))
+                    for _ in range(rng.randint(0, 4))
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+            text = "{" + ",".join("{" + p + "}" for p in parties) + "}"
+            got, want = _reading(g, text)
+            assert got == want, text
+            seen.add(got[:2] if got[0] != "ok" else "ok")
+        assert len(seen) >= 4
+
+    @pytest.mark.parametrize("name,text", [
+        ("g6", "[[[1],[2],[3]],[[4,5],[4,6],[5,6]]]"),
+        ("g6", "{{1,2,3},{45,46,56}}"),
+        ("g7", "[[[1,2],[2,3],[3,4],[4,5],[1,5]],[[6,7]]]"),
+        ("g7", "{{12,23,34,45,15},{67}}"),
+    ])
+    def test_valid_decompositions(self, name, text, request):
+        got, want = _reading(request.getfixturevalue(name), text)
+        assert got == want and got[0] == "ok"
 
 
 class TestAnalyze:
@@ -1262,6 +1382,53 @@ class TestGenerate:
         first = capsys.readouterr().out
         main(["generate", "random", "--agents", "6", "--seed", "3"])
         assert capsys.readouterr().out == first
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedPipe:
+    """A closed standard output ends every command with
+    ``EXIT_PIPE_CLOSED`` and nothing on stderr but the timing line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "GAME", "--all", "--json"],
+        ["analyze", "GAME", "--all"],
+        ["verify", "GAME", "--decomposition", "{{12,23,34,45,15},{67}}"],
+        ["generate", "roommate", "--seed", "1"],
+    ])
+    def test_every_command(self, argv, g7_file, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main([g7_file if a == "GAME" else a for a in argv])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_PIPE_CLOSED == 141
+        timing = ["analysis time"] if argv[0] == "analyze" else []
+        assert [line.split(":")[0] for line in err.splitlines()] == timing
+
+    def test_buffered_output_is_flushed_inside_main(self, g7_file, monkeypatch):
+        # output that fits the buffer fails at the flush, still inside main
+        class Buffered(_ClosedPipe):
+            held = ""
+
+            def write(self, text):
+                self.held += text
+                return len(text)
+
+            def flush(self):
+                if self.held:
+                    raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Buffered())
+        assert main(["verify", g7_file, "--decomposition", "{{12,23,34,45,15},{67}}"]) == 141
+
+    def test_missing_stdout(self, g7_file, monkeypatch):
+        # a closed descriptor 1 leaves sys.stdout None; print writes nothing
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["verify", g7_file, "--decomposition", "{{12,23,34,45,15},{67}}"]) == 0
 
 
 class TestConsoleScript:

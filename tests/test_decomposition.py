@@ -39,7 +39,7 @@ from stabledec import (
     unprevented_breakers,
 )
 from stabledec.cli import main, parse_decomposition
-from stabledec.structures import _breaking, breaks_maximal_set, maximal_sets
+from stabledec.structures import breaks_maximal_set
 from games import (
     FUZZ_GAMES,
     GENERATED_GAMES,
@@ -62,6 +62,7 @@ from oracle import (
     _reference_prevents,
     _reference_witnesses,
     candidates,
+    reference_maximal_sets,
 )
 
 # the module, which the package's ``decomposition`` function shadows
@@ -610,16 +611,16 @@ class TestBreakerWalkMatchesReference:
 
 
 class TestOneMaximalSetsPerParty:
-    """No breaker walk computes maximal sets: a single party's only maximal
-    set is its coalition, and a ring party carries its ring component's
-    breakers."""
+    """No breaker walk searches for maximal sets: a single party's only
+    maximal set is its coalition, and a ring party carries its ring
+    component's breakers."""
 
     @pytest.mark.parametrize("fixture", ["g6", "g7", "g8", "rm10"])
     def test_breaker_walks(self, fixture, request, monkeypatch):
         g = request.getfixturevalue(fixture)
         decs = _stable_and_unstable(g)
         assert any(p.kind == RING for d in decs for p in d.parties)
-        calls = spy(monkeypatch, [], decomposition_module, "maximal_sets")
+        calls = spy(monkeypatch, [], decomposition_module, "_maximal_search")
         for d in decs:
             parties = [p for p in d.parties if p.kind != POOL]
             del calls[:]
@@ -679,11 +680,14 @@ class TestBitsetsMatchDefinitions:
             masks = decomposition_module._prevention(g, d)
             assert [p for p, _ in masks] == [p for p in d.parties if p.kind != POOL]
             for party, mask in masks:
-                for mset in maximal_sets(party.coalitions):
-                    breakers = _breaking(g, mset)
-                    assert [c for c in g.permissible if breakers & bit[c]] == [
-                        c for c in g.permissible if breaks_maximal_set(g, c, mset)
-                    ]
+                own = sum(bit[c] for c in party.coalitions)
+                breakers = decomposition_module._breakers(g, Party(party.kind, party.coalitions))
+                assert [c for c in g.permissible if breakers & bit[c]] == [
+                    c for c in g.permissible if not own & bit[c] and any(
+                        breaks_maximal_set(g, c, mset)
+                        for mset in reference_maximal_sets(party.coalitions)
+                    )
+                ]
                 for c in g.permissible:
                     assert bool(mask & bit[c]) == _reference_prevents(g, party, c)
 

@@ -39,7 +39,7 @@ from stabledec import absorbing as absorbing_module
 from stabledec import dynamics as dynamics_module
 from stabledec import rings as rings_module
 from stabledec.rings import _family_search, _ring_families
-from stabledec.structures import _breaking, structure_key
+from stabledec.structures import _maximal_search, structure_key
 import oracle
 from games import (
     EXTRACTION_GAMES,
@@ -74,6 +74,8 @@ from oracle import (
     _reference_step_sccs,
     _reference_steps,
     _root_cycles,
+    reference_maximal_sets,
+    reference_ring_component,
 )
 
 
@@ -741,24 +743,27 @@ class TestRingComponentMatchesReference:
 
 
 class TestOneAnalysisPerFamily:
+    """One maximal-set search per family: ``_ring_component`` decides
+    condition (ii) and reads simpleness and the breakers off the same
+    search."""
+
     @staticmethod
     def _count(monkeypatch):
-        tests, msets = [], []
-        ring_component, real_maximal = rings_module._ring_component, rings_module.maximal_sets
+        tests, searches = [], []
+        ring_component, real_search = rings_module._ring_component, rings_module._maximal_search
 
         def counting_component(g, coalitions):
             coalitions = set(coalitions)
             tests.append(frozenset(coalitions))
             return ring_component(g, coalitions)
 
-        def counting_maximal(collection):
-            collection = list(collection)
-            msets.append(frozenset(collection))
-            return real_maximal(collection)
+        def counting_search(g, inside, within=0):
+            searches.append(frozenset(c for c in g.permissible if g.expansion().bit[c] & inside))
+            return real_search(g, inside, within)
 
         monkeypatch.setattr(rings_module, "_ring_component", counting_component)
-        monkeypatch.setattr(rings_module, "maximal_sets", counting_maximal)
-        return tests, msets
+        monkeypatch.setattr(rings_module, "_maximal_search", counting_search)
+        return tests, searches
 
     @pytest.mark.parametrize("name", ["g6", "g7", "g8"] + sorted(REFERENCE_GAMES))
     def test_ring_components_of(self, name, request, monkeypatch):
@@ -766,13 +771,13 @@ class TestOneAnalysisPerFamily:
         graph = build(g).graph
         sinks = [a for a in sink_components(graph) if not a.trivial]
         families = sorted(f for a in sinks for f in _merged_families(_extract_rings(graph, a)))
-        tests, msets = self._count(monkeypatch)
+        tests, searches = self._count(monkeypatch)
         for a in sinks:
             ring_components_of(g, a, graph)
-        # one ring-component test and at most one maximal_sets per family
+        # one ring-component test and one search per family: every merged
+        # family of rings is strongly connected
         assert sorted(tests) == families
-        assert len(set(msets)) == len(msets)
-        assert set(msets) <= set(families)
+        assert sorted(searches) == families
 
     @pytest.mark.parametrize("rejected,raises", [("12 13 23", False), ("45 46 56", True)])
     def test_only_a_covering_family_must_be_a_component(self, g6, rejected, raises, monkeypatch):
@@ -794,25 +799,70 @@ class TestOneAnalysisPerFamily:
             assert [rc.coalitions for rc in comps] == [tuple(sorted(C(t) for t in ("45", "46", "56")))]
 
     def test_make_party(self, g7, g8, monkeypatch):
-        tests, msets = self._count(monkeypatch)
+        tests, searches = self._count(monkeypatch)
         make_party(g7, [C(t) for t in RC7])
         make_party(g8, [C(t) for t in RC8])
-        assert len(tests) == len(msets) == 2
+        assert len(tests) == 2
+        assert searches == [frozenset(C(t) for t in RC7), frozenset(C(t) for t in RC8)]
 
 
 @pytest.mark.parametrize("label", list(FUZZ_GAMES))
 def test_breaking_bits_match_the_definition(label):
-    """On every maximal set of every ring family that ``_ring_component``
-    tests, the K-bits of ``_breaking`` are the coalitions that
-    ``breaks_maximal_set`` says break it."""
+    """On every ring family that ``_ring_component`` tests, the search's
+    sets are the reference maximal sets, its breakers are the coalitions
+    that ``breaks_maximal_set`` says break one of them, and those it marks
+    are the ones meeting two members of a set they break."""
     g = FUZZ_GAMES[label]()
     ks = g.permissible
+    bit = g.expansion().bit
     for f in build(g).analysis.factors:
         for a in f.sets:
             if a.trivial:
                 continue
             for fam in _ring_families(f.game, f.graph, a):
-                for mset in maximal_sets(fam):
-                    found = _breaking(g, mset)
-                    got = [c for j, c in enumerate(ks) if found >> j & 1]
-                    assert got == [c for c in ks if breaks_maximal_set(g, c, mset)]
+                inside = sum(bit[c] for c in fam)
+                maximal, found, clash = _maximal_search(g, inside)
+                msets = reference_maximal_sets(fam)
+                assert maximal == msets
+                breaking = [[c for c in ks if breaks_maximal_set(g, c, m)] for m in msets]
+                assert [c for c in ks if bit[c] & found] == sorted(set().union(*breaking))
+                assert [c for c in ks if bit[c] & clash] == sorted({
+                    c for m, cs in zip(msets, breaking) for c in cs
+                    if sum(1 for x in m if x & c) >= 2
+                })
+
+
+def _with_one_changed(g, families):
+    """Each family, then the family without its least coalition and with
+    one more K-coalition of the game, where there is one."""
+    for fam in families:
+        fam = tuple(sorted(fam))
+        yield fam
+        yield fam[1:]
+        extra = [c for c in g.permissible if c not in fam]
+        if extra:
+            yield fam + (extra[len(extra) // 2],)
+
+
+def test_ring_component_matches_the_three_pass_reference():
+    """``_ring_component`` against ``oracle.reference_ring_component``,
+    the SCC pass, the Tomita-pivot maximal sets and a breaker loop over
+    every set: all five fields, and every ``None``, on each ring family of
+    the step games and on each family with a coalition dropped or added.
+    Both conditions fail somewhere."""
+    failed = {"(i)": 0, "(ii)": 0}
+    for label, make in STEP_GAMES.items():
+        for f in build(make()).analysis.factors:
+            for a in f.sets:
+                if a.trivial:
+                    continue
+                for fam in _with_one_changed(f.game, _ring_families(f.game, f.graph, a)):
+                    got = rings_module._ring_component(f.game, fam)
+                    want = reference_ring_component(f.game, fam)
+                    assert got == want, (label, fam)
+                    if got is not None:
+                        assert got.breakers == want.breakers, (label, fam)
+                    elif len(fam) >= 3:
+                        sccs = rings_module._pref_digraph_sccs(f.game, fam)
+                        failed["(i)" if len(sccs) > 1 else "(ii)"] += 1
+    assert all(failed.values()), failed

@@ -26,6 +26,7 @@ from stabledec import (
 )
 from stabledec.rings import _ring_families
 from games import FUZZ_GAMES, GENERATED_GAMES, GENERATED_IDS, C, build, make_structure, parts, room
+from oracle import reference_maximal_sets
 
 
 def disjoint_families(coalitions):
@@ -155,9 +156,11 @@ class TestMaximalSets:
 def _checked_maximal_sets(collection):
     """``maximal_sets`` of the collection, after checking that the list is
     sorted with no repeat, that each set is ascending, pairwise disjoint and
-    maximal, and that the greedy extension of each coalition is listed."""
+    maximal, that the greedy extension of each coalition is listed, and
+    that the list is the Tomita-pivot reference's."""
     ks = sorted({c for c in collection if c.bit_count() >= 2})
     got = maximal_sets(collection)
+    assert got == reference_maximal_sets(collection)
     assert got == sorted(set(got))
     for mset in got:
         assert list(mset) == sorted(mset)
