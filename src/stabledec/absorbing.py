@@ -15,20 +15,31 @@ A group whose permissible coalitions are all pairs and which has a stable
 structure needs no graph: from every matching some sequence of blocking
 pairs reaches a stable one (Roth and Vande Vate 1990 for two-sided games,
 Diamantoudi, Miyagawa and Xue 2004 for roommate games), so its absorbing
-sets are exactly its stable structures. A pruned search finds them without
-enumerating the group's structures, and a count, not enumeration, holds
+sets are exactly its stable structures. A count, not enumeration, holds
 each group to the structure limit: a dynamic programme over the agents in
 id order, one integer per layer with a slot for each set of frontier
 agents already placed, or the walk memoized on the placed agents when the
 frontier is too wide for layers (``structures._count_structures``).
 
-A pair-only group without a stable structure grows only the closure of its
-P-stable matchings. A stable partition (Tan 1991) is a permutation ``pi``
-of the agents whose steps are permissible pairs, an agent on a cycle of
+One pruned search (``_stable_partitions``) finds a pair-only group's stable
+matchings, and its stable partitions (Tan 1991) when it has none, without
+enumerating its structures. A stable partition is a permutation ``pi`` of
+the agents whose steps are permissible pairs, an agent on a cycle of
 length 1 being single, such that (T1) every agent ranks ``pi(i)`` at least
 as high as ``pi^-1(i)``, and (T2) no permissible pair ``{i, j}`` has each
 agent ranking the other above their own predecessor, a single agent being
-their own predecessor. A P-stable matching pairs consecutive agents along
+their own predecessor. A matching, as a permutation, satisfies T1
+trivially, since every cycle has length 1 or 2 and ``pi(i) = pi^-1(i)``,
+and its T2 says exactly that no pair blocks it. Conversely, a stable
+partition whose cycles have length at most 2 is a matching, and its T2
+says exactly that the matching is stable. So the search in its 2-cycle
+mode, which closes every cycle at its second agent, finds exactly the
+stable matchings. The group runs that mode first, and the full search
+only when it finds none; each matching found is re-checked against the
+definition (``structures.is_stable``).
+
+A pair-only group without a stable structure grows only the closure of its
+P-stable matchings. A P-stable matching pairs consecutive agents along
 each cycle: a 2-cycle is a pair, an even cycle of length 4 or more gives
 its two alternating matchings, and an odd cycle of length ``k`` gives
 ``k``, each leaving a different agent single. The closure is closed under
@@ -40,10 +51,9 @@ absorbing set that path stays inside the set, so every absorbing set holds
 a P-stable matching, lies in the closure and is one of its sinks. The
 structure limit still counts all of the group's structures.
 
-Both searches of a pair-only group, for its stable matchings and for its
-stable partitions, branch only on the pairs left in Irving's (1985, *An
-efficient algorithm for the stable roommates problem*) phase-1 table
-(``_phase_one``), built once per group over the agents that hold a
+In either mode the search branches only on the pairs left in Irving's
+(1985, *An efficient algorithm for the stable roommates problem*) phase-1
+table (``_phase_one``), built once per group over the agents that hold a
 permissible pair: each agent proposes to the first partner left in their
 row, the receiver drops every pair they rank below that proposer (from
 both rows), and this repeats until nothing changes. A proposer's first
@@ -59,11 +69,11 @@ the table exact:
 
 1. A dropped pair is adjacent in no stable partition, so it is in no
    stable matching, a stable matching being a stable partition of cycles
-   of length 1 and 2. Take the first dropped pair ``{y, z}`` that is
-   adjacent in some stable partition ``pi``: it was dropped because ``x``
-   proposed to ``y`` and ``y`` ranks ``x`` above ``z``. Every pair ``x``
-   ranks above ``{x, y}`` was dropped earlier, so no neighbour of ``x`` in
-   ``pi`` is one ``x`` ranks above ``y``. If ``pi(x) = y``, then
+   of length 1 and 2 (above). Take the first dropped pair ``{y, z}`` that
+   is adjacent in some stable partition ``pi``: it was dropped because
+   ``x`` proposed to ``y`` and ``y`` ranks ``x`` above ``z``. Every pair
+   ``x`` ranks above ``{x, y}`` was dropped earlier, so no neighbour of
+   ``x`` in ``pi`` is one ``x`` ranks above ``y``. If ``pi(x) = y``, then
    ``pi^-1(y) = x``, so ``pi(y) = z`` is ranked below ``pi^-1(y)``: T1
    fails at ``y``. If ``pi^-1(x) = y``, then ``pi(y) = x`` and
    ``pi^-1(y) = z``, so ``pi(x) != y`` and ``x`` ranks ``pi(x)`` below
@@ -89,8 +99,8 @@ partner of every agent with a non-empty row is on a longer cycle, and every
 agent with a non-empty row is the first partner of one. An agent with an
 empty row is single in every stable partition, by Lemma 1.
 
-So both searches place every agent with an empty row single and never
-offer the others their singleton.
+So the search, in either mode, places every agent with an empty row
+single and never offers the others their singleton.
 """
 
 from __future__ import annotations
@@ -209,21 +219,14 @@ class Factor(namedtuple("Factor", "game sets graph")):
     order, and its graph:
 
     - ``None`` for a pair-only factor with a stable structure, whose
-      absorbing sets are its stable structures, found by a search that
-      enumerates none of the others (``_stable_matchings``);
+      absorbing sets are its stable structures;
     - for a pair-only factor without one, the closure of its P-stable
-      matchings (``_stable_partitions``, ``_p_stable_matchings``), whose
-      sinks are its absorbing sets and which need not hold its other
-      structures;
+      matchings, whose sinks are its absorbing sets and which need not hold
+      its other structures;
     - for every other factor, the full domination graph over its
       structures.
 
-    Both searches of a pair-only factor branch only on the pairs left in
-    its phase-1 table (``_phase_one``), built once with its rows
-    (``_pair_rows``): a dropped pair is adjacent in no stable partition,
-    hence in no stable matching (Lemma 1), and an agent whose row is not
-    empty is matched in every stable matching (Lemma 2) and on a cycle of
-    length 2 or more in every stable partition.
+    The module docstring gives the pair-only route (``_factor``).
     """
 
     __slots__ = ()
@@ -233,8 +236,8 @@ class Factor(namedtuple("Factor", "game sets graph")):
 
 
 class _PairRows(namedtuple("_PairRows", "agents holding table envy")):
-    """The rows of a pair-only factor, built once and shared by
-    ``_stable_matchings`` and ``_stable_partitions``. Lists are indexed by
+    """The rows of a pair-only factor, built once and shared by both modes
+    of ``_stable_partitions``. Lists are indexed by
     agent; an agent outside ``agents`` holds no permissible pair and has an
     empty ``table`` row, an empty ``envy`` row and no K-bits.
 
@@ -305,9 +308,9 @@ def _phase_one(table: list[list[int]], agents: int) -> None:
 
     At the fixpoint the first partner of every agent with a non-empty row
     ranks that agent last; the module docstring proves that no pair this
-    drops is adjacent in any stable partition (Lemma 1) and that every
-    agent whose row is not empty is matched in every stable matching
-    (Lemma 2).
+    drops is adjacent in any stable partition (Lemma 1), the stable
+    matchings included, and that every agent whose row is not empty is on
+    a cycle of length 2 or more in every one (Lemma 2 and after).
     """
     todo = list(members(agents))
     while todo:
@@ -327,87 +330,14 @@ def _phase_one(table: list[list[int]], agents: int) -> None:
         del held[k:]
 
 
-def _stable_matchings(g: Game, rows: _PairRows) -> list[tuple[int, ...]]:
-    """The stable structures in ``enumerate_structures`` order of a pair-only
-    game whose ``_pair_rows`` are ``rows``.
-
-    A matching is stable when the AND over its parts of the K-bits of the
-    pairs that each part's agents would rather hold is 0: ``envy[i][j] &
-    envy[j][i]`` for a pair ``{i, j}``, which is ``better[{i, j}]`` of
-    ``Game.expansion`` on K, and every pair for a single agent. The search
-    places parts in enumeration order and carries that AND over the parts
-    placed so far. A part's mask keeps the bit of every pair that does not
-    meet it, so once both agents of a pair are placed, no later part clears
-    its bit: a branch where such a pair keeps it holds no stable structure,
-    and is dropped.
-
-    The search branches only on the pairs left in the phase-1 table
-    (``_phase_one``): a dropped pair is in no stable matching (Lemma 1), so
-    an agent with an empty row is single in every stable matching and is
-    placed so before the search starts, as is every agent outside the
-    factor; an agent with a non-empty row is matched in every stable
-    matching (Lemma 2), so the search never offers them their singleton.
-    Blocking is still tested against every permissible pair, and each
-    structure found is re-checked against the definition
-    (``structures.is_stable``).
-    """
-    holding, table, envy = rows.holding, rows.table, rows.envy
-    full = (1 << g.n) - 1
-    # the pairs each matched agent can take as the least agent not yet
-    # placed, in member order, with their mask
-    options: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
-    matched = held = 0
-    for i in members(rows.agents):
-        own = 1 << (i - 1)
-        if table[i]:
-            matched |= own
-            for j in sorted(table[i]):
-                if j > i:
-                    options[i].append((own | 1 << (j - 1), envy[i][j] & envy[j][i]))
-        else:
-            held |= holding[i]
-    singles = full & ~matched
-    single_parts = [1 << (i - 1) for i in members(singles)]
-    stable = []
-    parts: list[int] = []
-
-    # ``used``: the agents placed; ``blocking``: the AND of the masks of
-    # their parts; ``held``: the K-bits of their pairs; ``within``: the
-    # K-bits of the pairs both of whose agents are placed. No pair joins
-    # two agents with empty rows (see the module docstring), so ``within``
-    # starts at 0
-    def rec(used: int, blocking: int, within: int, held: int) -> None:
-        if used == full:
-            pi = tuple(sorted(parts + single_parts, key=lowest_agent))
-            if not is_stable(g, pi):
-                raise VerificationFailed(
-                    f"{render_structure(pi)} passes the expansion test but is not stable"
-                )
-            stable.append(pi)
-            return
-        free = ~used & full
-        a = (free & -free).bit_length()
-        for c, mask in options[a]:
-            if c & used:
-                continue
-            kept = blocking & mask
-            h = holding[a] | holding[c.bit_length()]
-            inside = within | h & held
-            if kept & inside:
-                continue
-            parts.append(c)
-            rec(used | c, kept, inside, held | h)
-            parts.pop()
-
-    rec(singles, -1, 0, held)
-    return stable
-
-
-def _stable_partitions(g: Game, rows: _PairRows) -> list[tuple[tuple[int, ...], ...]]:
+def _stable_partitions(
+    g: Game, rows: _PairRows, matchings: bool = False
+) -> list[tuple[tuple[int, ...], ...]]:
     """Every stable partition of a pair-only game (Tan 1991), each as its
     cycles: a cycle lists its agents along the permutation from its least
     agent, and the cycles come by least agent. ``rows`` are the game's
-    ``_pair_rows``.
+    ``_pair_rows``. With ``matchings``, only those whose cycles have length
+    1 or 2: the stable matchings (the module docstring).
 
     A stable partition is a permutation ``pi`` of the agents whose every
     step ``i -> pi(i)`` with ``pi(i) != i`` is a permissible pair; an agent
@@ -432,6 +362,12 @@ def _stable_partitions(g: Game, rows: _PairRows) -> list[tuple[tuple[int, ...], 
     factor and agents with an empty row are single from the start; every
     other agent is on a cycle of length 2 or more (the module docstring,
     after Lemma 2), so the search never offers them their singleton.
+
+    With ``matchings``, every cycle closes at its second agent: a cycle's
+    first agent is offered the partners left in their row, and the cycle
+    closes back to them with no third agent tried. T1 holds on a cycle of
+    length 2, so no ranks are built, and the same pruning finds exactly
+    the stable matchings, in no set order.
     """
     holding, partners, envy = rows.holding, rows.table, rows.envy
     agents = rows.agents
@@ -440,14 +376,15 @@ def _stable_partitions(g: Game, rows: _PairRows) -> list[tuple[tuple[int, ...], 
     outside = [(b + 1,) for b in range(n) if not agents >> b & 1]
     succ = [0] * (n + 1)
     found = []
-    # each partner's position in the table row. An agent with an empty row
-    # is single, with an envy mask of -1; no pair joins two of them (see the
-    # module docstring), so ``within`` starts at 0
+    # each partner's position in the table row, for cycles longer than 2.
+    # An agent with an empty row is single, with an envy mask of -1; no pair
+    # joins two of them (see the module docstring), so ``within`` starts at 0
     rank: list[dict[int, int]] = [{} for _ in range(n + 1)]
     cycling = held = 0
     for i in members(agents):
         if partners[i]:
-            rank[i] = {j: k for k, j in enumerate(partners[i])}
+            if not matchings:
+                rank[i] = {j: k for k, j in enumerate(partners[i])}
             cycling |= 1 << (i - 1)
         else:
             succ[i] = i
@@ -495,7 +432,7 @@ def _stable_partitions(g: Game, rows: _PairRows) -> list[tuple[tuple[int, ...], 
             return
         held |= holding[y]
         # T1 at y: the successor is ranked above x, or is x on a 2-cycle
-        for z in partners[y][: rank[y][x]]:
+        for z in () if matchings else partners[y][: rank[y][x]]:
             if z == a:
                 # closing: T1 at a, whose predecessor becomes y
                 if rank[a][succ[a]] < rank[a][y]:
@@ -552,15 +489,22 @@ def _p_stable_matchings(partitions) -> Iterator[list[int]]:
 def _factor(g: Game, limit: int) -> Factor:
     # a pair-only factor with a stable structure needs no graph; one without
     # grows the closure of its P-stable matchings; any other grows its graph
-    # from the enumeration. Both pair searches share one phase-1 table.
-    # Analysis has already held the structure count, which bounds either
-    # graph, to the limit
+    # from the enumeration (the module docstring). The 2-cycle partitions
+    # come in search order, so they are sorted into enumeration order, which
+    # is tuple order for matchings. Analysis has already held the structure
+    # count, which bounds either graph, to the limit
     rows = _pair_rows(g)
     if rows is None:
         graph = full_domination_graph(g, limit)
     else:
-        stable = _stable_matchings(g, rows)
-        if stable:
+        matchings = _stable_partitions(g, rows, matchings=True)
+        if matchings:
+            stable = sorted(map(tuple, _p_stable_matchings(matchings)))
+            for pi in stable:
+                if not is_stable(g, pi):
+                    raise VerificationFailed(
+                        f"{render_structure(pi)} passes the search's T2 test but is not stable"
+                    )
             return Factor(g, tuple(AbsorbingSet((pi,)) for pi in stable), None)
         partitions = _stable_partitions(g, rows)
         if not partitions:
@@ -592,23 +536,12 @@ class Analysis:
     agents already placed (``structures._count_structures``), and the limit
     is checked before any factor is searched, enumerated or grown; the
     limit counts structures on every route. A factor whose permissible
-    coalitions are all pairs and which has a stable structure takes its stable
-    structures, found by a pruned search (``_stable_matchings``), as its
-    absorbing sets, and neither enumerates its structures nor builds a
-    graph: from every matching some sequence of blocking pairs reaches a
-    stable one (Roth and Vande Vate 1990; Diamantoudi, Miyagawa and Xue
-    2004), so every absorbing set is trivial. A pair-only factor without a
-    stable structure enumerates none either: it grows the closure of its
-    P-stable matchings, read off its stable partitions (Tan 1991), and
-    reads the closure's sinks, which are exactly its absorbing sets (see
-    the module docstring; Iñarra, Larrea and Molis 2008). Both searches
-    branch only on the pairs left in the factor's phase-1 table (Irving
-    1985), built once per factor: a dropped pair is adjacent in no stable
-    partition and so in no stable matching, and an agent whose row is not
-    empty is matched in every stable matching (the module docstring proves
-    both). Every other
-    factor grows its full domination graph from one enumeration of its
-    structures and reads its sink components.
+    coalitions are all pairs neither enumerates its structures nor builds
+    their full graph: its absorbing sets are its stable structures when it
+    has one, and the sinks of the closure of its P-stable matchings
+    otherwise, both found by one pruned search (the module docstring).
+    Every other factor grows its full domination graph from one
+    enumeration of its structures and reads its sink components.
 
     Every domination step changes one factor, so the game's structures are
     the products of factor structures, its absorbing sets the products of

@@ -361,11 +361,9 @@ def _ring_families(g: Game, G: DominationGraph, absorbing) -> list[set[int]]:
     return _family_search(g, G, absorbing)[0]
 
 
-def _family_search(
-    g: Game, G: DominationGraph, absorbing, roots: Iterable[int] | None = None
-) -> tuple[list[set[int]], list[int]]:
+def _family_search(g: Game, G: DominationGraph, absorbing) -> tuple[list[set[int]], list[int]]:
     """``_ring_families``' families, and the members it searched from, in
-    order; ``roots``, an order of all the members, replaces the default."""
+    order."""
     ids = [G.node_id(pi) for pi in absorbing.members]
     indegree, formed, fold = _in_degrees_and_steps(G, ids)
     # the step digraph over the vias, in K order, the order of their masks;
@@ -394,8 +392,7 @@ def _family_search(
     unmerged = [
         (masks[min(comp)], {masks[i] for i in comp}) for comp in _tarjan(steps)[0] if len(comp) > 1
     ]
-    if roots is None:
-        roots = sorted(ids, key=lambda v: (-indegree[v], v))
+    roots = sorted(ids, key=lambda v: (-indegree[v], v))
     # per-node search state, stamped with the search root instead of reset
     targets, via_bits, keys, via = G.succ, G.via_bits, G.keys, G.via
     seen_by = [-1] * len(G)

@@ -12,6 +12,7 @@ and harness from here and their games from ``games.py``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -231,7 +232,7 @@ def reference_convergence(G):
 
 def reference_stable(g: Game) -> list[tuple[int, ...]]:
     """Every structure, enumerated, whose AND of ``better`` over its parts
-    is 0: the enumerate-and-filter that ``_stable_matchings`` replaced."""
+    is 0: the enumerate-and-filter that the pair route's search replaced."""
     better = g.expansion().better
     stable = []
     for pi in enumerate_structures(g):
@@ -252,7 +253,7 @@ def dropped_pairs(g: Game) -> set[int]:
 def brute_partitions(g: Game) -> list[tuple[tuple[int, ...], ...]]:
     """Every permutation whose steps are permissible pairs and which
     satisfies T1 and T2, tested by ``prefers`` on the rankings, in the
-    cycle form of ``_stable_partitions``."""
+    cycle form of ``absorbing._stable_partitions``."""
     n = g.n
     kset = set(g.permissible)
 
@@ -291,18 +292,18 @@ def brute_partitions(g: Game) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def is_closure_factor(g: Game) -> bool:
-    """Whether the game is pair-only without a stable matching."""
+    """Whether the game is pair-only without a stable matching: the
+    partition search closing every cycle at length 2 finds none."""
     rows = absorbing_module._pair_rows(g)
-    return rows is not None and absorbing_module._stable_matchings(g, rows) == []
+    return rows is not None and not absorbing_module._stable_partitions(g, rows, matchings=True)
 
 
-def _full_route_factor(g: Game, limit: int) -> Factor:
-    """``absorbing._factor`` as it was before the closure route: a pair-only
-    factor without a stable matching grows its full graph."""
-    rows = absorbing_module._pair_rows(g)
-    stable = rows is not None and absorbing_module._stable_matchings(g, rows)
-    if stable:
-        return Factor(g, tuple(AbsorbingSet((pi,)) for pi in stable), None)
+def _full_route_factor(factor, g: Game, limit: int) -> Factor:
+    """``absorbing._factor``, which is ``factor``, as it was before the
+    closure route: a pair-only factor without a stable matching grows its
+    full graph."""
+    if not is_closure_factor(g):
+        return factor(g, limit)
     graph = full_domination_graph(g, limit)
     return Factor(g, tuple(sink_components(graph)), graph)
 
@@ -312,7 +313,7 @@ def full_route():
     """``Analysis`` on the full-graph route for pair-only factors without a
     stable matching, while the context lasts."""
     real = absorbing_module._factor
-    absorbing_module._factor = _full_route_factor
+    absorbing_module._factor = functools.partial(_full_route_factor, real)
     try:
         yield
     finally:

@@ -4,10 +4,11 @@ matching against enumeration.
 Each factor is a factor of ``random_marriage_spec(m, w, density, seed)``
 (6 to 7 agents a side) or of ``random_roommate_spec(n, density, seed)``
 (n = 8 to 12) that is pair-only and has a stable matching. Its absorbing
-sets (``Analysis(...).factors``, whose searches branch on the phase-1
-table) must be exactly its stable structures, one trivial set each, in
-enumeration order: ``reference_stable`` of ``oracle.py``, every structure
-of ``enumerate_structures`` that no permissible coalition blocks. Too slow
+sets (``Analysis(...).factors``, found by the stable-partition search
+closing every cycle at length 2, branching on the phase-1 table) must be
+exactly its stable structures, one trivial set each, in enumeration order:
+``reference_stable`` of ``oracle.py``, every structure of
+``enumerate_structures`` that no permissible coalition blocks. Too slow
 for the test suite; run it by hand:
 
     PYTHONPATH=src python tests/sweep_stable_route.py

@@ -10,30 +10,36 @@ pair-only general games whose rankings list unacceptable coalitions, and
 disjoint unions of a marriage game with a roommate game that has no stable
 matching.
 
-The pruned search for the stable structures (``_stable_matchings``) and the
-structure count, in layers or by the walk past the cap on the frontier
-width, are checked against enumeration: the search against the
-enumerate-and-filter it replaced, ``oracle.reference_stable``.
+The stable structures that the pair route reports (``absorbing._factor``,
+the partition search ``_stable_partitions`` closing every cycle at length
+2) and the structure count, in layers or by the walk past the cap on the
+frontier width, are checked against enumeration: the stable structures
+against the enumerate-and-filter, ``oracle.reference_stable``.
+``TestMatchingsArePartitions`` checks the lemma that lets one search serve
+both routes, a stable matching being exactly a stable partition whose
+cycles have length at most 2: against enumeration and the brute force over
+permutations, with no search, and the 2-cycle mode against the full
+search.
 
-Both pair searches branch only on the pairs left in the phase-1 table
-(``absorbing._phase_one``, Irving 1985): each agent proposes to the first
-partner left in their row, and the receiver drops every pair they rank
-below that proposer, until nothing changes. Lemma 1: a dropped pair is
-adjacent in no stable partition, hence in no stable matching; take the
-first dropped pair ``{y, z}`` adjacent in a stable partition, dropped
-because ``x`` proposed to ``y``: if ``y`` follows ``x`` T1 fails at ``y``,
-if ``y`` precedes ``x`` T1 fails at ``x``, and otherwise ``{x, y}``
-violates T2. Lemma 2: an agent whose row is not empty is matched in every
-stable matching, since the first partner of each such agent is matched
-(or ``{agent, first partner}`` would block) and first partners are a
-bijection on those agents. The full proofs are in the ``absorbing``
-module docstring. ``TestPhaseOneTable`` checks both lemmas against
-enumeration and ``reference_stable`` (marriage games with unequal sides,
-roommate games of at most 10 agents, pair-only games listing unacceptable
-pairs), that the table is a fixpoint and never touches agents outside the
-factor, and that the cyclic k x k markets have exactly k stable matchings;
-``test_p_stable.py`` checks Lemma 1 against its brute force over stable
-partitions.
+The partition search, in either mode, branches only on the pairs left in
+the phase-1 table (``absorbing._phase_one``, Irving 1985): each agent
+proposes to the first partner left in their row, and the receiver drops
+every pair they rank below that proposer, until nothing changes. Lemma 1:
+a dropped pair is adjacent in no stable partition, hence in no stable
+matching; take the first dropped pair ``{y, z}`` adjacent in a stable
+partition, dropped because ``x`` proposed to ``y``: if ``y`` follows ``x``
+T1 fails at ``y``, if ``y`` precedes ``x`` T1 fails at ``x``, and
+otherwise ``{x, y}`` violates T2. Lemma 2: an agent whose row is not empty
+is matched in every stable matching, since the first partner of each such
+agent is matched (or ``{agent, first partner}`` would block) and first
+partners are a bijection on those agents. The full proofs are in the
+``absorbing`` module docstring. ``TestPhaseOneTable`` checks both lemmas
+against enumeration and ``reference_stable`` (marriage games with unequal
+sides, roommate games of at most 10 agents, pair-only games listing
+unacceptable pairs), that the table is a fixpoint and never touches agents
+outside the factor, and that the cyclic k x k markets have exactly k
+stable matchings; ``test_p_stable.py`` checks Lemma 1 against its brute
+force over stable partitions.
 """
 
 import json
@@ -65,13 +71,15 @@ from stabledec import (
     ring_components_of,
     roommate_to_game,
     sink_components,
+    structure_from_parts,
 )
 from stabledec.absorbing import factor_games
 from stabledec.cli import main
-from stabledec.structures import _count_structures
+from stabledec.structures import DEFAULT_LIMIT, _count_structures
 from games import (
     FUZZ_GAMES,
     PAIR_GAMES,
+    SMALL_GAMES,
     TABLE_GAMES,
     build,
     mar,
@@ -80,11 +88,14 @@ from games import (
     room,
     union,
 )
-from oracle import dropped_pairs, outcome, reference_stable, spy
+from oracle import brute_partitions, dropped_pairs, outcome, reference_stable, spy
 
 
 def stable_matchings(g: Game):
-    return absorbing._stable_matchings(g, absorbing._pair_rows(g))
+    """The stable structures that ``_factor`` reports as trivial absorbing
+    sets with no graph, or none when it grows a graph."""
+    f = absorbing._factor(g, DEFAULT_LIMIT)
+    return [] if f.graph is not None else [a.members[0] for a in f.sets]
 
 
 @pytest.mark.parametrize("label", list(PAIR_GAMES))
@@ -154,7 +165,7 @@ def cyclic_market(k: int) -> Game:
 
 
 class TestPhaseOneTable:
-    """The phase-1 table that both pair searches branch on: a dropped pair
+    """The phase-1 table that the pair search branches on: a dropped pair
     is in no stable matching (Lemma 1), and an agent whose row is not empty
     is matched in every stable matching (Lemma 2)."""
 
@@ -219,7 +230,7 @@ class TestPhaseOneTable:
         g = Game(3, {1: [(1, 2), (1,)], 2: [(2,), (1, 2)], 3: [(3,)]})
         rows = absorbing._pair_rows(g)
         assert rows.agents == 0 and rows.table == [[], [], [], []]
-        assert absorbing._stable_matchings(g, rows) == [(1, 2, 4)]
+        assert stable_matchings(g) == [(1, 2, 4)]
 
     @pytest.mark.parametrize("k", [4, 5, 6, 7])
     def test_cyclic_markets(self, k):
@@ -241,6 +252,61 @@ class TestPhaseOneTable:
         assert len(TABLE_GAMES) >= 140
         assert dropping >= 110
         assert emptied >= 80
+
+
+def two_cycle_structures(g: Game, partitions) -> list[tuple[int, ...]]:
+    """The partitions whose cycles have length at most 2, each as its
+    structure, in enumeration order."""
+    return sorted(
+        structure_from_parts(g, [coalition(cyc) for cyc in p])
+        for p in partitions
+        if all(len(cyc) <= 2 for cyc in p)
+    )
+
+
+class TestMatchingsArePartitions:
+    """A stable matching is exactly a stable partition whose cycles have
+    length at most 2 (the ``absorbing`` module docstring), so the partition
+    search closing every cycle at length 2 finds the stable matchings."""
+
+    @pytest.mark.parametrize("label", list(SMALL_GAMES))
+    def test_lemma_against_the_brute_force(self, label):
+        # no search: the brute force over permutations, by T1 and T2 from
+        # the rankings, against enumerate-and-filter
+        g = SMALL_GAMES[label]()
+        assert two_cycle_structures(g, brute_partitions(g)) == reference_stable(g)
+
+    @pytest.mark.parametrize("label", list(PAIR_GAMES) + list(TABLE_GAMES))
+    def test_two_cycle_mode_keeps_the_short_partitions(self, label):
+        g = (PAIR_GAMES.get(label) or TABLE_GAMES[label])()
+        for f in factor_games(g):
+            rows = absorbing._pair_rows(f)
+            if rows is None:
+                continue
+            short = absorbing._stable_partitions(f, rows, matchings=True)
+            everyone = absorbing._stable_partitions(f, rows)
+            assert sorted(short) == sorted(
+                p for p in everyone if all(len(cyc) <= 2 for cyc in p)
+            )
+
+    def test_longer_cycles_with_and_without_stable_matchings(self):
+        # both gates see stable partitions with a longer cycle, in games
+        # with and without a stable matching
+        longer = [
+            bool(reference_stable(g))
+            for g in (make() for make in SMALL_GAMES.values())
+            if any(len(cyc) > 2 for p in brute_partitions(g) for cyc in p)
+        ]
+        assert longer.count(True) >= 4 and longer.count(False) >= 20
+        longer = []
+        for make in [*PAIR_GAMES.values(), *TABLE_GAMES.values()]:
+            for f in factor_games(make()):
+                rows = absorbing._pair_rows(f)
+                if rows is not None and any(
+                    len(cyc) > 2 for p in absorbing._stable_partitions(f, rows) for cyc in p
+                ):
+                    longer.append(bool(absorbing._stable_partitions(f, rows, matchings=True)))
+        assert longer.count(True) >= 30 and longer.count(False) >= 40
 
 
 class TestGateCoverage:
