@@ -91,11 +91,12 @@ def _loads(text: str, error: type[StabledecError], what: str):
 
 
 def load_game(text: str) -> Game:
-    """Game from JSON (game, roommate or marriage schema) or the text form."""
+    """Game from JSON (game, roommate or marriage schema) or the text form,
+    which never starts with ``{`` or ``[``."""
     stripped = text.lstrip()
     if not stripped:
         raise MalformedInput("empty input")
-    if not stripped.startswith("{"):
+    if not stripped.startswith(("{", "[")):
         return parse_game_dsl(text)
     obj = _loads(stripped, MalformedInput, "invalid JSON")
     if not isinstance(obj, dict):
@@ -121,58 +122,48 @@ def parse_decomposition(g: Game, text: str):
     """A decomposition from ``{{12,23,13},{45,46,56}}`` or the JSON form
     (list of parties, each a list of coalitions as agent lists).
 
-    A coalition whose ids all lie in ``1..n`` is read straight to its mask,
-    repeated ids ORed together as ``coalition`` does. Any other one stays a
-    tuple of its ids, so that ``make_party`` refuses it in its own words."""
+    The text form is read into the JSON form's lists, one id per digit, so
+    ``{{12,3}}`` is ``[[[1,2],[3]]]``. A coalition whose ids all lie in
+    ``1..n`` is read straight to its mask, repeated ids ORed together as
+    ``coalition`` does. Any other one stays a tuple of its ids, so that
+    ``make_party`` refuses it in its own words."""
     s = "".join(text.split())
     n = g.n
     if s.startswith("["):
         obj = _loads(s, MalformedParty, "invalid JSON decomposition")
         if not isinstance(obj, list) or not all(isinstance(p, list) for p in obj):
             raise MalformedParty("JSON decomposition must be a list of parties")
-        collections = []
-        for party in obj:
-            coals = []
-            for c in party:
-                if not isinstance(c, list):
-                    raise MalformedParty("coalitions must be lists of agent ids")
-                mask, agents = 0, True
-                for a in c:
-                    # JSON numbers load as int, bool or float
-                    if type(a) is not int:
-                        raise MalformedParty("coalitions must be lists of agent ids")
-                    if 0 < a <= n:
-                        mask |= 1 << a - 1
-                    else:
-                        agents = False
-                coals.append(mask if agents else tuple(c))
-            collections.append(coals)
-        return decomposition_from_collections(g, collections)
-    if not (s.startswith("{") and s.endswith("}")):
-        raise MalformedParty(f"unparseable decomposition: {text!r}")
-    if g.n > 9:
-        raise MalformedParty("the text form supports 1..9 agents; use the JSON form")
-    body = s[1:-1]
-    parties = _PARTY_BODY.findall(body)
-    if ",".join("{" + p + "}" for p in parties) != body:
-        raise MalformedParty(f"unparseable decomposition: {text!r}")
-    # each id's digit -> its bit
-    bits = {str(a): 1 << a - 1 for a in range(1, n + 1)}
+    else:
+        if not (s.startswith("{") and s.endswith("}")):
+            raise MalformedParty(f"unparseable decomposition: {text!r}")
+        if n > 9:
+            raise MalformedParty("the text form supports 1..9 agents; use the JSON form")
+        body = s[1:-1]
+        parties = _PARTY_BODY.findall(body)
+        if ",".join("{" + p + "}" for p in parties) != body:
+            raise MalformedParty(f"unparseable decomposition: {text!r}")
+        obj = []
+        for p in parties:
+            tokens = p.split(",") if p else []
+            if any(not (t.isascii() and t.isdigit()) for t in tokens):
+                raise MalformedParty(f"unparseable party: {{{p}}}")
+            obj.append([list(map(int, t)) for t in tokens])
     collections = []
-    for p in parties:
-        tokens = p.split(",") if p else []
-        if any(not (t.isascii() and t.isdigit()) for t in tokens):
-            raise MalformedParty(f"unparseable party: {{{p}}}")
+    for party in obj:
         coals = []
-        for t in tokens:
-            mask = 0
-            for ch in t:
-                if ch not in bits:
-                    coals.append(tuple(map(int, t)))
-                    break
-                mask |= bits[ch]
-            else:
-                coals.append(mask)
+        for c in party:
+            if not isinstance(c, list):
+                raise MalformedParty("coalitions must be lists of agent ids")
+            mask, agents = 0, True
+            for a in c:
+                # JSON numbers load as int, bool or float
+                if type(a) is not int:
+                    raise MalformedParty("coalitions must be lists of agent ids")
+                if 0 < a <= n:
+                    mask |= 1 << a - 1
+                else:
+                    agents = False
+            coals.append(mask if agents else tuple(c))
         collections.append(coals)
     return decomposition_from_collections(g, collections)
 

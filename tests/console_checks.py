@@ -290,6 +290,7 @@ MALFORMED_GAMES = {
         '{"n": 2, "preferences": {"1": [%s]}}' % BIG, f"invalid JSON: {TOO_LONG}"
     ),
     "text header agents 10**4999": (f"agents: {BIG}\n", "the text form supports 1..9 agents"),
+    "JSON list": ("[1, 2]", "JSON input must be an object"),
     "key 10**4999": (
         '{"agents": 2, "preferences": {"%s": [[1]]}}' % BIG,
         f"preference key '{BIG}' is not an agent id",

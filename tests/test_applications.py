@@ -54,6 +54,18 @@ class TestSpecs:
         with pytest.raises(MalformedSpec):
             RoommateSpec(3, {"x": [2]})
 
+    def test_bad_preference_table(self):
+        for make, message in [
+            (lambda: RoommateSpec(3, [[2]]), "preferences must map agents to partner lists"),
+            (lambda: MarriageSpec(1, 1, "12"), "preferences must map agents to partner lists"),
+            (lambda: RoommateSpec(3, {4: [1]}), "agent id 4 is out of range"),
+            (lambda: RoommateSpec(3, {"0": [1]}), "agent id 0 is out of range"),
+            (lambda: MarriageSpec(1, 1, {3: [1]}), "agent id 3 is out of range"),
+        ]:
+            with pytest.raises(MalformedSpec) as info:
+                make()
+            assert str(info.value) == message
+
     @pytest.mark.parametrize("n", [64, 10**20], ids=["64", "10**20"])
     def test_agent_count_above_the_cap(self, n):
         # refused before a row is built for each agent: 10**20 rows hung

@@ -115,7 +115,8 @@ class TestLoadGame:
             load_game("")
         with pytest.raises(MalformedInput):
             load_game("{not json")
-        with pytest.raises(MalformedInput):
+        # text that starts with "[" is JSON, and no game's JSON is a list
+        with pytest.raises(MalformedInput, match="^JSON input must be an object$"):
             load_game("[1, 2]")
         with pytest.raises(MalformedInput):
             load_game('{"something": 1}')
@@ -142,9 +143,16 @@ class TestParseDecomposition:
         assert len(d.parties) == 5
 
     def test_rejects_garbage(self, g6):
-        for bad in ("", "{{12}", "{{12},{3x}}", "[1]"):
-            with pytest.raises(MalformedParty):
+        for bad, message in [
+            ("", "unparseable decomposition: ''"),
+            ("{{12}", "unparseable decomposition: '{{12}'"),
+            ("{{12},{3x}}", "unparseable party: {3x}"),
+            ("[1]", "JSON decomposition must be a list of parties"),
+            ("[[1]]", "coalitions must be lists of agent ids"),
+        ]:
+            with pytest.raises(MalformedParty) as info:
                 parse_decomposition(g6, bad)
+            assert str(info.value) == message
         with pytest.raises(StabledecError):
             parse_decomposition(g6, "[[[0]]]")
 

@@ -179,6 +179,9 @@ class TestPrevents:
         pool = make_party(g7, [C("1"), C("2")])
         with pytest.raises(PartyIsSingletonPool):
             prevents(g7, pool, C("45"))
+        D = decomposition_from_collections(g7, [[C("1"), C("2"), C("3")], [C("45")], [C("67")]])
+        with pytest.raises(PartyIsSingletonPool):
+            is_protected(g7, pool, D)
 
     def test_disjoint_party_rejected(self, g7):
         party = make_party(g7, [C("67")])
@@ -269,8 +272,9 @@ class TestCheckStableDecomposition:
                 Party(SINGLE, (C("67"),)),
             ]
         )
-        codes = [v.code for v in check_stable_decomposition(g7, d)]
-        assert "multiple-pools" in codes
+        got = check_stable_decomposition(g7, d)
+        assert [v.code for v in got] == ["multiple-pools"]
+        assert got[0].describe(7) == "more than one singleton pool"
 
     def test_overlapping_parties(self, g7):
         d = decomposition(

@@ -104,6 +104,9 @@ class TestGrowGraph:
     def test_limit(self, g7, cycle7):
         with pytest.raises(LimitExceeded):
             grow_graph(g7, [cycle7[0]], limit=4)
+        # more distinct seeds than the limit: refused before any growth
+        with pytest.raises(LimitExceeded, match="^domination graph exceeds 1 nodes$"):
+            grow_graph(g7, [cycle7[0], cycle7[2], cycle7[0]], limit=1)
 
     def test_edges_match_successors(self, g7):
         graph = grow_graph(g7, enumerate_structures(g7))

@@ -22,8 +22,6 @@ gate checks
 more than a thousand seeded games; see its docstring.
 """
 
-import itertools
-
 import pytest
 
 import stabledec.absorbing as absorbing
@@ -183,12 +181,22 @@ RANDOM_PAIR_SEEDS = {
 }
 
 
+# roommate games random_roommate_spec(n, 0.7, seed) with no stable matching:
+# the first seeds of each size that have none, listed rather than scanned
+# for, so that a pair route that misclassifies fails the tests below instead
+# of scanning without end at collection
+ROOMMATE_SEEDS = {
+    6: (9, 33, 41, 77, 82, 91, 97, 109, 128, 133, 155, 157),
+    7: (18, 19, 24, 48, 50, 51, 59, 66, 70, 77),
+    8: (3, 5, 24, 27, 47, 52),
+    9: (2, 3, 5, 6),
+}
+
+
 def _slice() -> dict[str, Game]:
     out = {}
-    for n, count in {6: 12, 7: 10, 8: 6, 9: 4}.items():
-        # the first seeds of each size with no stable matching
-        seeds = (s for s in itertools.count(1) if is_closure_factor(room(n, 0.7, s)))
-        for s in itertools.islice(seeds, count):
+    for n, seeds in ROOMMATE_SEEDS.items():
+        for s in seeds:
             out[f"roommate{n}-{s}"] = room(n, 0.7, s)
     for (n, d), seeds in RANDOM_PAIR_SEEDS.items():
         for s in seeds:
@@ -214,6 +222,14 @@ def test_seeded_slice_agrees_with_full_graph(label):
 
 
 class TestGateCoverage:
+    @pytest.mark.parametrize("n", list(ROOMMATE_SEEDS))
+    def test_roommate_seeds_have_no_stable_matching(self, n):
+        # each listed seed is a closure factor, and no seed below the last
+        # listed one is left out
+        seeds = ROOMMATE_SEEDS[n]
+        found = [s for s in range(1, seeds[-1] + 1) if is_closure_factor(room(n, 0.7, s))]
+        assert found == list(seeds)
+
     def test_enough_factors(self):
         assert len(TEST_FACTORS) >= 80
         assert sum(label.startswith("random") for label in SLICE) == sum(

@@ -125,6 +125,10 @@ class TestIsProperRing:
     def test_four_cycle_with_triple(self, g7):
         assert is_proper_ring(g7, [C(t) for t in ("15", "123", "34", "45")])
 
+    def test_no_ring_no_proper_ring(self, g7):
+        # the five-cycle reversed: every step meets, none improves
+        assert not is_proper_ring(g7, [C(t) for t in ("45", "34", "23", "12", "15")])
+
     def test_disjoint_neighbors_disqualify(self, disjoint_game):
         assert not is_proper_ring(disjoint_game, [C("12"), C("34"), C("56")])
 
