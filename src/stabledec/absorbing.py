@@ -6,10 +6,10 @@ strongly connected component of the domination graph. Trivial (size-1)
 absorbing sets are exactly the stable structures.
 
 A game whose permissible coalitions fall into two or more groups of agents
-that no coalition links is analyzed one group at a time (``Analysis``):
-a domination step changes one group only, so the domination graph is the
-Cartesian product of the groups' graphs and the absorbing sets are the
-products of theirs.
+that no coalition links is analyzed one group at a time (``Analysis``),
+each as a game on its own agents (``factor_games``): a domination step
+changes one group only, so the domination graph is the Cartesian product
+of the groups' graphs and the absorbing sets are the products of theirs.
 
 A group whose permissible coalitions are all pairs and which has a stable
 structure needs no graph: from every matching some sequence of blocking
@@ -197,26 +197,67 @@ def coalition_components(g: Game) -> list[int]:
 
 
 def factor_games(g: Game) -> list[Game]:
-    """One sub-game per coalition component, or ``[g]`` itself when there
-    are fewer than two.
+    """One game per coalition component, on the component's own agents, or
+    ``[g]`` itself when there are fewer than two (``_factored``)."""
+    return [sub for sub, _ in _factored(g)]
 
-    A sub-game keeps all ``n`` agents and their coalition masks: the
-    component's agents keep their rankings and every other agent ranks
-    only their singleton. So its permissible set is the part of K inside
-    the component, and its structures are the game's structures with every
-    agent outside the component single. Each sub-game is built from the
-    game's already checked tables (``Game._restricted``), not validated
-    again.
+
+def _factored(g: Game) -> list[tuple[Game, dict[int, int] | None]]:
+    """Each factor game with its lift: the table from the masks of its
+    permissible coalitions and singletons to ``g``'s. ``[(g, None)]`` when
+    ``g`` has fewer than two coalition components.
+
+    A component of ``k`` agents becomes a game on agents ``1..k``, numbered
+    in id order. Each member ranks the component's permissible coalitions
+    and their singleton, in their own order, and nothing else: every other
+    coalition they list is in no structure and blocks none, so the game has
+    the component's structures, domination and ring components. The
+    renumbering keeps the agents' order, so it keeps the order of masks,
+    of member tuples and of ``structure_key``. The games are built from
+    ``g``'s checked tables in one pass over K (``Game._trusted``), not
+    validated again.
     """
     comps = coalition_components(g)
     if len(comps) < 2:
-        return [g]
-    return [Game._restricted(g, m) for m in comps]
+        return [(g, None)]
+    # each linked agent's singleton in their component's numbering, and the
+    # component's position
+    local = [0] * g.n
+    owner = [0] * g.n
+    for fi, comp in enumerate(comps):
+        for k, i in enumerate(members(comp)):
+            local[i - 1] = 1 << k
+            owner[i - 1] = fi
+    lifts: list[dict[int, int]] = [{} for _ in comps]
+    ks: list[list[int]] = [[] for _ in comps]
+    rows: list[list[tuple[int, ...]]] = [[] for _ in comps]
+    down = {}
+    for c in g.permissible:
+        sub = 0
+        rest = c
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sub |= local[low.bit_length() - 1]
+        down[c] = sub
+        fi = owner[(c & -c).bit_length() - 1]
+        lifts[fi][sub] = c
+        ks[fi].append(sub)
+    for b, sub in enumerate(local):
+        if sub:
+            own = 1 << b
+            down[own] = sub
+            lifts[owner[b]][sub] = own
+            # every K-coalition of the agent is listed above their singleton
+            listed = g.rankings[b][: g._pos[b][own] + 1]
+            rows[owner[b]].append(tuple([down[c] for c in listed if c in down]))
+    return [(Game._trusted(tuple(r), tuple(k)), lift) for r, k, lift in zip(rows, ks, lifts)]
 
 
 class Factor(namedtuple("Factor", "game sets graph")):
-    """A factor's sub-game, its absorbing sets in ``sink_components``
-    order, and its graph:
+    """A factor's game, on its component's own agents (``factor_games``),
+    its absorbing sets in ``sink_components`` order, and its graph, all in
+    the factor game's masks:
 
     - ``None`` for a pair-only factor with a stable structure, whose
       absorbing sets are its stable structures;
@@ -358,10 +399,11 @@ def _stable_partitions(
     Each agent with a known predecessor keeps the K-bits of every
     permissible pair they would rather hold (``envy``), every pair without
     them included, and a branch is dropped once the AND of those masks keeps
-    a pair both of whose agents have known predecessors. Agents outside the
-    factor and agents with an empty row are single from the start; every
-    other agent is on a cycle of length 2 or more (the module docstring,
-    after Lemma 2), so the search never offers them their singleton.
+    a pair both of whose agents have known predecessors. Agents in no
+    permissible pair and agents with an empty row are single from the
+    start; every other agent is on a cycle of length 2 or more (the module
+    docstring, after Lemma 2), so the search never offers them their
+    singleton.
 
     With ``matchings``, every cycle closes at its second agent: a cycle's
     first agent is offered the partners left in their row, and the cycle
@@ -372,7 +414,7 @@ def _stable_partitions(
     holding, partners, envy = rows.holding, rows.table, rows.envy
     agents = rows.agents
     n = g.n
-    # the agents outside the factor, each a cycle of length 1
+    # the agents in no permissible pair, each a cycle of length 1
     outside = [(b + 1,) for b in range(n) if not agents >> b & 1]
     succ = [0] * (n + 1)
     found = []
@@ -513,9 +555,10 @@ def _factor(g: Game, limit: int) -> Factor:
     return Factor(g, tuple(sink_components(graph)), graph)
 
 
-def _merge(full: int, pis) -> tuple[int, ...]:
-    # the non-single parts of one structure per factor, everyone else single
-    parts = [p for pi in pis for p in pi if p & (p - 1)]
+def _merge(full: int, held) -> tuple[int, ...]:
+    # the non-single parts of one structure per factor, in the whole game's
+    # masks, and everyone else single
+    parts = [p for ps in held for p in ps]
     rest = full
     for p in parts:
         rest &= ~p
@@ -526,10 +569,31 @@ def _merge(full: int, pis) -> tuple[int, ...]:
     return tuple(sorted(parts, key=lowest_agent))
 
 
+def _lift_ring(rc: RingComponent, lift: dict[int, int]) -> RingComponent:
+    # a factor's ring component in the whole game's masks
+    up = lift.__getitem__
+    return RingComponent(
+        tuple(map(up, rc.coalitions)),
+        rc.simple,
+        tuple(tuple(map(up, m)) for m in rc.maximal),
+        tuple(tuple(map(up, E)) for E in rc.compact),
+        tuple(map(up, rc.breakers)),
+    )
+
+
 class Analysis:
     """The absorbing sets, their ring components and the structure count of
     a game, worked out per factor (``factor_games``) and never on the
     product graph.
+
+    Each factor is a game on its component's own agents, and everything
+    worked out per factor is in its masks: ``factors``, ``factor_rings``.
+    ``lifts[fi]`` maps factor ``fi``'s masks to the whole game's
+    (``_factored``), ``None`` when the game is its own only factor. Masks
+    go back through it at the report boundary: the absorbing sets and ring
+    components here, the decompositions' factor parties
+    (``decomposition._checked_decompositions``) and the convergence witness
+    (``applications.factored_convergence``).
 
     Each factor's structures are first counted, in layers over the agents
     in id order or, past a frontier width, by the walk memoized on the
@@ -560,14 +624,15 @@ class Analysis:
     def __init__(self, g: Game, limit: int = DEFAULT_LIMIT) -> None:
         self.game = g
         self.limit = limit
-        subs = factor_games(g)
+        factored = _factored(g)
         count = 1
-        for sub in subs:
+        for sub, _ in factored:
             count *= _count_structures(sub, limit)
         if count > limit:
             raise LimitExceeded(f"more than {limit} structures")
         self.structure_count = count
-        self.factors = [_factor(sub, limit) for sub in subs]
+        self.factors = [_factor(sub, limit) for sub, _ in factored]
+        self.lifts = [lift for _, lift in factored]
         self._sets: list[tuple[AbsorbingSet, tuple[int, ...]]] | None = None
         # the ring components of each factor's sets, by position
         self._rings: list[list] = [[None] * len(f.sets) for f in self.factors]
@@ -575,14 +640,18 @@ class Analysis:
     def _products(self) -> list[tuple[AbsorbingSet, tuple[int, ...]]]:
         # (absorbing set, its factor sets' positions) pairs in report order
         if self._sets is None:
-            per = [f.sets for f in self.factors]
-            if len(per) == 1:
-                self._sets = [(a, (k,)) for k, a in enumerate(per[0])]
+            if len(self.factors) == 1:
+                self._sets = [(a, (k,)) for k, a in enumerate(self.factors[0].sets)]
             else:
                 full = (1 << self.game.n) - 1
+                # each factor set's members as their non-single parts, lifted
+                held = [
+                    [[[lift[p] for p in pi if p & (p - 1)] for pi in a.members] for a in f.sets]
+                    for f, lift in zip(self.factors, self.lifts)
+                ]
                 sets = []
-                for combo in itertools.product(*(range(len(s)) for s in per)):
-                    product = itertools.product(*(s[k].members for s, k in zip(per, combo)))
+                for combo in itertools.product(*(range(len(s)) for s in held)):
+                    product = itertools.product(*(s[k] for s, k in zip(held, combo)))
                     structures = sorted((_merge(full, pis) for pis in product), key=structure_key)
                     sets.append((AbsorbingSet(tuple(structures)), combo))
                 sets.sort(key=lambda e: structure_key(e[0].members[0]))
@@ -601,7 +670,8 @@ class Analysis:
 
     def factor_rings(self, fi: int, k: int) -> list[RingComponent]:
         """The ring components of factor ``fi``'s absorbing set ``sets[k]``
-        (none for a trivial one), worked out once per position."""
+        (none for a trivial one), in the factor's masks, worked out once
+        per position."""
         rings = self._rings[fi]
         if rings[k] is None:
             f = self.factors[fi]
@@ -614,7 +684,11 @@ class Analysis:
         a, combo = self._products()[idx]
         if a.trivial:
             raise TrivialAbsorbingSet("trivial absorbing sets carry no ring component")
-        comps = [rc for fi, k in enumerate(combo) for rc in self.factor_rings(fi, k)]
+        comps = [
+            rc if lift is None else _lift_ring(rc, lift)
+            for fi, (k, lift) in enumerate(zip(combo, self.lifts))
+            for rc in self.factor_rings(fi, k)
+        ]
         return sorted(comps, key=lambda rc: rc.coalitions)
 
 

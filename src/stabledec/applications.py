@@ -21,7 +21,7 @@ from collections.abc import Mapping, Sequence
 from .core import MAX_AGENTS, Game, _agent_key, _Frozen, _is_list_like, _setattr
 from .errors import MalformedSpec, VerificationFailed
 from .structures import DEFAULT_LIMIT, singleton_structure, structure_key
-from .absorbing import Analysis
+from .absorbing import Analysis, _merge
 
 
 def _check_pref_table(n: int, preferences: Mapping) -> dict[int, list[int]]:
@@ -191,18 +191,23 @@ def factored_convergence(an: Analysis) -> tuple[bool, tuple[int, ...] | None]:
     The game converges exactly when every factor does. A factor without a
     graph is pair-only with a stable structure, which every structure
     reaches (see ``absorbing.Analysis``); every other factor is decided on
-    its graph, with its own cross-check. The witness is the least, by
-    ``structure_key``, of the failing factors' witnesses: setting the
-    agents of other components single never moves a structure later in
-    that order, so the least structure that cannot reach a stable one has
-    non-single parts in one factor only, where it is that factor's least.
+    its graph, with its own cross-check. Each failing factor's witness is
+    lifted to the whole game (``Analysis.lifts``), every agent outside the
+    factor single; the lift keeps the order of ``structure_key``. The
+    witness is the least of them by that order: setting the agents of other
+    components single never moves a structure later in it, so the least
+    structure that cannot reach a stable one has non-single parts in one
+    factor only, where it is that factor's least.
     """
+    full = (1 << an.game.n) - 1
     witnesses = []
-    for f in an.factors:
+    for f, lift in zip(an.factors, an.lifts):
         if f.graph is None:
             continue
         ok, witness = converges_to_stability(f.game, an.limit, graph=f.graph)
         if not ok:
+            if lift is not None:
+                witness = _merge(full, [[lift[p] for p in witness if p & (p - 1)]])
             witnesses.append(witness)
     if not witnesses:
         return True, None

@@ -280,23 +280,19 @@ class Game:
         return tuple(out), tuple(positions), permissible
 
     @classmethod
-    def _restricted(cls, g: Game, agents: int) -> Game:
-        """The sub-game of ``g`` on ``agents``, from ``g``'s checked tables
-        and with no second validation: every other agent ranks only their
-        singleton, so the permissible set is the part of K inside
-        ``agents``."""
-        sub = cls.__new__(cls)
-        sub.n = g.n
-        sub.rankings = tuple(
-            r if agents >> i & 1 else (1 << i,) for i, r in enumerate(g.rankings)
-        )
-        sub._pos = tuple(
-            p if agents >> i & 1 else {1 << i: 0} for i, p in enumerate(g._pos)
-        )
-        sub.permissible = tuple(c for c in g.permissible if not c & ~agents)
-        sub._kset = frozenset(sub.permissible)
-        sub._expansion = None
-        return sub
+    def _trusted(cls, rankings: tuple, permissible: tuple[int, ...]) -> Game:
+        """The game of rankings that are already mask tuples, each ending at
+        its agent's singleton with every entry above it permissible, and of
+        their permissible set, ascending: what ``_normalize`` would return
+        for them, taken with no second validation."""
+        g = cls.__new__(cls)
+        g.n = len(rankings)
+        g.rankings = rankings
+        g._pos = tuple({c: k for k, c in enumerate(r)} for r in rankings)
+        g.permissible = permissible
+        g._kset = frozenset(permissible)
+        g._expansion = None
+        return g
 
     def _key(self, i: int, c: int):
         # Listed coalitions sort by position; unlisted ones after all listed,

@@ -492,16 +492,28 @@ def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
     An absorbing set's decomposition is the union of the coalition parties
     of its factor sets' decompositions, each built on its factor's game
     from the ring components the analysis works out once per factor set
-    (``Analysis.factor_rings``), plus one pool of the remaining agents; it
-    is re-checked against the whole game and its absorbing set, as
-    ``from_absorbing_set`` re-checks.
+    (``Analysis.factor_rings``) and lifted to the whole game's masks, plus
+    one pool of the remaining agents; it is re-checked against the whole
+    game and its absorbing set, as ``from_absorbing_set`` re-checks.
     """
     return [D for D, _, _ in _checked_decompositions(an)]
 
 
+def _lift_party(p: Party, lift: dict[int, int]) -> Party:
+    # a factor's coalition party in the whole game's masks
+    up = lift.__getitem__
+    return Party(
+        p.kind,
+        tuple(map(up, p.coalitions)),
+        tuple(tuple(map(up, E)) for E in p.compact),
+        None if p.breakers is None else tuple(map(up, p.breakers)),
+    )
+
+
 def _checked_decompositions(an: Analysis) -> list[tuple]:
     # (decomposition, protection walk, D-structures) of each absorbing set,
-    # as the re-check built them
+    # as the re-check built them; the factor parties are built on the
+    # factor games and lifted to the whole game's masks (Analysis.lifts)
     g = an.game
     full = (1 << g.n) - 1
     # the coalition parties of each factor's sets, by position
@@ -510,11 +522,11 @@ def _checked_decompositions(an: Analysis) -> list[tuple]:
     for idx, absorbing in enumerate(an.absorbing_sets()):
         parties: list[Party] = []
         covered = 0
-        for fi, (f, k) in enumerate(zip(an.factors, an.factor_sets(idx))):
+        for fi, (f, k, lift) in enumerate(zip(an.factors, an.factor_sets(idx), an.lifts)):
             own = memo[fi][k]
             if own is None:
                 own = memo[fi][k] = [
-                    p
+                    p if lift is None else _lift_party(p, lift)
                     for p in _absorbing_parties(f.game, f.sets[k], an.factor_rings(fi, k), f.graph)
                     if p.kind != POOL
                 ]

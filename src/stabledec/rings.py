@@ -164,9 +164,10 @@ def _pref_digraph_sccs(g: Game, masks: Sequence[int]) -> list[list[int]]:
 class RingComponent(_Frozen):
     """A ring component: its coalitions, whether it is simple, its maximal
     sets and its compact sets. ``breakers`` are the coalitions outside it
-    that break one of its maximal sets, ascending; masks, which mean the
-    same in every game holding them. They follow from the rest, so
-    equality, the hash and the repr leave them out."""
+    that break one of its maximal sets, ascending. All are masks of the
+    component's game; ``Analysis`` lifts a factor game's to the whole
+    game's. The breakers follow from the rest, so equality, the hash and
+    the repr leave them out."""
 
     __slots__ = _fields = ("coalitions", "simple", "maximal", "compact", "breakers")
     _shown = 4

@@ -286,9 +286,10 @@ def enumerate_structures(g: Game, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[
 
     One iterative walk: a frame per part being placed holds its remaining
     options and the agents placed before it. An agent other than the first
-    in no permissible coalition, single in every structure (as the agents
-    outside a factor are in its game), gets no frame: it is placed single
-    with the part before it, once every agent below it is placed.
+    in no permissible coalition, single in every structure (an isolated
+    agent of a game that is its own only factor), gets no frame: it is
+    placed single with the part before it, once every agent below it is
+    placed.
     """
     full = (1 << g.n) - 1
     options = _parts_by_agent(g)

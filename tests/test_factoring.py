@@ -14,6 +14,7 @@ from stabledec import (
     TrivialAbsorbingSet,
     absorbing_sets,
     all_stable_decompositions,
+    coalition,
     coalition_components,
     converges_to_stability,
     enumerate_structures,
@@ -24,8 +25,10 @@ from stabledec import (
     members,
     ring_components_of,
     sink_components,
+    structure_from_parts,
     structure_key,
 )
+from stabledec.absorbing import _factored
 from games import TRIANGLE, UNIONS, C, build, mar, split_market, union
 from oracle import outcome
 
@@ -34,6 +37,13 @@ from oracle import outcome
 SUB_GAME_CASES = {name: g for name, g in UNIONS.items() if len(coalition_components(g)) >= 2}
 for s in range(1, 13):
     SUB_GAME_CASES[f"split-{s}"] = split_market(s)
+
+
+def _lifted(g, lift, pi):
+    # a factor's structure in the whole game's masks, every other agent single
+    parts = [lift[p] for p in pi if p.bit_count() >= 2]
+    placed = sum(parts)
+    return structure_from_parts(g, parts + [1 << b for b in range(g.n) if not placed >> b & 1])
 
 
 @pytest.fixture(scope="module", params=sorted(UNIONS), ids=sorted(UNIONS))
@@ -61,9 +71,12 @@ class TestFactoredMatchesFullGraph:
                 with pytest.raises(TrivialAbsorbingSet):
                     an.ring_components(idx)
                 continue
-            assert outcome(lambda: an.ring_components(idx)) == outcome(
-                lambda: ring_components_of(g, a, graph)
-            )
+            got = outcome(lambda: an.ring_components(idx))
+            want = outcome(lambda: ring_components_of(g, a, graph))
+            assert got == want
+            # equality leaves the breakers out: compare them too
+            if isinstance(want, list):
+                assert [rc.breakers for rc in got] == [rc.breakers for rc in want]
 
     def test_decompositions(self, case):
         g, an, graph = case
@@ -130,6 +143,11 @@ class TestGateCoverage:
         an = build(UNIONS["seven-triangle"]).analysis
         first, second = (converges_to_stability(f.game, graph=f.graph) for f in an.factors)
         assert not first[0] and not second[0]
+        # each factor's witness in the whole game's masks, through its table
+        first, second = (
+            (ok, _lifted(an.game, lift, witness))
+            for (ok, witness), lift in zip((first, second), an.lifts)
+        )
         assert factored_convergence(an) == second
         assert structure_key(second[1]) < structure_key(first[1])
 
@@ -157,31 +175,51 @@ class TestFactors:
         g = UNIONS["three-triangles+1"]
         assert coalition_components(g) == [C("123"), C("456"), C("789")]
 
-    def test_sub_games_keep_agents_and_masks(self):
+    def test_sub_games_on_their_own_agents(self):
         g = UNIONS["roommate-marriage-random+1"]
-        subs = factor_games(g)
+        factored = _factored(g)
         comps = coalition_components(g)
-        assert [sub.n for sub in subs] == [g.n] * len(comps)
-        for sub, comp in zip(subs, comps):
-            assert sub.permissible == tuple(c for c in g.permissible if not c & ~comp)
-            for i in range(1, g.n + 1):
-                expected = g.rankings[i - 1] if comp >> (i - 1) & 1 else (1 << (i - 1),)
-                assert sub.rankings[i - 1] == expected
+        assert [sub.n for sub, _ in factored] == [len(members(m)) for m in comps]
+        for (sub, lift), comp in zip(factored, comps):
+            # local agent k is the component's k-th agent in id order
+            assert [lift[1 << b] for b in range(sub.n)] == [1 << (i - 1) for i in members(comp)]
+            # through the table, K is the part of the game's K inside the
+            # component, in order, and each member ranks its K-coalitions
+            # and their singleton in their own order
+            assert tuple(lift[c] for c in sub.permissible) == tuple(
+                c for c in g.permissible if not c & ~comp
+            )
+            for k, i in enumerate(members(comp)):
+                expected = tuple(c for c in g.rankings[i - 1] if c in g._kset or c == 1 << (i - 1))
+                assert tuple(lift[c] for c in sub.rankings[k]) == expected
+        assert [sub for sub, _ in factored] == factor_games(g)
         # every structure is one per factor, merged
         count = 1
-        for sub in subs:
+        for sub, _ in factored:
             count *= sum(1 for _ in enumerate_structures(sub))
         assert count == sum(1 for _ in enumerate_structures(g))
 
     @pytest.mark.parametrize("name", sorted(SUB_GAME_CASES))
     def test_sub_games_equal_games_built_anew(self, name):
         # built from the parent's tables, each sub-game has the tables a
-        # validated Game of the component's rankings has
+        # validated Game of the component's renumbered rankings has, and its
+        # table maps each renumbered mask back
         g = SUB_GAME_CASES[name]
-        subs = factor_games(g)
-        assert len(subs) >= 2
-        for sub, comp in zip(subs, coalition_components(g)):
-            fresh = Game(g.n, {i: g.rankings[i - 1] for i in members(comp)})
+        factored = _factored(g)
+        assert len(factored) >= 2
+        for (sub, lift), comp in zip(factored, coalition_components(g)):
+            agents = members(comp)
+
+            def local(c):
+                return coalition(agents.index(a) + 1 for a in members(c))
+
+            kept = [c for c in g.permissible if not c & ~comp]
+            kept += [1 << (i - 1) for i in agents]
+            assert lift == {local(c): c for c in kept}
+            fresh = Game(len(agents), {
+                k: [local(c) for c in g.rankings[i - 1] if c in g._kset or c == 1 << (i - 1)]
+                for k, i in enumerate(agents, 1)
+            })
             assert sub.n == fresh.n
             assert sub.rankings == fresh.rankings
             assert sub._pos == fresh._pos

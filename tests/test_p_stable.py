@@ -14,9 +14,9 @@ gate checks
   in order, the convergence verdict against ``converges_to_stability`` on
   the full graph, and the bytes of ``analyze --all --json``, which hold the
   ring components and the decompositions. It runs on every pair-only factor
-  without a stable matching of the other test modules' games and on a
-  seeded slice: roommate games of 6 to 9 agents and pair-only factors of
-  ``random_game``.
+  without a stable matching of the other test modules' games and of unions
+  of a marriage market with a sparse roommate game, and on a seeded slice:
+  roommate games of 6 to 9 agents and pair-only factors of ``random_game``.
 
 ``sweep_closure_route.py`` in this directory runs the same comparison over
 more than a thousand seeded games; see its docstring.
@@ -44,8 +44,10 @@ from games import (
     TRIANGLE,
     UNIONS,
     build,
+    mar,
     rnd,
     room,
+    union,
 )
 from oracle import assert_routes_agree, brute_partitions, dropped_pairs, is_closure_factor
 
@@ -155,10 +157,29 @@ class TestPStableMatchings:
         assert len(f.graph) == 3
 
 
+# unions of a 3x3 marriage market and random_roommate_spec(n, 0.5, seed),
+# both of the seed: the first seeds of each size whose roommate factor is a
+# closure factor that the other sources of TEST_FACTORS lack. A factor game
+# is on its own agents, so a union and its relabelling give one factor
+SPARSE_ROOMMATE_SEEDS = {
+    5: (6, 71, 83, 87, 94, 96, 103),
+    6: (3, 15, 19, 22, 29, 34, 40),
+    7: (11, 13, 14, 32, 49, 60, 71),
+    8: (1, 32, 33, 34, 43, 44, 57),
+}
+
+
 def _closure_factors() -> dict[str, Game]:
     # label -> distinct pair-only factor without a stable matching, of the
-    # games of the other test modules
-    sources = [PAIR_GAMES, FUZZ_GAMES, ROUTE_GAMES, {k: (lambda g=g: g) for k, g in UNIONS.items()}]
+    # games of the other test modules and of the sparse roommate unions
+    sparse = {
+        f"sparse{n}-{s}": (lambda n=n, s=s: union(mar(3, 3, 0.7, s), room(n, 0.5, s)))
+        for n, seeds in SPARSE_ROOMMATE_SEEDS.items()
+        for s in seeds
+    }
+    sources = [
+        PAIR_GAMES, FUZZ_GAMES, ROUTE_GAMES, {k: (lambda g=g: g) for k, g in UNIONS.items()}, sparse
+    ]
     out: dict[str, Game] = {}
     seen = set()
     for source in sources:

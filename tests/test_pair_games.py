@@ -36,8 +36,9 @@ partners are a bijection on those agents. The full proofs are in the
 ``absorbing`` module docstring. ``TestPhaseOneTable`` checks both lemmas
 against enumeration and ``reference_stable`` (marriage games with unequal
 sides, roommate games of at most 10 agents, pair-only games listing
-unacceptable pairs), that the table is a fixpoint and never touches agents
-outside the factor, and that the cyclic k x k markets have exactly k
+unacceptable pairs), that the table is a fixpoint, that each factor of a
+union of markets has its market's own table, renumbered onto the factor's
+agents, and that the cyclic k x k markets have exactly k
 stable matchings; ``test_p_stable.py`` checks Lemma 1 against its brute
 force over stable partitions.
 """
@@ -213,18 +214,26 @@ class TestPhaseOneTable:
                 offset = len(want) - 1
                 table = absorbing._pair_rows(market).table
                 want += [[j + offset for j in row] for row in table[1:]]
-            for f in factor_games(g):
+            # each factor's agents, through its table, are agents of the
+            # union, and its rows are that market's, renumbered
+            linked = 0
+            for f, lift in absorbing._factored(g):
                 rows = absorbing._pair_rows(f)
                 agents = 0
                 for c in f.permissible:
                     agents |= c
                 assert rows.agents == agents
-                for i in range(1, g.n + 1):
+                assert len(rows.table) == f.n + 1
+                up = [0] + [lift[1 << b].bit_length() for b in range(f.n)]
+                for i in range(1, f.n + 1):
                     if agents >> (i - 1) & 1:
-                        assert rows.table[i] == want[i]
+                        assert [up[j] for j in rows.table[i]] == want[up[i]]
+                        linked |= 1 << (up[i] - 1)
                     else:
                         assert rows.table[i] == [] and rows.envy[i] == {}
                         assert rows.holding[i] == 0
+            # and an agent of the union in no factor has an empty row
+            assert all(not want[i] for i in range(1, g.n + 1) if not linked >> (i - 1) & 1)
         # an agent who lists a pair their partner does not accept holds no
         # permissible pair, and gets no row
         g = Game(3, {1: [(1, 2), (1,)], 2: [(2,), (1, 2)], 3: [(3,)]})

@@ -819,11 +819,14 @@ def test_breaking_bits_match_the_definition(label):
     g = FUZZ_GAMES[label]()
     ks = g.permissible
     bit = g.expansion().bit
-    for f in build(g).analysis.factors:
+    an = build(g).analysis
+    for f, lift in zip(an.factors, an.lifts):
         for a in f.sets:
             if a.trivial:
                 continue
             for fam in _ring_families(f.game, f.graph, a):
+                # the factor's family in the whole game's masks
+                fam = fam if lift is None else {lift[c] for c in fam}
                 inside = sum(bit[c] for c in fam)
                 maximal, found, clash = _maximal_search(g, inside)
                 msets = reference_maximal_sets(fam)
