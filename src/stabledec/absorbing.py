@@ -5,11 +5,12 @@ whose members all transitively dominate each other; equivalently, a sink
 strongly connected component of the domination graph. Trivial (size-1)
 absorbing sets are exactly the stable structures.
 
-A game whose permissible coalitions fall into two or more groups of agents
-that no coalition links is analyzed one group at a time (``Analysis``),
-each as a game on its own agents (``factor_games``): a domination step
-changes one group only, so the domination graph is the Cartesian product
-of the groups' graphs and the absorbing sets are the products of theirs.
+A game is analyzed one group of agents linked by permissible coalitions
+at a time (``Analysis``), each as a game on its own agents
+(``factor_games``), unless one group holds every agent; an agent in no
+group is single throughout. A domination step changes one group only, so
+the domination graph is the Cartesian product of the groups' graphs and
+the absorbing sets are the products of theirs.
 
 A group whose permissible coalitions are all pairs and which has a stable
 structure needs no graph: from every matching some sequence of blocking
@@ -198,14 +199,16 @@ def coalition_components(g: Game) -> list[int]:
 
 def factor_games(g: Game) -> list[Game]:
     """One game per coalition component, on the component's own agents, or
-    ``[g]`` itself when there are fewer than two (``_factored``)."""
+    ``[g]`` itself when one component holds every agent (``_factored``)."""
     return [sub for sub, _ in _factored(g)]
 
 
 def _factored(g: Game) -> list[tuple[Game, dict[int, int] | None]]:
     """Each factor game with its lift: the table from the masks of its
     permissible coalitions and singletons to ``g``'s. ``[(g, None)]`` when
-    ``g`` has fewer than two coalition components.
+    one coalition component holds every agent. An agent in no permissible
+    coalition is in no factor, and is set single where the factor results
+    are joined (``Analysis``).
 
     A component of ``k`` agents becomes a game on agents ``1..k``, numbered
     in id order. Each member ranks the component's permissible coalitions
@@ -218,7 +221,7 @@ def _factored(g: Game) -> list[tuple[Game, dict[int, int] | None]]:
     validated again.
     """
     comps = coalition_components(g)
-    if len(comps) < 2:
+    if comps == [(1 << g.n) - 1]:
         return [(g, None)]
     # each linked agent's singleton in their component's numbering, and the
     # component's position
@@ -278,9 +281,10 @@ class Factor(namedtuple("Factor", "game sets graph")):
 
 class _PairRows(namedtuple("_PairRows", "agents holding table envy")):
     """The rows of a pair-only factor, built once and shared by both modes
-    of ``_stable_partitions``. Lists are indexed by
-    agent; an agent outside ``agents`` holds no permissible pair and has an
-    empty ``table`` row, an empty ``envy`` row and no K-bits.
+    of ``_stable_partitions``. Lists are indexed by agent; an agent outside
+    ``agents``, in a direct caller's game but never in a factor game, holds
+    no permissible pair and has an empty ``table`` row, an empty ``envy``
+    row and no K-bits.
 
     - ``agents``: the agents that hold a permissible pair;
     - ``holding[i]``: the K-bits (``Game.expansion``) of ``i``'s pairs;
@@ -400,8 +404,9 @@ def _stable_partitions(
     permissible pair they would rather hold (``envy``), every pair without
     them included, and a branch is dropped once the AND of those masks keeps
     a pair both of whose agents have known predecessors. Agents in no
-    permissible pair and agents with an empty row are single from the
-    start; every other agent is on a cycle of length 2 or more (the module
+    permissible pair (``outside``, only in a direct caller's game: a factor
+    game has none) and agents with an empty row are single from the start;
+    every other agent is on a cycle of length 2 or more (the module
     docstring, after Lemma 2), so the search never offers them their
     singleton.
 
@@ -589,9 +594,10 @@ class Analysis:
     Each factor is a game on its component's own agents, and everything
     worked out per factor is in its masks: ``factors``, ``factor_rings``.
     ``lifts[fi]`` maps factor ``fi``'s masks to the whole game's
-    (``_factored``), ``None`` when the game is its own only factor. Masks
-    go back through it at the report boundary: the absorbing sets and ring
-    components here, the decompositions' factor parties
+    (``_factored``), ``[None]`` when one component holds every agent. Masks
+    go back through it at the report boundary, where the agents in no
+    factor are set single: the absorbing sets (``_merge``) and ring
+    components here, the decompositions' factor parties and pool
     (``decomposition._checked_decompositions``) and the convergence witness
     (``applications.factored_convergence``).
 
@@ -640,7 +646,7 @@ class Analysis:
     def _products(self) -> list[tuple[AbsorbingSet, tuple[int, ...]]]:
         # (absorbing set, its factor sets' positions) pairs in report order
         if self._sets is None:
-            if len(self.factors) == 1:
+            if self.lifts == [None]:
                 self._sets = [(a, (k,)) for k, a in enumerate(self.factors[0].sets)]
             else:
                 full = (1 << self.game.n) - 1

@@ -37,7 +37,6 @@ from .core import (
     compact_coalition,
     lowest_agent,
     members,
-    prefers,
     render_coalition,
 )
 from .errors import (
@@ -177,15 +176,20 @@ def prevents(g: Game, party: Party, c: int) -> bool:
         )
     if c in party.coalitions:
         return False
+    shared = party.agents & c
+    if shared >> g.n:
+        raise AgentIdOutOfRange(f"agent id {lowest_agent(shared >> g.n << g.n)} is out of range")
     return _witnesses(g, party, c) is not None
 
 
 def _witnesses(g: Game, party: Party, c: int) -> list[tuple[int, int]] | None:
     """The first (coalition, agent preferring it to ``c``) of each compact set
-    of the party (of its coalition if single); ``None`` when a set has none."""
+    of the party (of its coalition if single); ``None`` when a set has none.
+    Each agent tried is in both coalitions, so keys compare directly."""
+    key = g._key
     out = []
     for E in party.compact if party.kind == RING else (party.coalitions,):
-        hit = next(((cp, i) for cp in E for i in members(cp & c) if prefers(g, i, cp, c)), None)
+        hit = next(((cp, i) for cp in E for i in members(cp & c) if key(i, cp) < key(i, c)), None)
         if hit is None:
             return None
         out.append(hit)

@@ -285,15 +285,11 @@ def enumerate_structures(g: Game, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[
     before yielding structure ``limit + 1``.
 
     One iterative walk: a frame per part being placed holds its remaining
-    options and the agents placed before it. An agent other than the first
-    in no permissible coalition, single in every structure (an isolated
-    agent of a game that is its own only factor), gets no frame: it is
-    placed single with the part before it, once every agent below it is
-    placed.
+    options and the agents placed before it; an agent in no permissible
+    coalition takes their singleton, their one option.
     """
     full = (1 << g.n) - 1
     options = _parts_by_agent(g)
-    lone = sum(own[0] for own in options[2:] if len(own) == 1)
     count = 0
     parts: list[int] = []
     frames = [(iter(options[1]), 0)]
@@ -304,30 +300,22 @@ def enumerate_structures(g: Game, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[
                 continue
             placed = used | c
             parts.append(c)
-            if placed != full:
-                free = ~placed & full
-                low = free & -free
-                while low & lone:
-                    parts.append(low)
-                    placed |= low
-                    free ^= low
-                    low = free & -free
-                if free:
-                    frames.append((iter(options[low.bit_length()]), placed))
-                    break
-            count += 1
-            if count > limit:
-                raise LimitExceeded(f"more than {limit} structures")
-            # parts were added in least-member order, already canonical
-            yield tuple(parts)
-            # undo the part, and the single agents placed with it
-            while parts.pop() & lone:
-                pass
+            if placed == full:
+                count += 1
+                if count > limit:
+                    raise LimitExceeded(f"more than {limit} structures")
+                # parts were added in least-member order, already canonical
+                yield tuple(parts)
+                parts.pop()
+                continue
+            free = ~placed & full
+            frames.append((iter(options[(free & -free).bit_length()]), placed))
+            break
         else:
-            # every option of this frame is done: undo the parts that led here
+            # every option of this frame is done: undo the part that led here
             frames.pop()
-            while parts and parts.pop() & lone:
-                pass
+            if parts:
+                parts.pop()
 
 
 # a frontier wider than this is counted by the walk: a layer holds 2**width
@@ -393,10 +381,8 @@ def _count_structures(g: Game, limit: int = DEFAULT_LIMIT) -> int:
         if bit & front:
             empty = layer & free[bit]
             layer = empty + ((layer ^ empty) >> at[bit])
-        elif opts:
-            empty = layer
         else:
-            continue
+            empty = layer
         for rest in opts:
             if rest in at:
                 layer += (empty & free[rest]) << at[rest]
@@ -428,7 +414,8 @@ def _walk_count(g: Game, limit: int) -> int:
     already placed: the structures completing that set depend on it alone.
     Raises ``LimitExceeded`` as soon as one set has more than ``limit``
     completions; each set it reaches is placed by some structure, and its
-    completions give that many distinct structures of the game.
+    completions give that many distinct structures of the game. An agent in
+    no permissible coalition takes their singleton, their one part.
     """
     full = (1 << g.n) - 1
     by_agent = _parts_by_agent(g)
@@ -448,5 +435,4 @@ def _walk_count(g: Game, limit: int) -> int:
         memo[used] = count
         return count
 
-    # an agent in no permissible coalition is single in every structure
-    return rec(sum(own[0] for own in by_agent[1:] if len(own) == 1))
+    return rec(0)

@@ -402,6 +402,15 @@ for s in range(12):
     if s % 3:
         pieces.append(mar(3, 3, 0.6, 100 + s))
     UNIONS[f"seeded-{s}"] = union(*pieces, isolated=s % 2)
+# one component and two agents in no permissible coalition, relabelled so
+# that those agents are agents 1 and 4 (marriage) or 1 and 5 (random): one
+# factor on the linked agents, not the game itself. The marriage market has
+# two stable matchings, the random game a non-trivial absorbing set
+ONE_COMPONENT = {
+    "marriage+2-relabelled": relabel(union(mar(3, 3, 0.7, 7), isolated=2), 10),
+    "random+2-relabelled": relabel(union(rnd(5, 0.5, 13), isolated=2), 10),
+}
+UNIONS.update(ONE_COMPONENT)
 
 # the unions that have a ring party, whose factor games number K
 # differently from the whole game

@@ -8,16 +8,19 @@ order. ``Analysis`` works such a game out one component at a time, each on
 its own agents, and maps the masks back to the whole game's; with
 ``absorbing.coalition_components`` patched to give one component it works
 the whole game out at once. The bytes of ``analyze - --all --json`` must be
-the same both ways. Unions with more than ``LIMIT`` structures are skipped,
-and so are those with one coalition component, whose analysis is never
-factored.
+the same both ways. A union with a front that has no permissible coalition
+has one factor, the other front on its own agents, and the empty front's
+agents are set single where the factor results are joined.
+Unions with more than ``LIMIT`` structures are skipped, and so is a union
+that is its own factor, one component covering every agent, whose analysis
+is never factored.
 Too slow for the test suite; run it by hand:
 
     PYTHONPATH=src python tests/sweep_factor_route.py
 
-It prints one line per front pair and a total, and exits non-zero on the
-first disagreement, naming its seed, or when the seeds it scans give fewer
-games than it asks for.
+It prints one line per front pair, one for the unions of one factor, and a
+total, and exits non-zero on the first disagreement, naming its seed, or
+when the seeds it scans give fewer games than it asks for.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from stabledec import Analysis, LimitExceeded  # noqa: E402
 from games import mar, relabel, rnd, room, union  # noqa: E402
 from oracle import analyze_json  # noqa: E402
 
-# games to check, and the last seed scanned: the count is met by seed 1,310
+# games to check, and the last seed scanned: the count is met by seed 1,001
 COUNT = 1_000
 LAST_SEED = 2_000
 # the most structures a union may have
@@ -83,7 +86,7 @@ def unfactored():
 def main() -> int:
     started = time.perf_counter()
     checked = Counter()
-    large = single = 0
+    large = whole = one = 0
     for seed in range(1, LAST_SEED + 1):
         pair, g = game(seed)
         try:
@@ -91,10 +94,12 @@ def main() -> int:
         except LimitExceeded:
             large += 1
             continue
-        if len(an.factors) < 2:
-            # a front without a permissible coalition: nothing to factor
-            single += 1
+        if an.lifts == [None]:
+            # one component covers every agent: nothing to factor
+            whole += 1
             continue
+        # a front without a permissible coalition leaves one factor
+        one += len(an.factors) == 1
         try:
             got = analyze_json(g)
             with unfactored():
@@ -112,11 +117,13 @@ def main() -> int:
     total = sum(checked.values())
     for pair in sorted(checked):
         print(f"{pair}: {checked[pair]} unions agree")
+    print(f"of one factor, a front without a permissible coalition: {one} unions agree")
     if total < COUNT:
         print(f"only {total} of {COUNT} unions in seeds 1-{LAST_SEED}", flush=True)
         return 1
     print(f"total: {total} unions agree; skipped {large} over {LIMIT} structures and "
-          f"{single} of one component; seeds 1-{seed}; {time.perf_counter() - started:.1f} s")
+          f"{whole} that are their own factor; seeds 1-{seed}; "
+          f"{time.perf_counter() - started:.1f} s")
     return 0
 
 

@@ -9,6 +9,7 @@ from stabledec import (
     POOL,
     RING,
     SINGLE,
+    AgentIdOutOfRange,
     DisjointParty,
     MalformedParty,
     Party,
@@ -187,6 +188,12 @@ class TestPrevents:
         party = make_party(g7, [C("67")])
         with pytest.raises(DisjointParty):
             prevents(g7, party, C("12"))
+
+    def test_party_of_a_larger_game_rejected(self, g6, g7):
+        # agent 7 is in both the party's coalition and 47, but not in g6
+        party = make_party(g7, [C("67")])
+        with pytest.raises(AgentIdOutOfRange, match=r"^agent id 7 is out of range$"):
+            prevents(g6, party, C("47"))
 
 
 class TestProtection:

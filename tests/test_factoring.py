@@ -28,9 +28,21 @@ from stabledec import (
     structure_from_parts,
     structure_key,
 )
+from stabledec import absorbing
 from stabledec.absorbing import _factored
-from games import TRIANGLE, UNIONS, C, build, mar, split_market, union
-from oracle import outcome
+from games import (
+    FUZZ_GAMES,
+    ONE_COMPONENT,
+    PAIR_GAMES,
+    TRIANGLE,
+    UNIONS,
+    C,
+    build,
+    mar,
+    split_market,
+    union,
+)
+from oracle import outcome, spy
 
 # UNIONS with several components, and unions shaped like the split-markets
 # benchmark games: random, roommate and 3x3 marriage games of six agents each
@@ -95,9 +107,21 @@ class TestGateCoverage:
     """The unions above exercise every product rule."""
 
     def test_most_unions_have_several_factors(self):
-        counts = [len(factor_games(g)) for g in UNIONS.values()]
+        counts = [len(factor_games(g)) for name, g in UNIONS.items() if name not in ONE_COMPONENT]
         assert sum(c >= 2 for c in counts) >= len(counts) - 2
         assert sum(c >= 3 for c in counts) >= 5
+
+    @pytest.mark.parametrize("name", sorted(ONE_COMPONENT))
+    def test_unlinked_agents_first_and_in_between(self, name):
+        # one renumbered factor of the linked agents; agent 1 is in no
+        # coalition, and neither is an agent between two linked ones (the
+        # linked agents are not one run of ids)
+        g = ONE_COMPONENT[name]
+        (comp,) = coalition_components(g)
+        assert not comp & 1
+        assert (comp + (comp & -comp)) & comp
+        ((sub, lift),) = _factored(g)
+        assert sub.n == len(members(comp)) and lift is not None
 
     def test_isolated_agents_and_three_components(self):
         g = UNIONS["three-triangles+1"]
@@ -157,7 +181,7 @@ class TestGateCoverage:
 
 
 class TestFactors:
-    @pytest.mark.parametrize("fixture", ["g6", "g7", "g8", "rm10", "mar33"])
+    @pytest.mark.parametrize("fixture", ["g6", "g7", "g8", "mar33"])
     def test_single_component_game_is_its_own_factor(self, fixture, request):
         g = request.getfixturevalue(fixture)
         (only,) = factor_games(g)
@@ -165,10 +189,46 @@ class TestFactors:
         (factor,) = Analysis(g).factors
         assert factor.game is g
 
+    def test_unlinked_agent_leaves_one_renumbered_factor(self, rm10):
+        # agent 10 accepts nobody: one component of agents 1-9, and a
+        # factor game on those nine, not the game itself
+        assert coalition_components(rm10) == [(1 << 9) - 1]
+        ((sub, lift),) = _factored(rm10)
+        assert sub is not rm10 and sub.n == 9
+        assert [lift[1 << b] for b in range(9)] == [1 << b for b in range(9)]
+        assert tuple(lift[c] for c in sub.permissible) == rm10.permissible
+        (factor,) = Analysis(rm10).factors
+        assert factor.game.rankings == sub.rankings
+
+    def test_routes_see_only_linked_agents(self, monkeypatch, rm10):
+        # the count and every route receive only games whose every agent
+        # is in a permissible coalition: agents in none are set single
+        # where the factor results are joined, never inside a factor
+        seen = []
+        for name in ("_count_structures", "_factor"):
+            spy(monkeypatch, seen, absorbing, name, lambda g, limit: g)
+        games = [
+            *UNIONS.values(),
+            *(make() for make in FUZZ_GAMES.values()),
+            *(make() for make in PAIR_GAMES.values()),
+            rm10,
+            Game(1, {}),
+            Game(3, {}),
+        ]
+        for g in games:
+            Analysis(g)
+        # a count and a route per factor; the two empty games have none
+        assert len(seen) >= 2 * (len(games) - 2)
+        for g in seen:
+            linked = 0
+            for c in g.permissible:
+                linked |= c
+            assert linked == (1 << g.n) - 1
+
     def test_no_coalition_no_component(self):
         g = Game(3, {})
         assert coalition_components(g) == []
-        assert factor_games(g) == [g]
+        assert factor_games(g) == []
         assert Analysis(g).structure_count == 1
 
     def test_components(self):

@@ -363,9 +363,10 @@ class TestPairRoute:
         assert [a.members for a in f.sets] == [(pi,) for pi in stable]
 
     def test_no_permissible_coalition(self):
-        (f,) = Analysis(Game(3, {})).factors
-        assert f.graph is None
-        assert [a.members for a in f.sets] == [((1, 2, 4),)]
+        # no factor: the empty product is the one all-singletons structure
+        an = Analysis(Game(3, {}))
+        assert an.factors == []
+        assert [a.members for a in an.absorbing_sets()] == [((1, 2, 4),)]
 
     def test_stability_is_rechecked(self, monkeypatch):
         g = mar(4, 4, 0.7, 2)
