@@ -54,14 +54,14 @@ structure limit still counts all of the group's structures.
 
 In either mode the search branches only on the pairs left in Irving's
 (1985, *An efficient algorithm for the stable roommates problem*) phase-1
-table (``_phase_one``), built once per group over the agents that hold a
-permissible pair: each agent proposes to the first partner left in their
-row, the receiver drops every pair they rank below that proposer (from
-both rows), and this repeats until nothing changes. A proposer's first
-partner is dropped only by that partner: the pairs an agent drops as a
-receiver lie below the proposer, who is in their row and so ranked no
-higher than their first partner. So an agent who has received a proposal
-holds one from then on, and no pair joins two agents whose rows end empty.
+table (``_phase_one``), built once per group with a row for every agent:
+each agent proposes to the first partner left in their row, the receiver
+drops every pair they rank below that proposer (from both rows), and this
+repeats until nothing changes. A proposer's first partner is dropped only
+by that partner: the pairs an agent drops as a receiver lie below the
+proposer, who is in their row and so ranked no higher than their first
+partner. So an agent who has received a proposal holds one from then on,
+and no pair joins two agents whose rows end empty.
 At the fixpoint the first partner of every agent with a non-empty row
 ranks that agent last in their own row, so the map from an agent to their
 first partner is a bijection on the agents with non-empty rows. Blocking
@@ -101,7 +101,9 @@ agent with a non-empty row is the first partner of one. An agent with an
 empty row is single in every stable partition, by Lemma 1.
 
 So the search, in either mode, places every agent with an empty row
-single and never offers the others their singleton.
+single and never offers the others their singleton. An agent in no
+permissible pair is one of them: a row lists only permissible partners,
+and phase 1 only removes entries.
 """
 
 from __future__ import annotations
@@ -279,25 +281,21 @@ class Factor(namedtuple("Factor", "game sets graph")):
     graph: DominationGraph | None
 
 
-class _PairRows(namedtuple("_PairRows", "agents holding table envy")):
-    """The rows of a pair-only factor, built once and shared by both modes
-    of ``_stable_partitions``. Lists are indexed by agent; an agent outside
-    ``agents``, in a direct caller's game but never in a factor game, holds
-    no permissible pair and has an empty ``table`` row, an empty ``envy``
-    row and no K-bits.
+class _PairRows(namedtuple("_PairRows", "holding table envy")):
+    """The rows of a pair-only game, built once and shared by both modes of
+    ``_stable_partitions``. Lists are indexed by agent; an agent in no
+    permissible pair has an empty ``table`` row, an empty ``envy`` row and
+    no K-bits.
 
-    - ``agents``: the agents that hold a permissible pair;
     - ``holding[i]``: the K-bits (``Game.expansion``) of ``i``'s pairs;
     - ``table[i]``: the partners left in ``i``'s row of the phase-1 table
       (``_phase_one``), best first;
     - ``envy[i][j]``, for every permissible partner ``j`` of ``i``: the
       K-bits of the pairs ``i`` ranks above ``{i, j}``, every pair without
-      ``i`` included; ``envy[i][i]`` is ``-1``, since a single agent ranks
-      every partner above their singleton.
+      ``i`` included.
     """
 
     __slots__ = ()
-    agents: int
     holding: list[int]
     table: list[list[int]]
     envy: list[dict[int, int]]
@@ -305,28 +303,25 @@ class _PairRows(namedtuple("_PairRows", "agents holding table envy")):
 
 def _pair_rows(g: Game) -> _PairRows | None:
     """The rows of a pair-only game, or ``None`` when some permissible
-    coalition is not a pair. Only the rankings of agents holding a
-    permissible pair are read, and ``Game.expansion`` is not built: K-bit
-    ``j`` stands for ``permissible[j]`` here too."""
+    coalition is not a pair. Each agent's ranking is read up to their
+    singleton, and ``Game.expansion`` is not built: K-bit ``j`` stands for
+    ``permissible[j]`` here too."""
     ks = g.permissible
     if any(c.bit_count() != 2 for c in ks):
         return None
     n = g.n
     bit = {}
-    agents = 0
     holding = [0] * (n + 1)
     for j, c in enumerate(ks):
         b = bit[c] = 1 << j
-        agents |= c
         holding[(c & -c).bit_length()] |= b
         holding[c.bit_length()] |= b
     table: list[list[int]] = [[] for _ in range(n + 1)]
     envy: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for i in members(agents):
+    for i in range(1, n + 1):
         own = 1 << (i - 1)
         row = table[i]
         wish = envy[i]
-        wish[i] = -1
         above = ~holding[i]
         # every permissible pair of i is ranked above their singleton
         for c in g.rankings[i - 1]:
@@ -339,12 +334,12 @@ def _pair_rows(g: Game) -> _PairRows | None:
             row.append(j)
             wish[j] = above
             above |= b
-    _phase_one(table, agents)
-    return _PairRows(agents, holding, table, envy)
+    _phase_one(table)
+    return _PairRows(holding, table, envy)
 
 
-def _phase_one(table: list[list[int]], agents: int) -> None:
-    """Reduce the best-first partner rows of the given agents, in place, to
+def _phase_one(table: list[list[int]]) -> None:
+    """Reduce the best-first partner rows, indexed by agent, in place, to
     Irving's (1985) phase-1 table. Rows must be symmetric, ``j`` in row
     ``i`` exactly when ``i`` is in row ``j``. Each agent proposes to the
     first partner left in their row, the receiver drops every pair they
@@ -357,7 +352,7 @@ def _phase_one(table: list[list[int]], agents: int) -> None:
     matchings included, and that every agent whose row is not empty is on
     a cycle of length 2 or more in every one (Lemma 2 and after).
     """
-    todo = list(members(agents))
+    todo = list(range(1, len(table)))
     while todo:
         x = todo.pop()
         row = table[x]
@@ -403,12 +398,11 @@ def _stable_partitions(
     Each agent with a known predecessor keeps the K-bits of every
     permissible pair they would rather hold (``envy``), every pair without
     them included, and a branch is dropped once the AND of those masks keeps
-    a pair both of whose agents have known predecessors. Agents in no
-    permissible pair (``outside``, only in a direct caller's game: a factor
-    game has none) and agents with an empty row are single from the start;
-    every other agent is on a cycle of length 2 or more (the module
-    docstring, after Lemma 2), so the search never offers them their
-    singleton.
+    a pair both of whose agents have known predecessors. Agents with an
+    empty row, every agent in no permissible pair among them, are single
+    from the start; every other agent is on a cycle of length 2 or more
+    (the module docstring, after Lemma 2), so the search never offers them
+    their singleton.
 
     With ``matchings``, every cycle closes at its second agent: a cycle's
     first agent is offered the partners left in their row, and the cycle
@@ -417,18 +411,16 @@ def _stable_partitions(
     the stable matchings, in no set order.
     """
     holding, partners, envy = rows.holding, rows.table, rows.envy
-    agents = rows.agents
     n = g.n
-    # the agents in no permissible pair, each a cycle of length 1
-    outside = [(b + 1,) for b in range(n) if not agents >> b & 1]
     succ = [0] * (n + 1)
     found = []
     # each partner's position in the table row, for cycles longer than 2.
-    # An agent with an empty row is single, with an envy mask of -1; no pair
+    # An agent with an empty row is single and ranks every partner above
+    # their singleton, so their envy leaves ``blocking`` as it is; no pair
     # joins two of them (see the module docstring), so ``within`` starts at 0
     rank: list[dict[int, int]] = [{} for _ in range(n + 1)]
     cycling = held = 0
-    for i in members(agents):
+    for i in range(1, n + 1):
         if partners[i]:
             if not matchings:
                 rank[i] = {j: k for k, j in enumerate(partners[i])}
@@ -438,8 +430,8 @@ def _stable_partitions(
             held |= holding[i]
 
     def cycles() -> tuple[tuple[int, ...], ...]:
-        out = list(outside)
-        rest = agents
+        out = []
+        rest = (1 << n) - 1
         while rest:
             low = rest & -rest
             i = low.bit_length()
@@ -451,8 +443,6 @@ def _stable_partitions(
             for j in cyc:
                 rest &= ~(1 << (j - 1))
             out.append(tuple(cyc))
-        if outside:
-            out.sort()
         return tuple(out)
 
     # ``free``: agents in no cycle yet; ``blocking``: the AND of the envy

@@ -19,11 +19,13 @@ space-separated digit strings.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 from stabledec import (
     Analysis,
     Game,
+    MarriageSpec,
     RoommateSpec,
     coalition,
     enumerate_structures,
@@ -337,6 +339,37 @@ for n in range(4, 11):
 for n in (4, 5, 6, 7):
     for s in range(1, 9):
         TABLE_GAMES[f"pairs{n}-{s}"] = lambda n=n, s=s: pair_game(n, s)
+
+
+def every_ranking(others: list[int]) -> list[tuple[int, ...]]:
+    """Every ranking an agent can give of the partners ``others``: each
+    ordered subset, the empty one included."""
+    return [p for k in range(len(others) + 1) for p in itertools.permutations(others, k)]
+
+
+def every_spec(sides: list[list[int]]) -> dict[str, dict[int, tuple[int, ...]]]:
+    """Every preference table in which agent ``i`` ranks an ordered subset
+    of ``sides[i - 1]``, by a label that spells each agent's row, ``-`` for
+    an empty one: ``1:23 2:- 3:1``."""
+    return {
+        " ".join(f"{i}:{''.join(map(str, row)) or '-'}" for i, row in enumerate(rows, 1)):
+            dict(enumerate(rows, 1))
+        for rows in itertools.product(*map(every_ranking, sides))
+    }
+
+
+# label -> make: every 3-agent roommate game and every 2x2 marriage game,
+# 125 and 625 games; 566 of the 750 have an agent in no permissible pair
+EVERY_SMALL_PAIR_GAME = {
+    "roommate3": {
+        label: lambda prefs=prefs: roommate_to_game(RoommateSpec(3, prefs))
+        for label, prefs in every_spec([[2, 3], [1, 3], [1, 2]]).items()
+    },
+    "marriage2x2": {
+        label: lambda prefs=prefs: marriage_to_game(MarriageSpec(2, 2, prefs))
+        for label, prefs in every_spec([[3, 4], [3, 4], [1, 2], [1, 2]]).items()
+    },
+}
 
 # label -> make: games of at most 7 agents, with and without stable
 # matchings, some listing unacceptable pairs and triples

@@ -40,7 +40,10 @@ unacceptable pairs), that the table is a fixpoint, that each factor of a
 union of markets has its market's own table, renumbered onto the factor's
 agents, and that the cyclic k x k markets have exactly k
 stable matchings; ``test_p_stable.py`` checks Lemma 1 against its brute
-force over stable partitions.
+force over stable partitions. ``test_every_small_pair_game`` checks both
+search modes, the absorbing sets, the decompositions and the count on
+every 3-agent roommate game and every 2x2 marriage game, most of them with
+an agent in no permissible pair.
 """
 
 import json
@@ -64,6 +67,7 @@ from stabledec import (
     enumerate_structures,
     factored_convergence,
     factored_decompositions,
+    full_domination_graph,
     is_stable,
     marriage_to_game,
     members,
@@ -78,6 +82,7 @@ from stabledec.absorbing import factor_games
 from stabledec.cli import main
 from stabledec.structures import DEFAULT_LIMIT, _count_structures
 from games import (
+    EVERY_SMALL_PAIR_GAME,
     FUZZ_GAMES,
     PAIR_GAMES,
     SMALL_GAMES,
@@ -186,7 +191,7 @@ class TestPhaseOneTable:
         rows = absorbing._pair_rows(g)
         table = rows.table
         again = [list(row) for row in table]
-        absorbing._phase_one(again, rows.agents)
+        absorbing._phase_one(again)
         assert again == table
         full = partner_rows(g)
         for i in range(1, g.n + 1):
@@ -215,30 +220,24 @@ class TestPhaseOneTable:
                 table = absorbing._pair_rows(market).table
                 want += [[j + offset for j in row] for row in table[1:]]
             # each factor's agents, through its table, are agents of the
-            # union, and its rows are that market's, renumbered
+            # union, each holds a pair, and its rows are that market's,
+            # renumbered
             linked = 0
             for f, lift in absorbing._factored(g):
                 rows = absorbing._pair_rows(f)
-                agents = 0
-                for c in f.permissible:
-                    agents |= c
-                assert rows.agents == agents
+                assert all(rows.holding[i] for i in range(1, f.n + 1))
                 assert len(rows.table) == f.n + 1
                 up = [0] + [lift[1 << b].bit_length() for b in range(f.n)]
                 for i in range(1, f.n + 1):
-                    if agents >> (i - 1) & 1:
-                        assert [up[j] for j in rows.table[i]] == want[up[i]]
-                        linked |= 1 << (up[i] - 1)
-                    else:
-                        assert rows.table[i] == [] and rows.envy[i] == {}
-                        assert rows.holding[i] == 0
+                    assert [up[j] for j in rows.table[i]] == want[up[i]]
+                    linked |= 1 << (up[i] - 1)
             # and an agent of the union in no factor has an empty row
             assert all(not want[i] for i in range(1, g.n + 1) if not linked >> (i - 1) & 1)
         # an agent who lists a pair their partner does not accept holds no
-        # permissible pair, and gets no row
+        # permissible pair, and has an empty row
         g = Game(3, {1: [(1, 2), (1,)], 2: [(2,), (1, 2)], 3: [(3,)]})
         rows = absorbing._pair_rows(g)
-        assert rows.agents == 0 and rows.table == [[], [], [], []]
+        assert rows.table == [[], [], [], []]
         assert stable_matchings(g) == [(1, 2, 4)]
 
     @pytest.mark.parametrize("k", [4, 5, 6, 7])
@@ -316,6 +315,61 @@ class TestMatchingsArePartitions:
                 ):
                     longer.append(bool(absorbing._stable_partitions(f, rows, matchings=True)))
         assert longer.count(True) >= 30 and longer.count(False) >= 40
+
+
+def small_game_disagreements(g: Game) -> list[str]:
+    """The checks on which the pair search, the analysis or the count
+    disagree with their references on ``g``, an error counting as a
+    disagreement."""
+    graph = full_domination_graph(g)
+    rows = absorbing._pair_rows(g)
+
+    def partitions():
+        return sorted(absorbing._stable_partitions(g, rows)) == brute_partitions(g)
+
+    def matchings():
+        everyone = absorbing._stable_partitions(g, rows)
+        short = absorbing._stable_partitions(g, rows, matchings=True)
+        return sorted(short) == sorted(
+            p for p in everyone if all(len(cyc) <= 2 for cyc in p)
+        ) and two_cycle_structures(g, short) == reference_stable(g)
+
+    checks = {
+        "partitions": partitions,
+        "matchings": matchings,
+        "absorbing sets": lambda: Analysis(g).absorbing_sets() == sink_components(graph),
+        "decompositions": lambda: outcome(lambda: all_stable_decompositions(g))
+        == outcome(lambda: all_stable_decompositions(g, graph=graph)),
+        "count": lambda: _count_structures(g) == sum(1 for _ in enumerate_structures(g)),
+    }
+    wrong = []
+    for name, check in checks.items():
+        try:
+            if not check():
+                wrong.append(name)
+        except Exception as exc:
+            # an error fails the check, and the other checks and games still run
+            wrong.append(f"{name}: {type(exc).__name__}: {exc}")
+    return wrong
+
+
+@pytest.mark.parametrize("family", list(EVERY_SMALL_PAIR_GAME))
+def test_every_small_pair_game(family):
+    # every game of the family, most with an agent in no permissible pair,
+    # against the brute force, enumerate-and-filter and the full graph
+    failing = {}
+    unpaired = set()
+    for label, make in EVERY_SMALL_PAIR_GAME[family].items():
+        g = make()
+        if wrong := small_game_disagreements(g):
+            failing[label] = wrong
+        paired = 0
+        for c in g.permissible:
+            paired |= c
+        unpaired.update(i for i in range(1, g.n + 1) if not paired >> (i - 1) & 1)
+    assert not failing, f"{len(failing)} games disagree: {failing}"
+    # an agent in no permissible pair at every id
+    assert unpaired == set(range(1, g.n + 1))
 
 
 class TestGateCoverage:
