@@ -503,9 +503,9 @@ _COMMANDS = {
 
 @functools.cache
 def _parser():
-    """The top-level parser and the subcommand parsers by name, built from
-    ``_COMMANDS`` once per process, for the command lines ``_quick_parse``
-    declines: building them costs about ten times a parse."""
+    """The argparse parser, built from ``_COMMANDS`` once per process, for
+    the command lines ``_quick_parse`` declines: building it costs about ten
+    times a parse."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -513,13 +513,12 @@ def _parser():
         description="Coalition formation: absorbing sets, rings and stable decompositions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, (summary, run, arguments) in _COMMANDS.items():
-        command = commands[name] = sub.add_parser(name, help=summary)
+        command = sub.add_parser(name, help=summary)
         for argument, kw in arguments.items():
             command.add_argument(argument, **kw)
         command.set_defaults(run=run)
-    return parser, commands
+    return parser
 
 
 def _quick_parse(name: str, argv: list[str]):
@@ -577,24 +576,15 @@ def _quick_parse(name: str, argv: list[str]):
 
 
 def _parse(argv):
-    """``_parser()[0].parse_args(argv)``. When ``argv`` starts with a
-    subcommand, the rest is read by ``_quick_parse`` without argparse, or
-    else parsed by that subcommand's parser: the top-level parser would hand
-    it the rest and report what it leaves over, so this does both directly.
-    Any other ``argv`` goes through the top-level parser."""
+    """``_parser().parse_args(argv)``. When ``argv`` starts with a subcommand
+    and ``_quick_parse`` accepts the rest, that namespace, read without
+    argparse; argparse parses every other ``argv``."""
     if argv is None:
         argv = sys.argv[1:]
     name = argv[0] if argv else None
     args = _quick_parse(name, argv[1:]) if name in _COMMANDS else None
     if args is None:
-        parser, commands = _parser()
-        if name not in commands:
-            return parser.parse_args(argv)
-        args, extra = commands[name].parse_known_args(argv[1:])
-        if extra:
-            from gettext import gettext
-
-            parser.error(gettext("unrecognized arguments: %s") % " ".join(extra))
+        return _parser().parse_args(argv)
     args.command = name
     return args
 

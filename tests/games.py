@@ -342,8 +342,8 @@ for n in (4, 5, 6, 7):
 
 
 def every_ranking(others: list[int]) -> list[tuple[int, ...]]:
-    """Every ranking an agent can give of the partners ``others``: each
-    ordered subset, the empty one included."""
+    """Every ranking an agent can give of ``others``, partners or
+    coalitions: each ordered subset, the empty one included."""
     return [p for k in range(len(others) + 1) for p in itertools.permutations(others, k)]
 
 
@@ -370,6 +370,28 @@ EVERY_SMALL_PAIR_GAME = {
         for label, prefs in every_spec([[3, 4], [3, 4], [1, 2], [1, 2]]).items()
     },
 }
+
+
+def _every_3_agent_game() -> dict[str, object]:
+    """Every game in which each of agents 1-3 ranks an ordered subset of
+    their three non-single coalitions above their singleton, by a label that
+    spells each agent's row, ``-`` for an empty one: ``1:123,12 2:- 3:13``."""
+    rankings = [
+        every_ranking([c for c in range(1, 8) if c >> (i - 1) & 1 and c != 1 << (i - 1)])
+        for i in (1, 2, 3)
+    ]
+    return {
+        " ".join(
+            f"{i}:{','.join(''.join(map(str, members(c))) for c in row) or '-'}"
+            for i, row in enumerate(rows, 1)
+        ): lambda rows=rows: Game(3, [row + (1 << i,) for i, row in enumerate(rows)])
+        for rows in itertools.product(*rankings)
+    }
+
+
+# label -> make: every 3-agent game, 4,096 games (16 rows per agent)
+EVERY_3_AGENT_GAME = _every_3_agent_game()
+
 
 # label -> make: games of at most 7 agents, with and without stable
 # matchings, some listing unacceptable pairs and triples
@@ -555,4 +577,10 @@ UNLISTED_BUT_ACCEPTED = {
     "roommate5-267a": (lambda: room(5, 0.7, 267), "{{12,23,24,34,15,35,45}}"),
     "roommate5-267b": (lambda: room(5, 0.7, 267), "{{12,13,23,24,34,15,35,45}}"),
     "roommate5-285": (lambda: room(5, 0.7, 285), "{{12,13,23,14,34,25,35,45}}"),
+    # seeds of random_game(4, 0.9), the smallest general games with such a
+    # candidate, each a single party with no pool in a game whose one
+    # absorbing set is trivial
+    "random4-677": (lambda: rnd(4, 0.9, 677), "{{13,14,234}}"),
+    "random4-1103": (lambda: rnd(4, 0.9, 1103), "{{12,24,134}}"),
+    "random4-2323": (lambda: rnd(4, 0.9, 2323), "{{123,14,34}}"),
 }

@@ -4,8 +4,9 @@ Each reference is built on ``successors()``, the public definition
 functions (``prefers``, ``unanimously_prefers``, ``breaks``,
 ``breaks_maximal_set``), ``reference_maximal_sets`` or plain loops over a
 graph's nodes and edges. Where one borrows a library helper
-(``rings._ring_component``, ``decomposition._certificates``), that helper
-is not the routine it checks. The test modules and sweeps import their references
+(``rings._ring_component``, ``decomposition._certificates``, the brute
+force's ``is_stable_decomposition``), that helper is not the routine it
+checks. The test modules and sweeps import their references
 and harness from here and their games from ``games.py``.
 """
 
@@ -50,6 +51,8 @@ from stabledec import (
     factored_convergence,
     full_domination_graph,
     is_protected,
+    is_ring_component,
+    is_stable_decomposition,
     members,
     prefers,
     render_coalition,
@@ -289,6 +292,52 @@ def brute_partitions(g: Game) -> list[tuple[tuple[int, ...], ...]]:
                 cycles.append(tuple(cyc))
         found.add(tuple(cycles))
     return sorted(found)
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for j in range(len(part)):
+            yield part[:j] + [[first] + part[j]] + part[j + 1 :]
+        yield [[first]] + part
+
+
+def _parties_for_block(g, block):
+    """Every party whose agent set is exactly the block."""
+    mask = 0
+    for a in block:
+        mask |= 1 << (a - 1)
+    out = [Party(POOL, tuple(sorted(1 << (a - 1) for a in block)))]
+    inside = [c for c in g.permissible if not c & ~mask]
+    if mask in inside:
+        out.append(Party(SINGLE, (mask,)))
+    for r in range(3, len(inside) + 1):
+        for combo in itertools.combinations(inside, r):
+            union = 0
+            for c in combo:
+                union |= c
+            if union == mask and is_ring_component(g, combo):
+                out.append(make_party(g, combo))
+    return out
+
+
+def _brute_force_decompositions(g):
+    """Every stable decomposition, as a frozenset of its parties: each
+    partition of the agents into blocks, each block a pool, a single
+    coalition or a ring component, kept when ``is_stable_decomposition``
+    accepts it."""
+    found = set()
+    for blocks in _set_partitions(list(range(1, g.n + 1))):
+        for choice in itertools.product(
+            *(_parties_for_block(g, b) for b in blocks)
+        ):
+            d = decomposition(choice)
+            if is_stable_decomposition(g, d):
+                found.add(frozenset(d.parties))
+    return found
 
 
 def is_closure_factor(g: Game) -> bool:

@@ -7,7 +7,6 @@ finds; they are kept as written and fail with a message naming the
 discrepancy. The module tests freeze the machine-verified values.
 """
 
-import itertools
 import time
 
 import pytest
@@ -32,7 +31,6 @@ from stabledec import (
     has_proper_ring,
     is_ring_component,
     is_stable,
-    is_stable_decomposition,
     make_party,
     maximal_sets,
     random_game,
@@ -42,8 +40,8 @@ from stabledec import (
     sink_components,
     successors,
 )
-from stabledec.decomposition import Party, POOL, SINGLE
 from conftest import C, make_structure
+from oracle import _brute_force_decompositions
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -332,48 +330,6 @@ def test_criterion_8_property_suite():
     elapsed = time.perf_counter() - started
     ok = checked == 200 and elapsed < 60.0
     report(8, ok, f"{checked} games checked in {elapsed:.1f}s")
-
-
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for j in range(len(part)):
-            yield part[:j] + [[first] + part[j]] + part[j + 1 :]
-        yield [[first]] + part
-
-
-def _parties_for_block(g, block):
-    """Every party whose agent set is exactly the block."""
-    mask = 0
-    for a in block:
-        mask |= 1 << (a - 1)
-    out = [Party(POOL, tuple(sorted(1 << (a - 1) for a in block)))]
-    inside = [c for c in g.permissible if not c & ~mask]
-    if mask in inside:
-        out.append(Party(SINGLE, (mask,)))
-    for r in range(3, len(inside) + 1):
-        for combo in itertools.combinations(inside, r):
-            union = 0
-            for c in combo:
-                union |= c
-            if union == mask and is_ring_component(g, combo):
-                out.append(make_party(g, combo))
-    return out
-
-
-def _brute_force_decompositions(g):
-    found = set()
-    for blocks in _set_partitions(list(range(1, g.n + 1))):
-        for choice in itertools.product(
-            *(_parties_for_block(g, b) for b in blocks)
-        ):
-            d = decomposition(choice)
-            if is_stable_decomposition(g, d):
-                found.add(frozenset(d.parties))
-    return found
 
 
 def test_criterion_9_brute_force_oracle():

@@ -1276,9 +1276,9 @@ QUICK_CASES = {
 
 
 class TestParserParity:
-    """``main`` hands the arguments after a subcommand to its parser
-    directly; exit code, stdout and stderr must be those of a parse
-    through the top-level parser."""
+    """``main`` reads the command lines ``_quick_parse`` accepts from the
+    table and hands every other one to argparse; exit code, stdout and
+    stderr must be those of a parse through argparse."""
 
     @staticmethod
     def run(argv, capsys, monkeypatch):
@@ -1296,7 +1296,7 @@ class TestParserParity:
     def test_matches_the_top_level_parser(self, argv, g6_file, capsys, monkeypatch):
         argv = [g6_file if a == "GAME" else a for a in argv]
         got = self.run(argv, capsys, monkeypatch)
-        monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser()[0].parse_args(argv))
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
         assert got == self.run(argv, capsys, monkeypatch)
 
     @pytest.mark.parametrize("argv", QUICK_CASES.values(), ids=QUICK_CASES)
@@ -1305,20 +1305,9 @@ class TestParserParity:
         # defaults; attribute order included
         argv = [g6_file if a == "GAME" else a for a in argv]
         quick = cli._quick_parse(argv[0], argv[1:])
-        parsed, extra = cli._parser()[1][argv[0]].parse_known_args(argv[1:])
-        assert extra == [] and list(vars(quick).items()) == list(vars(parsed).items())
-
-    def test_direct_dispatch_skips_the_top_level_parse(self, g6_file, monkeypatch):
-        parser = cli._parser()[0]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the top-level parser parsed")
-
-        monkeypatch.setattr(parser, "parse_known_args", refuse)
-        # an option before the positional: the quick reader declines it
-        args = cli._parse(["analyze", "--json", g6_file])
-        assert (args.command, args.input, args.json, args.run) == (
-            "analyze", g6_file, True, cli._cmd_analyze)
+        parsed = vars(cli._parser().parse_args(argv))
+        assert parsed.pop("command") == argv[0]
+        assert list(vars(quick).items()) == list(parsed.items())
 
     def test_benchmark_shapes_take_no_argparse_pass(self, monkeypatch):
         def refuse(*args, **kwargs):

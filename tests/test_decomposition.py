@@ -17,6 +17,7 @@ from stabledec import (
     absorbing_sets,
     all_stable_decompositions,
     check_stable_decomposition,
+    converges_to_stability,
     d_structures,
     decomposition,
     decomposition_from_collections,
@@ -42,6 +43,7 @@ from stabledec import (
 from stabledec.cli import main, parse_decomposition
 from stabledec.structures import breaks_maximal_set
 from games import (
+    EVERY_3_AGENT_GAME,
     FUZZ_GAMES,
     GENERATED_GAMES,
     GENERATED_IDS,
@@ -55,6 +57,7 @@ from games import (
     split_market,
 )
 from oracle import (
+    _brute_force_decompositions,
     analyze_json,
     spy,
     _defined_breakers,
@@ -509,6 +512,31 @@ class TestAllStableDecompositions:
             "{{16},{25},{34}}",
         }
         assert all(p.kind == SINGLE for d in decs for p in d.parties)
+
+    def test_iterating_yields_the_parties(self, rm10):
+        for d in all_stable_decompositions(rm10):
+            assert tuple(d) == d.parties
+
+    def test_every_3_agent_game(self):
+        # the brute force, one decomposition generating each absorbing set,
+        # ring parties exactly for the non-trivial sets, and convergence
+        # exactly when every set is trivial
+        failed = []
+        for label, make in EVERY_3_AGENT_GAME.items():
+            g = make()
+            decs = all_stable_decompositions(g)
+            sets_ = absorbing_sets(g)
+            generated = [generated_set(g, d_structures(g, d)[0]) for d in decs]
+            ring_free = [not any(p.kind == RING for p in d) for d in decs]
+            if {frozenset(d.parties) for d in decs} != _brute_force_decompositions(g):
+                failed.append(f"{label}: not the brute force")
+            elif not sets_ or generated != sets_:
+                failed.append(f"{label}: not one decomposition per absorbing set")
+            elif ring_free != [a.trivial for a in sets_]:
+                failed.append(f"{label}: ring parties not exactly for non-trivial sets")
+            elif converges_to_stability(g)[0] != all(a.trivial for a in sets_):
+                failed.append(f"{label}: convergence verdict")
+        assert not failed, "\n".join(failed)
 
 
 class TestProtectionCertificates:
