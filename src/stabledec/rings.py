@@ -187,51 +187,17 @@ class RingComponent(_Frozen):
         _setattr(self, "breakers", breakers)
 
 
-def _strongly_connected(steps: dict[int, int], inside: int) -> bool:
-    """Whether the digraph over the K-bits ``inside``, where ``steps[b]``
-    holds the successors of bit ``b``, is strongly connected: from its
-    least bit, the forward closure over ``steps`` and the backward closure,
-    grown by every bit whose steps meet it, both reach every bit."""
-    start = inside & -inside
-    seen = todo = start
-    while todo:
-        reach = 0
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            reach |= steps[low]
-        todo = reach & ~seen
-        seen |= todo
-    if seen != inside:
-        return False
-    seen = start
-    while seen != inside:
-        grown = seen
-        rest = inside & ~seen
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if steps[low] & grown:
-                grown |= low
-        if grown == seen:
-            return False
-        seen = grown
-    return True
-
-
 def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
     """The ring component analysis of the collection, ``None`` when it is
     not one, on the K-bitsets of ``Game.expansion``.
 
     Condition (i) is strong connectivity of the in-collection improvement
-    digraph: a coalition ``c`` steps to ``better[c] & meets[j(c)] &
-    inside``, the coalitions sharing an agent with it that every shared
-    agent ranks above it (``_strongly_connected``). Condition (ii),
-    simpleness and the breakers come from one maximal-set search
-    (``structures._maximal_search``), whose every set arrives with its
-    breakers: it stops at the first set no member breaks, and the
-    component is simple when no member breaking a set meets two of its
-    coalitions. The breakers from outside are kept. The search's pivot is
+    digraph: ``_pref_digraph_sccs`` of the sorted collection finds one
+    component. Condition (ii), simpleness and the breakers come from one
+    maximal-set search (``structures._maximal_search``), whose every set
+    arrives with its breakers: it stops at the first set no member breaks,
+    and the component is simple when no member breaking a set meets two of
+    its coalitions. The breakers from outside are kept. The search's pivot is
     the lowest candidate or excluded coalition rather than Tomita's: any
     pivot taken from the two keeps the search exact (Cazals and Karande
     2008).
@@ -239,16 +205,12 @@ def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
     B = tuple(sorted(set(coalitions)))
     if len(B) < 3 or any(c not in g._kset for c in B):
         return None
-    bit, better, meets = g.expansion()
+    if len(_pref_digraph_sccs(g, B)) != 1:
+        return None
+    bit = g.expansion().bit
     inside = 0
     for c in B:
         inside |= bit[c]
-    steps = {}
-    for c in B:
-        b = bit[c]
-        steps[b] = better[c] & meets[b.bit_length() - 1] & inside
-    if not _strongly_connected(steps, inside):
-        return None
     search = _maximal_search(g, inside, inside)
     if search is None:
         return None

@@ -39,17 +39,21 @@ from stabledec import (
     Party,
     StabledecError,
     VerificationFailed,
+    absorbing_sets,
+    all_stable_decompositions,
     breaks,
     breaks_maximal_set,
     canonical_rotation,
     coalition,
     contains,
     converges_to_stability,
+    d_structures,
     decomposition,
     make_party,
     enumerate_structures,
     factored_convergence,
     full_domination_graph,
+    generated_set,
     is_protected,
     is_ring_component,
     is_stable_decomposition,
@@ -338,6 +342,26 @@ def _brute_force_decompositions(g):
             if is_stable_decomposition(g, d):
                 found.add(frozenset(d.parties))
     return found
+
+
+def census_failure(g) -> str | None:
+    """What the census finds wrong with the game's decompositions, ``None``
+    when nothing. They must be the brute force's, so
+    ``check_stable_decomposition`` accepts exactly the listed ones; one
+    decomposition must generate each absorbing set, in order; ring parties
+    must come exactly for the non-trivial sets; and the game must converge
+    exactly when every set is trivial."""
+    decs = all_stable_decompositions(g)
+    sets_ = absorbing_sets(g)
+    if {frozenset(d.parties) for d in decs} != _brute_force_decompositions(g):
+        return "not the brute force"
+    if not sets_ or [generated_set(g, d_structures(g, d)[0]) for d in decs] != sets_:
+        return "not one decomposition per absorbing set"
+    if [not any(p.kind == RING for p in d) for d in decs] != [a.trivial for a in sets_]:
+        return "ring parties not exactly for non-trivial sets"
+    if converges_to_stability(g)[0] != all(a.trivial for a in sets_):
+        return "convergence verdict"
+    return None
 
 
 def is_closure_factor(g: Game) -> bool:
@@ -720,7 +744,9 @@ def reference_ring_component(g, coalitions):
     """``rings._ring_component`` in three passes: the SCCs of the
     improvement digraph (``rings._pref_digraph_sccs``), the maximal sets
     (``reference_maximal_sets``), then ``reference_breaking`` on each set,
-    which condition (ii), simpleness and the breakers read."""
+    which condition (ii), simpleness and the breakers read. Condition (i)
+    here is the library's own ``_pref_digraph_sccs`` call; its independent
+    check is ``_reference_is_ring_component``."""
     B = tuple(sorted(set(coalitions)))
     if len(B) < 3 or any(c not in g._kset for c in B):
         return None

@@ -17,7 +17,6 @@ from stabledec import (
     absorbing_sets,
     all_stable_decompositions,
     check_stable_decomposition,
-    converges_to_stability,
     d_structures,
     decomposition,
     decomposition_from_collections,
@@ -57,8 +56,8 @@ from games import (
     split_market,
 )
 from oracle import (
-    _brute_force_decompositions,
     analyze_json,
+    census_failure,
     spy,
     _defined_breakers,
     _reference_certificates,
@@ -518,24 +517,12 @@ class TestAllStableDecompositions:
             assert tuple(d) == d.parties
 
     def test_every_3_agent_game(self):
-        # the brute force, one decomposition generating each absorbing set,
-        # ring parties exactly for the non-trivial sets, and convergence
-        # exactly when every set is trivial
+        # tests/sweep_census.py runs the same check on the 4-agent families
         failed = []
         for label, make in EVERY_3_AGENT_GAME.items():
-            g = make()
-            decs = all_stable_decompositions(g)
-            sets_ = absorbing_sets(g)
-            generated = [generated_set(g, d_structures(g, d)[0]) for d in decs]
-            ring_free = [not any(p.kind == RING for p in d) for d in decs]
-            if {frozenset(d.parties) for d in decs} != _brute_force_decompositions(g):
-                failed.append(f"{label}: not the brute force")
-            elif not sets_ or generated != sets_:
-                failed.append(f"{label}: not one decomposition per absorbing set")
-            elif ring_free != [a.trivial for a in sets_]:
-                failed.append(f"{label}: ring parties not exactly for non-trivial sets")
-            elif converges_to_stability(g)[0] != all(a.trivial for a in sets_):
-                failed.append(f"{label}: convergence verdict")
+            wrong = census_failure(make())
+            if wrong is not None:
+                failed.append(f"{label}: {wrong}")
         assert not failed, "\n".join(failed)
 
 

@@ -1,5 +1,6 @@
 """Rings, ring extraction from domination cycles, ring components."""
 
+import itertools
 import json
 import random
 
@@ -32,6 +33,7 @@ from stabledec import (
     is_ring_component,
     make_party,
     maximal_sets,
+    render_coalition,
     ring_components_of,
     sink_components,
 )
@@ -42,6 +44,7 @@ from stabledec.rings import _family_search, _ring_families
 from stabledec.structures import _maximal_search, structure_key
 import oracle
 from games import (
+    EVERY_3_AGENT_GAME,
     EXTRACTION_GAMES,
     FUZZ_GAMES,
     RC7,
@@ -744,6 +747,26 @@ class TestRingComponentMatchesReference:
                         f(g, pick)
         assert seen[False]
         assert seen[True] >= len(KNOWN_COMPONENTS.get(name, ()))
+
+    def test_every_3_agent_game(self):
+        # every collection of 3 or more permissible coalitions of every
+        # 3-agent game, against mutual reachability through
+        # unanimously_prefers, which shares no code with the library's
+        # condition (i)
+        failed = []
+        seen = {True: 0, False: 0}
+        for label, make in EVERY_3_AGENT_GAME.items():
+            g = make()
+            ks = g.permissible
+            for r in range(3, len(ks) + 1):
+                for B in itertools.combinations(ks, r):
+                    want = _reference_is_ring_component(g, B)
+                    seen[want] += 1
+                    if is_ring_component(g, B) != want:
+                        shown = ",".join(map(render_coalition, B))
+                        failed.append(f"{label}: {{{shown}}} is a ring component: {want}")
+        assert not failed, "\n".join(failed)
+        assert seen == {True: 134, False: 1746}
 
 
 class TestOneAnalysisPerFamily:

@@ -1,17 +1,19 @@
 """The SCC routine and transitive domination against references.
 
 ``dynamics._tarjan`` carries every graph-route factor's sinks and
-convergence verdict, each ring step digraph and the preference digraph of
-``has_proper_ring``, so its components must stay list-identical to the
-pointer-based iterative Tarjan of ``oracle.reference_tarjan``: the same
-components, in the same reverse topological order, each with its members
-in stack-pop order. Each node's component index must name its component, a
-component must be flagged a sink exactly when no edge leaves it, and each
-node's in-degree must count the edges into it from its own component
-(``oracle.reference_in_degrees``). Condition (i) of a ring candidate takes
-no SCC routine: ``rings._strongly_connected`` decides it with two bitset
-closures. ``transitively_dominates`` is checked against a repeated one-step
-expansion of the adjacency.
+convergence verdict, each ring step digraph, and the preference digraphs
+of ``has_proper_ring`` and of condition (i) of every ring candidate
+(``rings._pref_digraph_sccs``), so its components must stay list-identical
+to the pointer-based iterative Tarjan of ``oracle.reference_tarjan``: the
+same components, in the same reverse topological order, each with its
+members in stack-pop order. Each node's component index must name its
+component, a component must be flagged a sink exactly when no edge leaves
+it, and each node's in-degree must count the edges into it from its own
+component (``oracle.reference_in_degrees``). Condition (i) holds when
+``_pref_digraph_sccs`` finds one component; ``test_rings.py`` checks it on
+every collection of every 3-agent game against mutual reachability
+(``oracle._reference_is_ring_component``). ``transitively_dominates`` is
+checked against a repeated one-step expansion of the adjacency.
 """
 
 import random
