@@ -619,7 +619,6 @@ class Analysis:
 
     def __init__(self, g: Game, limit: int = DEFAULT_LIMIT) -> None:
         self.game = g
-        self.limit = limit
         factored = _factored(g)
         count = 1
         for sub, _ in factored:

@@ -204,7 +204,7 @@ def factored_convergence(an: Analysis) -> tuple[bool, tuple[int, ...] | None]:
     for f, lift in zip(an.factors, an.lifts):
         if f.graph is None:
             continue
-        ok, witness = converges_to_stability(f.game, an.limit, graph=f.graph)
+        ok, witness = converges_to_stability(f.game, graph=f.graph)
         if not ok:
             if lift is not None:
                 witness = _merge(full, [[lift[p] for p in witness if p & (p - 1)]])

@@ -15,7 +15,9 @@ via bits (``_in_degrees_and_steps``), so no edge is walked outside the
 searches. One breadth-first search per member closes the cycle of each
 in-edge as its source is discovered, recognised from the keys. The
 searches stop once every strongly connected component of the step digraph
-is one merged family (``_ring_families``).
+is one merged family (``_ring_families``). One builder (``_kbit_sccs``)
+gives those components and the improvement digraph's, which decide
+condition (i) and ``has_proper_ring``.
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ def is_proper_ring(g: Game, seq: Sequence[int]) -> bool:
 
 
 def canonical_rotation(seq: Sequence[int]) -> tuple[int, ...]:
-    """The lexicographically least rotation; rings compare equal exactly
-    when their canonical rotations coincide."""
+    """The lexicographically least rotation, ``()`` for an empty sequence;
+    rings compare equal exactly when their canonical rotations coincide."""
     seq = tuple(seq)
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+    return min((seq[i:] + seq[:i] for i in range(len(seq))), default=())
 
 
 def cyclically_equal(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -131,34 +133,40 @@ def extract_ring(g: Game, cycle: Sequence[tuple[int, ...]], start: int) -> tuple
     return _ring_from_vias(vias, vias.index(start), _walk_table(vias))
 
 
-def _pref_digraph_sccs(g: Game, masks: Sequence[int]) -> list[list[int]]:
-    """SCCs (lists of indices) of the unanimous-improvement digraph over the
-    K-coalitions ``masks``, in reverse topological order.
-
-    The edges come off the ``Game.expansion`` bitsets: ``a`` steps to the
-    coalitions of ``better[a] & meets[j(a)]`` inside ``masks``, which are
-    exactly those that share an agent with ``a`` and that every shared
-    agent ranks above it. ``bit[a]`` is never in ``better[a]``, so there is
-    no self-loop. Each coalition's successors are listed in K order, the
-    order of ``masks`` when it is sorted, as every caller passes it.
-    """
-    bit, better, meets = g.expansion()
+def _kbit_sccs(meets: Sequence[int], inside: int, reach: Sequence[int]) -> list[list[int]]:
+    """SCCs, as lists of positions in reverse topological order, of the
+    digraph over the K-bits of ``inside`` (``Game.expansion``), taken low to
+    high as positions 0, 1, ...: the K-bit ``d`` at position ``i`` steps to
+    every K-bit of ``reach[i] & meets[j(d)] & inside``, in K order."""
     index = {}
-    inside = 0
-    for i, c in enumerate(masks):
-        b = bit[c]
-        index[b] = i
-        inside |= b
+    rest = inside
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        index[low] = len(index)
     adj = []
-    for c in masks:
+    for d, r in zip(index, reach):
         out = []
-        succ = better[c] & meets[bit[c].bit_length() - 1] & inside
+        succ = r & meets[d.bit_length() - 1] & inside
         while succ:
             low = succ & -succ
             succ ^= low
             out.append(index[low])
         adj.append(out)
     return _tarjan(adj)[0]
+
+
+def _pref_digraph_sccs(g: Game, masks: Sequence[int]) -> list[list[int]]:
+    """SCCs (lists of indices, in K order, the order of ``masks`` when it is
+    sorted and distinct) of the unanimous-improvement digraph over the
+    K-coalitions ``masks``, in reverse topological order: ``_kbit_sccs``
+    with each coalition ``a`` reaching ``better[a]``, so it steps to those
+    that share an agent with it and that every shared agent ranks above
+    it. ``bit[a]`` is never in ``better[a]``, so there is no self-loop."""
+    bit, better, meets = g.expansion()
+    ordered = sorted(set(masks))
+    inside = sum(bit[c] for c in ordered)
+    return _kbit_sccs(meets, inside, [better[c] for c in ordered])
 
 
 class RingComponent(_Frozen):
@@ -192,25 +200,23 @@ def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
     not one, on the K-bitsets of ``Game.expansion``.
 
     Condition (i) is strong connectivity of the in-collection improvement
-    digraph: ``_pref_digraph_sccs`` of the sorted collection finds one
-    component. Condition (ii), simpleness and the breakers come from one
-    maximal-set search (``structures._maximal_search``), whose every set
-    arrives with its breakers: it stops at the first set no member breaks,
-    and the component is simple when no member breaking a set meets two of
-    its coalitions. The breakers from outside are kept. The search's pivot is
-    the lowest candidate or excluded coalition rather than Tomita's: any
-    pivot taken from the two keeps the search exact (Cazals and Karande
-    2008).
+    digraph: ``_kbit_sccs`` finds one component over the collection's
+    K-bits, ``inside``. Condition (ii), simpleness and the breakers come
+    from one maximal-set search over ``inside``
+    (``structures._maximal_search``), whose every set arrives with its
+    breakers: it stops at the first set no member breaks, and the component
+    is simple when no member breaking a set meets two of its coalitions.
+    The breakers from outside are kept. The search's pivot is the lowest
+    candidate or excluded coalition rather than Tomita's: any pivot taken
+    from the two keeps the search exact (Cazals and Karande 2008).
     """
     B = tuple(sorted(set(coalitions)))
     if len(B) < 3 or any(c not in g._kset for c in B):
         return None
-    if len(_pref_digraph_sccs(g, B)) != 1:
+    bit, better, meets = g.expansion()
+    inside = sum(bit[c] for c in B)
+    if len(_kbit_sccs(meets, inside, [better[c] for c in B])) != 1:
         return None
-    bit = g.expansion().bit
-    inside = 0
-    for c in B:
-        inside |= bit[c]
     search = _maximal_search(g, inside, inside)
     if search is None:
         return None
@@ -329,31 +335,23 @@ def _family_search(g: Game, G: DominationGraph, absorbing) -> tuple[list[set[int
     order."""
     ids = [G.node_id(pi) for pi in absorbing.members]
     indegree, formed, fold = _in_degrees_and_steps(G, ids)
-    # the step digraph over the vias, in K order, the order of their masks;
-    # a coalition that is never a via has no step into it and is left out
+    # the step digraph over the vias, in K order; a coalition that is never
+    # a via has no step into it and is left out
     ks = g.permissible
     meets = g.expansion().meets
-    order = []
+    masks, reach = [], []
     bits = formed
     while bits:
         low = bits & -bits
         bits ^= low
-        order.append(low)
-    index = {d: i for i, d in enumerate(order)}
-    steps = []
-    for d in order:
-        out = []
-        succ = fold[d] & meets[d.bit_length() - 1] & formed
-        while succ:
-            low = succ & -succ
-            succ ^= low
-            out.append(index[low])
-        steps.append(out)
-    masks = [ks[d.bit_length() - 1] for d in order]
+        masks.append(ks[low.bit_length() - 1])
+        reach.append(fold[low])
     # each component of two or more coalitions not yet one family, with
     # its least coalition
     unmerged = [
-        (masks[min(comp)], {masks[i] for i in comp}) for comp in _tarjan(steps)[0] if len(comp) > 1
+        (masks[min(comp)], {masks[i] for i in comp})
+        for comp in _kbit_sccs(meets, formed, reach)
+        if len(comp) > 1
     ]
     roots = sorted(ids, key=lambda v: (-indegree[v], v))
     # per-node search state, stamped with the search root instead of reset

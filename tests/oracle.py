@@ -741,16 +741,14 @@ def reference_breaking(g, mset):
 
 
 def reference_ring_component(g, coalitions):
-    """``rings._ring_component`` in three passes: the SCCs of the
-    improvement digraph (``rings._pref_digraph_sccs``), the maximal sets
+    """``rings._ring_component`` in three passes: condition (i) as mutual
+    reachability (``_reference_condition_i``), the maximal sets
     (``reference_maximal_sets``), then ``reference_breaking`` on each set,
-    which condition (ii), simpleness and the breakers read. Condition (i)
-    here is the library's own ``_pref_digraph_sccs`` call; its independent
-    check is ``_reference_is_ring_component``."""
+    which condition (ii), simpleness and the breakers read."""
     B = tuple(sorted(set(coalitions)))
     if len(B) < 3 or any(c not in g._kset for c in B):
         return None
-    if len(rings._pref_digraph_sccs(g, B)) != 1:
+    if not _reference_condition_i(g, B):
         return None
     bit, _, meets = g.expansion()
     inside = 0
@@ -776,13 +774,12 @@ def reference_ring_component(g, coalitions):
     return rings.RingComponent(B, simple, maximal, compact, breakers)
 
 
-def _reference_is_ring_component(g, coalitions):
-    """Condition (i) as mutual reachability in the in-collection improvement
-    digraph, condition (ii) over every maximal set; no shared code with
-    the library's SCC routine."""
-    B = sorted(set(coalitions))
-    if len(B) < 3 or any(c not in g.permissible for c in B):
-        return False
+def _reference_condition_i(g, B):
+    """Condition (i) on the distinct permissible coalitions ``B``: mutual
+    reachability in their improvement digraph, where ``a`` steps to ``b``
+    when they share an agent and ``unanimously_prefers(g, b, a)``, searched
+    forward and backward from ``B[0]``; no shared code with the library's
+    digraph builder or SCC routine."""
 
     def reach(forward):
         seen, todo = {B[0]}, [B[0]]
@@ -795,7 +792,16 @@ def _reference_is_ring_component(g, coalitions):
                     todo.append(e)
         return len(seen) == len(B)
 
-    if not (reach(True) and reach(False)):
+    return reach(True) and reach(False)
+
+
+def _reference_is_ring_component(g, coalitions):
+    """Condition (i) as mutual reachability (``_reference_condition_i``),
+    condition (ii) over every maximal set."""
+    B = sorted(set(coalitions))
+    if len(B) < 3 or any(c not in g.permissible for c in B):
+        return False
+    if not _reference_condition_i(g, B):
         return False
     for mset in reference_maximal_sets(B):
         inside = set(mset)

@@ -13,7 +13,9 @@ or more coalitions of the step digraph (``_reference_step_sccs``) is not
 one of the families, where the components could not stand in for the
 search. Each family's ring component analysis (``rings._ring_component``,
 all five fields and the ``None`` verdicts) must equal the three-pass
-``reference_ring_component``. Too slow for the test suite; run it by hand:
+``reference_ring_component``, whose condition (i) is mutual reachability
+through ``unanimously_prefers``, sharing no code with the library. Too
+slow for the test suite; run it by hand:
 
     PYTHONPATH=src python tests/sweep_ring_route.py
 

@@ -147,6 +147,7 @@ class TestRotations:
             C("15"),
         )
         assert canonical_rotation(canonical_rotation(seq)) == canonical_rotation(seq)
+        assert canonical_rotation(()) == ()
 
     def test_cyclically_equal(self):
         a = (C("45"), C("15"), C("12"), C("23"), C("34"))
@@ -154,6 +155,9 @@ class TestRotations:
         assert cyclically_equal(a, b)
         assert not cyclically_equal(a, tuple(reversed(a)))
         assert not cyclically_equal(a, a[:4])
+        assert cyclically_equal((), ())
+        assert not cyclically_equal((), (C("12"),))
+        assert not cyclically_equal((C("12"),), ())
 
 
 class TestExtractRing:
@@ -580,6 +584,33 @@ def test_steps_and_search_order(label):
         assert _inlist_family_search(graph, a) == (families, searched)
 
 
+def test_step_digraph_components_match_the_reference():
+    """The digraph builder (``rings._kbit_sccs``) on the step digraph that
+    ``_in_degrees_and_steps`` folds per member: its components of two or
+    more coalitions equal the reachability reference
+    (``oracle._reference_step_sccs``) on every non-trivial set of every
+    factor of the step games."""
+    failing = []
+    for label, make in STEP_GAMES.items():
+        for f in build(make()).analysis.factors:
+            g, graph = f.game, f.graph
+            ks = g.permissible
+            meets = g.expansion().meets
+            for k, a in enumerate(f.sets):
+                if a.trivial:
+                    continue
+                ids = [graph.node_id(pi) for pi in a.members]
+                _, formed, fold = rings_module._in_degrees_and_steps(graph, ids)
+                vias = [j for j in range(len(ks)) if formed >> j & 1]
+                comps = rings_module._kbit_sccs(meets, formed, [fold[1 << j] for j in vias])
+                got = sorted(
+                    tuple(sorted(ks[vias[i]] for i in comp)) for comp in comps if len(comp) > 1
+                )
+                if got != _reference_step_sccs(graph, a):
+                    failing.append(f"{label} set {k}")
+    assert not failing, "step components differ: " + ", ".join(failing)
+
+
 @pytest.mark.parametrize("label", list(STEP_GAMES))
 def test_table_walks_match_the_scanning_walk(label, monkeypatch):
     """From every start of every cycle that the searches close, the walk on
@@ -876,7 +907,7 @@ def _with_one_changed(g, families):
 
 def test_ring_component_matches_the_three_pass_reference():
     """``_ring_component`` against ``oracle.reference_ring_component``,
-    the SCC pass, the Tomita-pivot maximal sets and a breaker loop over
+    mutual reachability, the Tomita-pivot maximal sets and a breaker loop over
     every set: all five fields, and every ``None``, on each ring family of
     the step games and on each family with a coalition dropped or added.
     Both conditions fail somewhere."""
