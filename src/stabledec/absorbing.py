@@ -235,7 +235,7 @@ def _factored(g: Game) -> list[tuple[Game, dict[int, int] | None]]:
             owner[i - 1] = fi
     lifts: list[dict[int, int]] = [{} for _ in comps]
     ks: list[list[int]] = [[] for _ in comps]
-    rows: list[list[tuple[int, ...]]] = [[] for _ in comps]
+    rows: list[list[dict[int, int]]] = [[] for _ in comps]
     down = {}
     for c in g.permissible:
         sub = 0
@@ -255,7 +255,8 @@ def _factored(g: Game) -> list[tuple[Game, dict[int, int] | None]]:
             lifts[owner[b]][sub] = own
             # every K-coalition of the agent is listed above their singleton
             listed = g.rankings[b][: g._pos[b][own] + 1]
-            rows[owner[b]].append(tuple([down[c] for c in listed if c in down]))
+            row = [down[c] for c in listed if c in down]
+            rows[owner[b]].append({c: k for k, c in enumerate(row)})
     return [(Game._trusted(tuple(r), tuple(k)), lift) for r, k, lift in zip(rows, ks, lifts)]
 
 

@@ -24,7 +24,13 @@ from .structures import DEFAULT_LIMIT, singleton_structure, structure_key
 from .absorbing import Analysis, _merge
 
 
-def _check_pref_table(n: int, preferences: Mapping) -> dict[int, list[int]]:
+def _check_pref_table(
+    n: int, preferences: Mapping
+) -> tuple[dict[int, list[int]], tuple[dict[int, int], ...]]:
+    """The checked partner lists, with a row for every agent, and each
+    agent's position table: their pair masks, best first, then their
+    singleton. The table is built as the partners are checked and doubles
+    as the duplicate check."""
     # the table gets a row for every agent: refuse a count beyond the cap
     # before building any
     if n > MAX_AGENTS:
@@ -32,6 +38,7 @@ def _check_pref_table(n: int, preferences: Mapping) -> dict[int, list[int]]:
     if not isinstance(preferences, Mapping):
         raise MalformedSpec("preferences must map agents to partner lists")
     table: dict[int, list[int]] = {}
+    positions: list[dict[int, int] | None] = [None] * n
     for key, partners in preferences.items():
         agent = _agent_key(key)
         if agent is None:
@@ -42,36 +49,55 @@ def _check_pref_table(n: int, preferences: Mapping) -> dict[int, list[int]]:
             raise MalformedSpec(f"agent {agent} listed twice")
         if type(partners) is not list and not _is_list_like(partners):
             raise MalformedSpec(f"agent {agent}'s partners must be a list")
+        own = 1 << (agent - 1)
         row = []
+        pos: dict[int, int] = {}
         for p in partners:
-            if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= n:
+            # the exact-type test first: partners are nearly always plain ints
+            if (
+                type(p) is not int and (isinstance(p, bool) or not isinstance(p, int))
+                or not 1 <= p <= n
+            ):
                 raise MalformedSpec(f"agent {agent} lists invalid partner {p!r}")
             if p == agent:
                 raise MalformedSpec(f"agent {agent} lists itself as a partner")
-            if p in row:
+            pair = own | 1 << (p - 1)
+            if pair in pos:
                 raise MalformedSpec(f"agent {agent} lists partner {p} twice")
+            pos[pair] = len(row)
             row.append(p)
+        pos[own] = len(row)
         table[agent] = row
+        positions[agent - 1] = pos
     for agent in range(1, n + 1):
-        table.setdefault(agent, [])
-    return table
+        if positions[agent - 1] is None:
+            table[agent] = []
+            positions[agent - 1] = {1 << (agent - 1): 0}
+    return table, tuple(positions)
 
 
 class RoommateSpec(_Frozen):
     """Pairwise matching among ``n`` agents; each lists acceptable partners
     in strictly descending order of preference. Checked when built;
     ``preferences`` is then a dict of partner lists with a row for every
-    agent."""
+    agent. The position tables of the check are kept for ``_pair_game`` in
+    a slot outside ``_fields``, so equality, the hash, the repr and
+    pickling, which builds the spec anew, ignore them. The game is built
+    from those tables: a later change to ``preferences`` does not reach
+    it."""
 
-    __slots__ = _fields = ("n", "preferences")
+    __slots__ = ("n", "preferences", "_tables")
+    _fields = ("n", "preferences")
     # unhashable, as the preferences dict is
     __hash__ = None
 
     def __init__(self, n: int, preferences: Mapping[int, Sequence[int]]) -> None:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise MalformedSpec("agent count must be a positive integer")
+        table, tables = _check_pref_table(n, preferences)
         _setattr(self, "n", n)
-        _setattr(self, "preferences", _check_pref_table(n, preferences))
+        _setattr(self, "preferences", table)
+        _setattr(self, "_tables", tables)
 
     def to_dict(self) -> dict:
         return {
@@ -83,9 +109,11 @@ class RoommateSpec(_Frozen):
 class MarriageSpec(_Frozen):
     """Two-sided matching: men are agents ``1..men``, women are agents
     ``men+1..men+women``; partners must come from the opposite side.
-    Checked when built, as ``RoommateSpec`` is."""
+    Checked when built, and keeps its position tables, as ``RoommateSpec``
+    does."""
 
-    __slots__ = _fields = ("men", "women", "preferences")
+    __slots__ = ("men", "women", "preferences", "_tables")
+    _fields = ("men", "women", "preferences")
     # unhashable, as the preferences dict is
     __hash__ = None
 
@@ -94,7 +122,7 @@ class MarriageSpec(_Frozen):
             raise MalformedSpec("side sizes must be integers")
         if men < 1 or women < 1:
             raise MalformedSpec("both sides need at least one agent")
-        table = _check_pref_table(men + women, preferences)
+        table, tables = _check_pref_table(men + women, preferences)
         for agent, row in table.items():
             for p in row:
                 if (agent <= men) == (p <= men):
@@ -104,6 +132,7 @@ class MarriageSpec(_Frozen):
         _setattr(self, "men", men)
         _setattr(self, "women", women)
         _setattr(self, "preferences", table)
+        _setattr(self, "_tables", tables)
 
     @property
     def n(self) -> int:
@@ -118,13 +147,15 @@ class MarriageSpec(_Frozen):
 
 
 def _pair_game(spec: RoommateSpec | MarriageSpec) -> Game:
-    # the spec has checked every partner id, so the pair masks need no
-    # conversion; Game still checks the rankings
-    rankings = {}
-    for i, partners in spec.preferences.items():
-        own = 1 << (i - 1)
-        rankings[i] = [own | 1 << (p - 1) for p in partners] + [own]
-    return Game(spec.n, rankings)
+    # the spec's checked position tables are the game's; each pair is taken
+    # from its lower agent's table (``c >> (i + 1)``: its other agent is
+    # higher) and is permissible when the other agent's table holds it too
+    tables = spec._tables
+    permissible = sorted(
+        c for i, pos in enumerate(tables) for c in pos
+        if c >> (i + 1) and c in tables[c.bit_length() - 1]
+    )
+    return Game._trusted(tables, tuple(permissible))
 
 
 def roommate_to_game(spec: RoommateSpec) -> Game:

@@ -280,15 +280,18 @@ class Game:
         return tuple(out), tuple(positions), permissible
 
     @classmethod
-    def _trusted(cls, rankings: tuple, permissible: tuple[int, ...]) -> Game:
-        """The game of rankings that are already mask tuples, each ending at
-        its agent's singleton with every entry above it permissible, and of
-        their permissible set, ascending: what ``_normalize`` would return
-        for them, taken with no second validation."""
+    def _trusted(cls, positions: tuple, permissible: tuple[int, ...]) -> Game:
+        """The game of checked position tables, one per agent, and of their
+        permissible set, ascending: what ``_normalize`` would return for
+        them, taken with no second validation. Each table maps the agent's
+        own coalitions, best first, to their positions and ends at the
+        agent's singleton; an entry above the singleton need not be
+        permissible (a pair only one partner lists), as the readers of the
+        rankings skip every entry outside K."""
         g = cls.__new__(cls)
-        g.n = len(rankings)
-        g.rankings = rankings
-        g._pos = tuple({c: k for k, c in enumerate(r)} for r in rankings)
+        g.n = len(positions)
+        g.rankings = tuple([tuple(pos) for pos in positions])
+        g._pos = positions
         g.permissible = permissible
         g._kset = frozenset(permissible)
         g._expansion = None

@@ -5,9 +5,13 @@ game (``test_decomposition.py::TestAllStableDecompositions::
 test_every_3_agent_game``), runs here on every game of three families built
 with ``games.every_spec``: every 2x2 marriage (625 games), every 2x3
 marriage (32,000) and every 4-agent roommate game (65,536). Each game's
-decompositions must be the brute force's, one must generate each absorbing
-set, ring parties must come exactly for the non-trivial sets, and the game
-must converge exactly when every set is trivial. Too slow for the test
+tables (rankings, permissible set and position tables), which the spec's
+partner check builds and no second validation reads, must be those of
+``oracle._reference_pair_tables``, which converts each pair with
+``coalition`` and checks every entry. Each game's decompositions must be
+the brute force's, one must generate each absorbing set, ring parties must
+come exactly for the non-trivial sets, and the game must converge exactly
+when every set is trivial. Too slow for the test
 suite (about 40 s for each large family on a 2-core x86-64 machine); run it
 by hand:
 
@@ -28,20 +32,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from stabledec import MarriageSpec, RoommateSpec, marriage_to_game, roommate_to_game  # noqa: E402
 
 from games import every_spec  # noqa: E402
-from oracle import census_failure  # noqa: E402
+from oracle import _reference_pair_tables, census_failure  # noqa: E402
 
-# family -> (make a game from a preference table, every table)
+# family -> (make a spec from a preference table, its game, every table)
 FAMILIES = {
     "marriage 2x2": (
-        lambda prefs: marriage_to_game(MarriageSpec(2, 2, prefs)),
+        lambda prefs: MarriageSpec(2, 2, prefs),
+        marriage_to_game,
         every_spec([[3, 4], [3, 4], [1, 2], [1, 2]]),
     ),
     "marriage 2x3": (
-        lambda prefs: marriage_to_game(MarriageSpec(2, 3, prefs)),
+        lambda prefs: MarriageSpec(2, 3, prefs),
+        marriage_to_game,
         every_spec([[3, 4, 5], [3, 4, 5], [1, 2], [1, 2], [1, 2]]),
     ),
     "roommate 4": (
-        lambda prefs: roommate_to_game(RoommateSpec(4, prefs)),
+        lambda prefs: RoommateSpec(4, prefs),
+        roommate_to_game,
         every_spec([[2, 3, 4], [1, 3, 4], [1, 2, 4], [1, 2, 3]]),
     ),
 }
@@ -50,10 +57,15 @@ FAMILIES = {
 def main() -> int:
     total = 0
     started = time.perf_counter()
-    for family, (make, specs) in FAMILIES.items():
+    for family, (make, to_game, specs) in FAMILIES.items():
         t = time.perf_counter()
         for label, prefs in specs.items():
-            wrong = census_failure(make(prefs))
+            spec = make(prefs)
+            g = to_game(spec)
+            if (g.rankings, g.permissible, g._pos) != _reference_pair_tables(spec):
+                wrong = "tables differ from the reference"
+            else:
+                wrong = census_failure(g)
             if wrong is not None:
                 print(f"{family} {label}: {wrong}", flush=True)
                 return 1

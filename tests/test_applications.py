@@ -20,10 +20,73 @@ from stabledec import (
     singleton_structure,
 )
 from games import C, make_structure
+from oracle import outcome
 
 
 # densities that are no real number, or a bool
 BAD_DENSITIES = ("x", None, True, False, 0.5j)
+
+# (spec class, constructor arguments, error class, message): every fault
+# of the partner check and of MarriageSpec; several hold two faults, the
+# one reported first named in the comment
+MALFORMED_SPECS = [
+    (RoommateSpec, (0, {}), MalformedSpec, "agent count must be a positive integer"),
+    (RoommateSpec, (True, {}), MalformedSpec, "agent count must be a positive integer"),
+    (RoommateSpec, (2.0, {}), MalformedSpec, "agent count must be a positive integer"),
+    (RoommateSpec, (64, {}), MalformedSpec, "at most 63 agents are supported, got 64"),
+    (RoommateSpec, (3, [[2]]), MalformedSpec, "preferences must map agents to partner lists"),
+    (RoommateSpec, (3, {"x": [2]}), MalformedSpec, "bad agent id 'x'"),
+    (RoommateSpec, (3, {True: [2]}), MalformedSpec, "bad agent id True"),
+    (RoommateSpec, (3, {" 1": [2]}), MalformedSpec, "bad agent id ' 1'"),
+    (RoommateSpec, (3, {4: [1]}), MalformedSpec, "agent id 4 is out of range"),
+    (RoommateSpec, (3, {"0": [1]}), MalformedSpec, "agent id 0 is out of range"),
+    (RoommateSpec, (3, {1: [2], "01": [3]}), MalformedSpec, "agent 1 listed twice"),
+    (RoommateSpec, (3, {1: 2}), MalformedSpec, "agent 1's partners must be a list"),
+    (RoommateSpec, (3, {1: "23"}), MalformedSpec, "agent 1's partners must be a list"),
+    (RoommateSpec, (3, {1: {2, 3}}), MalformedSpec, "agent 1's partners must be a list"),
+    (RoommateSpec, (3, {1: None}), MalformedSpec, "agent 1's partners must be a list"),
+    (RoommateSpec, (3, {1: [4]}), MalformedSpec, "agent 1 lists invalid partner 4"),
+    (RoommateSpec, (3, {1: [0]}), MalformedSpec, "agent 1 lists invalid partner 0"),
+    (RoommateSpec, (3, {1: [True]}), MalformedSpec, "agent 1 lists invalid partner True"),
+    (RoommateSpec, (3, {1: [2.0]}), MalformedSpec, "agent 1 lists invalid partner 2.0"),
+    (RoommateSpec, (3, {1: ["2"]}), MalformedSpec, "agent 1 lists invalid partner '2'"),
+    (RoommateSpec, (3, {1: [None]}), MalformedSpec, "agent 1 lists invalid partner None"),
+    (RoommateSpec, (3, {1: [1]}), MalformedSpec, "agent 1 lists itself as a partner"),
+    (RoommateSpec, (3, {1: [2, 2]}), MalformedSpec, "agent 1 lists partner 2 twice"),
+    # a duplicate partner after an invalid one in the same row: the invalid one
+    (RoommateSpec, (3, {1: [2, 9, 2]}), MalformedSpec, "agent 1 lists invalid partner 9"),
+    # an invalid partner after a duplicate: the duplicate
+    (RoommateSpec, (3, {1: [2, 2, 9]}), MalformedSpec, "agent 1 lists partner 2 twice"),
+    # itself after a duplicate, and a duplicate after itself
+    (RoommateSpec, (3, {1: [2, 2, 1]}), MalformedSpec, "agent 1 lists partner 2 twice"),
+    (RoommateSpec, (3, {1: [1, 2, 2]}), MalformedSpec, "agent 1 lists itself as a partner"),
+    # a repeated agent key before a bad partner in a later row: the key
+    (RoommateSpec, (3, {1: [2], "01": [3], 3: [9]}), MalformedSpec, "agent 1 listed twice"),
+    # a bad partner before the repeated key: the partner
+    (RoommateSpec, (3, {1: [2], 3: [9], "01": [3]}), MalformedSpec,
+     "agent 3 lists invalid partner 9"),
+    # a bad partner in row 2 before a bad key in row 3
+    (RoommateSpec, (3, {2: [2], "x": [1]}), MalformedSpec, "agent 2 lists itself as a partner"),
+    (MarriageSpec, (1.0, 1, {}), MalformedSpec, "side sizes must be integers"),
+    (MarriageSpec, (1, True, {}), MalformedSpec, "side sizes must be integers"),
+    (MarriageSpec, (1, None, {}), MalformedSpec, "side sizes must be integers"),
+    (MarriageSpec, (0, 3, {}), MalformedSpec, "both sides need at least one agent"),
+    (MarriageSpec, (2, -1, {}), MalformedSpec, "both sides need at least one agent"),
+    (MarriageSpec, (62, 2, {}), MalformedSpec, "at most 63 agents are supported, got 64"),
+    (MarriageSpec, (1, 1, "12"), MalformedSpec, "preferences must map agents to partner lists"),
+    (MarriageSpec, (1, 1, {3: [1]}), MalformedSpec, "agent id 3 is out of range"),
+    (MarriageSpec, (2, 2, {1: [3, 3]}), MalformedSpec, "agent 1 lists partner 3 twice"),
+    (MarriageSpec, (2, 2, {1: [2]}), MalformedSpec, "agent 1 lists partner 2 from its own side"),
+    (MarriageSpec, (2, 2, {3: [1, 4]}), MalformedSpec,
+     "agent 3 lists partner 4 from its own side"),
+    # an own-side partner in row 1, an invalid partner in row 3: the invalid one
+    (MarriageSpec, (2, 2, {1: [2], 3: [9]}), MalformedSpec, "agent 3 lists invalid partner 9"),
+    (MarriageSpec, (2, 2, {1: [2], 3: [True]}), MalformedSpec,
+     "agent 3 lists invalid partner True"),
+    # own-side partners in rows 3 and 1, rows listed in that order: row 3
+    (MarriageSpec, (2, 2, {3: [4], 1: [2]}), MalformedSpec,
+     "agent 3 lists partner 4 from its own side"),
+]
 
 
 class TestSpecs:
@@ -80,6 +143,14 @@ class TestSpecs:
     def test_agent_count_at_the_cap(self):
         assert len(RoommateSpec(63, {}).preferences) == 63
         assert len(MarriageSpec(62, 1, {}).preferences) == 63
+
+    @pytest.mark.parametrize(
+        ("cls", "args", "error", "message"), MALFORMED_SPECS,
+        ids=[f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(MALFORMED_SPECS)],
+    )
+    def test_malformed_spec_messages(self, cls, args, error, message):
+        # the first fault in the order of the rows and of their partners
+        assert outcome(lambda: cls(*args)) == (error.__name__, message)
 
     def test_marriage_rejects_same_side_partners(self):
         with pytest.raises(MalformedSpec):

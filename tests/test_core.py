@@ -1,7 +1,9 @@
 """Coalition masks, game construction, preference queries."""
 
+import copy
 import itertools
 import json
+import pickle
 import random
 import signal
 from enum import IntEnum
@@ -468,6 +470,51 @@ class _Agent(IntEnum):
     TWO = 2
 
 
+class _Id(int):
+    pass
+
+
+# specs at the edges of the partner check, each built from its position
+# tables with no second validation
+EDGE_SPECS = {
+    "one-agent": lambda: RoommateSpec(1, {}),
+    "one-agent-empty-row": lambda: RoommateSpec(1, {1: []}),
+    "one-by-one-unlisted": lambda: MarriageSpec(1, 1, {}),
+    "missing-agents": lambda: RoommateSpec(5, {4: [2], 2: [4, 1]}),
+    "empty-rows": lambda: RoommateSpec(4, {1: [], 2: [], 3: [4], 4: [3]}),
+    "one-sided": lambda: RoommateSpec(3, {1: [2, 3], 2: [3], 3: [2]}),
+    "marriage-one-sided": lambda: MarriageSpec(2, 3, {1: [3, 4, 5], 3: [1], 4: [2], 5: [1, 2]}),
+    "marriage-no-mutual": lambda: MarriageSpec(2, 2, {1: [3], 4: [2]}),
+    "padded-keys": lambda: RoommateSpec(3, {"01": [2], "2": [3, 1], "003": [2]}),
+    "marriage-padded-keys": lambda: MarriageSpec(2, 2, {"1": [3], "03": [1, 2], 2: [4, 3]}),
+    "int-subclasses": lambda: RoommateSpec(
+        3, {1: [_Agent.TWO, _Id(3)], _Agent.TWO: [_Agent.ONE], _Id(3): (1,)}
+    ),
+    "marriage-int-subclasses": lambda: MarriageSpec(1, 2, {1: [_Id(3), _Id(2)], 2: [_Agent.ONE]}),
+    "the-cap": lambda: RoommateSpec(63, {1: [63], 63: [1, 2], 2: [63]}),
+}
+
+
+def _check_spec_game(spec):
+    """The spec's game, and that of a pickled and a copied spec, against
+    the reference tables; ``to_dict`` lists each agent's pairs, then their
+    singleton, as plain ids."""
+    want = _reference_pair_tables(spec)
+    pairs = {
+        str(i): [sorted([i, int(p)]) for p in spec.preferences[i]] + [[i]]
+        for i in range(1, spec.n + 1)
+    }
+    front = roommate_to_game if isinstance(spec, RoommateSpec) else marriage_to_game
+    for again in (spec, pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert again == spec and repr(again) == repr(spec)
+        g = front(again)
+        assert _tables(g) == want
+        obj = g.to_dict()
+        assert obj == {"agents": spec.n, "preferences": pairs}
+        assert all(type(a) is int for row in obj["preferences"].values() for c in row for a in c)
+        assert _reference_from_dict(obj) == want
+
+
 # (game object, error class, message); several hold two faults, the one
 # reported first named in the comment
 MALFORMED_GAMES = [
@@ -591,15 +638,19 @@ class TestLoader:
             random_marriage_spec(3, 5, 0.8, seed),
         ]
         for spec in specs:
-            g = roommate_to_game(spec) if isinstance(spec, RoommateSpec) else marriage_to_game(spec)
-            want = _reference_pair_tables(spec)
-            assert _tables(g) == want
-            assert _reference_from_dict(g.to_dict()) == want
+            _check_spec_game(spec)
         for n, density in ((6, 0.6), (8, 0.3), (12, 0.02)):
             g = random_game(n, density, seed)
             want = _reference_from_dict(g.to_dict())
             assert _tables(g) == want
             assert _tables(game_from_dict(g.to_dict())) == want
+
+    @pytest.mark.parametrize("make", EDGE_SPECS.values(), ids=EDGE_SPECS.keys())
+    def test_edge_specs(self, make):
+        spec = make()
+        assert "_tables" not in repr(spec)
+        assert spec.__reduce__()[1] == tuple(getattr(spec, k) for k in spec._fields)
+        _check_spec_game(spec)
 
     @pytest.mark.parametrize(
         "rankings",
