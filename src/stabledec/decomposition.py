@@ -123,10 +123,10 @@ def make_party(g: Game, coalitions: Iterable) -> Party:
                 f"{render_coalition(masks[0])} is not a permissible coalition"
             )
         return Party(SINGLE, masks)
-    rc = _rings._ring_component(g, masks)
-    if rc is None:
+    party = _rings._ring_party(g, masks)
+    if party is None:
         raise MalformedParty("multi-coalition parties must be ring components")
-    return Party(RING, masks, rc.compact, rc.breakers)
+    return Party(RING, masks, *party)
 
 
 class StableDecomposition(_Frozen):
@@ -207,10 +207,10 @@ def _kbit(bit: dict[int, int], c: int) -> int:
 def _breakers(g: Game, party: Party) -> int:
     """The K-bits (``Game.expansion``) of the party's breakers: the
     coalitions outside it that break one of its maximal sets. A ring
-    party built from its ring component carries them; a single coalition
-    is its only maximal set, broken by the coalitions it meets that beat
-    it; otherwise one maximal-set search (``structures._maximal_search``)
-    finds them."""
+    party built by ``make_party`` or from its ring component carries them;
+    a single coalition is its only maximal set, broken by the coalitions it
+    meets that beat it; otherwise one maximal-set search
+    (``structures._maximal_search``) finds them."""
     ks = [x for x in party.coalitions if x.bit_count() >= 2]
     if not ks:
         return 0

@@ -195,9 +195,9 @@ class RingComponent(_Frozen):
         _setattr(self, "breakers", breakers)
 
 
-def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
-    """The ring component analysis of the collection, ``None`` when it is
-    not one, on the K-bitsets of ``Game.expansion``.
+def _ring_search(g: Game, coalitions: Iterable[int], prune: bool = False):
+    """The fields of the collection's ``RingComponent``, on the K-bitsets
+    of ``Game.expansion``, or ``None`` when it is not a ring component.
 
     Condition (i) is strong connectivity of the in-collection improvement
     digraph: ``_kbit_sccs`` finds one component over the collection's
@@ -208,7 +208,11 @@ def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
     is simple when no member breaking a set meets two of its coalitions.
     The breakers from outside are kept. The search's pivot is the lowest
     candidate or excluded coalition rather than Tomita's: any pivot taken
-    from the two keeps the search exact (Cazals and Karande 2008).
+    from the two keeps the search exact (Cazals and Karande 2008). With
+    ``prune`` the search stops listing the sets of a component that is not
+    simple, whose compact sets are its coalitions, so its maximal sets are
+    not all there, and skips the branches that cannot change the verdict
+    or the outside breakers.
     """
     B = tuple(sorted(set(coalitions)))
     if len(B) < 3 or any(c not in g._kset for c in B):
@@ -217,7 +221,7 @@ def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
     inside = sum(bit[c] for c in B)
     if len(_kbit_sccs(meets, inside, [better[c] for c in B])) != 1:
         return None
-    search = _maximal_search(g, inside, inside)
+    search = _maximal_search(g, inside, inside, prune)
     if search is None:
         return None
     maximal, outside, clash = search
@@ -231,7 +235,23 @@ def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
         outside ^= low
         breakers.append(ks[low.bit_length() - 1])
     compact = maximal if simple else tuple((r,) for r in B)
-    return RingComponent(B, simple, maximal, compact, tuple(breakers))
+    return B, simple, maximal, compact, tuple(breakers)
+
+
+def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
+    """The ring component analysis of the collection (``_ring_search``),
+    ``None`` when it is not one."""
+    found = _ring_search(g, coalitions)
+    return None if found is None else RingComponent(*found)
+
+
+def _ring_party(g: Game, masks: Iterable[int]):
+    """``(compact, breakers)`` of the ring component ``masks``, or ``None``
+    when it is not one: what a ring party keeps of ``_ring_component``,
+    from the search with ``prune``, which lists the maximal sets of a
+    simple component only."""
+    found = _ring_search(g, masks, True)
+    return None if found is None else found[3:]
 
 
 def is_ring_component(g: Game, coalitions: Iterable[int]) -> bool:

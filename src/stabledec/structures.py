@@ -117,7 +117,7 @@ def maximal_sets(collection: Iterable[int]) -> list[tuple[int, ...]]:
     return _bron_kerbosch(ks, rows, full)[0]
 
 
-def _maximal_search(g: Game, inside: int, within: int = 0):
+def _maximal_search(g: Game, inside: int, within: int = 0, prune: bool = False):
     """``_bron_kerbosch`` over the K-coalitions whose K-bits
     (``Game.expansion``) are ``inside``, carrying their breakers."""
     _, better, meets = g.expansion()
@@ -130,10 +130,10 @@ def _maximal_search(g: Game, inside: int, within: int = 0):
         j = low.bit_length() - 1
         hit = meets[j]
         rows[j] = (inside & ~hit, better[ks[j]], hit)
-    return _bron_kerbosch(ks, rows, inside, within)
+    return _bron_kerbosch(ks, rows, inside, within, prune)
 
 
-def _bron_kerbosch(ks, rows, cand: int, within: int = 0):
+def _bron_kerbosch(ks, rows, cand: int, within: int = 0, prune: bool = False):
     """The library's one search for maximal sets: the maximal cliques of
     the disjointness graph, each produced exactly once, found by
     Bron-Kerbosch with a pivot on bitsets over positions.
@@ -161,20 +161,47 @@ def _bron_kerbosch(ks, rows, cand: int, within: int = 0):
     breakers; and the OR of their breakers that meet two members of the set.
     With ``within`` nonzero, it returns ``None`` as soon as a set has no
     breaker in ``within``.
+
+    ``prune``, with ``within`` the whole collection, serves a verdict and
+    not a listing. Once a breaker in ``within`` meets two members of a set
+    (a clash), no set is listed any more, and the breakers it returns hold
+    every breaker outside ``within`` but perhaps not every one inside. A
+    branch is then skipped when no set below it can change the verdict or
+    those breakers: every coalition outside the collection that meets the
+    collection and beats every chosen coalition, as each breaker of a set
+    below does, is already a breaker; and some coalition ``d`` of the
+    collection that meets a chosen coalition and beats them all also beats
+    every candidate it meets, so ``d`` is outside every set below and
+    breaks each one.
     """
     out: list[tuple[int, ...]] = []
     breakers = clash = 0
+    settled = False
+    if prune:
+        # the coalitions outside the collection that meet it, and by the
+        # K-bit of a coalition d of the collection, on first use, the
+        # coalitions of the collection that d meets and does not beat
+        near = 0
+        for _, _, meets in rows.values():
+            near |= meets
+        near &= ~cand
+        unbeaten: dict[int, int] = {}
 
     def expand(chosen, cand, excl, beats, hit, once, twice) -> bool:
         # True stops the search
-        nonlocal breakers, clash
+        nonlocal breakers, clash, settled
         if not cand:
             if not excl:
                 found = beats & hit
                 if within and not found & within:
                     return True
                 breakers |= found
+                if settled:
+                    return False
                 clash |= found & twice
+                if prune and clash & within:
+                    settled = True
+                    return False
                 mset = []
                 while chosen:
                     low = chosen & -chosen
@@ -182,6 +209,26 @@ def _bron_kerbosch(ks, rows, cand: int, within: int = 0):
                     mset.append(ks[low.bit_length() - 1])
                 out.append(tuple(mset))
             return False
+        # once the collection is known not to be simple, a branch that can
+        # add no outside breaker, and whose every set some coalition d of
+        # the collection breaks, is skipped
+        if settled and not beats & near & ~breakers:
+            ds = beats & hit & within
+            while ds:
+                d = ds & -ds
+                ds ^= d
+                miss = unbeaten.get(d)
+                if miss is None:
+                    miss = 0
+                    rest = rows[d.bit_length() - 1][2] & within
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        if not rows[low.bit_length() - 1][1] & d:
+                            miss |= low
+                    unbeaten[d] = miss
+                if not cand & miss:
+                    return False
         # every maximal set below holds the pivot or a candidate meeting it,
         # so only those candidates are branched on
         rest = cand | excl

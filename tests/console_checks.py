@@ -267,6 +267,37 @@ def test_verify_accepts_every_listed_decomposition(name, path):
         assert verdict.strip() == "stable decomposition", parties
 
 
+def ring23():
+    """The one party of roommate seed 23's listed decomposition: its ring
+    component of 27 coalitions, which is not simple, as lists of agents."""
+    (d,) = report("roommate23")["decompositions"]
+    (ring,) = [
+        [[int(a) for a in c.strip("{}").split(",")] for c in p["coalitions"]]
+        for p in d["parties"]
+    ]
+    assert len(ring) == 27
+    return ring
+
+
+def test_verify_the_307_set_ring_party(path):
+    """verify checks roommate seed 23's ring party without listing its 307
+    maximal sets: the listed decomposition is stable."""
+    verdict = output("verify", path("roommate23"), "--decomposition", json.dumps([ring23()]))
+    assert verdict == "stable decomposition\n"
+
+
+def test_verify_the_307_set_ring_party_without_23(path):
+    """Without {2,3}, roommate seed 23's party is still a ring component,
+    and {2,3} breaks it with no party to prevent it."""
+    dropped = [c for c in ring23() if c != [2, 3]]
+    assert len(dropped) == 26
+    verdict = output("verify", path("roommate23"), "--decomposition", json.dumps([dropped]))
+    assert verdict == (
+        "not a stable decomposition: {24,34,15,25,35,45,16,26,46,17,27,37,47,57,67,"
+        "18,28,38,58,68,19,49,59,69,79,89} unprotected against breaker 23\n"
+    )
+
+
 def test_pool_supports_protected_party(path):
     """Random (7, 0.5) seed 31: verify grows a closure, runs the Tarjan pass
     and extracts rings before it finds that the all-singletons pool

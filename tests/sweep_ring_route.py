@@ -14,14 +14,18 @@ one of the families, where the components could not stand in for the
 search. Each family's ring component analysis (``rings._ring_component``,
 all five fields and the ``None`` verdicts) must equal the three-pass
 ``reference_ring_component``, whose condition (i) is mutual reachability
-through ``unanimously_prefers``, sharing no code with the library. Too
-slow for the test suite; run it by hand:
+through ``unanimously_prefers``, sharing no code with the library. So must
+the ring party of each family and of each family with one coalition
+removed (``rings._ring_party``, whose search stops listing and prunes once
+a clash shows the party is not simple): the same verdict, compact sets and
+breakers as the reference. Too slow for the test suite; run it by hand:
 
     PYTHONPATH=src python tests/sweep_ring_route.py
 
 It prints each set that disagrees or has a step component that is no
-family, one line per family of games and a total, and exits non-zero if any
-set disagrees on the search, the steps or a ring component.
+family, one line per family of games and a total, with the number of ring
+parties checked and the time they took, and exits non-zero if any set
+disagrees on the search, the steps, a ring component or a ring party.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from stabledec import Analysis  # noqa: E402
-from stabledec.rings import _family_search, _ring_component  # noqa: E402
+from stabledec.rings import _family_search, _ring_component, _ring_party  # noqa: E402
 
 from games import rnd, room  # noqa: E402
 from oracle import (  # noqa: E402
@@ -53,12 +57,27 @@ FAMILIES = {
 }
 
 
+def party_differences(g, fam) -> tuple[int, int]:
+    """The number of ring parties checked, the family and each family with
+    one coalition removed, and of those ``_ring_party`` gets wrong."""
+    fam = tuple(sorted(fam))
+    subsets = [fam] + [fam[:i] + fam[i + 1:] for i in range(len(fam))]
+    wrong = 0
+    for B in subsets:
+        want = reference_ring_component(g, B)
+        if _ring_party(g, B) != (None if want is None else (want.compact, want.breakers)):
+            wrong += 1
+    return len(subsets), wrong
+
+
 def main() -> int:
     total = mismatches = differ = families = components = 0
+    checked = parties = party_time = 0
     started = time.perf_counter()
     for label, (make, seeds) in FAMILIES.items():
         t = time.perf_counter()
-        sets = bad = split = fams = other = 0
+        sets = bad = split = fams = other = seen = wrong = 0
+        spent = 0.0
         for s in seeds:
             for f in Analysis(make(s)).factors:
                 for a in f.sets:
@@ -79,6 +98,13 @@ def main() -> int:
                         if rc != want or rc is not None and rc.breakers != want.breakers:
                             other += 1
                             print(f"{label} seed {s}: the ring components differ", flush=True)
+                        tp = time.perf_counter()
+                        n, w = party_differences(f.game, fam)
+                        spent += time.perf_counter() - tp
+                        seen += n
+                        wrong += w
+                        if w:
+                            print(f"{label} seed {s}: {w} ring parties differ", flush=True)
                     listed = sorted(tuple(sorted(fam)) for fam in got[0])
                     if any(c not in listed for c in _reference_step_sccs(f.graph, a)):
                         split += 1
@@ -88,14 +114,19 @@ def main() -> int:
         differ += split
         families += fams
         components += other
+        checked += seen
+        parties += wrong
+        party_time += spent
         print(f"{label}, seeds {seeds.start}-{seeds.stop - 1}: {sets} non-trivial sets, "
               f"{bad} mismatches, {split} with a step component that is no family, "
               f"{fams} families, {other} RingComponent differences, "
+              f"{seen} ring parties ({spent:.1f} s), {wrong} party differences, "
               f"{time.perf_counter() - t:.1f} s", flush=True)
     print(f"total: {total} sets, {mismatches} mismatches, {differ} with a step component "
           f"that is no family, {families} families, {components} RingComponent "
+          f"differences, {checked} ring parties ({party_time:.1f} s), {parties} party "
           f"differences; {time.perf_counter() - started:.1f} s")
-    return 1 if mismatches or components else 0
+    return 1 if mismatches or components or parties else 0
 
 
 if __name__ == "__main__":

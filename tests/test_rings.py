@@ -10,8 +10,11 @@ from stabledec import (
     AbsorbingSet,
     Analysis,
     Game,
+    MalformedParty,
     NotACycle,
     NotARingComponent,
+    Party,
+    RING,
     StartNotInCycle,
     TrivialAbsorbingSet,
     VerificationFailed,
@@ -815,9 +818,9 @@ class TestOneAnalysisPerFamily:
             tests.append(frozenset(coalitions))
             return ring_component(g, coalitions)
 
-        def counting_search(g, inside, within=0):
+        def counting_search(g, inside, *args):
             searches.append(frozenset(c for c in g.permissible if g.expansion().bit[c] & inside))
-            return real_search(g, inside, within)
+            return real_search(g, inside, *args)
 
         monkeypatch.setattr(rings_module, "_ring_component", counting_component)
         monkeypatch.setattr(rings_module, "_maximal_search", counting_search)
@@ -857,10 +860,12 @@ class TestOneAnalysisPerFamily:
             assert [rc.coalitions for rc in comps] == [tuple(sorted(C(t) for t in ("45", "46", "56")))]
 
     def test_make_party(self, g7, g8, monkeypatch):
+        # one search per party, run by ``_ring_party``, which builds no
+        # ``RingComponent``
         tests, searches = self._count(monkeypatch)
         make_party(g7, [C(t) for t in RC7])
         make_party(g8, [C(t) for t in RC8])
-        assert len(tests) == 2
+        assert tests == []
         assert searches == [frozenset(C(t) for t in RC7), frozenset(C(t) for t in RC8)]
 
 
@@ -927,3 +932,30 @@ def test_ring_component_matches_the_three_pass_reference():
                         sccs = rings_module._pref_digraph_sccs(f.game, fam)
                         failed["(i)" if len(sccs) > 1 else "(ii)"] += 1
     assert all(failed.values()), failed
+
+
+PARTY_GAMES = {**ROUTE_GAMES, **REFERENCE_GAMES}
+
+
+@pytest.mark.parametrize("label", list(PARTY_GAMES))
+def test_make_party_matches_the_three_pass_reference(label):
+    """``make_party``, whose one search stops listing and prunes once a
+    clash shows the party is not simple (``rings._ring_party``), against
+    the party built from ``oracle.reference_ring_component``: the verdict,
+    ``compact`` and ``breakers``, on each ring family and on each family
+    with one coalition removed."""
+    for f in build(PARTY_GAMES[label]()).analysis.factors:
+        for a in f.sets:
+            if a.trivial:
+                continue
+            for fam in _ring_families(f.game, f.graph, a):
+                fam = tuple(sorted(fam))
+                for B in [fam] + [fam[:i] + fam[i + 1:] for i in range(len(fam))]:
+                    want = reference_ring_component(f.game, B)
+                    if want is None:
+                        with pytest.raises(MalformedParty, match="must be ring components"):
+                            make_party(f.game, B)
+                        continue
+                    got = make_party(f.game, B)
+                    assert got == Party(RING, B, want.compact), (label, B)
+                    assert got.breakers == want.breakers, (label, B)
