@@ -588,9 +588,10 @@ class Analysis:
     (``_factored``), ``[None]`` when one component holds every agent. Masks
     go back through it at the report boundary, where the agents in no
     factor are set single: the absorbing sets (``_merge``) and ring
-    components here, the decompositions' factor parties and pool
-    (``decomposition._checked_decompositions``) and the convergence witness
-    (``applications.factored_convergence``).
+    components here, and the convergence witness
+    (``applications.factored_convergence``). The decompositions read their
+    parties off those sets and ring components
+    (``decomposition._checked_decompositions``), with no lift of their own.
 
     Each factor's structures are first counted, in layers over the agents
     in id order or, past a frontier width, by the walk memoized on the

@@ -365,7 +365,7 @@ def _pool_violation(
     own = {p.coalitions for p in D.parties}
     for sink in sinks:
         comps = [] if sink.trivial else _rings.ring_components_of(g, sink, G)
-        built = _absorbing_parties(g, sink, comps, G)
+        built = _absorbing_parties(g, sink, comps)
         for p in built:
             if p.kind != POOL and p.coalitions not in own:
                 return Violation("pool-supports-party", p, None)
@@ -402,50 +402,27 @@ def is_stable_decomposition(g: Game, D: StableDecomposition, limit: int = DEFAUL
     return not check_stable_decomposition(g, D, limit)
 
 
-def _pool(n: int, mask: int) -> Party:
-    return Party(POOL, tuple(1 << b for b in range(n) if mask >> b & 1))
-
-
-def _absorbing_parties(g: Game, absorbing: AbsorbingSet, comps, G) -> list[Party]:
-    # the parties of from_absorbing_set, not yet checked. For a non-trivial
-    # set, comps are its ring components and G a graph of g holding it; the
-    # parties are read off the member keys: a coalition held in every member
-    # has its bit in the AND of the keys, and a component covers every
-    # member when each key meets its bits
+def _absorbing_parties(g: Game, absorbing: AbsorbingSet, comps) -> list[Party]:
+    # the parties of from_absorbing_set, not yet checked, read off the
+    # members: each ring component of comps (the set's, none for a trivial
+    # one) with a coalition in every member, each non-single coalition held
+    # in every member, in K order, and a pool of the agents left
+    pis = absorbing.members
+    held = set(pis[0]).intersection(*pis[1:])
     parties: list[Party] = []
-    if absorbing.trivial:
-        pi = absorbing.members[0]
-        pool_mask = 0
-        for part in pi:
-            if part.bit_count() >= 2:
-                parties.append(Party(SINGLE, (part,)))
-            else:
-                pool_mask |= part
-    else:
-        keys = [G.keys[G.node_id(pi)] for pi in absorbing.members]
-        bit = g.expansion().bit
-        covered = 0
-        for rc in comps:
-            own = 0
+    covered = 0
+    for rc in comps:
+        own = set(rc.coalitions)
+        if all(not own.isdisjoint(pi) for pi in pis):
+            parties.append(Party(RING, rc.coalitions, rc.compact, rc.breakers))
             for c in rc.coalitions:
-                own |= bit[c]
-            if all(key & own for key in keys):
-                parties.append(Party(RING, rc.coalitions, rc.compact, rc.breakers))
-                for c in rc.coalitions:
-                    covered |= c
-        held = -1
-        for key in keys:
-            held &= key
-        ks = g.permissible
-        while held:
-            low = held & -held
-            held ^= low
-            c = ks[low.bit_length() - 1]
-            parties.append(Party(SINGLE, (c,)))
-            covered |= c
-        pool_mask = (1 << g.n) - 1 & ~covered
-    if pool_mask:
-        parties.append(_pool(g.n, pool_mask))
+                covered |= c
+    for c in sorted(c for c in held if c & (c - 1)):
+        parties.append(Party(SINGLE, (c,)))
+        covered |= c
+    rest = (1 << g.n) - 1 & ~covered
+    if rest:
+        parties.append(Party(POOL, tuple(1 << b for b in range(g.n) if rest >> b & 1)))
     return parties
 
 
@@ -473,10 +450,10 @@ def from_absorbing_set(
 ) -> StableDecomposition:
     """The stable decomposition corresponding to an absorbing set.
 
-    Trivial set: one single-coalition party per part plus a pool of the
-    single agents. Non-trivial set: the ring components with a coalition in
-    every member, plus single parties for coalitions present in every
-    member, plus a pool of the remaining agents. The result is re-checked:
+    The parties are read off the members: the ring components with a
+    coalition in every member (a trivial set has none), plus single parties
+    for the coalitions present in every member, plus a pool of the
+    remaining agents. The result is re-checked:
     the parties partition the agents, every coalition party is protected,
     and the first D-structure lies in ``absorbing``, so that it generates
     the set back. ``limit`` bounds the graph grown when ``G`` is not given.
@@ -486,61 +463,34 @@ def from_absorbing_set(
         if G is None:
             G = grow_graph(g, absorbing.members, limit=limit)
         comps = _rings.ring_components_of(g, absorbing, G)
-    return _verified(g, _absorbing_parties(g, absorbing, comps, G), absorbing)[0]
+    return _verified(g, _absorbing_parties(g, absorbing, comps), absorbing)[0]
 
 
 def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
     """The stable decomposition of each absorbing set of the analysis, in
     the same order.
 
-    An absorbing set's decomposition is the union of the coalition parties
-    of its factor sets' decompositions, each built on its factor's game
-    from the ring components the analysis works out once per factor set
-    (``Analysis.factor_rings``) and lifted to the whole game's masks, plus
-    one pool of the remaining agents; it is re-checked against the whole
-    game and its absorbing set, as ``from_absorbing_set`` re-checks.
+    An absorbing set's parties are read off its members, as
+    ``from_absorbing_set`` reads them, with its ring components from
+    ``Analysis.ring_components``: those of its factor sets, worked out once
+    per factor set (``Analysis.factor_rings``) and lifted to the whole
+    game's masks, in which the product sets' members already are. Each
+    decomposition is re-checked against the whole game and its absorbing
+    set, as ``from_absorbing_set`` re-checks.
     """
     return [D for D, _, _ in _checked_decompositions(an)]
 
 
-def _lift_party(p: Party, lift: dict[int, int]) -> Party:
-    # a factor's coalition party in the whole game's masks
-    up = lift.__getitem__
-    return Party(
-        p.kind,
-        tuple(map(up, p.coalitions)),
-        tuple(tuple(map(up, E)) for E in p.compact),
-        None if p.breakers is None else tuple(map(up, p.breakers)),
-    )
-
-
 def _checked_decompositions(an: Analysis) -> list[tuple]:
     # (decomposition, protection walk, D-structures) of each absorbing set,
-    # as the re-check built them; the factor parties are built on the
-    # factor games and lifted to the whole game's masks (Analysis.lifts)
+    # as the re-check built them; the product sets' members and their ring
+    # components (Analysis.ring_components) are already in the whole game's
+    # masks
     g = an.game
-    full = (1 << g.n) - 1
-    # the coalition parties of each factor's sets, by position
-    memo = [[None] * len(f.sets) for f in an.factors]
-    out = []
-    for idx, absorbing in enumerate(an.absorbing_sets()):
-        parties: list[Party] = []
-        covered = 0
-        for fi, (f, k, lift) in enumerate(zip(an.factors, an.factor_sets(idx), an.lifts)):
-            own = memo[fi][k]
-            if own is None:
-                own = memo[fi][k] = [
-                    p if lift is None else _lift_party(p, lift)
-                    for p in _absorbing_parties(f.game, f.sets[k], an.factor_rings(fi, k), f.graph)
-                    if p.kind != POOL
-                ]
-            for p in own:
-                parties.append(p)
-                covered |= p.agents
-        if full & ~covered:
-            parties.append(_pool(g.n, full & ~covered))
-        out.append(_verified(g, parties, absorbing))
-    return out
+    return [
+        _verified(g, _absorbing_parties(g, a, [] if a.trivial else an.ring_components(idx)), a)
+        for idx, a in enumerate(an.absorbing_sets())
+    ]
 
 
 class DStructure(namedtuple("DStructure", "structure chosen")):

@@ -186,13 +186,23 @@ class DominationGraph:
         return len(self.nodes)
 
     def __contains__(self, pi) -> bool:
-        return pi in self._index
+        try:
+            return pi in self._index
+        except TypeError:  # unhashable, so no node
+            return False
 
     def node_id(self, pi) -> int:
+        """The id of node ``pi``; ``NodeNotInGraph`` for any value that is
+        not a node, named as a structure when it is a tuple of masks."""
         try:
             return self._index[pi]
-        except KeyError:
-            raise NodeNotInGraph(f"{render_structure(pi)} is not in the graph") from None
+        except (KeyError, TypeError):
+            pass
+        if isinstance(pi, tuple) and all(isinstance(p, int) and p >= 0 for p in pi):
+            shown = render_structure(pi)
+        else:
+            shown = repr(pi)
+        raise NodeNotInGraph(f"{shown} is not in the graph")
 
     def edge_count(self) -> int:
         return sum(len(out) for out in self.succ)

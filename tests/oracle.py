@@ -344,17 +344,34 @@ def _brute_force_decompositions(g):
     return found
 
 
+def reference_decompositions(g):
+    """The decomposition of each sink of the full domination graph, in
+    ``sink_components`` order, read with one set per member
+    (``_reference_parties``) from the ring components of the reference
+    extraction and merge (``_extract_rings``, ``_merged_components``); a
+    trivial sink has none. No factor, lift or member key is read."""
+    G = full_domination_graph(g)
+    out = []
+    for a in sink_components(G):
+        comps = [] if a.trivial else _merged_components(g, _extract_rings(G, a), a)
+        out.append(decomposition(_reference_parties(g, a, comps)))
+    return out
+
+
 def census_failure(g) -> str | None:
     """What the census finds wrong with the game's decompositions, ``None``
     when nothing. They must be the brute force's, so
-    ``check_stable_decomposition`` accepts exactly the listed ones; one
-    decomposition must generate each absorbing set, in order; ring parties
-    must come exactly for the non-trivial sets; and the game must converge
-    exactly when every set is trivial."""
+    ``check_stable_decomposition`` accepts exactly the listed ones, and
+    those of ``reference_decompositions``, in order; one decomposition must
+    generate each absorbing set, in order; ring parties must come exactly
+    for the non-trivial sets; and the game must converge exactly when every
+    set is trivial."""
     decs = all_stable_decompositions(g)
     sets_ = absorbing_sets(g)
     if {frozenset(d.parties) for d in decs} != _brute_force_decompositions(g):
         return "not the brute force"
+    if decs != reference_decompositions(g):
+        return "not the reference read off the full graph's sinks"
     if not sets_ or [generated_set(g, d_structures(g, d)[0]) for d in decs] != sets_:
         return "not one decomposition per absorbing set"
     if [not any(p.kind == RING for p in d) for d in decs] != [a.trivial for a in sets_]:
@@ -899,9 +916,9 @@ def _defined_breakers(g, coalitions):
 
 
 def _reference_parties(g, absorbing, comps):
-    """The parties of a non-trivial set read with one set per member: a
+    """The parties of an absorbing set read with one set per member: a
     ring component covering every member, then each coalition held in all,
-    then a pool of the agents left."""
+    then a pool of the agents left. A trivial set has no ring component."""
     parties = []
     part_sets = [set(pi) for pi in absorbing.members]
     covered = 0

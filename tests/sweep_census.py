@@ -9,11 +9,12 @@ tables (rankings, permissible set and position tables), which the spec's
 partner check builds and no second validation reads, must be those of
 ``oracle._reference_pair_tables``, which converts each pair with
 ``coalition`` and checks every entry. Each game's decompositions must be
-the brute force's, one must generate each absorbing set, ring parties must
-come exactly for the non-trivial sets, and the game must converge exactly
-when every set is trivial. Too slow for the test
-suite (about 40 s for each large family on a 2-core x86-64 machine); run it
-by hand:
+the brute force's and those of ``oracle.reference_decompositions``, read
+off the full graph's sinks with the reference ring extraction; one must
+generate each absorbing set, ring parties must come exactly for the
+non-trivial sets, and the game must converge exactly when every set is
+trivial. Too slow for the test suite (50-60 s for each large family on a
+2-core x86-64 machine); run it by hand:
 
     PYTHONPATH=src python tests/sweep_census.py
 

@@ -42,6 +42,7 @@ from stabledec import (
 from stabledec.cli import main, parse_decomposition
 from stabledec.structures import breaks_maximal_set
 from games import (
+    COALITION_SCC_COUNTEREXAMPLES,
     EVERY_3_AGENT_GAME,
     FUZZ_GAMES,
     GENERATED_GAMES,
@@ -49,10 +50,13 @@ from games import (
     RC7,
     RING_UNIONS,
     ROOMMATE9,
+    ROOMMATE_SCC_COUNTEREXAMPLES,
     UNIONS,
     C,
     build,
     make_structure,
+    rnd,
+    room,
     split_market,
 )
 from oracle import (
@@ -751,25 +755,53 @@ class TestCarriedBreakers:
         assert seen == {"parties": 66, "factored": 16}
 
 
-class TestKeyBasedParties:
-    """``_absorbing_parties`` reads a non-trivial set's parties off its member
-    keys; they are the parties of the one-set-per-member reading, on every
-    non-trivial set of the fuzz games, the roommate games and the unions."""
+def _party_games():
+    # _every_game, then the games whose coalition digraph's components
+    # differ from their ring families
+    yield from _every_game()
+    for n, p, s in COALITION_SCC_COUNTEREXAMPLES:
+        yield f"random{n}-{p}-{s}", build(rnd(n, p, s))
+    for s in ROOMMATE_SCC_COUNTEREXAMPLES:
+        yield f"roommate8-0.9-{s}", build(room(8, 0.9, s))
 
-    def test_every_nontrivial_set(self):
-        sets = 0
-        for label, b in _every_game():
+
+class TestMemberReadParties:
+    """``_absorbing_parties`` reads an absorbing set's parties off its
+    members; they are the parties of the one-set-per-member reading, on
+    every set, trivial ones too, of the fuzz games, the roommate games, the
+    ring unions and the coalition digraph counterexamples: each factor set
+    with its ring components from ``ring_components_of``, and each set of
+    the whole game's ``Analysis`` with those of ``Analysis.ring_components``.
+    Six sets of the counterexamples have a ring component with a coalition
+    in some members but not in all, which is no party."""
+
+    def _count(self, seen, label, g, a, comps):
+        got = decomposition_module._absorbing_parties(g, a, comps)
+        assert got == _reference_parties(g, a, comps), label
+        assert all(p.breakers is not None for p in got if p.kind == RING), label
+        seen["sets"] += 1
+        seen["nontrivial"] += not a.trivial
+        for rc in comps:
+            meets = sum(not set(rc.coalitions).isdisjoint(pi) for pi in a.members)
+            seen["partial"] += 0 < meets < len(a)
+
+    def test_every_factor_set(self):
+        seen = {"sets": 0, "nontrivial": 0, "partial": 0}
+        for label, b in _party_games():
             for f in b.analysis.factors:
-                for fa in f.sets:
-                    if fa.trivial:
-                        continue
-                    sets += 1
-                    comps = ring_components_of(f.game, fa, f.graph)
-                    got = decomposition_module._absorbing_parties(f.game, fa, comps, f.graph)
-                    assert got == _reference_parties(f.game, fa, comps), label
-                    rings = [p for p in got if p.kind == RING]
-                    assert all(p.breakers is not None for p in rings)
-        assert sets == 57
+                for a in f.sets:
+                    comps = [] if a.trivial else ring_components_of(f.game, a, f.graph)
+                    self._count(seen, label, f.game, a, comps)
+        assert seen == {"sets": 600, "nontrivial": 72, "partial": 6}
+
+    def test_every_analysis_set(self):
+        seen = {"sets": 0, "nontrivial": 0, "partial": 0}
+        for label, b in _party_games():
+            an = b.analysis
+            for idx, a in enumerate(an.absorbing_sets()):
+                comps = [] if a.trivial else an.ring_components(idx)
+                self._count(seen, label, b.game, a, comps)
+        assert seen == {"sets": 591, "nontrivial": 75, "partial": 6}
 
 
 class TestNonPermissibleParty:

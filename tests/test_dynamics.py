@@ -1,5 +1,7 @@
 """Domination steps, reachability graphs, transitive domination, dot export."""
 
+import re
+
 import pytest
 
 from stabledec import (
@@ -101,6 +103,27 @@ class TestGrowGraph:
         with pytest.raises(NodeNotInGraph):
             graph.node_id(make_structure(g7, "123 45 67"))
 
+    def test_node_id_names_a_structure(self, g7, cycle7):
+        graph = grow_graph(g7, [cycle7[0]])
+        with pytest.raises(NodeNotInGraph, match=r"^\{1,2,3\} \{4,5\} \{6,7\} is not in the graph$"):
+            graph.node_id(make_structure(g7, "123 45 67"))
+
+    # unhashable values, hashable ones that are no tuple of masks, and a
+    # negative mask, which no structure renders
+    NOT_NODES = [[1, 2], [C("12")], ([3],), {}, "ab", None, 1.5, (-1,), (1.5,)]
+
+    @pytest.mark.parametrize("value", NOT_NODES, ids=repr)
+    def test_node_id_rejects_any_value(self, g7, cycle7, value):
+        graph = grow_graph(g7, [cycle7[0]])
+        with pytest.raises(NodeNotInGraph, match=f"^{re.escape(repr(value))} is not in the graph$"):
+            graph.node_id(value)
+
+    @pytest.mark.parametrize("value", NOT_NODES, ids=repr)
+    def test_in_is_false(self, g7, cycle7, value):
+        graph = grow_graph(g7, [cycle7[0]])
+        assert value not in graph
+        assert cycle7[0] in graph
+
     def test_limit(self, g7, cycle7):
         with pytest.raises(LimitExceeded):
             grow_graph(g7, [cycle7[0]], limit=4)
@@ -130,6 +153,13 @@ class TestTransitivelyDominates:
         graph = grow_graph(g7, enumerate_structures(g7))
         assert not transitively_dominates(graph, pi, cycle7[0])
         assert transitively_dominates(graph, cycle7[0], pi) is False
+
+    @pytest.mark.parametrize("value", [[1, 2], "ab", None], ids=repr)
+    def test_value_not_a_node(self, g7, cycle7, value):
+        graph = grow_graph(g7, [cycle7[0]])
+        for a, b in ((value, cycle7[0]), (cycle7[0], value)):
+            with pytest.raises(NodeNotInGraph, match="is not in the graph$"):
+                transitively_dominates(graph, a, b)
 
     def test_reaching_stable(self, g7):
         pi = make_structure(g7, "123 45 67")
