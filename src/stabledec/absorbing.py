@@ -582,13 +582,13 @@ class Analysis:
     a game, worked out per factor (``factor_games``) and never on the
     product graph.
 
-    Each factor is a game on its component's own agents, and everything
-    worked out per factor is in its masks: ``factors``, ``factor_rings``.
-    ``lifts[fi]`` maps factor ``fi``'s masks to the whole game's
-    (``_factored``), ``[None]`` when one component holds every agent. Masks
-    go back through it at the report boundary, where the agents in no
-    factor are set single: the absorbing sets (``_merge``) and ring
-    components here, and the convergence witness
+    Each factor is a game on its component's own agents, and ``factors``
+    holds what is worked out per factor, in its masks. ``lifts[fi]`` maps
+    factor ``fi``'s masks to the whole game's (``_factored``), ``[None]``
+    when one component holds every agent. Masks go back through it at the
+    report boundary, where the agents in no factor are set single: the
+    absorbing sets (``_merge``) and ring components here, the latter once
+    per factor set as they are worked out, and the convergence witness
     (``applications.factored_convergence``). The decompositions read their
     parties off those sets and ring components
     (``decomposition._checked_decompositions``), with no lift of their own.
@@ -608,9 +608,10 @@ class Analysis:
     Every domination step changes one factor, so the game's structures are
     the products of factor structures, its absorbing sets the products of
     factor absorbing sets, and the ring components of a product set those
-    of its non-trivial factor sets (``factor_rings``, kept by position):
-    a shortest path back along a cycle never leaves the factor that the
-    cycle's edge changes, and coalitions of different factors are disjoint.
+    of its non-trivial factor sets, worked out when a product set first
+    asks for them: a shortest path back along a cycle never leaves the
+    factor that the cycle's edge changes, and coalitions of different
+    factors are disjoint.
     The stable decompositions (``decomposition.factored_decompositions``)
     and the convergence verdict (``applications.factored_convergence``)
     combine the same way.
@@ -631,7 +632,8 @@ class Analysis:
         self.factors = [_factor(sub, limit) for sub, _ in factored]
         self.lifts = [lift for _, lift in factored]
         self._sets: list[tuple[AbsorbingSet, tuple[int, ...]]] | None = None
-        # the ring components of each factor's sets, by position
+        # the ring components of each factor's sets, by position, in the
+        # whole game's masks
         self._rings: list[list] = [[None] * len(f.sets) for f in self.factors]
 
     def _products(self) -> list[tuple[AbsorbingSet, tuple[int, ...]]]:
@@ -665,27 +667,19 @@ class Analysis:
         whose product is absorbing set ``idx``, aligned with ``factors``."""
         return self._products()[idx][1]
 
-    def factor_rings(self, fi: int, k: int) -> list[RingComponent]:
-        """The ring components of factor ``fi``'s absorbing set ``sets[k]``
-        (none for a trivial one), in the factor's masks, worked out once
-        per position."""
-        rings = self._rings[fi]
-        if rings[k] is None:
-            f = self.factors[fi]
-            rings[k] = [] if f.sets[k].trivial else ring_components_of(f.game, f.sets[k], f.graph)
-        return rings[k]
-
     def ring_components(self, idx: int) -> list[RingComponent]:
         """The ring components of absorbing set ``idx``, sorted by
-        coalitions, as ``ring_components_of`` gives them on the full graph."""
+        coalitions, as ``ring_components_of`` gives them on the full graph;
+        each call returns a new list."""
         a, combo = self._products()[idx]
         if a.trivial:
             raise TrivialAbsorbingSet("trivial absorbing sets carry no ring component")
-        comps = [
-            rc if lift is None else _lift_ring(rc, lift)
-            for fi, (k, lift) in enumerate(zip(combo, self.lifts))
-            for rc in self.factor_rings(fi, k)
-        ]
+        comps = []
+        for f, lift, rings, k in zip(self.factors, self.lifts, self._rings, combo):
+            if rings[k] is None:
+                found = [] if f.sets[k].trivial else ring_components_of(f.game, f.sets[k], f.graph)
+                rings[k] = found if lift is None else [_lift_ring(rc, lift) for rc in found]
+            comps += rings[k]
         return sorted(comps, key=lambda rc: rc.coalitions)
 
 

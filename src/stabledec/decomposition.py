@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .core import (
     Game,
@@ -123,10 +123,10 @@ def make_party(g: Game, coalitions: Iterable) -> Party:
                 f"{render_coalition(masks[0])} is not a permissible coalition"
             )
         return Party(SINGLE, masks)
-    party = _rings._ring_party(g, masks)
-    if party is None:
+    rc = _rings._ring_component(g, masks, prune=True)
+    if rc is None:
         raise MalformedParty("multi-coalition parties must be ring components")
-    return Party(RING, masks, *party)
+    return Party(RING, masks, rc.compact, rc.breakers)
 
 
 class StableDecomposition(_Frozen):
@@ -350,17 +350,17 @@ def _pool_violation(
     No permissible coalition inside the pool: no party can form there.
     Without a ring party, D has one D-structure, which such a coalition
     blocks, and D is stable exactly when that structure is. Otherwise D is
-    stable exactly when the closure of its first D-structure (at most
-    ``limit`` nodes) is one absorbing set whose parties are D's. The closure
-    may hold several absorbing sets, so each is searched for a party that D
-    lacks.
+    stable exactly when the closure of its first D-structure, the only one
+    built, is one absorbing set whose parties are D's; the closure grows to
+    at most ``limit`` nodes. It may hold several absorbing sets, so each is
+    searched for a party that D lacks.
     """
     inside = next((c for c in g.permissible if not c & ~pool_mask), None)
     if inside is None:
         return None
     if all(p.kind != RING for p in D.parties):
         return Violation("pool-blocks", None, inside)
-    G = grow_graph(g, [d_structures(g, D)[0].structure], limit=limit)
+    G = grow_graph(g, [next(_d_structures(g, D)).structure], limit=limit)
     sinks = sink_components(G)
     own = {p.coalitions for p in D.parties}
     for sink in sinks:
@@ -472,11 +472,11 @@ def factored_decompositions(an: Analysis) -> list[StableDecomposition]:
 
     An absorbing set's parties are read off its members, as
     ``from_absorbing_set`` reads them, with its ring components from
-    ``Analysis.ring_components``: those of its factor sets, worked out once
-    per factor set (``Analysis.factor_rings``) and lifted to the whole
-    game's masks, in which the product sets' members already are. Each
-    decomposition is re-checked against the whole game and its absorbing
-    set, as ``from_absorbing_set`` re-checks.
+    ``Analysis.ring_components``: those of its factor sets, worked out and
+    lifted to the whole game's masks once per factor set, in which the
+    product sets' members already are. Each decomposition is re-checked
+    against the whole game and its absorbing set, as ``from_absorbing_set``
+    re-checks.
     """
     return [D for D, _, _ in _checked_decompositions(an)]
 
@@ -504,26 +504,28 @@ def d_structures(g: Game, D: StableDecomposition) -> list[DStructure]:
     """All structures induced by the decomposition: non-ring parties appear
     verbatim, each ring component contributes one of its compact sets with
     its remaining agents single."""
+    return list(_d_structures(g, D))
+
+
+def _d_structures(g: Game, D: StableDecomposition) -> Iterator[DStructure]:
+    # d_structures one at a time, in order, so that the pool condition
+    # builds only the first of a product that --limit does not bound
     ring_parties = [p for p in D.parties if p.kind == RING]
+    agents = [p.agents for p in ring_parties]
     fixed: list[int] = []
     for p in D.parties:
         if p.kind == SINGLE:
             fixed.append(p.coalitions[0])
         elif p.kind == POOL:
             fixed.extend(p.coalitions)
-    out: list[DStructure] = []
     for choice in itertools.product(*(p.compact for p in ring_parties)):
         parts = list(fixed)
-        for party, chosen in zip(ring_parties, choice):
+        for leftover, chosen in zip(agents, choice):
             parts.extend(chosen)
-            leftover = party.agents
             for c in chosen:
                 leftover &= ~c
             parts.extend(1 << b for b in range(g.n) if leftover >> b & 1)
-        out.append(
-            DStructure(structure_from_parts(g, parts), tuple(zip(ring_parties, choice)))
-        )
-    return out
+        yield DStructure(structure_from_parts(g, parts), tuple(zip(ring_parties, choice)))
 
 
 def generated_set(g: Game, pi_d, limit: int = DEFAULT_LIMIT) -> AbsorbingSet:

@@ -17,7 +17,9 @@ in-edge as its source is discovered, recognised from the keys. The
 searches stop once every strongly connected component of the step digraph
 is one merged family (``_ring_families``). One builder (``_kbit_sccs``)
 gives those components and the improvement digraph's, which decide
-condition (i) and ``has_proper_ring``.
+condition (i) and ``has_proper_ring``. One search (``_ring_component``)
+analyzes a collection, for a merged family and for a party alike; a party's
+is pruned (``decomposition.make_party``).
 """
 
 from __future__ import annotations
@@ -171,11 +173,12 @@ def _pref_digraph_sccs(g: Game, masks: Sequence[int]) -> list[list[int]]:
 
 class RingComponent(_Frozen):
     """A ring component: its coalitions, whether it is simple, its maximal
-    sets and its compact sets. ``breakers`` are the coalitions outside it
-    that break one of its maximal sets, ascending. All are masks of the
-    component's game; ``Analysis`` lifts a factor game's to the whole
-    game's. The breakers follow from the rest, so equality, the hash and
-    the repr leave them out."""
+    sets (none from a pruned search, ``_ring_component``) and its compact
+    sets. ``breakers`` are the coalitions outside it that break one of its
+    maximal sets, ascending. All are masks of the component's game;
+    ``Analysis`` lifts a factor game's to the whole game's. The breakers
+    follow from the rest, so equality, the hash and the repr leave them
+    out."""
 
     __slots__ = _fields = ("coalitions", "simple", "maximal", "compact", "breakers")
     _shown = 4
@@ -195,9 +198,11 @@ class RingComponent(_Frozen):
         _setattr(self, "breakers", breakers)
 
 
-def _ring_search(g: Game, coalitions: Iterable[int], prune: bool = False):
-    """The fields of the collection's ``RingComponent``, on the K-bitsets
-    of ``Game.expansion``, or ``None`` when it is not a ring component.
+def _ring_component(
+    g: Game, coalitions: Iterable[int], prune: bool = False
+) -> RingComponent | None:
+    """The collection's ``RingComponent``, on the K-bitsets of
+    ``Game.expansion``, or ``None`` when it is not a ring component.
 
     Condition (i) is strong connectivity of the in-collection improvement
     digraph: ``_kbit_sccs`` finds one component over the collection's
@@ -210,9 +215,11 @@ def _ring_search(g: Game, coalitions: Iterable[int], prune: bool = False):
     candidate or excluded coalition rather than Tomita's: any pivot taken
     from the two keeps the search exact (Cazals and Karande 2008). With
     ``prune`` the search stops listing the sets of a component that is not
-    simple, whose compact sets are its coalitions, so its maximal sets are
-    not all there, and skips the branches that cannot change the verdict
-    or the outside breakers.
+    simple, whose compact sets are its coalitions, and skips the branches
+    that cannot change the verdict or the outside breakers; its maximal
+    sets are then not all there, so a pruned component carries
+    ``maximal=()``, and only its verdict, ``compact`` and ``breakers``
+    hold. ``make_party`` runs the pruned search and keeps those.
     """
     B = tuple(sorted(set(coalitions)))
     if len(B) < 3 or any(c not in g._kset for c in B):
@@ -235,23 +242,7 @@ def _ring_search(g: Game, coalitions: Iterable[int], prune: bool = False):
         outside ^= low
         breakers.append(ks[low.bit_length() - 1])
     compact = maximal if simple else tuple((r,) for r in B)
-    return B, simple, maximal, compact, tuple(breakers)
-
-
-def _ring_component(g: Game, coalitions: Iterable[int]) -> RingComponent | None:
-    """The ring component analysis of the collection (``_ring_search``),
-    ``None`` when it is not one."""
-    found = _ring_search(g, coalitions)
-    return None if found is None else RingComponent(*found)
-
-
-def _ring_party(g: Game, masks: Iterable[int]):
-    """``(compact, breakers)`` of the ring component ``masks``, or ``None``
-    when it is not one: what a ring party keeps of ``_ring_component``,
-    from the search with ``prune``, which lists the maximal sets of a
-    simple component only."""
-    found = _ring_search(g, masks, True)
-    return None if found is None else found[3:]
+    return RingComponent(B, simple, () if prune else maximal, compact, tuple(breakers))
 
 
 def is_ring_component(g: Game, coalitions: Iterable[int]) -> bool:

@@ -16,9 +16,10 @@ all five fields and the ``None`` verdicts) must equal the three-pass
 ``reference_ring_component``, whose condition (i) is mutual reachability
 through ``unanimously_prefers``, sharing no code with the library. So must
 the ring party of each family and of each family with one coalition
-removed (``rings._ring_party``, whose search stops listing and prunes once
-a clash shows the party is not simple): the same verdict, compact sets and
-breakers as the reference. Too slow for the test suite; run it by hand:
+removed (``rings._ring_component`` with ``prune``, whose search stops
+listing and prunes once a clash shows the party is not simple, as
+``make_party`` runs it): the same verdict, compact sets and breakers as the
+reference. Too slow for the test suite; run it by hand:
 
     PYTHONPATH=src python tests/sweep_ring_route.py
 
@@ -37,7 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from stabledec import Analysis  # noqa: E402
-from stabledec.rings import _family_search, _ring_component, _ring_party  # noqa: E402
+from stabledec.rings import _family_search, _ring_component  # noqa: E402
 
 from games import rnd, room  # noqa: E402
 from oracle import (  # noqa: E402
@@ -57,15 +58,21 @@ FAMILIES = {
 }
 
 
+def kept(rc):
+    """What a ring party keeps of a ring component: ``(compact, breakers)``,
+    or ``None`` for no component."""
+    return None if rc is None else (rc.compact, rc.breakers)
+
+
 def party_differences(g, fam) -> tuple[int, int]:
     """The number of ring parties checked, the family and each family with
-    one coalition removed, and of those ``_ring_party`` gets wrong."""
+    one coalition removed, and of those the pruned ``_ring_component``
+    gets wrong."""
     fam = tuple(sorted(fam))
     subsets = [fam] + [fam[:i] + fam[i + 1:] for i in range(len(fam))]
     wrong = 0
     for B in subsets:
-        want = reference_ring_component(g, B)
-        if _ring_party(g, B) != (None if want is None else (want.compact, want.breakers)):
+        if kept(_ring_component(g, B, True)) != kept(reference_ring_component(g, B)):
             wrong += 1
     return len(subsets), wrong
 

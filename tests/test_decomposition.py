@@ -11,9 +11,11 @@ from stabledec import (
     SINGLE,
     AgentIdOutOfRange,
     DisjointParty,
+    LimitExceeded,
     MalformedParty,
     Party,
     PartyIsSingletonPool,
+    RoommateSpec,
     absorbing_sets,
     all_stable_decompositions,
     check_stable_decomposition,
@@ -473,6 +475,40 @@ class TestDStructures:
         (ds,) = d_structures(g7, d7_plain)
         assert ds.structure == make_structure(g7, "123 45 67")
         assert ds.chosen == ()
+
+
+def _triangles(k):
+    """k disjoint pair-chasing triangles and one mutual pair, with the
+    decomposition of the k triangle ring parties and a pool of the pair."""
+    prefs, parties = {}, []
+    for i in range(k):
+        a, b, c = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        prefs.update({a: [b, c], b: [c, a], c: [a, b]})
+        parties.append([(a, b), (b, c), (a, c)])
+    x, y = 3 * k + 1, 3 * k + 2
+    prefs.update({x: [y], y: [x]})
+    g = roommate_to_game(RoommateSpec(3 * k + 2, prefs))
+    return g, decomposition_from_collections(g, [*parties, [(x,), (y,)]])
+
+
+class TestPoolConditionBuildsOneDStructure:
+    """The pool condition grows the closure of the first D-structure and
+    builds no other: with k triangle ring parties there are 3^k."""
+
+    def test_six_triangles(self, monkeypatch):
+        g, D = _triangles(6)
+        assert len(d_structures(g, D)) == 3**6
+        built = spy(monkeypatch, [], decomposition_module, "DStructure")
+        got = check_stable_decomposition(g, D)
+        assert len(built) == 1
+        assert [v.describe(g.n) for v in got] == [
+            "singleton pool supports protected party {{19,20}}"
+        ]
+
+    def test_twelve_triangles_hit_the_limit(self):
+        g, D = _triangles(12)
+        with pytest.raises(LimitExceeded, match="^domination graph exceeds 20000 nodes$"):
+            check_stable_decomposition(g, D, limit=20000)
 
 
 class TestGeneratedSet:

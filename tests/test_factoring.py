@@ -42,7 +42,7 @@ from games import (
     split_market,
     union,
 )
-from oracle import outcome, spy
+from oracle import analyze_json, outcome, spy
 
 # UNIONS with several components, and unions shaped like the split-markets
 # benchmark games: random, roommate and 3x3 marriage games of six agents each
@@ -178,6 +178,38 @@ class TestGateCoverage:
     def test_verdicts_vary(self):
         verdicts = {factored_convergence(build(g).analysis)[0] for g in UNIONS.values()}
         assert verdicts == {True, False}
+
+
+class TestOneLiftPerRingComponent:
+    """``analyze --all --json`` works out the ring components of a factor
+    set and lifts each to the whole game's masks once, however many product
+    sets share the factor set and however often they are asked for."""
+
+    def test_split_market_seed_16(self, monkeypatch):
+        # the split-markets game of generator seed 16: one non-trivial
+        # factor set, the roommate submarket's, in 4 product sets
+        g = split_market(16)
+        an = Analysis(g)
+        shared = [
+            (fi, k)
+            for idx, a in enumerate(an.absorbing_sets())
+            if not a.trivial
+            for fi, k in enumerate(an.factor_sets(idx))
+            if not an.factors[fi].sets[k].trivial
+        ]
+        assert len(shared) == 4 and len(set(shared)) == 1
+        fi, k = shared[0]
+        f = an.factors[fi]
+        comps = ring_components_of(f.game, f.sets[k], f.graph)
+        assert comps
+        lifts = spy(monkeypatch, [], absorbing, "_lift_ring")
+        searches = spy(monkeypatch, [], absorbing, "ring_components_of")
+        got = analyze_json(g)
+        assert len(lifts) == len(comps)
+        assert len(searches) == 1
+        # the same bytes as the analysis of the whole game at once
+        monkeypatch.setattr(absorbing, "coalition_components", lambda g: [(1 << g.n) - 1])
+        assert got == analyze_json(g)
 
 
 class TestFactors:

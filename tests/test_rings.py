@@ -813,10 +813,10 @@ class TestOneAnalysisPerFamily:
         tests, searches = [], []
         ring_component, real_search = rings_module._ring_component, rings_module._maximal_search
 
-        def counting_component(g, coalitions):
+        def counting_component(g, coalitions, *args, **kwargs):
             coalitions = set(coalitions)
             tests.append(frozenset(coalitions))
-            return ring_component(g, coalitions)
+            return ring_component(g, coalitions, *args, **kwargs)
 
         def counting_search(g, inside, *args):
             searches.append(frozenset(c for c in g.permissible if g.expansion().bit[c] & inside))
@@ -860,13 +860,11 @@ class TestOneAnalysisPerFamily:
             assert [rc.coalitions for rc in comps] == [tuple(sorted(C(t) for t in ("45", "46", "56")))]
 
     def test_make_party(self, g7, g8, monkeypatch):
-        # one search per party, run by ``_ring_party``, which builds no
-        # ``RingComponent``
+        # one pruned ``_ring_component`` and one search per party
         tests, searches = self._count(monkeypatch)
         make_party(g7, [C(t) for t in RC7])
         make_party(g8, [C(t) for t in RC8])
-        assert tests == []
-        assert searches == [frozenset(C(t) for t in RC7), frozenset(C(t) for t in RC8)]
+        assert tests == searches == [frozenset(C(t) for t in RC7), frozenset(C(t) for t in RC8)]
 
 
 @pytest.mark.parametrize("label", list(FUZZ_GAMES))
@@ -940,7 +938,8 @@ PARTY_GAMES = {**ROUTE_GAMES, **REFERENCE_GAMES}
 @pytest.mark.parametrize("label", list(PARTY_GAMES))
 def test_make_party_matches_the_three_pass_reference(label):
     """``make_party``, whose one search stops listing and prunes once a
-    clash shows the party is not simple (``rings._ring_party``), against
+    clash shows the party is not simple (``rings._ring_component`` with
+    ``prune``), against
     the party built from ``oracle.reference_ring_component``: the verdict,
     ``compact`` and ``breakers``, on each ring family and on each family
     with one coalition removed."""
